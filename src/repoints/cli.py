@@ -16,7 +16,8 @@ from . import classical
 from .coideal import build_point_stabilizer
 from .points import ParamError, default_params, paired_index, quantum_point
 from .rootdata import ClassSpec, standard_cases, theta_for_class
-from .scalar import ScalarParseError, parse_scalar, render_scalar
+from .linalg import SingularMatrixError
+from .scalar import ScalarParseError, eval_at_one, parse_scalar, render_scalar
 
 
 class UsageError(ValueError):
@@ -122,6 +123,7 @@ def cmd_sweep(args) -> int:
             "pass": ok,
             "checks": len(payload["checks"]),
             "seconds": round(time.perf_counter() - t, 3),
+            "timings": payload["timings"],
         })
 
     def text(rows_payload):
@@ -212,16 +214,15 @@ def cmd_stabilizer(args) -> int:
 
 def cmd_poisson(args) -> int:
     if args.matrix:
-        try:
-            literals = json.loads(args.matrix)
-            grid = [[_gauss_of(parse_scalar(cell)) for cell in row] for row in literals]
-        except (ValueError, ScalarParseError) as exc:
-            raise UsageError(f"bad matrix literal: {exc}") from exc
         if args.series is None or args.N is None:
             raise UsageError("--matrix requires --series and --N to fix the algebra")
         from .rootdata import series_for_group
 
-        ls = series_for_group(args.series, args.N)
+        try:
+            ls = series_for_group(args.series, args.N)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+        grid = _matrix_grid(args.matrix, ls.dim)
         case_name = "explicit-matrix"
     else:
         spec = _spec_from_args(args)
@@ -229,7 +230,10 @@ def cmd_poisson(args) -> int:
         grid = classical.classical_point_grid(spec)
         case_name = spec.case_id
     data = classical.build_classical_algebra(ls)
-    value = classical.bivector_at(data, grid)
+    try:
+        value = classical.bivector_at(data, grid)
+    except SingularMatrixError as exc:
+        raise UsageError(f"the matrix is not invertible: {exc}") from exc
     payload = {"case": case_name, "vanishes": value.is_zero()}
     if not value.is_zero():
         i, j, v = value.largest_entry()
@@ -246,10 +250,23 @@ def cmd_poisson(args) -> int:
     return 0 if value.is_zero() else 1
 
 
-def _gauss_of(x):
-    from .scalar import eval_at_one
-
-    return eval_at_one(x)
+def _matrix_grid(literal: str, N: int) -> list:
+    """The N x N grid of q-free scalars in a --matrix JSON literal."""
+    try:
+        rows = json.loads(literal)
+    except ValueError as exc:
+        raise UsageError(f"bad matrix literal: {exc}") from exc
+    if (not isinstance(rows, list) or len(rows) != N
+            or any(not isinstance(r, list) or len(r) != N for r in rows)
+            or any(not isinstance(c, str) for r in rows for c in r)):
+        raise UsageError(f"--matrix must be an array of {N} arrays of {N} scalar strings")
+    try:
+        scalars = [[parse_scalar(c) for c in r] for r in rows]
+    except ScalarParseError as exc:
+        raise UsageError(f"bad matrix literal: {exc}") from exc
+    if any(x.num.min_exp() or x.num.max_exp() or not x.den.is_one for r in scalars for x in r if x):
+        raise UsageError("--matrix entries must be q-free")
+    return [[eval_at_one(x) for x in r] for r in scalars]
 
 
 def _add_case_flags(p, need_family=True):

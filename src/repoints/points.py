@@ -96,8 +96,13 @@ def validate_params(spec: ClassSpec, params: PointParams, classical: bool = Fals
     if want != got:
         problems.append(f"expected indices {sorted(want)}, got {sorted(got)}")
         return problems
-    c = constraint_value(spec, classical)
     k = params.kind
+    for i, v in sorted(params.values.items()):
+        if not v.den.at_one():
+            problems.append(f"{k}{i} = {render_scalar(v)} has a pole at q = 1")
+    if problems:
+        return problems
+    c = constraint_value(spec, classical)
     for i in _top_indices(spec):
         j = paired_index(spec, i)
         vi = params.values[i]

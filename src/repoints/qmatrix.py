@@ -82,6 +82,31 @@ class QMatrix:
             out.append({j: v for j, v in acc.items() if v})
         return QMatrix(self.dim, out)
 
+    def apply(self, vec: dict) -> dict:
+        """self * v for a sparse column vector {index: nonzero value}."""
+        out = {}
+        for i, row in enumerate(self.rows):
+            acc = None
+            for k, a in row.items():
+                b = vec.get(k)
+                if b is not None:
+                    p = a * b
+                    acc = p if acc is None else acc + p
+            if acc:
+                out[i] = acc
+        return out
+
+    def apply_left(self, vec: dict) -> dict:
+        """v^T * self for a sparse row vector {index: nonzero value}."""
+        acc: dict = {}
+        rows = self.rows
+        for k, a in vec.items():
+            for j, b in rows[k].items():
+                p = a * b
+                s = acc.get(j)
+                acc[j] = p if s is None else s + p
+        return {j: v for j, v in acc.items() if v}
+
     def scale(self, c: QScalar) -> "QMatrix":
         if not c:
             return QMatrix.zeros(self.dim)

@@ -1,17 +1,27 @@
 """R-matrices of the classical series, the braided matrix S = PR, and the
 rank-one invariant projector varpi for the orthogonal and symplectic cases.
 
+The projector is kept in factored form and never as a dense matrix.  Its
+numerator raw = (S - q)(S + q^-1) has polynomial entries and equals den * varpi
+with the scalar den = (mu - q)(mu + q^-1), mu = eps q^(eps - N) being the
+eigenvalue of S on the invariant line.  Reading the pivot p = raw[i0][j0] (the
+first nonzero entry) gives the column u = raw[:, j0] and the row w = raw[i0, :],
+and varpi = u w^T / (p den) exactly when p raw = u w^T.  Given that identity,
+the projector checks reduce to vector identities free of denominators:
+varpi^2 = varpi iff w.u = p den, and X varpi = mu varpi iff X u = mu u (and
+varpi X = mu varpi iff w^T X = mu w^T).
+
 Tensor indices are lexicographic: component (i, j) of C^N tensor C^N sits at
 row (i - 1) * N + j (1-based i, j).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .qmatrix import QMatrix
 from .rootdata import LieSeries, build_root_system
-from .scalar import ONE, Q, QINV, QScalar
+from .scalar import ONE, Q, QINV, ZERO, QScalar
 
 
 def _exponent_weights(ls: LieSeries) -> list:
@@ -34,13 +44,48 @@ def _exponent_weights(ls: LieSeries) -> list:
     raise ValueError("A series has no kappa term")
 
 
+@dataclass(frozen=True)
+class Projector:
+    """varpi = u w^T / (p den), with raw = den * varpi and p = raw[i0][j0].
+
+    u and w are sparse vectors {index: nonzero value}; i0 is None (and u, w
+    are empty) when raw is zero.
+    """
+
+    raw: QMatrix
+    den: QScalar
+    mu: QScalar
+    i0: int | None
+    j0: int | None
+    u: dict
+    w: dict
+
+    @property
+    def pivot(self) -> QScalar:
+        return self.w[self.j0]
+
+    @cached_property
+    def factor_mismatch(self):
+        """First (i, j, p raw[i][j], u[i] w[j]) in row-major order where
+        p raw != u w^T, or None when raw = u w^T / p.  Requires a pivot."""
+        p, u, w = self.pivot, self.u, self.w
+        for i, row in enumerate(self.raw.rows):
+            ui = u.get(i)
+            cols = set(row) if ui is None else set(row) | set(w)
+            for j in sorted(cols):
+                a = p * row[j] if j in row else ZERO
+                b = ui * w[j] if ui is not None and j in w else ZERO
+                if a != b:
+                    return i, j, a, b
+        return None
+
+
 @dataclass
 class RMatrixData:
     series_data: LieSeries
     R: QMatrix
     S: QMatrix
-    varpi: QMatrix | None  # absent for the A series
-    epsilon: int | None  # +1 orthogonal, -1 symplectic, absent for A
+    projector: Projector | None  # absent for the A series
 
 
 def build_R(ls: LieSeries) -> QMatrix:
@@ -110,23 +155,36 @@ def epsilon_for(ls: LieSeries) -> int:
     raise ValueError("epsilon is defined for orthogonal and symplectic series only")
 
 
-def build_varpi(S: QMatrix, ls: LieSeries) -> QMatrix:
+def projector_eigenvalue(ls: LieSeries) -> QScalar:
+    """mu = eps q^(eps - N), the eigenvalue of S on the invariant line."""
+    eps = epsilon_for(ls)
+    mu = QScalar.q_power(eps - ls.dim)
+    return -mu if eps < 0 else mu
+
+
+def factor_projector(raw: QMatrix, den: QScalar, mu: QScalar) -> Projector:
+    """Read the pivot, column and row of raw; nothing is checked here."""
+    first = raw.first_nonzero()
+    if first is None:
+        return Projector(raw, den, mu, None, None, {}, {})
+    i0, j0, _ = first
+    u = {i: row[j0] for i, row in enumerate(raw.rows) if j0 in row}
+    return Projector(raw, den, mu, i0, j0, u, dict(raw.rows[i0]))
+
+
+def build_projector(S: QMatrix, ls: LieSeries) -> Projector:
     """The projector onto the one-dimensional invariant submodule of V x V.
 
     Built spectrally from the cubic annihilating polynomial of S: the factor
-    (S - q)(S + 1/q) kills the other two eigenspaces; dividing by its value at
-    the remaining eigenvalue makes it idempotent.
+    (S - q)(S + 1/q) kills the other two eigenspaces; dividing by its value
+    den at the remaining eigenvalue mu makes it idempotent.
     """
-    eps = epsilon_for(ls)
-    N = ls.dim
-    mu = QScalar.q_power(eps - N)
-    if eps < 0:
-        mu = -mu
+    mu = projector_eigenvalue(ls)
     den = (mu - Q) * (mu + QINV)
     if not den:
         raise ArithmeticError("degenerate eigenvalue; projector undefined")
     raw = S.add_scalar_diag(-Q) * S.add_scalar_diag(QINV)
-    return raw.scale(den.inv())
+    return factor_projector(raw, den, mu)
 
 
 @lru_cache(maxsize=None)
@@ -134,8 +192,8 @@ def build_rmatrix_data(ls: LieSeries) -> RMatrixData:
     R = build_R(ls)
     S = build_S(R)
     if ls.series == "A":
-        return RMatrixData(ls, R, S, None, None)
-    return RMatrixData(ls, R, S, build_varpi(S, ls), epsilon_for(ls))
+        return RMatrixData(ls, R, S, None)
+    return RMatrixData(ls, R, S, build_projector(S, ls))
 
 
 def braid_identity_holds(S: QMatrix, N: int) -> bool:
@@ -151,8 +209,4 @@ def annihilating_polynomial_holds(S: QMatrix, ls: LieSeries) -> bool:
     quad = S.add_scalar_diag(-Q) * S.add_scalar_diag(QINV)
     if ls.series == "A":
         return quad.is_zero()
-    eps = epsilon_for(ls)
-    mu = QScalar.q_power(eps - ls.dim)
-    if eps < 0:
-        mu = -mu
-    return (quad * S.add_scalar_diag(-mu)).is_zero()
+    return (quad * S.add_scalar_diag(-projector_eigenvalue(ls))).is_zero()

@@ -482,6 +482,18 @@ def render_scalar(x: QScalar) -> str:
 
 # --- literal parsing --------------------------------------------------------
 
+# bounds on each literal exponent and on the degree of a power keep parsing
+# fast: (q + 1)^256 already takes seconds
+MAX_EXPONENT = 64
+
+
+def _degree_span(x: QScalar) -> int:
+    """Exponent spread of numerator plus denominator (0 for monomials)."""
+    if not x:
+        return 0
+    return (x.num.max_exp() - x.num.min_exp()) + (x.den.max_exp() - x.den.min_exp())
+
+
 class _Parser:
     """Recursive-descent parser for scalar literals over {digits, i, q, + - * / ^, parens}."""
 
@@ -543,7 +555,14 @@ class _Parser:
                 esign = -1
             if not self._peek().isdigit():
                 raise ScalarParseError("expected digits after '^'", self.pos)
-            val = val ** (esign * self._digits())
+            k = self._digits()
+            if k > MAX_EXPONENT:
+                raise ScalarParseError(f"exponent {k} exceeds {MAX_EXPONENT}", self.pos)
+            if k * _degree_span(val) > MAX_EXPONENT:
+                raise ScalarParseError(f"power of degree above {MAX_EXPONENT}", self.pos)
+            if esign < 0 and not val:
+                raise ScalarParseError("division by zero", self.pos)
+            val = val ** (esign * k)
         return -val if neg else val
 
     def atom(self) -> QScalar:

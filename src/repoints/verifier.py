@@ -20,10 +20,10 @@ from .points import (
     validate_params,
 )
 from .qmatrix import QMatrix
-from .rmatrix import build_rmatrix_data, epsilon_for
+from .rmatrix import Projector, build_rmatrix_data, epsilon_for
 from .rootdata import ClassSpec, RootSystem, build_root_system
 from . import linalg
-from .scalar import I_UNIT, QScalar, eval_at_one, q_integer, render_scalar
+from .scalar import I_UNIT, ZERO, QScalar, eval_at_one, q_integer, render_scalar
 
 
 @dataclass
@@ -77,31 +77,85 @@ def check_reflection(A: QMatrix, S: QMatrix) -> CheckRecord:
     return _record_equal("reflection", SA * SA, A2 * SA * S)
 
 
-def check_oc(A: QMatrix, S: QMatrix, varpi: QMatrix, eps: int) -> list:
-    """A2 S A2 varpi = eps q^(-N+eps) varpi, and the same with varpi on the left."""
-    N = A.dim
-    A2 = embed_second(A, N)
-    M = A2 * S * A2
-    mu = QScalar.q_power(-N + eps)
-    if eps < 0:
-        mu = -mu
-    scaled = varpi.scale(mu)
+def _first_vector_difference(got: dict, want: dict):
+    """First index where two sparse vectors differ, with both values, or None."""
+    for k in sorted(set(got) | set(want)):
+        a, b = got.get(k, ZERO), want.get(k, ZERO)
+        if a != b:
+            return k, a, b
+    return None
+
+
+def _factoring_problem(proj: Projector) -> str | None:
+    """Why varpi is not u w^T / (p den), or None when it is (rank one)."""
+    if proj.i0 is None:
+        return "rank 0"
+    diff = proj.factor_mismatch
+    if diff is None:
+        return None
+    return f"rank above one, p*raw vs u*w: {_mismatch_detail(diff)}"
+
+
+def _unfactored(name: str, problem: str) -> CheckRecord:
+    return CheckRecord(name, False, f"not decided, varpi.rank_one fails ({problem})")
+
+
+def _eigen_record(name: str, got: dict, proj: Projector, left: bool = False) -> CheckRecord:
+    """X varpi = mu varpi given got = X u, or varpi X = mu varpi given
+    got = w^T X when left.  The dense matrices first differ in column j0
+    (row i0 when left), where the entry is got[k] / den."""
+    factor = proj.w if left else proj.u
+    diff = _first_vector_difference(got, {k: proj.mu * v for k, v in factor.items()})
+    if diff is None:
+        return CheckRecord(name, True)
+    k, a, b = diff
+    inv = proj.den.inv()
+    i, j = (proj.i0, k) if left else (k, proj.j0)
+    return CheckRecord(name, False, _mismatch_detail((i, j, a * inv, b * inv)))
+
+
+def check_oc(A: QMatrix, S: QMatrix, proj: Projector) -> list:
+    """A2 S A2 varpi = mu varpi, and the same with varpi on the left, where
+    mu = eps q^(eps - N).  On the factors: A2 S A2 u = mu u and
+    w^T A2 S A2 = mu w^T, as matrix-vector products."""
+    problem = _factoring_problem(proj)
+    if problem:
+        return [_unfactored("oc.right", problem), _unfactored("oc.left", problem)]
+    A2 = embed_second(A, A.dim)
     return [
-        _record_equal("oc.right", M * varpi, scaled),
-        _record_equal("oc.left", varpi * M, scaled),
+        _eigen_record("oc.right", A2.apply(S.apply(A2.apply(proj.u))), proj),
+        _eigen_record("oc.left", A2.apply_left(S.apply_left(A2.apply_left(proj.w))), proj,
+                      left=True),
     ]
 
 
-def check_varpi_structure(S: QMatrix, varpi: QMatrix, ls) -> list:
-    eps = epsilon_for(ls)
-    mu = QScalar.q_power(eps - ls.dim)
-    if eps < 0:
-        mu = -mu
+def check_varpi_structure(S: QMatrix, proj: Projector) -> list:
+    """varpi^2 = varpi, rank one, S varpi = mu varpi.  On the factors:
+    w.u = p den, p raw = u w^T, S u = mu u."""
+    problem = _factoring_problem(proj)
+    if problem:
+        return [
+            _unfactored("varpi.idempotent", problem),
+            CheckRecord("varpi.rank_one", False, problem),
+            _unfactored("varpi.eigen", problem),
+        ]
+    wu = ZERO
+    for k, v in proj.u.items():
+        x = proj.w.get(k)
+        if x is not None:
+            wu = wu + x * v
+    p = proj.pivot
+    if wu == p * proj.den:
+        idempotent = CheckRecord("varpi.idempotent", True)
+    else:
+        # varpi^2 = (w.u / (p den)) varpi; compare at the pivot entry
+        inv = proj.den.inv()
+        idempotent = CheckRecord("varpi.idempotent", False, _mismatch_detail(
+            (proj.i0, proj.j0, wu * inv * inv, p * inv)))
     return [
-        _record_equal("varpi.idempotent", varpi * varpi, varpi),
-        CheckRecord("varpi.rank_one", varpi.rank() == 1,
-                    None if varpi.rank() == 1 else f"rank {varpi.rank()}"),
-        _record_equal("varpi.eigen", S * varpi, varpi.scale(mu)),
+        idempotent,
+        CheckRecord("varpi.rank_one", True),
+        _eigen_record("varpi.eigen", S.apply(proj.u), proj),
     ]
 
 
@@ -188,10 +242,10 @@ def full_report(spec: ClassSpec, params: PointParams | None = None) -> Verificat
     report.checks.append(check_reflection(point.A, rmd.S))
     report.timings["reflection"] = round(time.perf_counter() - t, 6)
 
-    if rmd.varpi is not None:
+    if rmd.projector is not None:
         t = time.perf_counter()
-        report.checks.extend(check_oc(point.A, rmd.S, rmd.varpi, rmd.epsilon))
-        report.checks.extend(check_varpi_structure(rmd.S, rmd.varpi, spec.series))
+        report.checks.extend(check_oc(point.A, rmd.S, rmd.projector))
+        report.checks.extend(check_varpi_structure(rmd.S, rmd.projector))
         report.timings["oc"] = round(time.perf_counter() - t, 6)
 
     t = time.perf_counter()

@@ -61,11 +61,11 @@ def desk():
         row["re"] = check_reflection(point.A, rmd.S).passed
         row["re_seconds"] = time.perf_counter() - t0
 
-        if rmd.varpi is not None:
+        if rmd.projector is not None:
             if spec.series not in varpi_cache:
                 varpi_cache[spec.series] = all(
-                    r.passed for r in check_varpi_structure(rmd.S, rmd.varpi, spec.series))
-            oc = check_oc(point.A, rmd.S, rmd.varpi, rmd.epsilon)
+                    r.passed for r in check_varpi_structure(rmd.S, rmd.projector))
+            oc = check_oc(point.A, rmd.S, rmd.projector)
             row["oc"] = varpi_cache[spec.series] and all(r.passed for r in oc)
         else:
             row["oc"] = None

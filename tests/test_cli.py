@@ -73,6 +73,8 @@ def test_sweep_small(capsys):
     assert [r["case"] for r in payload["cases"]] == [
         "sl2-t2-m0-p", "sl2-t2-m0-m", "sl2-t2-m1-p", "sl2-t2-m1-m",
         "sl3-t2-m0-p", "sl3-t2-m0-m", "sl3-t2-m1-p", "sl3-t2-m1-m"]
+    for row in payload["cases"]:
+        assert {"build", "reflection", "invariants", "stabilizer", "total"} <= set(row["timings"])
 
 
 def test_satake_arcs_sl6(capsys):
@@ -111,6 +113,35 @@ def test_poisson_case_and_matrix(capsys):
 
 def test_poisson_matrix_requires_algebra():
     assert main(["poisson", "--matrix", "[[\"1\"]]"]) == 2
+
+
+def test_poisson_singular_or_malformed_matrix_exits_two(capsys):
+    for literal in ('[["0","0"],["0","0"]]', '[["1","1"],["1","1"]]', '[["1"]]',
+                    '5', '[[1,0],[0,1]]', '[["1/(q-1)","0"],["0","1"]]',
+                    '[["q^2","0"],["0","1"]]'):
+        assert main(["poisson", "--series", "sl", "--N", "2", "--matrix", literal]) == 2, literal
+
+
+_POLE = ["--series", "sl", "--N", "4", "--family", "t2", "--m", "1",
+         "--param", "y1=1/(q-1)", "--param", "y1'=(q-1)*q^-4"]
+
+
+def test_param_with_pole_at_one_is_a_params_failure(capsys):
+    # the pairing y1 y1' = q^-4 holds, but the classical limit does not exist
+    assert main(["verify", *_POLE]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [(c["name"], c["pass"]) for c in payload["checks"]] == [("params", False)]
+    assert "pole at q = 1" in payload["checks"][0]["detail"]
+    assert main(["satake", *_POLE]) == 2
+    assert main(["stabilizer", *_POLE]) == 2
+
+
+def test_exponent_bound_exits_two(capsys):
+    base = ["verify", "--series", "sl", "--N", "4", "--family", "t2", "--m", "1"]
+    for literal in ("(q+1)^3000", "q^-65", "((q+1)^64)^64", "(q^2+1)^33", "0^-1"):
+        assert main([*base, "--param", f"y1={literal}"]) == 2, literal
+    assert "exceeds 64" in capsys.readouterr().err
+    assert main([*base, "--param", "y1=q^-64", "--param", "y1'=q^60"]) == 0
 
 
 def test_out_file(tmp_path):

@@ -1,0 +1,128 @@
+"""The orthogonality condition and projector records, decided on the rank-one
+factors of varpi, against the dense products they stand for."""
+import pytest
+
+from repoints.natrep import CheckRecord
+from repoints.points import quantum_point
+from repoints.qmatrix import QMatrix
+from repoints.rmatrix import build_rmatrix_data, factor_projector
+from repoints.rootdata import ClassSpec, series_for_group, standard_cases
+from repoints.scalar import Q
+from repoints.verifier import (
+    _record_equal,
+    check_oc,
+    check_reflection,
+    check_varpi_structure,
+    embed_second,
+)
+
+SMALL_CASES = [spec for spec in standard_cases()
+               if (spec.group, spec.N) in {("so", 5), ("sp", 4)}]
+
+
+def _as_tuples(records):
+    return [(r.name, r.passed, r.detail) for r in records]
+
+
+def dense_oc(A, S, varpi, mu):
+    """oc.right and oc.left as products of N^2 x N^2 matrices."""
+    A2 = embed_second(A, A.dim)
+    M = A2 * S * A2
+    scaled = varpi.scale(mu)
+    return [_record_equal("oc.right", M * varpi, scaled),
+            _record_equal("oc.left", varpi * M, scaled)]
+
+
+def dense_structure(S, varpi, mu):
+    """The projector records as dense products; rank_one carries no detail,
+    so it is only compared where it passes."""
+    return [_record_equal("varpi.idempotent", varpi * varpi, varpi),
+            CheckRecord("varpi.rank_one", varpi.rank() == 1),
+            _record_equal("varpi.eigen", S * varpi, varpi.scale(mu))]
+
+
+@pytest.mark.parametrize("spec", SMALL_CASES, ids=lambda s: s.case_id)
+def test_oc_matches_dense_oracle(spec):
+    rmd = build_rmatrix_data(spec.series)
+    proj = rmd.projector
+    varpi = proj.raw.scale(proj.den.inv())
+    A = quantum_point(spec).A
+    assert _as_tuples(check_oc(A, rmd.S, proj)) == _as_tuples(dense_oc(A, rmd.S, varpi, proj.mu))
+    assert all(r.passed for r in check_oc(A, rmd.S, proj))
+    # negative control: q A still solves the reflection equation but breaks
+    # the orthogonality condition on both sides, at the same entries
+    scaled = A.scale(Q)
+    got = check_oc(scaled, rmd.S, proj)
+    assert [(r.name, r.passed) for r in got] == [("oc.right", False), ("oc.left", False)]
+    assert all("first mismatch" in r.detail for r in got)
+    assert _as_tuples(got) == _as_tuples(dense_oc(scaled, rmd.S, varpi, proj.mu))
+
+
+@pytest.mark.parametrize("group,N", [("so", 5), ("sp", 4)])
+def test_structure_matches_dense_oracle(group, N):
+    rmd = build_rmatrix_data(series_for_group(group, N))
+    proj = rmd.projector
+    varpi = proj.raw.scale(proj.den.inv())
+    got = check_varpi_structure(rmd.S, proj)
+    assert [(r.name, r.passed) for r in got] == [
+        ("varpi.idempotent", True), ("varpi.rank_one", True), ("varpi.eigen", True)]
+    assert _as_tuples(got) == _as_tuples(dense_structure(rmd.S, varpi, proj.mu))
+
+
+@pytest.mark.parametrize("group,N", [("so", 5), ("sp", 4)])
+def test_corrupted_raw_fails_rank_one_and_every_dependent(group, N):
+    series = series_for_group(group, N)
+    rmd = build_rmatrix_data(series)
+    proj = rmd.projector
+    raw = proj.raw + QMatrix.identity(proj.raw.dim)
+    assert raw.rank() > 1
+    bad = factor_projector(raw, proj.den, proj.mu)
+    structure = check_varpi_structure(rmd.S, bad)
+    rank_one = next(r for r in structure if r.name == "varpi.rank_one")
+    assert "first mismatch" in rank_one.detail
+    spec = next(s for s in SMALL_CASES if s.series == series)
+    oc = check_oc(quantum_point(spec).A, rmd.S, bad)
+    assert not any(r.passed for r in structure + oc)
+    assert all("varpi.rank_one" in r.detail for r in structure + oc if r is not rank_one)
+
+
+def test_zero_raw_fails_every_record():
+    rmd = build_rmatrix_data(series_for_group("sp", 4))
+    proj = rmd.projector
+    bad = factor_projector(QMatrix(proj.raw.dim), proj.den, proj.mu)
+    spec = ClassSpec("sp", 4, "t4")
+    records = check_varpi_structure(rmd.S, bad) + check_oc(quantum_point(spec).A, rmd.S, bad)
+    assert not any(r.passed for r in records)
+    assert all("rank 0" in r.detail for r in records)
+
+
+@pytest.mark.parametrize("group,N", [("so", 5), ("sp", 4)])
+def test_corrupted_denominator_fails_idempotent(group, N):
+    rmd = build_rmatrix_data(series_for_group(group, N))
+    proj = rmd.projector
+    den = proj.den * Q
+    bad = factor_projector(proj.raw, den, proj.mu)
+    got = check_varpi_structure(rmd.S, bad)
+    assert [(r.name, r.passed) for r in got] == [
+        ("varpi.idempotent", False), ("varpi.rank_one", True), ("varpi.eigen", True)]
+    assert _as_tuples(got) == _as_tuples(
+        dense_structure(rmd.S, proj.raw.scale(den.inv()), proj.mu))
+
+
+@pytest.mark.parametrize("spec", [
+    ClassSpec("so", 9, "t2", 1, 1),
+    ClassSpec("so", 10, "t2", 1, 1),
+    ClassSpec("sp", 10, "t2", 2, 1),
+    ClassSpec("so", 12, "t4"),
+    ClassSpec("sp", 12, "t4"),
+], ids=lambda s: s.case_id)
+def test_larger_n_reflection_oc_projector(spec):
+    rmd = build_rmatrix_data(spec.series)
+    A = quantum_point(spec).A
+    records = [check_reflection(A, rmd.S)]
+    records += check_oc(A, rmd.S, rmd.projector)
+    records += check_varpi_structure(rmd.S, rmd.projector)
+    assert [r.name for r in records] == [
+        "reflection", "oc.right", "oc.left",
+        "varpi.idempotent", "varpi.rank_one", "varpi.eigen"]
+    assert [r.name for r in records if not r.passed] == []
