@@ -27,11 +27,12 @@ def g_identity(n: int) -> list:
 
 
 def g_add(a: list, b: list) -> list:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[(x + y if x else y) if y else x for x, y in zip(ra, rb)]
+            for ra, rb in zip(a, b)]
 
 
 def g_sub(a: list, b: list) -> list:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[x - y if y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def g_transpose(a: list) -> list:

@@ -82,20 +82,7 @@ def _render_report_text(payload: dict) -> str:
 def _case_report(spec: ClassSpec, params) -> dict:
     from .verifier import full_report
 
-    report = full_report(spec, params)
-    payload = report.to_dict()
-    if report.passed:
-        t = time.perf_counter()
-        data = classical.build_classical_algebra(spec.series)
-        point = quantum_point(spec, params)
-        value = classical.bivector_at(data, classical.gauss_grid(point.A0))
-        entry = {"name": "classical.bivector", "pass": value.is_zero()}
-        if not value.is_zero():
-            i, j, v = value.largest_entry()
-            entry["detail"] = f"largest coefficient {v.re}+{v.im}i at ({i}, {j})"
-        payload["checks"].append(entry)
-        payload["timings"]["bivector"] = round(time.perf_counter() - t, 6)
-    return payload
+    return full_report(spec, params).to_dict()
 
 
 def cmd_verify(args) -> int:

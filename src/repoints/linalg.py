@@ -1,7 +1,12 @@
 """Exact dense linear algebra over any field type with +, -, *, /, bool.
 
 Used with Fraction, GaussRational, and QScalar elements.  Matrices are plain
-lists of lists; nothing here mutates its arguments.
+lists of lists; nothing here mutates its arguments.  The matrices met in
+practice (adjoint matrices, the omega and rho tensors) are mostly zeros, so
+every kernel visits only nonzero entries: a product adds up only products of
+nonzero entries, and a row elimination touches only the pivot row's nonzero
+columns.  The skipped terms are exactly zero, so every result equals the
+dense computation entry by entry.
 """
 from __future__ import annotations
 
@@ -14,59 +19,50 @@ class NotInSpanError(ValueError):
     pass
 
 
+def _nonzeros(row: list) -> list:
+    return [(j, y) for j, y in enumerate(row) if y]
+
+
+def _subtract_multiple(row: list, f, pivot_nonzeros: list) -> None:
+    """row -= f * pivot in place, given the pivot row's nonzero entries."""
+    for j, y in pivot_nonzeros:
+        row[j] = row[j] - f * y
+
+
 def mat_mul(a: list, b: list) -> list:
-    n, k = len(a), len(b)
+    if not a:
+        return []
+    zero = a[0][0] * b[0][0]
+    zero = zero - zero
+    b_rows = [_nonzeros(row) for row in b]
     m = len(b[0])
     out = []
-    for i in range(n):
-        ai = a[i]
-        row = []
-        for j in range(m):
-            s = None
-            for t in range(k):
-                x = ai[t]
-                if x:
-                    p = x * b[t][j]
-                    s = p if s is None else s + p
-            if s is None:
-                s = ai[0] * b[0][j]  # a typed zero
-                s = s - s
-            row.append(s)
-        out.append(row)
+    for ai in a:
+        row = [None] * m
+        for x, bt in zip(ai, b_rows):
+            if x:
+                for j, y in bt:
+                    s = row[j]
+                    row[j] = x * y if s is None else s + x * y
+        out.append([zero if s is None else s for s in row])
     return out
 
 
 def mat_vec(a: list, v: list) -> list:
+    if not a:
+        return []
+    zero = a[0][0] * v[0]
+    zero = zero - zero
+    v_nonzeros = _nonzeros(v)
     out = []
     for row in a:
-        s = row[0] * v[0]
-        for x, y in zip(row[1:], v[1:]):
-            if x and y:
-                s = s + x * y
-        out.append(s)
+        s = None
+        for t, y in v_nonzeros:
+            x = row[t]
+            if x:
+                s = x * y if s is None else s + x * y
+        out.append(zero if s is None else s)
     return out
-
-
-def mat_rank(a: list) -> int:
-    rows = [list(r) for r in a]
-    ncols = len(a[0]) if a else 0
-    rank = 0
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv_p = rows[r][c]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c] / inv_p
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        rank += 1
-        if r == len(rows):
-            break
-    return rank
 
 
 def invert(a: list) -> list:
@@ -90,11 +86,11 @@ def invert(a: list) -> list:
             raise SingularMatrixError("matrix is singular")
         aug[c], aug[piv] = aug[piv], aug[c]
         inv_p = aug[c][c]
-        aug[c] = [x / inv_p for x in aug[c]]
+        aug[c] = [x / inv_p if x else x for x in aug[c]]
+        pivot = _nonzeros(aug[c])
         for i in range(n):
             if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+                _subtract_multiple(aug[i], aug[i][c], pivot)
     return [row[n:] for row in aug]
 
 
@@ -115,11 +111,11 @@ def solve(a: list, b: list) -> list:
             continue
         aug[r], aug[piv] = aug[piv], aug[r]
         inv_p = aug[r][c]
-        aug[r] = [x / inv_p for x in aug[r]]
+        aug[r] = [x / inv_p if x else x for x in aug[r]]
+        pivot = _nonzeros(aug[r])
         for i in range(nrows):
             if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+                _subtract_multiple(aug[i], aug[i][c], pivot)
         pivots.append(c)
         r += 1
     if len(pivots) < ncols:
@@ -149,10 +145,10 @@ def determinant(a: list):
             sign = -sign
         p = rows[c][c]
         det = p if det is None else det * p
+        pivot = _nonzeros(rows[c])
         for i in range(c + 1, n):
             if rows[i][c]:
-                f = rows[i][c] / p
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+                _subtract_multiple(rows[i], rows[i][c] / p, pivot)
     if sign < 0:
         det = -det
     return det
@@ -172,24 +168,21 @@ class BasisExpander:
         self.columns = columns
         a = [[columns[j][i] for j in range(self.ncols)] for i in range(self.nrows)]
         self.full = a
-        rows = [(i, list(a[i])) for i in range(self.nrows)]
         selected = []
         work = []
         r = 0
-        for i, row in rows:
+        for i, row in enumerate(a):
             if r == self.ncols:
                 break
             cand = list(row)
-            for (prow, pcol) in work:
+            for (pivot, pcol) in work:
                 if cand[pcol]:
-                    f = cand[pcol]
-                    cand = [x - f * y for x, y in zip(cand, prow)]
+                    _subtract_multiple(cand, cand[pcol], pivot)
             pcol = next((c for c in range(self.ncols) if cand[c]), None)
             if pcol is None:
                 continue
             inv_p = cand[pcol]
-            cand = [x / inv_p for x in cand]
-            work.append((cand, pcol))
+            work.append((_nonzeros([x / inv_p if x else x for x in cand]), pcol))
             selected.append(i)
             r += 1
         if r < self.ncols:

@@ -1,7 +1,7 @@
 """Sparse square matrices over the exact scalar field Q(i)(q)."""
 from __future__ import annotations
 
-from .scalar import QScalar, ZERO, ONE, render_scalar
+from .scalar import QScalar, ZERO, ONE
 
 
 class QMatrix:
@@ -204,13 +204,6 @@ class QMatrix:
                     remaining.append(r)
             rows = remaining
         return rank
-
-    def to_literal_rows(self) -> list:
-        """Dense rows of canonical scalar literals (for reports and goldens)."""
-        return [
-            [render_scalar(self.get(i, j)) for j in range(self.dim)]
-            for i in range(self.dim)
-        ]
 
     def __repr__(self) -> str:
         nnz = sum(len(r) for r in self.rows)

@@ -143,10 +143,6 @@ def flip_rows(M: QMatrix) -> QMatrix:
     return QMatrix(dim, rows)
 
 
-def build_S(R: QMatrix) -> QMatrix:
-    return flip_rows(R)
-
-
 def epsilon_for(ls: LieSeries) -> int:
     if ls.series in ("B", "D"):
         return 1
@@ -190,7 +186,7 @@ def build_projector(S: QMatrix, ls: LieSeries) -> Projector:
 @lru_cache(maxsize=None)
 def build_rmatrix_data(ls: LieSeries) -> RMatrixData:
     R = build_R(ls)
-    S = build_S(R)
+    S = flip_rows(R)
     if ls.series == "A":
         return RMatrixData(ls, R, S, None)
     return RMatrixData(ls, R, S, build_projector(S, ls))

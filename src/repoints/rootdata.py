@@ -44,8 +44,16 @@ class LieSeries:
         return self.rank + 1 if self.series == "A" else self.rank
 
 
+# Largest N accepted.  The classical bivector works with matrices of the Lie
+# algebra's dimension, about N^2, so its cost grows steeply with N; the bound
+# keeps every command short.
+MAX_N = 16
+
+
 def series_for_group(group: str, N: int) -> LieSeries:
     """Map sl(N) / so(N) / sp(N) to its series and rank."""
+    if N > MAX_N:
+        raise ValueError(f"N = {N} exceeds {MAX_N}")
     if group == "sl":
         if N < 2:
             raise ValueError("sl requires N >= 2")
@@ -143,9 +151,6 @@ class RootSystem:
     two_rho: tuple
     cartan_pairing: tuple  # integer matrix (alpha_i, alpha_j)
     kappa: tuple  # per-basis-vector signs entering the R-matrix (length N)
-
-    def pairing(self, u: tuple, v: tuple):
-        return dot(u, v)
 
     def prime(self, j: int) -> int:
         """The mirrored basis index j' = N - 1 - j (0-based)."""
@@ -373,13 +378,3 @@ def theta_for_class(spec: ClassSpec) -> ThetaData:
         partner[i] = matches[0]
 
     return ThetaData(spec, matrix, tuple(fixed), tuple(moved), tilde_eps, tilde_simple, partner)
-
-
-def tilde_table(td: ThetaData) -> dict:
-    """Twisted partners of the moved simple roots, in simple-root coordinates."""
-    return dict(td.tilde_simple)
-
-
-def alpha_prime(td: ThetaData, i: int) -> int:
-    """The moved simple root paired with alpha_i by the restricted diagram."""
-    return td.partner[i]

@@ -72,7 +72,7 @@ class GaussRational:
         return hash((self.re, self.im))
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return bool(self.re) or bool(self.im)
 
     def __repr__(self) -> str:
         return f"GaussRational({self.re}, {self.im})"
@@ -167,20 +167,6 @@ class LaurentPoly:
         object.__setattr__(out, "coeff", {k: v for k, v in c.items() if v})
         return out
 
-    def scaled(self, c: GaussRational) -> "LaurentPoly":
-        if not c:
-            return LaurentPoly.zero()
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "coeff", {k: v * c for k, v in self.coeff.items()})
-        return out
-
-    def shifted(self, k: int) -> "LaurentPoly":
-        if k == 0:
-            return self
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "coeff", {e + k: v for e, v in self.coeff.items()})
-        return out
-
     def at_one(self) -> GaussRational:
         total = GR_ZERO
         for v in self.coeff.values():
@@ -252,16 +238,6 @@ def _dense_div_exact(a: list, b: list) -> list:
     return q
 
 
-def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic gcd of the q-power-free parts of two nonzero Laurent polynomials."""
-    x, y = _dense(a), _dense(b)
-    while y:
-        x, y = y, _dense_mod(x, y)
-    lead = x[-1]
-    inv = lead.inv()
-    return LaurentPoly({i: c * inv for i, c in enumerate(x) if c})
-
-
 class QScalar:
     """An element of Q(i)(q) in canonical form.
 
@@ -325,10 +301,6 @@ class QScalar:
 
     def __bool__(self) -> bool:
         return bool(self.num)
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den.is_one
 
     def __add__(self, other: "QScalar") -> "QScalar":
         if self.den.is_one and other.den.is_one:

@@ -1,14 +1,14 @@
 """Exact verification of all defining identities of a quantum symmetric
 conjugacy class: reflection equation, orthogonality condition, minimal
 polynomial with eigenvalue multiplicities, q-trace values, classical limit,
-and the stabilizer suite.
+the stabilizer suite, and the classical bivector.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
 
-from . import coideal
+from . import classical, coideal
 from .natrep import CheckRecord, build_natural_rep, q_trace
 from .points import (
     PointParams,
@@ -220,6 +220,17 @@ def check_classical_involution(point: QuantumPoint) -> list:
     return records
 
 
+def check_bivector(point: QuantumPoint) -> CheckRecord:
+    """The classical Poisson bivector vanishes at the q = 1 limit A0."""
+    data = classical.build_classical_algebra(point.spec.series)
+    value = classical.bivector_at(data, gauss_grid(point.A0))
+    if value.is_zero():
+        return CheckRecord("classical.bivector", True)
+    i, j, v = value.largest_entry()
+    return CheckRecord("classical.bivector", False,
+                       f"largest coefficient {v.re}+{v.im}i at ({i}, {j})")
+
+
 def full_report(spec: ClassSpec, params: PointParams | None = None) -> VerificationReport:
     if params is None:
         params = default_params(spec)
@@ -269,4 +280,10 @@ def full_report(spec: ClassSpec, params: PointParams | None = None) -> Verificat
     report.checks.extend(coideal.check_stabilizer(ss, point.A))
     report.timings["stabilizer"] = round(time.perf_counter() - t, 6)
     report.timings["total"] = round(time.perf_counter() - t0, 6)
+
+    # the bivector is checked last, and only at a point that passed the rest
+    if report.passed:
+        t = time.perf_counter()
+        report.checks.append(check_bivector(point))
+        report.timings["bivector"] = round(time.perf_counter() - t, 6)
     return report

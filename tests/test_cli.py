@@ -144,6 +144,13 @@ def test_exponent_bound_exits_two(capsys):
     assert main([*base, "--param", "y1=q^-64", "--param", "y1'=q^60"]) == 0
 
 
+def test_n_bound_exits_two(capsys):
+    for command in ("verify", "poisson"):
+        argv = [command, "--series", "sl", "--N", "17", "--family", "t2", "--m", "1"]
+        assert main(argv) == 2, command
+        assert "N = 17 exceeds 16" in capsys.readouterr().err
+
+
 def test_out_file(tmp_path):
     target = tmp_path / "report.json"
     code = main(["verify", "--series", "sl", "--N", "2", "--family", "t2",
