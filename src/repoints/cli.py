@@ -164,7 +164,9 @@ def cmd_satake(args) -> int:
         return "\n".join(lines)
 
     _emit(payload, args, text)
-    return 0
+    for alpha, exc in ss.unsolved:
+        print(f"error: alpha_{alpha} unsolved: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 1 if ss.unsolved else 0
 
 
 def cmd_stabilizer(args) -> int:

@@ -54,6 +54,7 @@ class StabilizerSet:
     l_generators: list  # (name, QMatrix) for simple roots fixed by theta
     cartan_generators: list  # (name, QMatrix): q^{+-(h_tilde - h_alpha)}
     mixed_generators: list  # CoidealGen
+    unsolved: list  # (alpha, error) for each moved root with no solvable coefficient
 
     def all_matrices(self):
         for name, g in self.l_generators:
@@ -240,6 +241,7 @@ def build_stabilizer(rep: NaturalRep, spec: ClassSpec, params: PointParams,
         l_gens.append((f"k{b}_inv", rep.k_inv[b - 1]))
     cartan = []
     mixed = []
+    unsolved = []
     N = spec.N
     for a in td.pi_moved:
         kb = cartan_element(rep, td, a)
@@ -249,12 +251,16 @@ def build_stabilizer(rep: NaturalRep, spec: ClassSpec, params: PointParams,
         cartan.append((f"k.tilde{a}", kb))
         cartan.append((f"k.tilde{a}_inv", kb_inv))
         f_tilde = f_tilde_root_vector(rep, spec, a)
-        c_solved = solve_mixture(rep, td, A, a, f_tilde)
+        try:
+            c_solved = solve_mixture(rep, td, A, a, f_tilde)
+        except (MixtureInconsistentError, MixtureUnderdeterminedError) as exc:
+            unsolved.append((a, exc))
+            continue
         c_table, note = mixture_table_formula(spec, a, params)
         X = kb * rep.e[a - 1] + f_tilde.scale(c_solved)
         mixed.append(CoidealGen(a, _word_description(spec, a, td), f_tilde,
                                 c_table, note, c_solved, X))
-    return StabilizerSet(spec, l_gens, cartan, mixed)
+    return StabilizerSet(spec, l_gens, cartan, mixed, unsolved)
 
 
 def check_stabilizer(ss: StabilizerSet, A: QMatrix) -> list:
@@ -268,6 +274,9 @@ def check_stabilizer(ss: StabilizerSet, A: QMatrix) -> list:
             records.append(CheckRecord(
                 f"stab.{name}", False,
                 f"[{name}, A] has entry {render_scalar(val)} at ({i}, {j})"))
+    for alpha, exc in ss.unsolved:
+        records.append(CheckRecord(f"mixture.alpha{alpha}", False,
+                                   f"{type(exc).__name__}: {exc}"))
     for gen in ss.mixed_generators:
         if gen.table_matches is None:
             continue

@@ -12,7 +12,12 @@ from .scalar import GR_I, ONE, QScalar, eval_at_one, render_scalar
 
 
 class ParamError(ValueError):
-    pass
+    """Parameters that violate the class's constraints; `problems` lists
+    each violation as `validate_params` reports it."""
+
+    def __init__(self, problems: list):
+        super().__init__("; ".join(problems))
+        self.problems = problems
 
 
 @dataclass
@@ -148,7 +153,7 @@ def classical_point(spec: ClassSpec, params_at_one: PointParams) -> QMatrix:
     """The classical matrix A0 for constant (q-free) parameters."""
     problems = validate_params(spec, params_at_one, classical=True)
     if problems:
-        raise ParamError("; ".join(problems))
+        raise ParamError(problems)
     return _assemble(spec, params_at_one, classical=True)
 
 
@@ -173,7 +178,7 @@ def quantum_point(spec: ClassSpec, params: PointParams | None = None) -> Quantum
         params = default_params(spec)
     problems = validate_params(spec, params)
     if problems:
-        raise ParamError("; ".join(problems))
+        raise ParamError(problems)
     A = _assemble(spec, params, classical=False)
     A0 = classical_point(spec, classical_limit_params(params))
     return QuantumPoint(spec, params, A, A0)

@@ -3,6 +3,23 @@
 Elements are fractions of Laurent polynomials in q whose coefficients are
 Gaussian rationals.  Every value is kept in a canonical reduced form so that
 equality is structural and zero tests are exact.
+
+Normalization cancels the gcd of numerator and denominator.  Most pairs are
+coprime, so before the Euclidean gcd over Q(i) both polynomials are mapped to
+F_P, with P = 4611686018427387817 a prime = 1 (mod 4) and i sent to a fixed
+square root s of -1 mod P.  If the gcd over F_P is a constant, the pair is
+coprime over Q(i) and the Euclidean gcd is skipped; every other outcome (a
+coefficient denominator divisible by P, a leading coefficient that vanishes
+mod P, a nonconstant gcd mod P) runs the Euclidean gcd.  This is a proof, not
+a probabilistic test: reduction modulo the prime (P, i - s) is a ring map from
+the local ring R = Z[i]_(P, i - s) onto F_P, and R holds every coefficient
+whose denominators are prime to P.  R is a discrete valuation ring, so by
+Gauss's lemma the true gcd h can be taken primitive in R[q], and each of the
+two polynomials is h times a cofactor in R[q].  The leading coefficient of h
+divides a leading coefficient that survives the reduction, so it survives
+too: the image of h keeps deg h and divides both images.  Hence the degree of
+the gcd mod P is at least deg h, and degree 0 mod P proves the pair coprime.
+The certificate never claims a common factor.
 """
 from __future__ import annotations
 
@@ -34,31 +51,31 @@ class GaussRational:
         raise AttributeError("GaussRational is immutable")
 
     def __add__(self, other: "GaussRational") -> "GaussRational":
-        return GaussRational(self.re + other.re, self.im + other.im)
+        return _gauss(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "GaussRational") -> "GaussRational":
-        return GaussRational(self.re - other.re, self.im - other.im)
+        return _gauss(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> "GaussRational":
-        return GaussRational(-self.re, -self.im)
+        return _gauss(-self.re, -self.im)
 
     def __mul__(self, other: "GaussRational") -> "GaussRational":
-        return GaussRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not b and not d:
+            return _gauss(a * c, _FRACTION_ZERO)
+        return _gauss(a * c - b * d, a * d + b * c)
 
     def inv(self) -> "GaussRational":
         n = self.re * self.re + self.im * self.im
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussRational(self.re / n, -self.im / n)
+        return _gauss(self.re / n, -self.im / n)
 
     def __truediv__(self, other: "GaussRational") -> "GaussRational":
         return self * other.inv()
 
     def conjugate(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
+        return _gauss(self.re, -self.im)
 
     def norm(self) -> Fraction:
         return self.re * self.re + self.im * self.im
@@ -76,6 +93,19 @@ class GaussRational:
 
     def __repr__(self) -> str:
         return f"GaussRational({self.re}, {self.im})"
+
+
+_FRACTION_ZERO = Fraction(0)
+_set_re = GaussRational.re.__set__
+_set_im = GaussRational.im.__set__
+
+
+def _gauss(re: Fraction, im: Fraction) -> GaussRational:
+    """re + im*i from two Fractions, stored as they are (no re-wrapping)."""
+    out = object.__new__(GaussRational)
+    _set_re(out, re)
+    _set_im(out, im)
+    return out
 
 
 GR_ZERO = GaussRational(0)
@@ -238,6 +268,67 @@ def _dense_div_exact(a: list, b: list) -> list:
     return q
 
 
+# the coprimality certificate of the module docstring
+_P = 4611686018427387817
+
+
+def _sqrt_minus_one(p: int) -> int:
+    """A square root of -1 mod a prime p = 1 (mod 4): g^((p-1)/4) for the
+    least quadratic non-residue g."""
+    g = 2
+    while pow(g, (p - 1) // 2, p) != p - 1:
+        g += 1
+    return pow(g, (p - 1) // 4, p)
+
+
+_I_MOD_P = _sqrt_minus_one(_P)
+assert _I_MOD_P * _I_MOD_P % _P == _P - 1
+
+
+def _dense_mod_p(a: list) -> list | None:
+    """The image in F_P of a dense polynomial over Q(i), or None when a
+    coefficient denominator is divisible by P."""
+    out = []
+    for c in a:
+        re, im = c.re, c.im
+        d = re.denominator * im.denominator
+        if d % _P == 0:
+            return None
+        v = re.numerator * im.denominator + _I_MOD_P * im.numerator * re.denominator
+        if d != 1:
+            v *= pow(d, -1, _P)
+        out.append(v % _P)
+    return out
+
+
+def _rem_mod_p(a: list, b: list) -> list:
+    """Remainder of a by b over F_P, trailing zeros stripped; b[-1] != 0."""
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, _P)
+    while len(a) > db:
+        f = a[-1] * inv % _P
+        if f:
+            shift = len(a) - 1 - db
+            for i in range(db):
+                a[shift + i] = (a[shift + i] - f * b[i]) % _P
+        a.pop()
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _coprime_mod_p(nd: list, dd: list) -> bool:
+    """True when the gcd of the images in F_P is a constant, which proves nd
+    and dd coprime over Q(i); False when the certificate decides nothing."""
+    a, b = _dense_mod_p(nd), _dense_mod_p(dd)
+    if a is None or b is None or not a[-1] or not b[-1]:
+        return False
+    while len(b) > 1:
+        a, b = b, _rem_mod_p(a, b)
+    return len(b) == 1
+
+
 class QScalar:
     """An element of Q(i)(q) in canonical form.
 
@@ -273,7 +364,7 @@ class QScalar:
         net = lo_n - lo_d
         nd, dd = _dense(num), _dense(den)
         g = None
-        if len(dd) > 1:
+        if len(dd) > 1 and not _coprime_mod_p(nd, dd):
             x, y = nd, dd
             while y:
                 x, y = y, _dense_mod(x, y)

@@ -11,13 +11,13 @@ from dataclasses import dataclass, field
 from . import classical, coideal
 from .natrep import CheckRecord, build_natural_rep, q_trace
 from .points import (
+    ParamError,
     PointParams,
     QuantumPoint,
     default_params,
     gauss_grid,
     pm_exponents,
     quantum_point,
-    validate_params,
 )
 from .qmatrix import QMatrix
 from .rmatrix import Projector, build_rmatrix_data, epsilon_for
@@ -237,13 +237,11 @@ def full_report(spec: ClassSpec, params: PointParams | None = None) -> Verificat
     report = VerificationReport(spec.case_id, "")
     t0 = time.perf_counter()
 
-    problems = validate_params(spec, params)
-    for p in problems:
-        report.checks.append(CheckRecord("params", False, p))
-    if problems:
+    try:
+        point = quantum_point(spec, params)
+    except ParamError as exc:
+        report.checks.extend(CheckRecord("params", False, p) for p in exc.problems)
         return report
-
-    point = quantum_point(spec, params)
     report.param_digest = point.param_digest()
     rmd = build_rmatrix_data(spec.series)
     rs = build_root_system(spec.series)
@@ -279,11 +277,11 @@ def full_report(spec: ClassSpec, params: PointParams | None = None) -> Verificat
     ss = coideal.build_stabilizer(rep, spec, params, point.A)
     report.checks.extend(coideal.check_stabilizer(ss, point.A))
     report.timings["stabilizer"] = round(time.perf_counter() - t, 6)
-    report.timings["total"] = round(time.perf_counter() - t0, 6)
 
     # the bivector is checked last, and only at a point that passed the rest
     if report.passed:
         t = time.perf_counter()
         report.checks.append(check_bivector(point))
         report.timings["bivector"] = round(time.perf_counter() - t, 6)
+    report.timings["total"] = round(time.perf_counter() - t0, 6)
     return report

@@ -41,6 +41,33 @@ def test_verify_violated_constraint_exits_one(capsys):
     assert any(not c["pass"] for c in payload["checks"])
 
 
+@pytest.mark.parametrize("error", ["MixtureInconsistentError", "MixtureUnderdeterminedError"])
+def test_unsolved_mixture_is_a_failing_record(monkeypatch, capsys, error):
+    from repoints import coideal
+
+    def unsolvable(rep, td, A, alpha, F_tilde):
+        raise getattr(coideal, error)(f"alpha_{alpha}: forced")
+
+    monkeypatch.setattr(coideal, "solve_mixture", unsolvable)
+    code = main(["verify", "--series", "so", "--N", "5", "--family", "t2",
+                 "--m", "1", "--format", "json"])
+    assert code == 1
+    out = capsys.readouterr()
+    assert "Traceback" not in out.err
+    checks = json.loads(out.out)["checks"]
+    failing = [c for c in checks if not c["pass"]]
+    assert failing == [{"name": "mixture.alpha1", "pass": False,
+                        "detail": f"{error}: alpha_1: forced"}]
+    # the other stabilizer records are still decided
+    assert any(c["name"].startswith("stab.") and c["pass"] for c in checks)
+    argv = ["--series", "so", "--N", "5", "--family", "t2", "--m", "1"]
+    assert main(["stabilizer"] + argv) == 1
+    assert main(["satake"] + argv) == 1
+    out = capsys.readouterr()
+    assert "Traceback" not in out.err
+    assert f"error: alpha_1 unsolved: {error}: alpha_1: forced" in out.err
+
+
 def test_primed_param_override(capsys):
     # y1' names the partner index y5; a consistent override still passes
     code = main(["verify", "--series", "so", "--N", "5", "--family", "t2",

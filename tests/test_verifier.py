@@ -59,6 +59,34 @@ def test_full_report_passes():
     assert all(set(c) <= {"name", "pass", "detail"} for c in payload["checks"])
 
 
+def test_total_timing_covers_every_stage():
+    report = full_report(ClassSpec("so", 5, "t2", 1, 1))
+    assert report.passed
+    timings = report.to_dict()["timings"]
+    assert {"build", "reflection", "oc", "invariants", "classical", "stabilizer",
+            "bivector", "total"} == set(timings)
+    assert all(timings["total"] >= v for v in timings.values())
+    # the stages are disjoint parts of the total; each value is rounded to 1e-6
+    stages = sum(v for k, v in timings.items() if k != "total")
+    assert stages <= timings["total"] + 1e-5
+
+
+def test_full_report_validates_parameters_once(monkeypatch):
+    from repoints import points, verifier
+
+    calls = []
+
+    def counting(spec, params, classical=False):
+        calls.append(classical)
+        return validate(spec, params, classical)
+
+    validate = points.validate_params
+    monkeypatch.setattr(points, "validate_params", counting)
+    monkeypatch.setattr(verifier, "validate_params", counting, raising=False)
+    assert full_report(ClassSpec("sl", 4, "t2", 1, 1)).passed
+    assert calls.count(False) == 1
+
+
 def test_full_report_flags_bad_params():
     spec = ClassSpec("sl", 3, "t2", 1, 1)
     params = default_params(spec)
@@ -66,6 +94,7 @@ def test_full_report_flags_bad_params():
     report = full_report(spec, params)
     assert not report.passed
     assert [c.name for c in report.checks] == ["params"]
+    assert "y1*y3" in report.checks[0].detail
 
 
 def test_scaled_point_fails_invariants_but_not_re():
