@@ -98,6 +98,10 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     cases = standard_cases(args.series, args.Nmax)
+    if not cases:
+        # a sweep that checked nothing must not read as passing
+        series = f"{args.series} " if args.series else ""
+        raise UsageError(f"empty sweep grid: no {series}case with N <= {args.Nmax}")
     rows = []
     all_ok = True
     for spec in cases:
@@ -214,6 +218,8 @@ def cmd_poisson(args) -> int:
         grid = _matrix_grid(args.matrix, ls.dim)
         case_name = "explicit-matrix"
     else:
+        if args.series is None or args.N is None or args.family is None:
+            raise UsageError("poisson requires --series, --N and --family, or --matrix")
         spec = _spec_from_args(args)
         ls = spec.series
         grid = classical.classical_point_grid(spec)

@@ -4,13 +4,24 @@ Elements are fractions of Laurent polynomials in q whose coefficients are
 Gaussian rationals.  Every value is kept in a canonical reduced form so that
 equality is structural and zero tests are exact.
 
-Normalization cancels the gcd of numerator and denominator.  Most pairs are
-coprime, so before the Euclidean gcd over Q(i) both polynomials are mapped to
-F_P, with P = 4611686018427387817 a prime = 1 (mod 4) and i sent to a fixed
-square root s of -1 mod P.  If the gcd over F_P is a constant, the pair is
-coprime over Q(i) and the Euclidean gcd is skipped; every other outcome (a
-coefficient denominator divisible by P, a leading coefficient that vanishes
-mod P, a nonconstant gcd mod P) runs the Euclidean gcd.  This is a proof, not
+A Gaussian rational is the integer triple (a + b*i)/d with d > 0 and
+gcd(a, b, d) = 1.  Each operation works on the integers (sums over a shared
+denominator add a and b only; the inverse is d*(a - b*i)/(a^2 + b^2)) and
+reduces its result by one three-way gcd, skipped when the denominator is 1.
+The Fraction components re = a/d and im = b/d are computed only on request.
+
+Normalization cancels the gcd of numerator and denominator.  A reduced
+numerator and denominator are not normalized again: a sum over one shared
+denominator normalizes only the new numerator, a unit c*q^k times a reduced
+fraction is reduced already, and a denominator whose constant coefficient is
+already 1 is not rescaled.  Most pairs are coprime, so before the Euclidean
+gcd over Q(i) both polynomials are mapped to F_P, with P = 4611686018427387817
+a prime = 1 (mod 4) and i sent to a fixed square root s of -1 mod P: the
+image of (a + b*i)/d is (a + s*b)/d mod P, defined when P does not divide d.
+If the gcd over F_P is a constant, the pair is coprime over Q(i) and the
+Euclidean gcd is skipped; every other outcome (a coefficient denominator
+divisible by P, a leading coefficient that vanishes mod P, a nonconstant gcd
+mod P) runs the Euclidean gcd.  This is a proof, not
 a probabilistic test: reduction modulo the prime (P, i - s) is a ring map from
 the local ring R = Z[i]_(P, i - s) onto F_P, and R holds every coefficient
 whose denominators are prime to P.  R is a discrete valuation ring, so by
@@ -24,6 +35,7 @@ The certificate never claims a common factor.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 class PoleAtOneError(ArithmeticError):
@@ -39,73 +51,117 @@ class ScalarParseError(ValueError):
 
 
 class GaussRational:
-    """An element a + b*i of Q(i), with exact Fraction components."""
+    """An element (a + b*i)/d of Q(i): integers a, b, d with d > 0 and
+    gcd(a, b, d) = 1, so that equal values have equal fields."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            dr, di = re.denominator, im.denominator
+            d = dr * di // gcd(dr, di)
+            a, b = re.numerator * (d // dr), im.numerator * (d // di)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRational is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
     def __add__(self, other: "GaussRational") -> "GaussRational":
-        return _gauss(self.re + other.re, self.im + other.im)
+        d, f = self.d, other.d
+        if d == f:
+            a, b = self.a + other.a, self.b + other.b
+        else:
+            a, b, d = self.a * f + other.a * d, self.b * f + other.b * d, d * f
+        return _reduced(a, b, d)
 
     def __sub__(self, other: "GaussRational") -> "GaussRational":
-        return _gauss(self.re - other.re, self.im - other.im)
+        d, f = self.d, other.d
+        if d == f:
+            a, b = self.a - other.a, self.b - other.b
+        else:
+            a, b, d = self.a * f - other.a * d, self.b * f - other.b * d, d * f
+        return _reduced(a, b, d)
 
     def __neg__(self) -> "GaussRational":
-        return _gauss(-self.re, -self.im)
+        return _gauss(-self.a, -self.b, self.d)
 
     def __mul__(self, other: "GaussRational") -> "GaussRational":
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not b and not d:
-            return _gauss(a * c, _FRACTION_ZERO)
-        return _gauss(a * c - b * d, a * d + b * c)
+        a, b, c, e = self.a, self.b, other.a, other.b
+        if b or e:
+            a, b = a * c - b * e, a * e + b * c
+        else:
+            a *= c
+        return _reduced(a, b, self.d * other.d)
 
     def inv(self) -> "GaussRational":
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
+        a, b, d = self.a, self.b, self.d
+        n = a * a + b * b
+        if not n:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return _gauss(self.re / n, -self.im / n)
+        return _reduced(d * a, -d * b, n)
 
     def __truediv__(self, other: "GaussRational") -> "GaussRational":
         return self * other.inv()
 
     def conjugate(self) -> "GaussRational":
-        return _gauss(self.re, -self.im)
+        return _gauss(self.a, -self.b, self.d)
 
     def norm(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussRational):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self.a or self.b)
 
     def __repr__(self) -> str:
         return f"GaussRational({self.re}, {self.im})"
 
 
-_FRACTION_ZERO = Fraction(0)
-_set_re = GaussRational.re.__set__
-_set_im = GaussRational.im.__set__
+_new = object.__new__
+_set_a = GaussRational.a.__set__
+_set_b = GaussRational.b.__set__
+_set_d = GaussRational.d.__set__
 
 
-def _gauss(re: Fraction, im: Fraction) -> GaussRational:
-    """re + im*i from two Fractions, stored as they are (no re-wrapping)."""
-    out = object.__new__(GaussRational)
-    _set_re(out, re)
-    _set_im(out, im)
+def _gauss(a: int, b: int, d: int) -> GaussRational:
+    """(a + b*i)/d from fields already in lowest terms (d > 0)."""
+    out = _new(GaussRational)
+    _set_a(out, a)
+    _set_b(out, b)
+    _set_d(out, d)
     return out
+
+
+def _reduced(a: int, b: int, d: int) -> GaussRational:
+    """(a + b*i)/d in lowest terms, for d > 0: one three-way gcd, skipped
+    when d is already 1."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _gauss(a, b, d)
 
 
 GR_ZERO = GaussRational(0)
@@ -290,12 +346,10 @@ def _dense_mod_p(a: list) -> list | None:
     coefficient denominator is divisible by P."""
     out = []
     for c in a:
-        re, im = c.re, c.im
-        d = re.denominator * im.denominator
-        if d % _P == 0:
-            return None
-        v = re.numerator * im.denominator + _I_MOD_P * im.numerator * re.denominator
+        v, d = c.a + _I_MOD_P * c.b, c.d
         if d != 1:
+            if d % _P == 0:
+                return None
             v *= pow(d, -1, _P)
         out.append(v % _P)
     return out
@@ -373,9 +427,13 @@ class QScalar:
         if g is not None:
             nd = _dense_div_exact(nd, g)
             dd = _dense_div_exact(dd, g)
-        c = dd[0].inv()
-        num = LaurentPoly({i + net: v * c for i, v in enumerate(nd) if v})
-        den = LaurentPoly({i: v * c for i, v in enumerate(dd) if v})
+        if dd[0] == GR_ONE:
+            num = LaurentPoly({i + net: v for i, v in enumerate(nd) if v})
+            den = LaurentPoly({i: v for i, v in enumerate(dd) if v})
+        else:
+            c = dd[0].inv()
+            num = LaurentPoly({i + net: v * c for i, v in enumerate(nd) if v})
+            den = LaurentPoly({i: v * c for i, v in enumerate(dd) if v})
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", LP_ONE if den.is_one else den)
 
@@ -400,6 +458,8 @@ class QScalar:
             object.__setattr__(out, "num", s)
             object.__setattr__(out, "den", LP_ONE)
             return out
+        if self.den == other.den:
+            return QScalar(self.num + other.num, self.den)
         return QScalar(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other: "QScalar") -> "QScalar":
@@ -412,12 +472,18 @@ class QScalar:
         return out
 
     def __mul__(self, other: "QScalar") -> "QScalar":
-        if self.den.is_one and other.den.is_one:
-            out = QScalar.__new__(QScalar)
-            object.__setattr__(out, "num", self.num * other.num)
-            object.__setattr__(out, "den", LP_ONE)
-            return out
-        return QScalar(self.num * other.num, self.den * other.den)
+        # a polynomial times a polynomial, or a unit c*q^k times a reduced
+        # fraction, is already reduced
+        if self.den.is_one and (other.den.is_one or len(self.num.coeff) == 1):
+            den = other.den
+        elif other.den.is_one and len(other.num.coeff) == 1:
+            den = self.den
+        else:
+            return QScalar(self.num * other.num, self.den * other.den)
+        out = QScalar.__new__(QScalar)
+        object.__setattr__(out, "num", self.num * other.num)
+        object.__setattr__(out, "den", den)
+        return out
 
     def inv(self) -> "QScalar":
         return QScalar(self.den, self.num)

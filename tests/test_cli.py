@@ -1,10 +1,16 @@
 """Command-line interface: exit codes, output formats, golden regression."""
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repoints.cli import main
+from repoints.points import param_indices
+from repoints.rootdata import standard_cases
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -149,6 +155,13 @@ def test_poisson_singular_or_malformed_matrix_exits_two(capsys):
         assert main(["poisson", "--series", "sl", "--N", "2", "--matrix", literal]) == 2, literal
 
 
+def test_poisson_without_a_case_exits_two(capsys):
+    # was a TypeError traceback: the missing N reached the N bound as None
+    for argv in ([], ["--series", "so"], ["--series", "so", "--N", "6"], ["--N", "6", "--family", "t4"]):
+        assert main(["poisson", *argv]) == 2, argv
+        assert "poisson requires --series, --N and --family" in capsys.readouterr().err
+
+
 _POLE = ["--series", "sl", "--N", "4", "--family", "t2", "--m", "1",
          "--param", "y1=1/(q-1)", "--param", "y1'=(q-1)*q^-4"]
 
@@ -205,3 +218,95 @@ def test_golden_satake_regression(capsys):
     with open(os.path.join(DATA_DIR, "golden_satake_sp6.json")) as fh:
         want = json.load(fh)
     assert got == want
+
+
+def test_empty_sweep_grid_exits_two(capsys):
+    # a sweep that checked nothing used to print "cases": [], "pass": true
+    for argv in (["--Nmax", "1"], ["--series", "sp", "--Nmax", "3"], ["--N", "1"],
+                 ["--series", "so", "--Nmax", "-1", "--format", "text"]):
+        assert main(["sweep", *argv]) == 2, argv
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "empty sweep grid" in out.err
+    assert main(["sweep", "--series", "sp", "--Nmax", "4"]) == 0
+    assert [r["case"] for r in json.loads(capsys.readouterr().out)["cases"]] == [
+        "sp4-t2-m0-p", "sp4-t2-m0-m", "sp4-t2-m2-p", "sp4-t2-m2-m", "sp4-t4"]
+
+
+# --- the exit-code contract under arbitrary argv ----------------------------
+
+_N_VALUES = ["-1", "0", "1", "2", "3", "4", "5", "6", "7", "8", "17"]
+_LITERALS = st.sampled_from([
+    "1", "0", "q", "q^-2", "-q^-1", "i", "2/3", "i*q^-3", "q^2 + 1", "(q+1)/(q-1)",
+    "1/(q-1)", "q^70", "1/0", "0^-1", ")(", "", "q^", "2*i - 1/2"])
+_MATRICES = st.sampled_from([
+    '[["1","0"],["0","1"]]', '[["4","0","0"],["0","1","0"],["0","0","1/4"]]',
+    '[["0","0"],["0","0"]]', '[["q","0"],["0","1"]]', '[["i","0"],["0","-i"]]',
+    '[["1"]]', '[[1]]', "5", "not json"])
+_CASE_FLAGS = {
+    "--series": st.sampled_from(["sl", "so", "sp", "gl"]),
+    "--N": st.sampled_from(_N_VALUES),
+    "--family": st.sampled_from(["t2", "t4", "t3"]),
+    "--m": st.sampled_from(["-1", "0", "1", "2", "3", "4"]),
+    "--sign": st.sampled_from(["1", "-1", "0"]),
+    "--format": st.sampled_from(["json", "text"]),
+    "--out": st.just("OUT"),
+}
+_FLAGS = {
+    "verify": _CASE_FLAGS,
+    "satake": _CASE_FLAGS,
+    "stabilizer": _CASE_FLAGS,
+    "poisson": dict(_CASE_FLAGS, **{"--matrix": _MATRICES}),
+    # --N abbreviates --Nmax; both stay at most 4 so that a sweep stays small
+    "sweep": {"--series": _CASE_FLAGS["--series"],
+              "--Nmax": st.sampled_from(_N_VALUES[:6]),
+              "--format": _CASE_FLAGS["--format"],
+              "--out": _CASE_FLAGS["--out"]},
+}
+# flags a case needs are left out only now and then
+_NEEDED = {"--series", "--N", "--family", "--m", "--Nmax"}
+
+
+def _case_values(spec):
+    """The flag values that select spec, and its parameter names."""
+    values = {"--series": spec.group, "--N": str(spec.N), "--family": spec.family,
+              "--sign": str(spec.sign)}
+    if spec.m is not None:
+        values["--m"] = str(spec.m)
+    names = [f"{spec.param_kind}{i}" for i in param_indices(spec)]
+    return values, names + [n + "'" for n in names]
+
+
+@st.composite
+def _argv(draw):
+    """argv for one subcommand: mostly a valid case from the reference grid
+    (N <= 8), with some flag values replaced, dropped or malformed."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = _FLAGS[command]
+    values, names = _case_values(draw(st.sampled_from(standard_cases())))
+    argv = [command]
+    for flag in sorted(flags):
+        if draw(st.integers(0, 15)) < (1 if flag in _NEEDED else 8):
+            continue
+        value = values.get(flag) if command != "sweep" and draw(st.integers(0, 7)) else None
+        spelling = draw(st.sampled_from(["--Nmax", "--N"])) if flag == "--Nmax" else flag
+        argv += [spelling, value or draw(flags[flag])]
+    if command in ("verify", "satake", "stabilizer"):
+        name = st.sampled_from(names * 3 + ["y0", "z9", "w1", "y", "y1''"])
+        for _ in range(draw(st.integers(0, 2))):
+            argv += ["--param", f"{draw(name)}={draw(_LITERALS)}"]
+    return argv
+
+
+@settings(max_examples=120, deadline=None)
+@given(_argv())
+def test_cli_exit_code_contract(tmp_path_factory, argv):
+    out = str(tmp_path_factory.mktemp("fuzz") / "out.txt")
+    argv = [out if a == "OUT" else a for a in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv itself
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, stderr.getvalue())

@@ -1,4 +1,5 @@
 """Field arithmetic in Q(i)(q): canonical form, parsing, and q-integers."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from repoints.scalar import (
     GR_ONE,
     GaussRational,
     I_UNIT,
+    LP_ONE,
     LaurentPoly,
     ONE,
     PoleAtOneError,
@@ -260,3 +262,179 @@ def test_arithmetic_keeps_fraction_components_and_immutability():
         a.re = Fraction(1)
     with pytest.raises(AttributeError):
         (a * b).im = Fraction(1)
+
+
+# --- the (a + b*i)/d representation of Q(i) ---------------------------------
+
+_big_frac = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(max_denominator=10**4),
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**12)),
+)
+_pair = st.tuples(_big_frac, _big_frac).map(lambda p: (Fraction(p[0]), Fraction(p[1])))
+
+
+def _gr(pair):
+    return GaussRational(*pair)
+
+
+def _assert_canonical(x, pair):
+    """x holds pair = (re, im) in lowest terms (a + b*i)/d."""
+    assert type(x.a) is int and type(x.b) is int and type(x.d) is int
+    assert x.d > 0
+    assert math.gcd(x.a, x.b, x.d) == 1
+    assert (x.re, x.im) == pair
+    assert type(x.re) is Fraction and type(x.im) is Fraction
+
+
+def _oracle_mul(p, r):
+    return (p[0] * r[0] - p[1] * r[1], p[0] * r[1] + p[1] * r[0])
+
+
+def _oracle_inv(p):
+    n = p[0] * p[0] + p[1] * p[1]
+    return (p[0] / n, -p[1] / n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair, _pair)
+def test_gauss_rational_against_fraction_pairs(p, r):
+    x, y = _gr(p), _gr(r)
+    _assert_canonical(x, p)
+    _assert_canonical(x + y, (p[0] + r[0], p[1] + r[1]))
+    _assert_canonical(x - y, (p[0] - r[0], p[1] - r[1]))
+    _assert_canonical(-x, (-p[0], -p[1]))
+    _assert_canonical(x * y, _oracle_mul(p, r))
+    _assert_canonical(x.conjugate(), (p[0], -p[1]))
+    assert x.norm() == p[0] * p[0] + p[1] * p[1] and type(x.norm()) is Fraction
+    assert bool(x) == (p != (0, 0))
+    assert (x == y) == (p == r)
+    if r != (0, 0):
+        _assert_canonical(y.inv(), _oracle_inv(r))
+        _assert_canonical(x / y, _oracle_mul(p, _oracle_inv(r)))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            y.inv()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pair, _pair, _pair)
+def test_gauss_rational_equal_values_have_equal_fields_and_hashes(p, r, s):
+    x, y, z = _gr(p), _gr(r), _gr(s)
+    # the same value reached along different routes
+    for u, v in (((x + y) + z, x + (y + z)), ((x - y) + y, x), ((x * y) * z, x * (y * z)),
+                 (x * (y + z), x * y + x * z), (x.conjugate().conjugate(), x)):
+        assert u == v
+        assert (u.a, u.b, u.d) == (v.a, v.b, v.d)
+        assert hash(u) == hash(v)
+    if y:
+        assert (x / y) * y == x and hash((x / y) * y) == hash(x)
+    assert x - x == GaussRational(0) and (x - x).d == 1
+
+
+def test_gauss_rational_constructor_and_fields():
+    assert (GaussRational().a, GaussRational().b, GaussRational().d) == (0, 0, 1)
+    x = GaussRational(Fraction(1, 6), Fraction(-3, 4))
+    assert (x.a, x.b, x.d) == (2, -9, 12)
+    assert GaussRational(Fraction(4, 2), 3) == GaussRational(2, 3)
+    assert (GaussRational(Fraction(1, 2), Fraction(1, 2)) * GaussRational(1, -1)).d == 1
+    assert GaussRational(0, Fraction(-2, 4)) == -GaussRational(0, Fraction(1, 2))
+    assert repr(x) == "GaussRational(1/6, -3/4)"
+    for name in ("a", "b", "d", "re", "im"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+
+
+def _image_from_re_im(c):
+    """The image in F_P through the Fraction components, or None."""
+    re, im = c.re, c.im
+    d = re.denominator * im.denominator
+    if d % scalar._P == 0:
+        return None
+    v = re.numerator * im.denominator + scalar._I_MOD_P * im.numerator * re.denominator
+    return v * pow(d, -1, scalar._P) % scalar._P
+
+
+_P_frac = st.builds(Fraction, st.integers(-10**25, 10**25),
+                    st.sampled_from([1, 2, 3, 12, scalar._P, 5 * scalar._P, scalar._P ** 2]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(GaussRational, _P_frac, _P_frac), min_size=1, max_size=5))
+def test_dense_mod_p_matches_the_component_formula(coeffs):
+    images = [_image_from_re_im(c) for c in coeffs]
+    want = None if None in images else images
+    assert scalar._dense_mod_p(coeffs) == want
+
+
+def test_dense_mod_p_rejects_a_denominator_divisible_by_p():
+    P = scalar._P
+    assert scalar._dense_mod_p([GaussRational(1), GaussRational(0, Fraction(3, 2 * P))]) is None
+    assert scalar._dense_mod_p([GaussRational(Fraction(1, P), Fraction(1, 7))]) is None
+    # P in a numerator is fine: the image is 0
+    assert scalar._dense_mod_p([GaussRational(P, Fraction(2 * P, 3))]) == [0]
+    s = scalar._I_MOD_P
+    assert scalar._dense_mod_p([GaussRational(Fraction(1, 2), Fraction(3, 4))]) == [
+        (2 + 3 * s) * pow(4, -1, P) % P]
+
+
+# --- QScalar fast paths against the general constructor ---------------------
+
+_nonzero_gauss = _gauss.filter(bool)
+
+
+def _general_sum(x, y):
+    return QScalar(x.num * y.den + y.num * x.den, x.den * y.den)
+
+
+def _general_product(x, y):
+    return QScalar(x.num * y.num, x.den * y.den)
+
+
+def test_sum_over_a_shared_denominator_is_reduced():
+    # q/(q^2 - 1) + (-1)/(q^2 - 1) = 1/(q + 1): the new numerator shares a factor
+    y, z = parse_scalar("q/(q^2 - 1)"), parse_scalar("-1/(q^2 - 1)")
+    assert y.den == z.den
+    assert y + z == parse_scalar("1/(q + 1)") == _general_sum(y, z)
+    assert y - y == ZERO and (y - y).den.is_one
+
+
+@settings(max_examples=80, deadline=None)
+@given(_scalar, _poly, _poly)
+def test_sum_over_a_shared_denominator_matches_the_general_constructor(x, p, r):
+    # adding a polynomial keeps the reduced denominator
+    y, z = x + QScalar(p), x + QScalar(r)
+    assert y.den == z.den == x.den
+    assert y + z == _general_sum(y, z)
+    assert y - z == QScalar(p) - QScalar(r)
+    assert y + (-y) == ZERO
+
+
+def test_polynomial_times_a_fraction_is_reduced():
+    # only a unit keeps the denominator; q - 1 cancels against q^2 - 1
+    x = parse_scalar("1/(q^2 - 1)")
+    assert parse_scalar("q - 1") * x == parse_scalar("1/(q + 1)") == x * parse_scalar("q - 1")
+    assert parse_scalar("q^2 - 1") * x == ONE
+    assert parse_scalar("2/3*i*q^-2") * x == _general_product(parse_scalar("2/3*i*q^-2"), x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_scalar, _nonzero_gauss, st.integers(-5, 5))
+def test_monomial_times_a_fraction_matches_the_general_constructor(x, c, k):
+    m = QScalar(LaurentPoly.q_power(k, c))
+    for product in (m * x, x * m):
+        assert product == _general_product(m, x)
+        assert product.den == (x.den if x else LP_ONE)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_poly, _poly, _nonzero_gauss)
+def test_denominator_with_constant_term_one_matches_a_rescaled_one(num, tail, c):
+    # den = 1 + q^j*tail (j > 0) has constant coefficient 1; den*c needs the rescale
+    if not tail:
+        tail = LP_ONE
+    den = LP_ONE + tail * LaurentPoly.q_power(1 - tail.min_exp())
+    x = QScalar(num, den)
+    assert x == QScalar(num * LaurentPoly.gauss(c), den * LaurentPoly.gauss(c))
+    if x and not x.den.is_one:
+        assert x.den.min_exp() == 0 and x.den.coeff[0] == GR_ONE
