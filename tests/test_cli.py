@@ -156,7 +156,6 @@ def test_poisson_singular_or_malformed_matrix_exits_two(capsys):
 
 
 def test_poisson_without_a_case_exits_two(capsys):
-    # was a TypeError traceback: the missing N reached the N bound as None
     for argv in ([], ["--series", "so"], ["--series", "so", "--N", "6"], ["--N", "6", "--family", "t4"]):
         assert main(["poisson", *argv]) == 2, argv
         assert "poisson requires --series, --N and --family" in capsys.readouterr().err
@@ -221,7 +220,7 @@ def test_golden_satake_regression(capsys):
 
 
 def test_empty_sweep_grid_exits_two(capsys):
-    # a sweep that checked nothing used to print "cases": [], "pass": true
+    # a sweep that checked nothing must not read as passing
     for argv in (["--Nmax", "1"], ["--series", "sp", "--Nmax", "3"], ["--N", "1"],
                  ["--series", "so", "--Nmax", "-1", "--format", "text"]):
         assert main(["sweep", *argv]) == 2, argv
@@ -301,7 +300,7 @@ def _argv(draw):
 @settings(max_examples=120, deadline=None)
 @given(_argv())
 def test_cli_exit_code_contract(tmp_path_factory, argv):
-    out = str(tmp_path_factory.mktemp("fuzz") / "out.txt")
+    out = str(tmp_path_factory.getbasetemp() / "fuzz-out.txt")
     argv = [out if a == "OUT" else a for a in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):

@@ -274,10 +274,6 @@ _big_frac = st.one_of(
 _pair = st.tuples(_big_frac, _big_frac).map(lambda p: (Fraction(p[0]), Fraction(p[1])))
 
 
-def _gr(pair):
-    return GaussRational(*pair)
-
-
 def _assert_canonical(x, pair):
     """x holds pair = (re, im) in lowest terms (a + b*i)/d."""
     assert type(x.a) is int and type(x.b) is int and type(x.d) is int
@@ -299,7 +295,7 @@ def _oracle_inv(p):
 @settings(max_examples=300, deadline=None)
 @given(_pair, _pair)
 def test_gauss_rational_against_fraction_pairs(p, r):
-    x, y = _gr(p), _gr(r)
+    x, y = GaussRational(*p), GaussRational(*r)
     _assert_canonical(x, p)
     _assert_canonical(x + y, (p[0] + r[0], p[1] + r[1]))
     _assert_canonical(x - y, (p[0] - r[0], p[1] - r[1]))
@@ -320,7 +316,7 @@ def test_gauss_rational_against_fraction_pairs(p, r):
 @settings(max_examples=200, deadline=None)
 @given(_pair, _pair, _pair)
 def test_gauss_rational_equal_values_have_equal_fields_and_hashes(p, r, s):
-    x, y, z = _gr(p), _gr(r), _gr(s)
+    x, y, z = GaussRational(*p), GaussRational(*r), GaussRational(*s)
     # the same value reached along different routes
     for u, v in (((x + y) + z, x + (y + z)), ((x - y) + y, x), ((x * y) * z, x * (y * z)),
                  (x * (y + z), x * y + x * z), (x.conjugate().conjugate(), x)):
