@@ -18,10 +18,6 @@ from .rootdata import LieSeries, build_root_system
 from .scalar import GR_ONE, GR_ZERO, GaussRational
 
 
-def g_zeros(n: int) -> list:
-    return [[GR_ZERO] * n for _ in range(n)]
-
-
 def g_identity(n: int) -> list:
     return [[GR_ONE if i == j else GR_ZERO for j in range(n)] for i in range(n)]
 
@@ -159,12 +155,6 @@ def build_classical_algebra(ls: LieSeries) -> ClassicalAlgebraData:
                                 omega, rho, expander)
 
 
-def ad_matrix(data: ClassicalAlgebraData, x: list) -> list:
-    """ad_x on the chosen basis, as a coefficient matrix (columns = images)."""
-    cols = [data.expander.expand(_flatten(g_bracket(x, b))) for b in data.basis]
-    return g_transpose(cols)
-
-
 def adjoint_matrix(data: ClassicalAlgebraData, a: list) -> list:
     """Ad_a (conjugation) on the basis; raises if a is singular or does not
     normalize the algebra."""
@@ -219,24 +209,6 @@ def check_involutive_vanishing(data: ClassicalAlgebraData, a: list) -> CheckReco
     ok = g_is_zero(omega_part(data, ad))
     return CheckRecord("omega.involutive", ok,
                        None if ok else "omega part nonzero despite Ad^2 = id")
-
-
-def check_equivariance(data: ClassicalAlgebraData, a: list, b: list) -> CheckRecord:
-    """The omega field is equivariant: its value at b a b^-1 is the Ad_b x Ad_b
-    transform of its value at a."""
-    phi_a = _phi(data, a)
-    conj = linalg.mat_mul(linalg.mat_mul(b, a), linalg.invert(b))
-    lhs = _phi(data, conj)
-    ad_b = adjoint_matrix(data, b)
-    rhs = linalg.mat_mul(linalg.mat_mul(ad_b, phi_a), g_transpose(ad_b))
-    ok = g_eq(lhs, rhs)
-    return CheckRecord("omega.equivariance", ok)
-
-
-def _phi(data: ClassicalAlgebraData, a: list) -> list:
-    ad = adjoint_matrix(data, a)
-    return g_sub(linalg.mat_mul(ad, data.omega),
-                 linalg.mat_mul(data.omega, g_transpose(ad)))
 
 
 def classical_point_grid(spec) -> list:

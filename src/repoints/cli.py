@@ -12,11 +12,10 @@ import re
 import sys
 import time
 
-from . import classical
-from .coideal import build_point_stabilizer
+from . import classical, coideal
 from .points import ParamError, default_params, paired_index, quantum_point
 from .rootdata import ClassSpec, standard_cases, theta_for_class
-from .linalg import SingularMatrixError
+from .linalg import NotInSpanError, SingularMatrixError
 from .scalar import ScalarParseError, eval_at_one, parse_scalar, render_scalar
 
 
@@ -64,8 +63,11 @@ def _emit(payload, args, text_renderer) -> None:
     else:
         out = text_renderer(payload)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(out + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {args.out}: {exc.strerror}") from exc
     else:
         print(out)
 
@@ -87,11 +89,7 @@ def _case_report(spec: ClassSpec, params) -> dict:
 
 def cmd_verify(args) -> int:
     spec = _spec_from_args(args)
-    try:
-        params = _params_from_args(spec, args.param)
-    except ParamError as exc:
-        raise UsageError(str(exc)) from exc
-    payload = _case_report(spec, params)
+    payload = _case_report(spec, _params_from_args(spec, args.param))
     _emit(payload, args, _render_report_text)
     return 0 if all(c["pass"] for c in payload["checks"]) else 1
 
@@ -130,28 +128,36 @@ def cmd_sweep(args) -> int:
     return 0 if all_ok else 1
 
 
-def cmd_satake(args) -> int:
+def _point_stabilizer(args):
+    """The case's spec, its quantum point and the point's stabilizer."""
     spec = _spec_from_args(args)
-    td = theta_for_class(spec)
     params = _params_from_args(spec, args.param)
     point = quantum_point(spec, params)
-    ss = build_point_stabilizer(spec, params, point.A)
+    return spec, point, coideal.build_point_stabilizer(spec, params, point.A)
+
+
+def _generator_entry(g, **extra) -> dict:
+    """A mixed generator's JSON entry; extra fields go before the note."""
+    return {
+        "alpha": g.alpha,
+        "word": g.word,
+        "c_table": render_scalar(g.c_table) if g.c_table is not None else None,
+        "c_solved": render_scalar(g.c_solved),
+        **extra,
+        "note": g.c_table_note,
+    }
+
+
+def cmd_satake(args) -> int:
+    spec, point, ss = _point_stabilizer(args)
+    td = theta_for_class(spec)
     payload = {
         "case": spec.case_id,
         "fixed_nodes": list(td.pi_fixed),
         "open_nodes": list(td.pi_moved),
         "tilde": {str(i): list(td.tilde_simple[i]) for i in td.pi_moved},
         "arcs": [[i, td.partner[i]] for i in td.pi_moved if td.partner[i] != i],
-        "generators": [
-            {
-                "alpha": g.alpha,
-                "word": g.word,
-                "c_table": render_scalar(g.c_table) if g.c_table is not None else None,
-                "c_solved": render_scalar(g.c_solved),
-                "note": g.c_table_note,
-            }
-            for g in ss.mixed_generators
-        ],
+        "generators": [_generator_entry(g) for g in ss.mixed_generators],
     }
 
     def text(p):
@@ -174,32 +180,13 @@ def cmd_satake(args) -> int:
 
 
 def cmd_stabilizer(args) -> int:
-    from .coideal import check_stabilizer
-
-    spec = _spec_from_args(args)
-    params = _params_from_args(spec, args.param)
-    point = quantum_point(spec, params)
-    ss = build_point_stabilizer(spec, params, point.A)
-    records = check_stabilizer(ss, point.A)
+    spec, point, ss = _point_stabilizer(args)
     payload = {
         "case": spec.case_id,
         "params": point.param_digest(),
-        "checks": [
-            {"name": r.name, "pass": r.passed}
-            | ({"detail": r.detail} if r.detail else {})
-            for r in records
-        ],
-        "generators": [
-            {
-                "alpha": g.alpha,
-                "word": g.word,
-                "c_table": render_scalar(g.c_table) if g.c_table is not None else None,
-                "c_solved": render_scalar(g.c_solved),
-                "agrees": g.table_matches,
-                "note": g.c_table_note,
-            }
-            for g in ss.mixed_generators
-        ],
+        "checks": [r.to_dict() for r in coideal.check_stabilizer(ss, point.A)],
+        "generators": [_generator_entry(g, agrees=g.table_matches)
+                       for g in ss.mixed_generators],
     }
     _emit(payload, args, _render_report_text)
     return 0 if all(c["pass"] for c in payload["checks"]) else 1
@@ -229,6 +216,8 @@ def cmd_poisson(args) -> int:
         value = classical.bivector_at(data, grid)
     except SingularMatrixError as exc:
         raise UsageError(f"the matrix is not invertible: {exc}") from exc
+    except NotInSpanError as exc:
+        raise UsageError(f"the matrix does not normalize {args.series}({args.N})") from exc
     payload = {"case": case_name, "vanishes": value.is_zero()}
     if not value.is_zero():
         i, j, v = value.largest_entry()

@@ -18,6 +18,11 @@ class CheckRecord:
     passed: bool
     detail: str | None = None
 
+    def to_dict(self) -> dict:
+        """The JSON form of a record: the detail only when there is one."""
+        return {"name": self.name, "pass": self.passed} | (
+            {"detail": self.detail} if self.detail else {})
+
 
 def _unit(N: int, i: int, j: int, sign: int = 1) -> QMatrix:
     # matrix unit e_ij, 1-based

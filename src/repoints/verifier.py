@@ -41,11 +41,7 @@ class VerificationReport:
         return {
             "case": self.case_id,
             "params": self.param_digest,
-            "checks": [
-                {"name": c.name, "pass": c.passed}
-                | ({"detail": c.detail} if c.detail else {})
-                for c in self.checks
-            ],
+            "checks": [c.to_dict() for c in self.checks],
             "timings": self.timings,
         }
 
@@ -160,29 +156,21 @@ def check_varpi_structure(S: QMatrix, proj: Projector) -> list:
 
 
 def check_min_poly(A: QMatrix, spec: ClassSpec) -> list:
-    N = spec.N
-    records = []
+    """(A - lam+)(A - lam-) = 0, and rank(A - lam+), rank(A - lam-) as the
+    class fixes them.  The two factors are polynomials in A, so they commute
+    and their product does not depend on the order."""
     if spec.family == "t2":
         P, M = pm_exponents(spec)
-        left = A.add_scalar_diag(QScalar.q_power(-P))
-        right = A.add_scalar_diag(-QScalar.q_power(-M))
-        records.append(_record_equal("min_poly", left * right, QMatrix.zeros(N)))
-        rk = right.rank()
-        records.append(CheckRecord("mult.plus", rk == M,
-                                   None if rk == M else f"rank {rk}, expected {M}"))
-        rk = left.rank()
-        records.append(CheckRecord("mult.minus", rk == P,
-                                   None if rk == P else f"rank {rk}, expected {P}"))
+        roots = ((QScalar.q_power(-M), M), (-QScalar.q_power(-P), P))
     else:
-        eps = epsilon_for(spec.series)
-        val = I_UNIT * QScalar.q_power(-N // 2 + eps)
-        left = A.add_scalar_diag(-val)
-        right = A.add_scalar_diag(val)
-        records.append(_record_equal("min_poly", left * right, QMatrix.zeros(N)))
-        for name, mat in (("mult.plus", left), ("mult.minus", right)):
-            rk = mat.rank()
-            records.append(CheckRecord(name, rk == N // 2,
-                                       None if rk == N // 2 else f"rank {rk}, expected {N // 2}"))
+        val = I_UNIT * QScalar.q_power(-spec.N // 2 + epsilon_for(spec.series))
+        roots = ((val, spec.N // 2), (-val, spec.N // 2))
+    plus, minus = (A.add_scalar_diag(-lam) for lam, _ in roots)
+    records = [_record_equal("min_poly", plus * minus, QMatrix.zeros(spec.N))]
+    for name, mat, (_, want) in zip(("mult.plus", "mult.minus"), (plus, minus), roots):
+        rk = mat.rank()
+        records.append(CheckRecord(name, rk == want,
+                                   None if rk == want else f"rank {rk}, expected {want}"))
     return records
 
 

@@ -2,7 +2,6 @@
 line.  Every comparison is exact (zero tolerance); the shared fixture walks the
 full reference grid of cases once.
 """
-import time
 from fractions import Fraction
 
 import pytest
@@ -12,10 +11,10 @@ from repoints.classical import (
     build_classical_algebra,
     check_involutive_vanishing,
 )
-from repoints.coideal import build_point_stabilizer, check_stabilizer
+from repoints.coideal import build_point_stabilizer
 from repoints.natrep import build_natural_rep, check_defining_relations, check_rtt_compat
 from repoints.points import default_params, gauss_grid, quantum_point
-from repoints.qmatrix import QMatrix, commutator
+from repoints.qmatrix import commutator
 from repoints.rmatrix import (
     annihilating_polynomial_holds,
     braid_identity_holds,
@@ -23,14 +22,7 @@ from repoints.rmatrix import (
 )
 from repoints.rootdata import ClassSpec, build_root_system, standard_cases, theta_for_class
 from repoints.scalar import GaussRational, ONE, Q
-from repoints.verifier import (
-    check_min_poly,
-    check_oc,
-    check_q_trace,
-    check_reflection,
-    check_varpi_structure,
-    full_report,
-)
+from repoints.verifier import full_report
 
 
 @pytest.fixture
@@ -45,56 +37,49 @@ def verdict(capsys):
     return emit
 
 
+def _all_pass(records, names):
+    """Every named record is present and passes; a missing record fails."""
+    return all(records.get(name, False) for name in names)
+
+
 @pytest.fixture(scope="module")
 def desk():
-    """Everything the per-case criteria need, computed once per case."""
+    """The verdicts of full_report on each case, read by record name, and the
+    two objects the report does not carry: the solved stabilizer generators
+    (criterion 7) and the involutive-vanishing check (criterion 6)."""
     rows = []
-    varpi_cache = {}
-    classical_cache = {}
+    involutive_cache = {}
     for spec in standard_cases():
+        report = full_report(spec)
+        records = {r.name: r.passed for r in report.checks}
         point = quantum_point(spec)
-        rmd = build_rmatrix_data(spec.series)
-        rs = build_root_system(spec.series)
-        row = {"spec": spec, "point": point}
-
-        t0 = time.perf_counter()
-        row["re"] = check_reflection(point.A, rmd.S).passed
-        row["re_seconds"] = time.perf_counter() - t0
-
-        if rmd.projector is not None:
-            if spec.series not in varpi_cache:
-                varpi_cache[spec.series] = all(
-                    r.passed for r in check_varpi_structure(rmd.S, rmd.projector))
-            oc = check_oc(point.A, rmd.S, rmd.projector)
-            row["oc"] = varpi_cache[spec.series] and all(r.passed for r in oc)
-        else:
-            row["oc"] = None
-
-        inv = check_min_poly(point.A, spec)
-        inv.append(check_q_trace(point.A, spec, rs))
-        row["invariants"] = all(r.passed for r in inv)
-
         ss = build_point_stabilizer(spec, point.params, point.A)
-        row["ss"] = ss
-        row["stab"] = all(r.passed for r in check_stabilizer(ss, point.A))
-        row["table"] = all(g.table_matches in (True, None) for g in ss.mixed_generators)
-
-        unit = QMatrix.identity(spec.N)
-        sq = point.A0 * point.A0
-        row["square"] = sq == (unit if spec.family == "t2" else -unit)
-
-        # Ad is insensitive to the overall sign of A0, so share the classical
-        # computation between the two signs of a class
+        # Ad is insensitive to the overall sign of A0, so share the involutive
+        # check between the two signs of a class
         key = (spec.group, spec.N, spec.family, spec.m)
-        if key not in classical_cache:
+        if key not in involutive_cache:
             data = build_classical_algebra(spec.series)
-            grid = gauss_grid(point.A0)
-            classical_cache[key] = (
-                bivector_at(data, grid).is_zero(),
-                check_involutive_vanishing(data, grid).passed,
-            )
-        row["bivector"], row["involutive"] = classical_cache[key]
-        rows.append(row)
+            involutive_cache[key] = check_involutive_vanishing(
+                data, gauss_grid(point.A0)).passed
+        stab = [f"stab.{name}" for name, _ in ss.all_matrices()]
+        stab += [f"mixture.alpha{alpha}" for alpha, _ in ss.unsolved]
+        table = [f"mixture.alpha{g.alpha}.table" for g in ss.mixed_generators
+                 if g.table_matches is not None]
+        rows.append({
+            "spec": spec,
+            "point": point,
+            "ss": ss,
+            "re": _all_pass(records, ["reflection"]),
+            "re_seconds": report.timings.get("reflection", 0.0),
+            "oc": None if spec.group == "sl" else _all_pass(records, [
+                "oc.right", "oc.left", "varpi.idempotent", "varpi.rank_one", "varpi.eigen"]),
+            "invariants": _all_pass(records, ["min_poly", "mult.plus", "mult.minus", "q_trace"]),
+            "stab": _all_pass(records, stab),
+            "table": _all_pass(records, table),
+            "square": _all_pass(records, ["classical.square"]),
+            "bivector": _all_pass(records, ["classical.bivector"]),
+            "involutive": involutive_cache[key],
+        })
     return rows
 
 

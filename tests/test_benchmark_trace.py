@@ -1,0 +1,39 @@
+"""The benchmark's trace mode wraps repoints functions by name at call time.
+A renamed function, or a caller that binds one before the patch, silently
+drops its span; this runs the tracer as the benchmark does and checks that
+every stage still shows up."""
+import json
+import os
+import subprocess
+import sys
+
+import repoints
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+_SCRIPT = """
+import importlib.util, json, os, sys
+spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracer.install()
+from repoints.cli import main
+code = main(["verify", "--series", "so", "--N", "5", "--family", "t2", "--m", "1",
+             "--out", os.devnull])
+print(json.dumps({"code": code, "spans": sorted({rec[tracing.NAME] for rec in tracer.spans})}))
+"""
+
+
+def test_trace_mode_sees_every_stage():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repoints.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCRIPT, os.path.join(ROOT, "perfbench", "tracing.py")],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    result = json.loads(proc.stdout)
+    assert result["code"] == 0
+    assert {"cli.case", "verifier.full_report", "verifier.oc", "verifier.min_poly",
+            "coideal.check_stabilizer", "classical.bivector",
+            "linalg.expand"} <= set(result["spans"])

@@ -120,15 +120,24 @@ def test_satake_arcs_sl6(capsys):
     gens = {g["alpha"]: g for g in payload["generators"]}
     assert set(gens) == {1, 2, 4, 5}
     assert all(g["c_solved"] for g in gens.values())
+    for g in payload["generators"]:
+        assert list(g) == ["alpha", "word", "c_table", "c_solved", "note"]
 
 
 def test_stabilizer_command(capsys):
-    code = main(["stabilizer", "--series", "sp", "--N", "4", "--family", "t4",
-                 "--format", "json"])
+    case = ["--series", "sp", "--N", "4", "--family", "t4", "--format", "json"]
+    code = main(["stabilizer", *case])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert all(c["pass"] for c in payload["checks"])
     assert all(g["agrees"] for g in payload["generators"])
+    for g in payload["generators"]:
+        assert list(g) == ["alpha", "word", "c_table", "c_solved", "agrees", "note"]
+    # the stabilizer records are the verify records of the same stage
+    assert main(["verify", *case]) == 0
+    verify = json.loads(capsys.readouterr().out)["checks"]
+    assert payload["checks"] == [c for c in verify if c["name"].startswith(("stab.", "mixture."))]
+    assert all(list(c) == ["name", "pass"] for c in payload["checks"])
 
 
 def test_poisson_case_and_matrix(capsys):
@@ -153,6 +162,15 @@ def test_poisson_singular_or_malformed_matrix_exits_two(capsys):
                     '5', '[[1,0],[0,1]]', '[["1/(q-1)","0"],["0","1"]]',
                     '[["q^2","0"],["0","1"]]'):
         assert main(["poisson", "--series", "sl", "--N", "2", "--matrix", literal]) == 2, literal
+
+
+def test_poisson_matrix_outside_the_normalizer_exits_two(capsys):
+    # invertible, but conjugation by it does not preserve so(3)
+    literal = '[["2","0","0"],["0","1","0"],["0","0","1"]]'
+    assert main(["poisson", "--series", "so", "--N", "3", "--matrix", literal]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: the matrix does not normalize so(3)\n"
 
 
 def test_poisson_without_a_case_exits_two(capsys):
@@ -197,6 +215,16 @@ def test_out_file(tmp_path):
     assert code == 0
     payload = json.loads(target.read_text())
     assert payload["case"] == "sl2-t2-m0-p"
+
+
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    verify = ["verify", "--series", "sl", "--N", "2", "--family", "t2", "--m", "0"]
+    for argv in ([*verify, "--out", str(tmp_path / "missing" / "report.json")],
+                 ["sweep", "--Nmax", "2", "--out", str(tmp_path)]):
+        assert main(argv) == 2, argv
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: cannot write --out {argv[-1]}: ")
 
 
 def test_golden_verify_regression(tmp_path, capsys):
