@@ -3,8 +3,13 @@ the invariant symmetric two-tensor omega, the skew two-tensor rho built from
 paired root vectors, and the vanishing of the induced bivector at the
 classical points.
 
-Everything here is exact arithmetic over the Gaussian rationals; matrices are
-dense lists of lists of GaussRational.
+Everything here is exact arithmetic over the Gaussian rationals. Elements of
+End(V) are dense lists of lists of GaussRational. The verdicts are decided on
+sparse tensors in End(V) (x) End(V): dicts (i, j, k, l) -> coefficient of
+E_ij (x) E_kl holding nonzero entries only. The dim g x dim g matrices over
+the algebra basis (`omega`, `rho`, `adjoint_matrix`, `BivectorValue.coeffs`)
+serve only to name a basis coordinate in a failure detail, and as a test
+oracle.
 """
 from __future__ import annotations
 
@@ -39,10 +44,6 @@ def g_is_zero(a: list) -> bool:
     return all(not x for row in a for x in row)
 
 
-def g_eq(a: list, b: list) -> bool:
-    return g_is_zero(g_sub(a, b))
-
-
 def g_bracket(a: list, b: list) -> list:
     return g_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
 
@@ -62,6 +63,70 @@ def _flatten(a: list) -> list:
     return [x for row in a for x in row]
 
 
+def _entries(a: list) -> list:
+    return [(i, j, x) for i, row in enumerate(a) for j, x in enumerate(row) if x]
+
+
+def _accumulate(out: dict, key: tuple, v: GaussRational) -> None:
+    s = out.get(key)
+    out[key] = v if s is None else s + v
+
+
+def _nonzero(t: dict) -> dict:
+    return {key: v for key, v in t.items() if v}
+
+
+def _tensor(coeffs: list, support: list, entries: list) -> dict:
+    """sum of coeffs[k][l] B_k (x) B_l over the (k, l) in support, given the
+    nonzero entries of each basis matrix B_k."""
+    out = {}
+    for k, l in support:
+        c = coeffs[k][l]
+        if c:
+            for i, j, u in entries[k]:
+                cu = c * u
+                for r, s, v in entries[l]:
+                    _accumulate(out, (i, j, r, s), cu * v)
+    return _nonzero(out)
+
+
+def _flip(t: dict) -> dict:
+    """The factor swap x (x) y -> y (x) x."""
+    return {(k, l, i, j): v for (i, j, k, l), v in t.items()}
+
+
+def _combine(*terms) -> dict:
+    """sum of +-t over the (sign, t) in terms."""
+    out = {}
+    for sign, t in terms:
+        for key, v in t.items():
+            _accumulate(out, key, v if sign > 0 else -v)
+    return _nonzero(out)
+
+
+def _conjugate_first(t: dict, conj) -> dict:
+    """Conjugation by a of the first index pair of t: E_ij goes to
+    a E_ij a^-1 = sum of a[p][i] a^-1[j][r] E_pr.  On a tensor
+    {(i, j, k, l): x} this is (Ad_a (x) 1) t; on a matrix {(i, j): x} it is
+    a t a^-1.  conj is what `_conjugation` returns."""
+    cols, rows = conj
+    out = {}
+    for key, c in t.items():
+        rest = key[2:]
+        for p, u in cols[key[0]]:
+            cu = c * u
+            for r, w in rows[key[1]]:
+                k = (p, r) + rest
+                s = out.get(k)
+                out[k] = cu * w if s is None else s + cu * w
+    return _nonzero(out)
+
+
+def _conjugate_second(t: dict, conj) -> dict:
+    """(1 (x) Ad_a) t."""
+    return _flip(_conjugate_first(_flip(t), conj))
+
+
 @dataclass
 class ClassicalAlgebraData:
     ls: LieSeries
@@ -73,6 +138,9 @@ class ClassicalAlgebraData:
     omega: list  # symmetric coefficient matrix over the basis
     rho: list  # antisymmetric coefficient matrix over the basis
     expander: linalg.BasisExpander
+    omega_tensor: dict  # omega in End(V) (x) End(V)
+    rho_tensor: dict  # rho in End(V) (x) End(V)
+    generators: list  # the simple e and f vectors as {(i, j): x}; they generate the algebra
 
     @property
     def dim(self) -> int:
@@ -143,16 +211,22 @@ def build_classical_algebra(ls: LieSeries) -> ClassicalAlgebraData:
         for l in range(n):
             omega[k][l] = gram_inv[k][l]
     rho = [[GR_ZERO] * dim for _ in range(dim)]
-    for idx in range(npos):
-        ei = n + idx
-        fi = n + npos + idx
+    pairs = [(n + idx, n + npos + idx) for idx in range(npos)]
+    for ei, fi in pairs:
         omega[ei][fi] = GR_ONE
         omega[fi][ei] = GR_ONE
         rho[ei][fi] = GR_ONE
         rho[fi][ei] = -GR_ONE
 
+    # omega and rho vanish off the Cartan block and the (e, f) pairs
+    support = [(k, l) for k in range(n) for l in range(n)] + pairs + [(f, e) for e, f in pairs]
+    entries = [_entries(b) for b in basis]
+
     return ClassicalAlgebraData(ls, basis, cartan, e_vec, f_vec, tuple(positive),
-                                omega, rho, expander)
+                                omega, rho, expander,
+                                _tensor(omega, support, entries), _tensor(rho, support, entries),
+                                [{(i, j): x for i, j, x in _entries(m)}
+                                 for m in simple_e + simple_f])
 
 
 def adjoint_matrix(data: ClassicalAlgebraData, a: list) -> list:
@@ -166,12 +240,45 @@ def adjoint_matrix(data: ClassicalAlgebraData, a: list) -> list:
     return g_transpose(cols)
 
 
-@dataclass
+def _conjugation(data: ClassicalAlgebraData, a: list):
+    """The nonzeros of a by column and of a^-1 by row, which is what
+    `_conjugate_first` reads, once a x a^-1 is shown to lie in the algebra for
+    every simple generator x.  That suffices for Ad_a(g) = g: Ad_a is an
+    automorphism of the Lie algebra gl(N), and the basis of g is built from
+    brackets of the simple generators.  Raises SingularMatrixError if a is
+    singular and NotInSpanError if a does not normalize the algebra."""
+    a_inv = linalg.invert(a)
+    n = len(a)
+    conj = ([[(p, a[p][i]) for p in range(n) if a[p][i]] for i in range(n)],
+            [[(r, x) for r, x in enumerate(row) if x] for row in a_inv])
+    for x in data.generators:
+        image = [GR_ZERO] * (n * n)
+        for (p, r), v in _conjugate_first(x, conj).items():
+            image[p * n + r] = v
+        data.expander.expand(image)
+    return conj
+
+
 class BivectorValue:
-    coeffs: list  # antisymmetric matrix over the algebra basis
+    """The bivector at a point.  `tensor`, when given, is the bivector in
+    End(V) (x) End(V) and decides is_zero().  `coeffs` is its antisymmetric
+    coefficient matrix over the algebra basis; when not given, it is computed
+    on first use by `basis` (the failure detail and the tests ask for it)."""
+
+    def __init__(self, coeffs: list | None = None, tensor: dict | None = None,
+                 basis=None):
+        self._coeffs = coeffs
+        self.tensor = tensor
+        self._basis = basis
+
+    @property
+    def coeffs(self) -> list:
+        if self._coeffs is None:
+            self._coeffs = self._basis()
+        return self._coeffs
 
     def is_zero(self) -> bool:
-        return g_is_zero(self.coeffs)
+        return g_is_zero(self.coeffs) if self.tensor is None else not self.tensor
 
     def largest_entry(self):
         """(i, j, value) of the coefficient with maximal Gaussian norm, or None."""
@@ -189,24 +296,73 @@ def omega_part(data: ClassicalAlgebraData, ad: list) -> list:
                  linalg.mat_mul(ad, data.omega))
 
 
-def bivector_at(data: ClassicalAlgebraData, a: list) -> BivectorValue:
-    """The reflection-equation Poisson bivector at the group element a, under
-    the right-translation trivialization."""
+def basis_bivector(data: ClassicalAlgebraData, a: list) -> list:
+    """The bivector's coefficient matrix over the algebra basis,
+    (Ad - 1) rho (Ad - 1)^T + omega Ad^T - Ad omega."""
     ad = adjoint_matrix(data, a)
     shifted = g_sub(ad, g_identity(data.dim))
     part_rho = linalg.mat_mul(linalg.mat_mul(shifted, data.rho), g_transpose(shifted))
-    total = g_add(part_rho, omega_part(data, ad))
-    if not g_is_zero(g_add(total, g_transpose(total))):
+    return g_add(part_rho, omega_part(data, ad))
+
+
+def bivector_at(data: ClassicalAlgebraData, a: list) -> BivectorValue:
+    """The reflection-equation Poisson bivector at the group element a, under
+    the right-translation trivialization, decided in End(V) (x) End(V) as
+
+        T = (1 (x) Ad)[(Ad (x) 1)rho - rho + omega] - (Ad (x) 1)rho
+            - (Ad (x) 1)omega + rho.
+
+    Why T = 0 iff the basis coefficient matrix `total` = 0
+    (`basis_bivector`):
+
+    - `total` is defined only when Ad_a(g) = g, which `_conjugation`
+      proves from the simple generators (or raises, as the basis path does).
+    - Then Ad_a(B_k) = sum_i ad[i][k] B_i, so for C = sum C[k][l] B_k (x) B_l
+      the first-factor image (Ad (x) 1)C has coefficient matrix ad C and the
+      second-factor image (1 (x) Ad)C has C ad^T.  Expanding T term by term
+      gives ad rho ad^T - rho ad^T + omega ad^T - ad rho - ad omega + rho
+      = (ad - 1) rho (ad - 1)^T + omega ad^T - ad omega = total, so
+      T = sum total[k][l] B_k (x) B_l.
+    - The B_k are linearly independent in End(V), so the B_k (x) B_l are
+      linearly independent in End(V) (x) End(V), and T = 0 iff total = 0.
+
+    `total` is antisymmetric iff flip(T) = -T, which is asserted here.
+    """
+    conj = _conjugation(data, a)
+    rho, omega = data.rho_tensor, data.omega_tensor
+    rho_left = _conjugate_first(rho, conj)
+    omega_left = _conjugate_first(omega, conj)
+    inner = _combine((1, rho_left), (-1, rho), (1, omega))
+    tensor = _combine((1, _conjugate_second(inner, conj)), (-1, rho_left),
+                      (-1, omega_left), (1, rho))
+    if _flip(tensor) != {key: -v for key, v in tensor.items()}:
         raise AssertionError("bivector lost antisymmetry")
-    return BivectorValue(total)
+    return BivectorValue(tensor=tensor, basis=lambda: basis_bivector(data, a))
 
 
 def check_involutive_vanishing(data: ClassicalAlgebraData, a: list) -> CheckRecord:
-    """For involutive adjoint action the omega contribution vanishes."""
-    ad = adjoint_matrix(data, a)
-    if not g_eq(linalg.mat_mul(ad, ad), g_identity(data.dim)):
+    """For involutive adjoint action the omega contribution vanishes.
+
+    Both conditions are decided without the basis:
+
+    - Ad_a^2 = Ad_{a^2} is the identity on g iff a^2 commutes with g, iff a^2
+      is scalar.  V (the defining module of sl(N), so(N) with N >= 3, or
+      sp(N)) is an irreducible g-module, so by Schur its commutant over C is
+      the scalars; the commutant is cut out by linear equations over Q(i), so
+      the same holds over Q(i).
+    - The omega part (1 (x) Ad - Ad (x) 1) omega has coefficient matrix
+      omega ad^T - ad omega over the basis B_k (x) B_l, which are linearly
+      independent, so it vanishes iff (1 (x) Ad) omega = (Ad (x) 1) omega,
+      that is (1 (x) a) omega (1 (x) a^-1) = (a (x) 1) omega (a^-1 (x) 1).
+    """
+    conj = _conjugation(data, a)
+    sq = linalg.mat_mul(a, a)
+    c = sq[0][0]
+    if not all(x == (c if i == j else GR_ZERO)
+               for i, row in enumerate(sq) for j, x in enumerate(row)):
         return CheckRecord("omega.involutive", False, "Ad^2 is not the identity")
-    ok = g_is_zero(omega_part(data, ad))
+    omega = data.omega_tensor
+    ok = _conjugate_first(omega, conj) == _conjugate_second(omega, conj)
     return CheckRecord("omega.involutive", ok,
                        None if ok else "omega part nonzero despite Ad^2 = id")
 

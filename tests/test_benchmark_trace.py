@@ -37,3 +37,6 @@ def test_trace_mode_sees_every_stage():
     assert {"cli.case", "verifier.full_report", "verifier.oc", "verifier.min_poly",
             "coideal.check_stabilizer", "classical.bivector",
             "linalg.expand"} <= set(result["spans"])
+    # the passing bivector is decided on the tensor; the adjoint matrix over
+    # the basis is built only to name a failing coordinate
+    assert "classical.adjoint" not in result["spans"]

@@ -1,4 +1,5 @@
 """Classical (q = 1) structure: invariant tensors and the Poisson bivector."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,15 +12,23 @@ from repoints.classical import (
     check_involutive_vanishing,
     classical_point_grid,
     g_bracket,
-    g_eq,
     g_identity,
     g_is_zero,
     g_sub,
     g_transpose,
+    omega_part,
     trace_pair,
 )
-from repoints.rootdata import ClassSpec, LieSeries, series_for_group
-from repoints.scalar import GaussRational
+from repoints.points import (
+    PointParams,
+    _top_indices,
+    classical_point,
+    gauss_grid,
+    paired_index,
+    param_indices,
+)
+from repoints.rootdata import ClassSpec, LieSeries, series_for_group, standard_cases
+from repoints.scalar import GaussRational, QScalar
 
 
 def _diag(*values):
@@ -50,7 +59,7 @@ def equivariant(data, a, b):
     conj = linalg.mat_mul(linalg.mat_mul(b, a), linalg.invert(b))
     ad_b = adjoint_matrix(data, b)
     rhs = linalg.mat_mul(linalg.mat_mul(ad_b, _phi(data, a)), g_transpose(ad_b))
-    return g_eq(_phi(data, conj), rhs)
+    return g_is_zero(g_sub(_phi(data, conj), rhs))
 
 
 def test_sl2_algebra_shape():
@@ -63,6 +72,31 @@ def test_sl2_algebra_shape():
     assert data.omega[1][2] == GaussRational(1)
     assert data.rho[1][2] == GaussRational(1)
     assert data.rho[2][1] == GaussRational(-1)
+
+
+def _entries(a):
+    return [(i, j, x) for i, row in enumerate(a) for j, x in enumerate(row) if x]
+
+
+def _tensor_of(data, coeffs):
+    """sum of coeffs[k][l] B_k (x) B_l over the algebra basis, as a dict."""
+    out = {}
+    for k, bk in enumerate(data.basis):
+        for l, bl in enumerate(data.basis):
+            if not coeffs[k][l]:
+                continue
+            for i, j, u in _entries(bk):
+                for r, s, v in _entries(bl):
+                    key = (i, j, r, s)
+                    out[key] = out.get(key, GaussRational(0)) + coeffs[k][l] * u * v
+    return {key: v for key, v in out.items() if v}
+
+
+@pytest.mark.parametrize("group,N", [("sl", 3), ("so", 5), ("so", 6), ("sp", 4)])
+def test_tensors_are_the_basis_coefficient_matrices(group, N):
+    data = build_classical_algebra(series_for_group(group, N))
+    assert data.omega_tensor == _tensor_of(data, data.omega)
+    assert data.rho_tensor == _tensor_of(data, data.rho)
 
 
 def test_so5_root_vectors():
@@ -122,3 +156,82 @@ def test_equivariance_of_the_omega_field():
     b = g_identity(3)
     b[0][1] = GaussRational(1)  # unipotent, det 1
     assert equivariant(data, a, b)
+
+
+# --- the tensor verdicts against the basis-coefficient path -------------------
+
+def _unipotent():
+    u = g_identity(3)
+    u[0][1] = GaussRational(1)
+    return u
+
+
+CONTROLS = {
+    "sl3-diag": ("sl", lambda: _diag(4, 1, Fraction(1, 4))),
+    "sl3-unipotent": ("sl", _unipotent),
+    "so5-diag": ("so", lambda: _diag(2, 1, 1, 1, Fraction(1, 2))),
+}
+
+
+def _generic_classical_point(spec):
+    """A0 at seeded Gaussian-rational parameters: every partner is set so that
+    the pairing constraint holds at q = 1, a self-paired middle index keeps
+    its root i."""
+    rng = random.Random(spec.case_id)
+    c = GaussRational(1 if spec.family == "t2" else -1)
+    values = {}
+    for i in _top_indices(spec):
+        j = paired_index(spec, i)
+        if j == i:
+            values[i] = GaussRational(0, 1)
+            continue
+        v = GaussRational(Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+                          Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        values[i], values[j] = v, c / v
+    params = PointParams(spec.param_kind,
+                         {i: QScalar.from_gauss(v) for i, v in values.items()})
+    return gauss_grid(classical_point(spec, params))
+
+
+def _basis_involutive(data, a):
+    ad = adjoint_matrix(data, a)
+    return (g_is_zero(g_sub(linalg.mat_mul(ad, ad), g_identity(data.dim)))
+            and g_is_zero(omega_part(data, ad)))
+
+
+def _assert_paths_agree(data, a, involutive=True):
+    value = bivector_at(data, a)
+    assert value.is_zero() == g_is_zero(value.coeffs)
+    if involutive:
+        assert check_involutive_vanishing(data, a).passed == _basis_involutive(data, a)
+    return value.is_zero()
+
+
+@pytest.mark.parametrize("spec", standard_cases(), ids=lambda s: s.case_id)
+def test_tensor_verdicts_match_basis_path_at_reference_points(spec):
+    data = build_classical_algebra(spec.series)
+    assert _assert_paths_agree(data, classical_point_grid(spec))
+
+
+GENERIC = [s for s in standard_cases(n_max=6) if param_indices(s)]
+
+
+@pytest.mark.parametrize("spec", GENERIC, ids=lambda s: s.case_id)
+def test_tensor_verdicts_match_basis_path_at_generic_points(spec):
+    data = build_classical_algebra(spec.series)
+    assert _assert_paths_agree(data, _generic_classical_point(spec))
+
+
+@pytest.mark.parametrize("spec", [ClassSpec("sl", 16, "t2", 0, 1), ClassSpec("so", 16, "t2", 7, -1),
+                                  ClassSpec("sp", 16, "t4")], ids=lambda s: s.case_id)
+def test_tensor_verdict_matches_basis_path_at_n16(spec):
+    data = build_classical_algebra(spec.series)
+    assert _assert_paths_agree(data, classical_point_grid(spec), involutive=False)
+
+
+@pytest.mark.parametrize("name", sorted(CONTROLS))
+def test_tensor_verdicts_match_basis_path_at_controls(name):
+    group, grid = CONTROLS[name]
+    a = grid()
+    data = build_classical_algebra(series_for_group(group, len(a)))
+    assert not _assert_paths_agree(data, a)

@@ -150,7 +150,16 @@ def test_poisson_case_and_matrix(capsys):
     code = main(["poisson", "--series", "sl", "--N", "3", "--matrix", control])
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
-    assert not payload["vanishes"] and payload["largest"]
+    assert not payload["vanishes"]
+    assert payload["largest"] == {"row": 4, "col": 7, "re": "-30", "im": "0"}
+    control = json.dumps([["2", "0", "0", "0", "0"], ["0", "1", "0", "0", "0"],
+                          ["0", "0", "1", "0", "0"], ["0", "0", "0", "1", "0"],
+                          ["0", "0", "0", "0", "1/2"]])
+    code = main(["poisson", "--series", "so", "--N", "5", "--matrix", control])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert not payload["vanishes"]
+    assert payload["largest"] == {"row": 3, "col": 7, "re": "-2", "im": "0"}
 
 
 def test_poisson_matrix_requires_algebra():
