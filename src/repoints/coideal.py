@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .natrep import CheckRecord, NaturalRep, build_natural_rep
 from .points import PointParams
-from .qmatrix import QMatrix, commutator
+from .qmatrix import QMatrix, commutator, first_product_difference
 from .rootdata import ClassSpec, ThetaData, build_root_system, theta_for_class
 from .scalar import I_UNIT, ONE, Q, QScalar, render_scalar
 
@@ -224,10 +224,12 @@ def solve_mixture(rep: NaturalRep, td: ThetaData, A: QMatrix, alpha: int,
             raise MixtureUnderdeterminedError(f"alpha_{alpha}: both commutators vanish")
         raise MixtureInconsistentError(f"alpha_{alpha}: no coefficient can cancel the commutator")
     i, j, val = pivot
-    c = -(b1.get(i, j) / val)
-    if not (b1 + b2.scale(c)).is_zero():
+    b1_pivot = b1.get(i, j)
+    # b1 + c b2 = 0 with c = -b1_pivot / val iff b1 val = b1_pivot b2, as val != 0
+    unit = QMatrix.identity(A.dim)
+    if first_product_difference(b1, unit.scale(val), unit.scale(b1_pivot), b2) is not None:
         raise MixtureInconsistentError(f"alpha_{alpha}: commutators are not proportional")
-    return c
+    return -(b1_pivot / val)
 
 
 def build_stabilizer(rep: NaturalRep, spec: ClassSpec, params: PointParams,
@@ -266,14 +268,14 @@ def build_stabilizer(rep: NaturalRep, spec: ClassSpec, params: PointParams,
 def check_stabilizer(ss: StabilizerSet, A: QMatrix) -> list:
     records = []
     for name, g in ss.all_matrices():
-        c = commutator(g, A)
-        if c.is_zero():
+        diff = first_product_difference(g, A, A, g)
+        if diff is None:
             records.append(CheckRecord(f"stab.{name}", True))
         else:
-            i, j, val = c.first_nonzero()
+            i, j, ga, ag = diff
             records.append(CheckRecord(
                 f"stab.{name}", False,
-                f"[{name}, A] has entry {render_scalar(val)} at ({i}, {j})"))
+                f"[{name}, A] has entry {render_scalar(ga - ag)} at ({i}, {j})"))
     for alpha, exc in ss.unsolved:
         records.append(CheckRecord(f"mixture.alpha{alpha}", False,
                                    f"{type(exc).__name__}: {exc}"))

@@ -1,7 +1,14 @@
-"""Sparse square matrices over the exact scalar field Q(i)(q)."""
+"""Sparse square matrices over the exact scalar field Q(i)(q).
+
+Products and sums of `QMatrix` values are canonical: every entry is a reduced
+`QScalar`.  A matrix identity X Y = Z W is decided without reducing the
+entries of either side: `first_product_difference` builds both products as
+unreduced fractions and compares them by cross-multiplication, and only the
+first mismatching pair is brought to canonical form, to name it.
+"""
 from __future__ import annotations
 
-from .scalar import QScalar, ZERO, ONE
+from .scalar import LP_ONE, LP_ZERO, QScalar, ZERO, ONE
 
 
 class QMatrix:
@@ -212,3 +219,58 @@ class QMatrix:
 
 def commutator(a: QMatrix, b: QMatrix) -> QMatrix:
     return a * b - b * a
+
+
+_ZERO_PAIR = (LP_ZERO, LP_ONE)
+
+
+def _unreduced_row(row: dict, orows: list) -> dict:
+    """One row of a product, column -> (num, den) with neither reduced: a
+    product multiplies numerators and denominators, a sum over equal
+    denominators adds numerators, and any other sum cross-multiplies."""
+    acc: dict = {}
+    for k, a in row.items():
+        an, ad = a.num, a.den
+        for j, b in orows[k].items():
+            n, d = an * b.num, b.den
+            if ad is not LP_ONE:
+                d = ad if d is LP_ONE else ad * d
+            s = acc.get(j)
+            if s is None:
+                acc[j] = (n, d)
+            elif s[1] == d:
+                acc[j] = (s[0] + n, d)
+            else:
+                acc[j] = (s[0] * d + n * s[1], s[1] * d)
+    return acc
+
+
+def first_product_difference(x: QMatrix, y: QMatrix, z: QMatrix, w: QMatrix):
+    """The first (i, j, (xy)[i][j], (zw)[i][j]) in row-major order, columns
+    sorted, where the products x y and z w differ; None when they are equal.
+
+    Both products are built a row at a time as unreduced fractions n/d of
+    Laurent polynomials (`_unreduced_row`), and an entry n1/d1 of x y is
+    compared with n2/d2 of z w as n1 d2 = n2 d1, or as n1 = n2 when d1 = d2.
+    This is exact: Q(i)[q, q^-1] is an integral domain, every denominator is
+    a product of nonzero canonical denominators and hence nonzero, so
+    n1/d1 = n2/d2 in Q(i)(q) iff n1 d2 = n2 d1 in Q(i)[q, q^-1]; and a
+    LaurentPoly stores no zero coefficient over canonical Gaussian
+    rationals, so two polynomials are equal iff their coefficient dicts are.
+    No gcd is taken.  Only the first mismatching pair is normalized, so the
+    returned values are the canonical entries of the two products.
+    """
+    yrows, wrows = y.rows, w.rows
+    for i in range(x.dim):
+        left = _unreduced_row(x.rows[i], yrows)
+        right = _unreduced_row(z.rows[i], wrows)
+        for j in sorted(left.keys() | right.keys()):
+            n1, d1 = left.get(j, _ZERO_PAIR)
+            n2, d2 = right.get(j, _ZERO_PAIR)
+            if d1 == d2:
+                same = n1 == n2
+            else:
+                same = n1 * d2 == n2 * d1
+            if not same:
+                return i, j, QScalar(n1, d1), QScalar(n2, d2)
+    return None

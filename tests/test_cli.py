@@ -98,6 +98,35 @@ def test_argparse_rejects_unknown_flags():
     assert e.value.code == 2
 
 
+def test_successive_calls_share_no_param_list(monkeypatch, capsys):
+    # main reuses one parser; each call must still get its own --param list
+    from repoints import cli
+
+    seen = []
+    params_from_args = cli._params_from_args
+
+    def recording(spec, overrides):
+        seen.append(overrides)
+        return params_from_args(spec, overrides)
+
+    monkeypatch.setattr(cli, "_params_from_args", recording)
+    monkeypatch.setattr(cli, "_case_report",
+                        lambda spec, params: {"case": spec.case_id, "checks": [], "timings": {}})
+    case = ["verify", "--series", "sl", "--N", "4", "--family", "t2", "--m", "1"]
+    assert main(case + ["--param", "y1=q"]) == 0
+    assert main(case + ["--param", "y1=i*q^2", "--param", "y1'=2"]) == 0
+    assert main(case) == 0
+    assert seen == [["y1=q"], ["y1=i*q^2", "y1'=2"], []]
+    assert seen[0] is not seen[1]
+    # a usage error after good calls still exits 2, both from argparse and ours
+    with pytest.raises(SystemExit) as e:
+        main(case + ["--sign", "3"])
+    assert e.value.code == 2
+    assert main(case + ["--param", "y9=1"]) == 2
+    assert main(case) == 0
+    assert seen[-1] == []
+
+
 def test_sweep_small(capsys):
     code = main(["sweep", "--series", "sl", "--Nmax", "3", "--format", "json"])
     assert code == 0

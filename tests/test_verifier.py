@@ -1,11 +1,14 @@
 """Verification reports: the individual checks and the full pipeline."""
+import json
+import os
+
 import pytest
 
 from repoints.points import default_params, quantum_point
 from repoints.qmatrix import QMatrix
 from repoints.rmatrix import build_rmatrix_data
 from repoints.rootdata import ClassSpec, LieSeries
-from repoints.scalar import ONE, QScalar, q_integer
+from repoints.scalar import ONE, QScalar, parse_scalar, q_integer
 from repoints.verifier import (
     check_min_poly,
     check_reflection,
@@ -13,6 +16,8 @@ from repoints.verifier import (
     expected_q_trace,
     full_report,
 )
+
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 def test_identity_solves_re():
@@ -107,3 +112,50 @@ def test_scaled_point_fails_invariants_but_not_re():
     assert check_reflection(scaled, data.S).passed
     records = check_min_poly(scaled, spec)
     assert not all(r.passed for r in records)
+
+
+CONTROL_CASES = [("sl", 4, "t2", 1, 1), ("sl", 5, "t2", 2, -1), ("so", 5, "t2", 1, 1),
+                 ("so", 6, "t4", None, 1), ("sp", 4, "t2", 2, 1), ("sp", 6, "t4", None, 1)]
+
+
+def _control_details(args, pos):
+    """Details of the failing records when A gets (q+2)/(q^2+3) added at pos:
+    reflection, invariants, the stabilizer of the unperturbed point, and the
+    mixtures solved against the perturbed one."""
+    from repoints import coideal
+
+    spec = ClassSpec(*args)
+    point = quantum_point(spec)
+    bad = point.A + QMatrix.from_entries(spec.N, [(*pos, parse_scalar("(q+2)/(q^2+3)"))])
+    records = [check_reflection(bad, build_rmatrix_data(spec.series).S)]
+    records += check_min_poly(bad, spec)
+    records += coideal.check_stabilizer(
+        coideal.build_point_stabilizer(spec, point.params, point.A), bad)
+    records += [r for r in coideal.check_stabilizer(
+        coideal.build_point_stabilizer(spec, point.params, bad), bad)
+        if r.name.startswith("mixture.")]
+    return {r.name: r.detail for r in records if not r.passed}
+
+
+@pytest.mark.parametrize("args", CONTROL_CASES, ids=lambda a: ClassSpec(*a).case_id)
+def test_perturbed_point_failure_details_are_pinned(args):
+    golden = json.load(open(os.path.join(DATA_DIR, "golden_control_details.json")))
+    N = args[1]
+    for pos in [(0, N - 1), (N // 2, 0)]:
+        key = f"{ClassSpec(*args).case_id}@{pos}"
+        assert _control_details(args, pos) == golden[key], key
+
+
+def test_classical_algebra_is_built_before_the_reflection_check(monkeypatch):
+    # a cold per-series set-up is charged to "build", not to "bivector"
+    from repoints import classical, verifier
+
+    check = verifier.check_reflection
+
+    def probe(A, S):
+        assert classical.build_classical_algebra.cache_info().currsize == 1
+        return check(A, S)
+
+    classical.build_classical_algebra.cache_clear()
+    monkeypatch.setattr(verifier, "check_reflection", probe)
+    assert full_report(ClassSpec("sl", 3, "t2", 1, 1)).passed
