@@ -11,7 +11,6 @@ import json
 import re
 import sys
 import time
-from functools import lru_cache
 
 from . import classical, coideal
 from .points import ParamError, default_params, paired_index, quantum_point
@@ -311,15 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    # one parser per process: parse_args leaves it unchanged, and an "append"
-    # action copies its default list before appending to it
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -99,7 +99,8 @@ def test_argparse_rejects_unknown_flags():
 
 
 def test_successive_calls_share_no_param_list(monkeypatch, capsys):
-    # main reuses one parser; each call must still get its own --param list
+    # main runs many times in one process (the benchmark's closed loop); each
+    # call must get its own --param list, whether or not the parser is reused
     from repoints import cli
 
     seen = []
