@@ -139,7 +139,8 @@ def _control_details(args, pos):
 
 @pytest.mark.parametrize("args", CONTROL_CASES, ids=lambda a: ClassSpec(*a).case_id)
 def test_perturbed_point_failure_details_are_pinned(args):
-    golden = json.load(open(os.path.join(DATA_DIR, "golden_control_details.json")))
+    with open(os.path.join(DATA_DIR, "golden_control_details.json")) as fh:
+        golden = json.load(fh)
     N = args[1]
     for pos in [(0, N - 1), (N // 2, 0)]:
         key = f"{ClassSpec(*args).case_id}@{pos}"
