@@ -1,35 +1,26 @@
 """Classical (q = 1) checks: Lie algebra data in the defining representation,
-the invariant symmetric two-tensor omega, the skew two-tensor rho built from
-paired root vectors, and the vanishing of the induced bivector at the
-classical points.
+the split Casimir omega, the skew two-tensor rho built from paired root
+vectors, and the vanishing of the induced bivector at the classical points.
 
 Everything here is exact arithmetic over the Gaussian rationals. Elements of
-End(V) are dense lists of lists of GaussRational. The verdicts are decided on
-sparse tensors in End(V) (x) End(V): dicts (i, j, k, l) -> coefficient of
-E_ij (x) E_kl holding nonzero entries only. The dim g x dim g matrices over
-the algebra basis (`omega`, `rho`, `adjoint_matrix`, `BivectorValue.coeffs`)
-serve only to name a basis coordinate in a failure detail, and as a test
-oracle.
+End(V) are dense lists of lists of GaussRational. The Chevalley basis B_k of
+g comes with its dual basis B_k^v under the trace form, tr(B_m B_k^v) =
+delta_mk (`build_classical_algebra`), and every basis coordinate is read by
+pairing with it. The verdicts are decided on sparse tensors in
+End(V) (x) End(V): dicts (i, j, k, l) -> coefficient of E_ij (x) E_kl holding
+nonzero entries only. Basis coordinates of the bivector are read only to
+name one in a failure detail.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import linalg
 from .natrep import CheckRecord, build_natural_rep
 from .points import gauss_grid
 from .rootdata import LieSeries, build_root_system
-from .scalar import GR_ONE, GR_ZERO, GaussRational
-
-
-def g_identity(n: int) -> list:
-    return [[GR_ONE if i == j else GR_ZERO for j in range(n)] for i in range(n)]
-
-
-def g_add(a: list, b: list) -> list:
-    return [[(x + y if x else y) if y else x for x, y in zip(ra, rb)]
-            for ra, rb in zip(a, b)]
+from .scalar import GR_ZERO, GaussRational
 
 
 def g_sub(a: list, b: list) -> list:
@@ -76,17 +67,13 @@ def _nonzero(t: dict) -> dict:
     return {key: v for key, v in t.items() if v}
 
 
-def _tensor(coeffs: list, support: list, entries: list) -> dict:
-    """sum of coeffs[k][l] B_k (x) B_l over the (k, l) in support, given the
-    nonzero entries of each basis matrix B_k."""
+def _outer_sum(pairs) -> dict:
+    """sum of x (x) y over the (x, y) in pairs, given as `_entries` lists."""
     out = {}
-    for k, l in support:
-        c = coeffs[k][l]
-        if c:
-            for i, j, u in entries[k]:
-                cu = c * u
-                for r, s, v in entries[l]:
-                    _accumulate(out, (i, j, r, s), cu * v)
+    for xs, ys in pairs:
+        for i, j, u in xs:
+            for r, s, v in ys:
+                _accumulate(out, (i, j, r, s), u * v)
     return _nonzero(out)
 
 
@@ -131,12 +118,11 @@ def _conjugate_second(t: dict, conj) -> dict:
 class ClassicalAlgebraData:
     ls: LieSeries
     basis: list  # cartan elements, then e vectors, then f vectors
+    duals: list  # B_k^v with tr(B_m B_k^v) = delta_mk, in the order of basis
     cartan: list  # the cartan sub-list
     e_vectors: dict  # positive root -> grid
     f_vectors: dict  # positive root -> grid, normalized so (e, f) = 1
     positive: tuple  # roots in construction order
-    omega: list  # symmetric coefficient matrix over the basis
-    rho: list  # antisymmetric coefficient matrix over the basis
     expander: linalg.BasisExpander
     omega_tensor: dict  # omega in End(V) (x) End(V)
     rho_tensor: dict  # rho in End(V) (x) End(V)
@@ -157,11 +143,40 @@ def _sorted_positive(rs) -> list:
     return [root for _, root in keyed]
 
 
+def _combination(coeffs: list, mats: list) -> list:
+    """sum of coeffs[l] mats[l]."""
+    n = len(mats[0])
+    out = [[GR_ZERO] * n for _ in range(n)]
+    for c, m in zip(coeffs, mats):
+        if c:
+            for i, j, x in _entries(m):
+                out[i][j] = out[i][j] + c * x
+    return out
+
+
 @lru_cache(maxsize=None)
 def build_classical_algebra(ls: LieSeries) -> ClassicalAlgebraData:
+    """The Chevalley basis B_k of g (h_i = [e_i, f_i], then e_beta, then
+    f_beta with tr(e_beta f_beta) = 1), its trace-form dual basis
+    h_k^v = sum_l (Gram^-1)_kl h_l, e_beta^v = f_beta, f_beta^v = e_beta,
+    and omega = sum_k B_k (x) B_k^v, rho = sum_beta e_beta (x) f_beta -
+    f_beta (x) e_beta as sparse tensors.
+
+    Why tr(B_m B_k^v) = delta_mk:
+
+    - The Cartan elements are diagonal and every e_beta, f_beta is a weight
+      vector of nonzero weight, so it is off-diagonal; a diagonal matrix
+      times an off-diagonal one has trace 0. So the Cartan block and the
+      root block do not pair.
+    - For beta != gamma, e_beta f_gamma has weight beta - gamma != 0, so its
+      diagonal is zero and tr(e_beta f_gamma) = 0; likewise e_beta e_gamma
+      and f_beta f_gamma, of weight +-(beta + gamma) != 0.
+    - tr(e_beta f_beta) = 1 by the normalization below.
+    - On the Cartan block, tr(h_m h_k^v) = sum_l (Gram^-1)_kl Gram_lm =
+      delta_km, with Gram_lm = tr(h_l h_m).
+    """
     rep = build_natural_rep(ls)
     rs = build_root_system(ls)
-    n = ls.rank
 
     simple_e = [gauss_grid(m) for m in rep.e]
     simple_f = [g_transpose(m) for m in simple_e]
@@ -198,33 +213,19 @@ def build_classical_algebra(ls: LieSeries) -> ClassicalAlgebraData:
         f_vec[root] = [[x * inv for x in row] for row in f_vec[root]]
 
     cartan = [g_bracket(e_vec[a], f_vec[a]) for a in rs.simple]
-    basis = cartan + [e_vec[r] for r in positive] + [f_vec[r] for r in positive]
-    expander = linalg.BasisExpander([_flatten(b) for b in basis])
+    gram_inv = linalg.invert([[trace_pair(x, y) for y in cartan] for x in cartan])
+    es = [e_vec[r] for r in positive]
+    fs = [f_vec[r] for r in positive]
+    basis = cartan + es + fs
+    duals = [_combination(row, cartan) for row in gram_inv] + fs + es
+    expander = linalg.BasisExpander([_flatten(b) for b in basis],
+                                    [_flatten(g_transpose(d)) for d in duals])
 
-    dim = len(basis)
-    npos = len(positive)
-    gram = [[trace_pair(x, y) for y in cartan] for x in cartan]
-    gram_inv = linalg.invert(gram)
-
-    omega = [[GR_ZERO] * dim for _ in range(dim)]
-    for k in range(n):
-        for l in range(n):
-            omega[k][l] = gram_inv[k][l]
-    rho = [[GR_ZERO] * dim for _ in range(dim)]
-    pairs = [(n + idx, n + npos + idx) for idx in range(npos)]
-    for ei, fi in pairs:
-        omega[ei][fi] = GR_ONE
-        omega[fi][ei] = GR_ONE
-        rho[ei][fi] = GR_ONE
-        rho[fi][ei] = -GR_ONE
-
-    # omega and rho vanish off the Cartan block and the (e, f) pairs
-    support = [(k, l) for k in range(n) for l in range(n)] + pairs + [(f, e) for e, f in pairs]
-    entries = [_entries(b) for b in basis]
-
-    return ClassicalAlgebraData(ls, basis, cartan, e_vec, f_vec, tuple(positive),
-                                omega, rho, expander,
-                                _tensor(omega, support, entries), _tensor(rho, support, entries),
+    e_f = _outer_sum((_entries(e), _entries(f)) for e, f in zip(es, fs))
+    return ClassicalAlgebraData(ls, basis, duals, cartan, e_vec, f_vec, tuple(positive),
+                                expander,
+                                _outer_sum((_entries(b), _entries(d)) for b, d in zip(basis, duals)),
+                                _combine((1, e_f), (-1, _flip(e_f))),
                                 [{(i, j): x for i, j, x in _entries(m)}
                                  for m in simple_e + simple_f])
 
@@ -259,26 +260,39 @@ def _conjugation(data: ClassicalAlgebraData, a: list):
     return conj
 
 
+def _coordinates(data: ClassicalAlgebraData, tensor: dict) -> list:
+    """The coefficient matrix over the B_k (x) B_l of a tensor in g (x) g,
+    read through the dual basis: total[k][l] = <B_k^v (x) B_l^v, T>
+    = sum of T[i, j, r, s] B_k^v[j][i] B_l^v[s][r]."""
+    readers = {}  # (i, j) -> the (k, B_k^v[j][i]) with a nonzero entry there
+    for k, d in enumerate(data.duals):
+        for j, i, x in _entries(d):
+            readers.setdefault((i, j), []).append((k, x))
+    total = [[GR_ZERO] * data.dim for _ in range(data.dim)]
+    for (i, j, r, s), v in tensor.items():
+        for k, x in readers.get((i, j), ()):
+            row, xv = total[k], x * v
+            for l, y in readers.get((r, s), ()):
+                row[l] = row[l] + xv * y
+    return total
+
+
+@dataclass
 class BivectorValue:
-    """The bivector at a point.  `tensor`, when given, is the bivector in
-    End(V) (x) End(V) and decides is_zero().  `coeffs` is its antisymmetric
-    coefficient matrix over the algebra basis; when not given, it is computed
-    on first use by `basis` (the failure detail and the tests ask for it)."""
+    """The bivector at a point.  `tensor`, the bivector in End(V) (x) End(V),
+    decides is_zero().  `coeffs` is its antisymmetric coefficient matrix over
+    the algebra basis, read through the dual basis on first use (the failure
+    detail and the tests ask for it)."""
 
-    def __init__(self, coeffs: list | None = None, tensor: dict | None = None,
-                 basis=None):
-        self._coeffs = coeffs
-        self.tensor = tensor
-        self._basis = basis
+    data: ClassicalAlgebraData
+    tensor: dict
 
-    @property
+    @cached_property
     def coeffs(self) -> list:
-        if self._coeffs is None:
-            self._coeffs = self._basis()
-        return self._coeffs
+        return _coordinates(self.data, self.tensor)
 
     def is_zero(self) -> bool:
-        return g_is_zero(self.coeffs) if self.tensor is None else not self.tensor
+        return not self.tensor
 
     def largest_entry(self):
         """(i, j, value) of the coefficient with maximal Gaussian norm, or None."""
@@ -290,21 +304,6 @@ class BivectorValue:
         return best
 
 
-def omega_part(data: ClassicalAlgebraData, ad: list) -> list:
-    """(1 x Ad - Ad x 1) applied to omega, in basis coefficients."""
-    return g_sub(linalg.mat_mul(data.omega, g_transpose(ad)),
-                 linalg.mat_mul(ad, data.omega))
-
-
-def basis_bivector(data: ClassicalAlgebraData, a: list) -> list:
-    """The bivector's coefficient matrix over the algebra basis,
-    (Ad - 1) rho (Ad - 1)^T + omega Ad^T - Ad omega."""
-    ad = adjoint_matrix(data, a)
-    shifted = g_sub(ad, g_identity(data.dim))
-    part_rho = linalg.mat_mul(linalg.mat_mul(shifted, data.rho), g_transpose(shifted))
-    return g_add(part_rho, omega_part(data, ad))
-
-
 def bivector_at(data: ClassicalAlgebraData, a: list) -> BivectorValue:
     """The reflection-equation Poisson bivector at the group element a, under
     the right-translation trivialization, decided in End(V) (x) End(V) as
@@ -312,19 +311,18 @@ def bivector_at(data: ClassicalAlgebraData, a: list) -> BivectorValue:
         T = (1 (x) Ad)[(Ad (x) 1)rho - rho + omega] - (Ad (x) 1)rho
             - (Ad (x) 1)omega + rho.
 
-    Why T = 0 iff the basis coefficient matrix `total` = 0
-    (`basis_bivector`):
+    Why T = 0 iff its coefficient matrix `total` over the basis is zero:
 
-    - `total` is defined only when Ad_a(g) = g, which `_conjugation`
-      proves from the simple generators (or raises, as the basis path does).
-    - Then Ad_a(B_k) = sum_i ad[i][k] B_i, so for C = sum C[k][l] B_k (x) B_l
-      the first-factor image (Ad (x) 1)C has coefficient matrix ad C and the
-      second-factor image (1 (x) Ad)C has C ad^T.  Expanding T term by term
-      gives ad rho ad^T - rho ad^T + omega ad^T - ad rho - ad omega + rho
-      = (ad - 1) rho (ad - 1)^T + omega ad^T - ad omega = total, so
-      T = sum total[k][l] B_k (x) B_l.
+    - `_conjugation` proves Ad_a(g) = g (or raises). rho and omega lie in
+      g (x) g, so every term of T does, and T = sum total[k][l] B_k (x) B_l
+      for one matrix total. With Ad_a(B_k) = sum_i ad[i][k] B_i, expanding
+      term by term gives total = (ad - 1) rho (ad - 1)^T + omega ad^T
+      - ad omega, rho and omega here being their coefficient matrices.
     - The B_k are linearly independent in End(V), so the B_k (x) B_l are
       linearly independent in End(V) (x) End(V), and T = 0 iff total = 0.
+    - The dual basis is biorthogonal, tr(B_m B_k^v) = delta_mk
+      (`build_classical_algebra`), so pairing T with B_k^v (x) B_l^v picks
+      out total[k][l]; `BivectorValue.coeffs` reads `total` that way.
 
     `total` is antisymmetric iff flip(T) = -T, which is asserted here.
     """
@@ -337,7 +335,7 @@ def bivector_at(data: ClassicalAlgebraData, a: list) -> BivectorValue:
                       (-1, omega_left), (1, rho))
     if _flip(tensor) != {key: -v for key, v in tensor.items()}:
         raise AssertionError("bivector lost antisymmetry")
-    return BivectorValue(tensor=tensor, basis=lambda: basis_bivector(data, a))
+    return BivectorValue(data, tensor)
 
 
 def check_involutive_vanishing(data: ClassicalAlgebraData, a: list) -> CheckRecord:

@@ -253,13 +253,12 @@ def _matrix_grid(literal: str, N: int) -> list:
     return [[eval_at_one(x) for x in r] for r in scalars]
 
 
-def _add_case_flags(p, need_family=True):
+def _add_case_flags(p):
     p.add_argument("--series", choices=("sl", "so", "sp"), required=True)
     p.add_argument("--N", type=int, required=True)
-    if need_family:
-        p.add_argument("--family", choices=("t2", "t4"), required=True)
-        p.add_argument("--m", type=int, default=None)
-        p.add_argument("--sign", type=int, choices=(1, -1), default=1)
+    p.add_argument("--family", choices=("t2", "t4"), required=True)
+    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--sign", type=int, choices=(1, -1), default=1)
     p.add_argument("--param", action="append", default=[],
                    help="override a parameter, e.g. y1=q^-2 or y1'=q^-4")
 

@@ -2,7 +2,7 @@
 
 Used with Fraction, GaussRational, and QScalar elements.  Matrices are plain
 lists of lists; nothing here mutates its arguments.  The matrices met in
-practice (adjoint matrices, the omega and rho tensors) are mostly zeros, so
+practice (adjoint matrices, the Lie algebra's Cartan Gram matrix) are mostly zeros, so
 every kernel visits only nonzero entries: a product adds up only products of
 nonzero entries, and a row elimination touches only the pivot row's nonzero
 columns.  The skipped terms are exactly zero, so every result equals the
@@ -155,46 +155,41 @@ def determinant(a: list):
 
 
 class BasisExpander:
-    """Expands vectors in a fixed independent spanning set, exactly.
+    """Expands vectors in a fixed independent set B_k exactly, by pairing
+    with a dual set.
 
-    Columns of the supplied matrix are the basis vectors (each a flat list).
-    Construction selects an invertible row subset once; each expansion is then
-    a single small solve plus a full verification of the residual.
+    columns[k] is B_k and duals[k] the coefficients of a linear functional
+    D_k, both flat lists; the caller supplies duals with D_k(B_m) = delta_km.
+    `expand` reads c_k = D_k(x) = sum_t x[t] duals[k][t] and checks the
+    residual x = sum_k c_k B_k, which decides membership by itself:
+
+    - if the residual vanishes, x is in the span, with coordinates c;
+    - if x = sum_m a_m B_m, then c_k = sum_m a_m D_k(B_m) = a_k, so it does.
+
+    So NotInSpanError is raised iff x is outside the span.  For the Lie
+    algebra basis of `classical`, D_k(x) = tr(x B_k^v), so duals[k] is the
+    flattened transpose of B_k^v.
     """
 
-    def __init__(self, columns: list):
-        self.ncols = len(columns)
-        self.nrows = len(columns[0])
-        self.columns = columns
-        a = [[columns[j][i] for j in range(self.ncols)] for i in range(self.nrows)]
-        self.full = a
-        selected = []
-        work = []
-        r = 0
-        for i, row in enumerate(a):
-            if r == self.ncols:
-                break
-            cand = list(row)
-            for (pivot, pcol) in work:
-                if cand[pcol]:
-                    _subtract_multiple(cand, cand[pcol], pivot)
-            pcol = next((c for c in range(self.ncols) if cand[c]), None)
-            if pcol is None:
-                continue
-            inv_p = cand[pcol]
-            work.append((_nonzeros([x / inv_p if x else x for x in cand]), pcol))
-            selected.append(i)
-            r += 1
-        if r < self.ncols:
-            raise SingularMatrixError("basis vectors are dependent")
-        self.selected = selected
-        self.sub_inv = invert([a[i] for i in selected])
+    def __init__(self, columns: list, duals: list):
+        self.columns = [_nonzeros(c) for c in columns]
+        self.duals = [_nonzeros(d) for d in duals]
 
     def expand(self, vector: list) -> list:
         """Coefficients of vector in the basis; raises NotInSpanError if outside."""
-        coeffs = mat_vec(self.sub_inv, [vector[i] for i in self.selected])
-        check = mat_vec(self.full, coeffs)
-        for got, want in zip(check, vector):
-            if got != want:
-                raise NotInSpanError("vector is not in the span of the basis")
+        zero = vector[0] - vector[0]
+        coeffs = []
+        for dual in self.duals:
+            s = zero
+            for t, y in dual:
+                if vector[t]:
+                    s = s + vector[t] * y
+            coeffs.append(s)
+        check = [zero] * len(vector)
+        for c, column in zip(coeffs, self.columns):
+            if c:
+                for t, y in column:
+                    check[t] = check[t] + c * y
+        if check != vector:
+            raise NotInSpanError("vector is not in the span of the basis")
         return coeffs

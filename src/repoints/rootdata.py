@@ -44,10 +44,10 @@ class LieSeries:
         return self.rank + 1 if self.series == "A" else self.rank
 
 
-# Largest N accepted.  The bivector verdict forms no matrix of the Lie
-# algebra's dimension (about N^2), but `classical.build_classical_algebra`
-# sets up a dense basis expander of that size once per series, and no
-# benchmark workload covers N above 6; the bound keeps every command short.
+# Largest N accepted.  The classical set-up and verdicts form no matrix of
+# the Lie algebra's dimension (about N^2), but no benchmark workload covers N
+# above 6 and the time and memory per case above 16 are unmeasured; the bound
+# keeps every command short.
 MAX_N = 16
 
 

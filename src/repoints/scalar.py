@@ -116,9 +116,6 @@ class GaussRational:
     def __truediv__(self, other: "GaussRational") -> "GaussRational":
         return self * other.inv()
 
-    def conjugate(self) -> "GaussRational":
-        return _gauss(self.a, -self.b, self.d)
-
     def norm(self) -> Fraction:
         return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
@@ -510,13 +507,6 @@ class QScalar:
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def subs_q_inverse(self) -> "QScalar":
-        """The image under q -> q^-1 (coefficients untouched)."""
-        return QScalar(
-            LaurentPoly({-k: v for k, v in self.num.coeff.items()}),
-            LaurentPoly({-k: v for k, v in self.den.coeff.items()}),
-        )
 
     def __repr__(self) -> str:
         return f"QScalar({render_scalar(self)!r})"

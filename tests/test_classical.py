@@ -12,11 +12,9 @@ from repoints.classical import (
     check_involutive_vanishing,
     classical_point_grid,
     g_bracket,
-    g_identity,
     g_is_zero,
     g_sub,
     g_transpose,
-    omega_part,
     trace_pair,
 )
 from repoints.points import (
@@ -29,6 +27,10 @@ from repoints.points import (
 )
 from repoints.rootdata import ClassSpec, LieSeries, series_for_group, standard_cases
 from repoints.scalar import GaussRational, QScalar
+
+
+def g_identity(n):
+    return [[GaussRational(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
 
 def _diag(*values):
@@ -47,10 +49,42 @@ def ad_matrix(data, x):
     return g_transpose(cols)
 
 
-def _phi(data, a):
+# --- the bivector over the algebra basis, the formula the tensors replace -----
+
+def coefficient_matrices(data):
+    """omega and rho as coefficient matrices over the basis: the inverse
+    Cartan Gram matrix, and +-1 at the (e_beta, f_beta) pairs."""
+    n, npos, dim = len(data.cartan), len(data.positive), data.dim
+    gram_inv = linalg.invert([[trace_pair(x, y) for y in data.cartan] for x in data.cartan])
+    omega = [[GaussRational(0)] * dim for _ in range(dim)]
+    rho = [[GaussRational(0)] * dim for _ in range(dim)]
+    for k in range(n):
+        omega[k][:n] = gram_inv[k]
+    for idx in range(npos):
+        e, f = n + idx, n + npos + idx
+        omega[e][f] = omega[f][e] = rho[e][f] = GaussRational(1)
+        rho[f][e] = GaussRational(-1)
+    return omega, rho
+
+
+def omega_part(data, ad):
+    """(1 x Ad - Ad x 1) applied to omega, in basis coefficients."""
+    omega, _ = coefficient_matrices(data)
+    return g_sub(linalg.mat_mul(omega, g_transpose(ad)), linalg.mat_mul(ad, omega))
+
+
+def basis_bivector(data, a):
+    """The bivector's coefficient matrix over the algebra basis,
+    (Ad - 1) rho (Ad - 1)^T + omega Ad^T - Ad omega."""
     ad = adjoint_matrix(data, a)
-    return g_sub(linalg.mat_mul(ad, data.omega),
-                 linalg.mat_mul(data.omega, g_transpose(ad)))
+    _, rho = coefficient_matrices(data)
+    shifted = g_sub(ad, g_identity(data.dim))
+    part_rho = linalg.mat_mul(linalg.mat_mul(shifted, rho), g_transpose(shifted))
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(part_rho, omega_part(data, ad))]
+
+
+def _phi(data, a):
+    return omega_part(data, adjoint_matrix(data, a))
 
 
 def equivariant(data, a, b):
@@ -65,13 +99,15 @@ def equivariant(data, a, b):
 def test_sl2_algebra_shape():
     data = build_classical_algebra(LieSeries("A", 1))
     assert data.dim == 3
-    h = data.cartan[0]
+    h, e, f = data.basis
     assert h[0][0] == GaussRational(1) and h[1][1] == GaussRational(-1)
-    # omega's Cartan block is the inverse Gram matrix: tr(h^2) = 2
-    assert data.omega[0][0] == GaussRational(Fraction(1, 2))
-    assert data.omega[1][2] == GaussRational(1)
-    assert data.rho[1][2] == GaussRational(1)
-    assert data.rho[2][1] == GaussRational(-1)
+    # the dual of h is h over the Gram matrix tr(h^2) = 2; e and f swap
+    assert data.duals == [[[x * GaussRational(Fraction(1, 2)) for x in row] for row in h], f, e]
+    assert e[0][1] == f[1][0] == GaussRational(1)
+    # omega = h (x) h/2 + e (x) f + f (x) e, rho = e (x) f - f (x) e
+    assert data.omega_tensor[(0, 0, 0, 0)] == GaussRational(Fraction(1, 2))
+    assert data.omega_tensor[(0, 1, 1, 0)] == data.omega_tensor[(1, 0, 0, 1)] == GaussRational(1)
+    assert data.rho_tensor == {(0, 1, 1, 0): GaussRational(1), (1, 0, 0, 1): GaussRational(-1)}
 
 
 def _entries(a):
@@ -95,8 +131,9 @@ def _tensor_of(data, coeffs):
 @pytest.mark.parametrize("group,N", [("sl", 3), ("so", 5), ("so", 6), ("sp", 4)])
 def test_tensors_are_the_basis_coefficient_matrices(group, N):
     data = build_classical_algebra(series_for_group(group, N))
-    assert data.omega_tensor == _tensor_of(data, data.omega)
-    assert data.rho_tensor == _tensor_of(data, data.rho)
+    omega, rho = coefficient_matrices(data)
+    assert data.omega_tensor == _tensor_of(data, omega)
+    assert data.rho_tensor == _tensor_of(data, rho)
 
 
 def test_so5_root_vectors():
@@ -109,11 +146,12 @@ def test_so5_root_vectors():
 
 def test_omega_is_invariant_sp4():
     data = build_classical_algebra(LieSeries("C", 2))
+    omega, _ = coefficient_matrices(data)
     for x in data.basis:
         ad = ad_matrix(data, x)
         moved = [[a + b for a, b in zip(ra, rb)]
-                 for ra, rb in zip(linalg.mat_mul(ad, data.omega),
-                                   linalg.mat_mul(data.omega, g_transpose(ad)))]
+                 for ra, rb in zip(linalg.mat_mul(ad, omega),
+                                   linalg.mat_mul(omega, g_transpose(ad)))]
         assert g_is_zero(moved)
 
 
@@ -201,7 +239,9 @@ def _basis_involutive(data, a):
 
 def _assert_paths_agree(data, a, involutive=True):
     value = bivector_at(data, a)
-    assert value.is_zero() == g_is_zero(value.coeffs)
+    want = basis_bivector(data, a)
+    assert value.coeffs == want
+    assert value.is_zero() == g_is_zero(want)
     if involutive:
         assert check_involutive_vanishing(data, a).passed == _basis_involutive(data, a)
     return value.is_zero()

@@ -13,8 +13,8 @@ from itertools import permutations
 import pytest
 
 from repoints import linalg
-from repoints.classical import BivectorValue, bivector_at, build_classical_algebra, classical_point_grid
-from repoints.rootdata import LieSeries, standard_cases
+from repoints.classical import bivector_at, build_classical_algebra, classical_point_grid, trace_pair
+from repoints.rootdata import LieSeries, series_for_group, standard_cases
 from repoints.scalar import GaussRational
 
 DENSITIES = (0.0, 0.1, 1.0)
@@ -238,20 +238,38 @@ def _transpose(a):
     return [list(col) for col in zip(*a)]
 
 
+def _basis_columns(data):
+    """The textbook solve's matrix: column k is the flattened B_k."""
+    n = len(data.basis[0])
+    return [[b[i][j] for b in data.basis] for i in range(n) for j in range(n)]
+
+
 def oracle_bivector(data, a):
-    """(Ad - 1) rho (Ad - 1)^T + omega Ad^T - Ad omega, every matrix dense and
-    Ad expanded in the basis by the textbook solve."""
+    """(Ad - 1) rho (Ad - 1)^T + omega Ad^T - Ad omega, every matrix dense,
+    Ad expanded in the basis by the textbook solve, and omega, rho the
+    coefficient matrices: the inverse Cartan Gram matrix under the trace form
+    and +-1 at the (e_beta, f_beta) pairs."""
     a_inv = oracle_invert(a)
-    full = [[b[i][j] for b in data.basis] for i in range(len(a)) for j in range(len(a))]
+    full = _basis_columns(data)
     cols = [oracle_solve(full, [x for row in oracle_mul(oracle_mul(a, b), a_inv) for x in row])
             for b in data.basis]
     ad = _transpose(cols)
     one, zero = GaussRational(1), GaussRational(0)
+    n, npos = len(data.cartan), len(data.positive)
+    gram_inv = oracle_invert([[trace_pair(x, y) for y in data.cartan] for x in data.cartan])
+    omega = [[zero] * data.dim for _ in range(data.dim)]
+    rho = [[zero] * data.dim for _ in range(data.dim)]
+    for k in range(n):
+        omega[k][:n] = gram_inv[k]
+    for idx in range(npos):
+        e, f = n + idx, n + npos + idx
+        omega[e][f] = omega[f][e] = rho[e][f] = one
+        rho[f][e] = -one
     shifted = [[x - (one if i == j else zero) for j, x in enumerate(row)]
                for i, row in enumerate(ad)]
-    rho_part = oracle_mul(oracle_mul(shifted, data.rho), _transpose(shifted))
-    omega_left = oracle_mul(data.omega, _transpose(ad))
-    omega_right = oracle_mul(ad, data.omega)
+    rho_part = oracle_mul(oracle_mul(shifted, rho), _transpose(shifted))
+    omega_left = oracle_mul(omega, _transpose(ad))
+    omega_right = oracle_mul(ad, omega)
     return [[r + x - y for r, x, y in zip(rr, rx, ry)]
             for rr, rx, ry in zip(rho_part, omega_left, omega_right)]
 
@@ -275,7 +293,72 @@ def test_bivector_negative_control_matches_dense_oracle():
     grid = [[GaussRational(x) if i == j else GaussRational(0) for j, x in enumerate(
         (4, 1, Fraction(1, 4)))] for i in range(3)]
     value = bivector_at(data, grid)
-    want = BivectorValue(oracle_bivector(data, grid))
-    _same(value.coeffs, want.coeffs)
+    want = oracle_bivector(data, grid)
+    _same(value.coeffs, want)
     assert not value.is_zero()
-    assert value.largest_entry() == want.largest_entry()
+    # the first entry of maximal Gaussian norm, in row-major order
+    top = max(x.norm() for row in want for x in row)
+    assert value.largest_entry() == next((i, j, x) for i, row in enumerate(want)
+                                         for j, x in enumerate(row) if x and x.norm() == top)
+
+
+# --- the dual-basis expander of the classical algebra -------------------------
+
+SERIES_TO_8 = ([("sl", N) for N in range(2, 9)] + [("so", N) for N in range(3, 9)]
+               + [("sp", N) for N in range(2, 9, 2)])
+
+
+@pytest.mark.parametrize("group,N", SERIES_TO_8)
+def test_dual_basis_is_biorthogonal(group, N):
+    data = build_classical_algebra(series_for_group(group, N))
+    one, zero = GaussRational(1), GaussRational(0)
+    for m, b in enumerate(data.basis):
+        assert [trace_pair(b, d) for d in data.duals] == [one if k == m else zero
+                                                          for k in range(data.dim)]
+
+
+def _member(data, rng):
+    """A seeded random element of g and its coefficients."""
+    coeffs = [_make(GaussRational, rng) if rng.random() < 0.5 else GaussRational(0)
+              for _ in data.basis]
+    n = len(data.basis[0])
+    x = [[GaussRational(0)] * n for _ in range(n)]
+    for c, b in zip(coeffs, data.basis):
+        x = [[u + c * v for u, v in zip(rx, rb)] for rx, rb in zip(x, b)]
+    return x, coeffs
+
+
+def _flat(m):
+    return [x for row in m for x in row]
+
+
+def _in_span(full, vector):
+    """Textbook membership for independent columns: the rank does not grow
+    when the vector is added."""
+    return _rank([r + [y] for r, y in zip(full, vector)]) == len(full[0])
+
+
+@pytest.mark.parametrize("group,N", SERIES_TO_8)
+def test_dual_basis_expander_matches_textbook_solve(group, N):
+    data = build_classical_algebra(series_for_group(group, N))
+    rng = random.Random(f"{group}{N}")
+    full = _basis_columns(data)
+    assert _rank(full) == data.dim
+    for _ in range(2):
+        x, coeffs = _member(data, rng)
+        got = data.expander.expand(_flat(x))
+        _same(got, oracle_solve(full, _flat(x)))
+        assert got == coeffs
+        # non-members: a nonzero trace, and in so and sp also a traceless
+        # matrix that breaks the invariant form (sp2 = sl2 has none)
+        v = GaussRational(_frac(rng))
+        shifts = [[(0, 0, v)]]
+        if group != "sl" and N > 2:
+            shifts.append([(0, 0, v), (1, 1, -v)])
+        for shift in shifts:
+            y = [list(row) for row in x]
+            for i, j, w in shift:
+                y[i][j] = y[i][j] + w
+            assert not _in_span(full, _flat(y))
+            with pytest.raises(linalg.NotInSpanError):
+                data.expander.expand(_flat(y))

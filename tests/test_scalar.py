@@ -32,7 +32,6 @@ def test_gauss_rational_basics():
     b = GaussRational(Fraction(1, 3), -1)
     assert a + b == GaussRational(Fraction(4, 3), 1)
     assert a * a.inv() == GaussRational(1)
-    assert (a * b).conjugate() == a.conjugate() * b.conjugate()
     assert not GaussRational(0, 0)
     with pytest.raises(ZeroDivisionError):
         GaussRational(0).inv()
@@ -143,12 +142,6 @@ def test_q_integer_defining_identity(z):
     assert q_integer(z) * (Q - QINV) == Q**z - QINV**z
 
 
-@settings(max_examples=80, deadline=None)
-@given(_scalar)
-def test_q_inversion_is_an_involution(x):
-    assert x.subs_q_inverse().subs_q_inverse() == x
-
-
 def test_i_unit_square():
     assert I_UNIT * I_UNIT == -ONE
 
@@ -254,7 +247,7 @@ def test_arithmetic_keeps_fraction_components_and_immutability():
     b = GaussRational(-5, Fraction(7, 2))
     r = GaussRational(Fraction(3, 4))
     for x in (a + b, a - b, -a, a * b, r * r, a * r, a.inv(), r.inv(), a / b,
-              a.conjugate(), QScalar(_lit("q^2 + 2/3*i"), _lit("3*q - 1")).den.coeff[1]):
+              QScalar(_lit("q^2 + 2/3*i"), _lit("3*q - 1")).den.coeff[1]):
         assert type(x.re) is Fraction and type(x.im) is Fraction
     assert r * r == GaussRational(Fraction(9, 16)) and (r * r).im == 0
     assert a * b == GaussRational(Fraction(-5, 3) - 7, Fraction(7, 6) - 10)
@@ -301,7 +294,6 @@ def test_gauss_rational_against_fraction_pairs(p, r):
     _assert_canonical(x - y, (p[0] - r[0], p[1] - r[1]))
     _assert_canonical(-x, (-p[0], -p[1]))
     _assert_canonical(x * y, _oracle_mul(p, r))
-    _assert_canonical(x.conjugate(), (p[0], -p[1]))
     assert x.norm() == p[0] * p[0] + p[1] * p[1] and type(x.norm()) is Fraction
     assert bool(x) == (p != (0, 0))
     assert (x == y) == (p == r)
@@ -319,7 +311,7 @@ def test_gauss_rational_equal_values_have_equal_fields_and_hashes(p, r, s):
     x, y, z = GaussRational(*p), GaussRational(*r), GaussRational(*s)
     # the same value reached along different routes
     for u, v in (((x + y) + z, x + (y + z)), ((x - y) + y, x), ((x * y) * z, x * (y * z)),
-                 (x * (y + z), x * y + x * z), (x.conjugate().conjugate(), x)):
+                 (x * (y + z), x * y + x * z)):
         assert u == v
         assert (u.a, u.b, u.d) == (v.a, v.b, v.d)
         assert hash(u) == hash(v)
