@@ -2,11 +2,11 @@
 
 Used with Fraction, GaussRational, and QScalar elements.  Matrices are plain
 lists of lists; nothing here mutates its arguments.  The matrices met in
-practice (adjoint matrices, the Lie algebra's Cartan Gram matrix) are mostly zeros, so
-every kernel visits only nonzero entries: a product adds up only products of
-nonzero entries, and a row elimination touches only the pivot row's nonzero
-columns.  The skipped terms are exactly zero, so every result equals the
-dense computation entry by entry.
+practice (classical point matrices, root vectors, adjoint matrices) are mostly
+zeros, so every kernel visits only nonzero entries: a product adds up only
+products of nonzero entries, and a row elimination touches only the pivot
+row's nonzero columns.  The skipped terms are exactly zero, so every result
+equals the dense computation entry by entry.
 """
 from __future__ import annotations
 
