@@ -231,8 +231,9 @@ def build_classical_algebra(ls: LieSeries) -> ClassicalAlgebraData:
 
 
 def adjoint_matrix(data: ClassicalAlgebraData, a: list) -> list:
-    """Ad_a (conjugation) on the basis; raises if a is singular or does not
-    normalize the algebra."""
+    """Ad_a (conjugation) on the basis, each image expanded by the dual
+    basis; raises if a is singular or does not normalize the algebra.  No
+    check builds it: it is the tests' reference for Ad."""
     a_inv = linalg.invert(a)
     cols = [
         data.expander.expand(_flatten(linalg.mat_mul(linalg.mat_mul(a, b), a_inv)))
