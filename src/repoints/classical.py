@@ -14,12 +14,13 @@ name one in a failure detail.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import linalg
 from .natrep import CheckRecord, build_natural_rep
 from .points import gauss_grid
-from .rootdata import LieSeries, build_root_system
+from .rootdata import LieSeries, build_root_system, dot
 from .scalar import GR_ZERO, GaussRational
 
 
@@ -134,13 +135,17 @@ class ClassicalAlgebraData:
 
 
 def _sorted_positive(rs) -> list:
-    keyed = []
-    for root in rs.positive:
-        coords = rs.expand_in_simple(root)
-        height = sum(coords)
-        keyed.append((height, root))
-    keyed.sort()
-    return [root for _, root in keyed]
+    """The positive roots by height, ties in root order.
+
+    The height of a root is the sum of its coordinates c = Gram^-1 s in the
+    simple roots, s_j = (alpha_j, root). So it is the pairing (w, root) with
+    w = sum_j u_j alpha_j for u = Gram^-1 (1, ..., 1): one solve serves every
+    root.
+    """
+    gram = [[Fraction(x) for x in row] for row in rs.cartan_pairing]
+    u = linalg.solve(gram, [Fraction(1)] * len(gram))
+    w = [sum(c * alpha[t] for c, alpha in zip(u, rs.simple)) for t in range(rs.ls.eps_dim)]
+    return sorted(rs.positive, key=lambda root: (dot(w, root), root))
 
 
 def _combination(coeffs: list, mats: list) -> list:

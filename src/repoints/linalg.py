@@ -48,23 +48,6 @@ def mat_mul(a: list, b: list) -> list:
     return out
 
 
-def mat_vec(a: list, v: list) -> list:
-    if not a:
-        return []
-    zero = a[0][0] * v[0]
-    zero = zero - zero
-    v_nonzeros = _nonzeros(v)
-    out = []
-    for row in a:
-        s = None
-        for t, y in v_nonzeros:
-            x = row[t]
-            if x:
-                s = x * y if s is None else s + x * y
-        out.append(zero if s is None else s)
-    return out
-
-
 def invert(a: list) -> list:
     """Inverse of a square matrix; raises SingularMatrixError if singular."""
     n = len(a)

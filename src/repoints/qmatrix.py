@@ -255,8 +255,9 @@ def first_product_difference(x: QMatrix, y: QMatrix, z: QMatrix, w: QMatrix):
     This is exact: Q(i)[q, q^-1] is an integral domain, every denominator is
     a product of nonzero canonical denominators and hence nonzero, so
     n1/d1 = n2/d2 in Q(i)(q) iff n1 d2 = n2 d1 in Q(i)[q, q^-1]; and a
-    LaurentPoly stores no zero coefficient over canonical Gaussian
-    rationals, so two polynomials are equal iff their coefficient dicts are.
+    LaurentPoly is kept in a canonical form (Gaussian-integer arrays over one
+    denominator with no common factor, nonzero end coefficients), so two
+    polynomials are equal iff their fields are.
     No gcd is taken.  Only the first mismatching pair is normalized, so the
     returned values are the canonical entries of the two products.
     """

@@ -10,32 +10,43 @@ denominator add a and b only; the inverse is d*(a - b*i)/(a^2 + b^2)) and
 reduces its result by one three-way gcd, skipped when the denominator is 1.
 The Fraction components re = a/d and im = b/d are computed only on request.
 
+A Laurent polynomial is stored the same way, as Gaussian-integer arrays over
+one denominator: the coefficient of q^(lo + k) is (re[k] + i*im[k])/den.  Its
+canonical form has den > 0, gcd(re, im, den) = 1, both end coefficients
+nonzero, im = () when every imaginary part is 0, and zero as lo = 0 with
+re = im = () over 1; equal values then have equal fields.  A product is an
+integer convolution (real-only when both im are ()) followed by one gcd of
+its content against the product of the denominators; a sum aligns the
+exponents over the lcm of the two denominators.  The integer part of a
+polynomial is re + i*im, the polynomial times den.
+
 Normalization cancels the gcd of numerator and denominator.  A reduced
 numerator and denominator are not normalized again: a sum over one shared
 denominator normalizes only the new numerator, a unit c*q^k times a reduced
 fraction is reduced already, and a denominator whose constant coefficient is
 already 1 is not rescaled.  Most pairs are coprime, so before the Euclidean
-gcd over Q(i) both polynomials are mapped to F_P, with P = 4611686018427387817
-a prime = 1 (mod 4) and i sent to a fixed square root s of -1 mod P: the
-image of (a + b*i)/d is (a + s*b)/d mod P, defined when P does not divide d.
-If the gcd over F_P is a constant, the pair is coprime over Q(i) and the
-Euclidean gcd is skipped; every other outcome (a coefficient denominator
-divisible by P, a leading coefficient that vanishes mod P, a nonconstant gcd
-mod P) runs the Euclidean gcd.  This is a proof, not
-a probabilistic test: reduction modulo the prime (P, i - s) is a ring map from
-the local ring R = Z[i]_(P, i - s) onto F_P, and R holds every coefficient
-whose denominators are prime to P.  R is a discrete valuation ring, so by
-Gauss's lemma the true gcd h can be taken primitive in R[q], and each of the
-two polynomials is h times a cofactor in R[q].  The leading coefficient of h
-divides a leading coefficient that survives the reduction, so it survives
-too: the image of h keeps deg h and divides both images.  Hence the degree of
-the gcd mod P is at least deg h, and degree 0 mod P proves the pair coprime.
-The certificate never claims a common factor.
+gcd over Q(i) the integer parts of both polynomials are mapped to F_P, with
+P = 4611686018427387817 a prime = 1 (mod 4) and i sent to a fixed square root
+s of -1 mod P: the image of the coefficient a + b*i is a + s*b mod P.  The
+integer parts differ from the polynomials by nonzero constants, so they have
+the same gcd over Q(i).  If the gcd over F_P is a constant, the pair is
+coprime over Q(i) and the Euclidean gcd is skipped; every other outcome (a
+leading coefficient that vanishes mod P, a nonconstant gcd mod P) runs the
+Euclidean gcd.  This is a proof, not a probabilistic test: reduction modulo
+the prime (P, i - s) is a ring map from Z[i] onto F_P, and it extends to the
+local ring R = Z[i]_(P, i - s), which holds every Gaussian integer.  R is a
+discrete valuation ring, so by Gauss's lemma the true gcd h can be taken
+primitive in R[q], and each of the two integer parts, lying in Z[i][q], is h
+times a cofactor in R[q].  The leading coefficient of h divides a leading
+coefficient that survives the reduction, so it survives too: the image of h
+keeps deg h and divides both images.  Hence the degree of the gcd mod P is at
+least deg h, and degree 0 mod P proves the pair coprime.  The certificate
+never claims a common factor.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class PoleAtOneError(ArithmeticError):
@@ -167,20 +178,31 @@ GR_I = GaussRational(0, 1)
 
 
 class LaurentPoly:
-    """A Laurent polynomial in q over Q(i), stored as exponent -> coefficient.
+    """A Laurent polynomial in q over Q(i): the coefficient of q^(lo + k) is
+    (re[k] + i*im[k])/den, in the canonical form of the module docstring.
 
-    Zero coefficients are never stored, so the dict representation is unique.
+    `LaurentPoly(coeff)` takes a dict exponent -> GaussRational; `coeff`
+    reads the value back as such a dict, without zero coefficients.
     """
 
-    __slots__ = ("coeff",)
+    __slots__ = ("lo", "re", "im", "den")
 
     def __init__(self, coeff: dict | None = None):
-        c = {}
-        if coeff:
-            for k, v in coeff.items():
-                if v:
-                    c[k] = v
-        object.__setattr__(self, "coeff", c)
+        lo, re, im, den = 0, [], [], 1
+        keys = sorted(k for k, v in coeff.items() if v) if coeff else ()
+        if keys:
+            lo = keys[0]
+            den = lcm(*(coeff[k].d for k in keys))
+            re = [0] * (keys[-1] - lo + 1)
+            im = list(re)
+            for k in keys:
+                c = coeff[k]
+                m = den // c.d
+                re[k - lo], im[k - lo] = c.a * m, c.b * m
+        _set_lo(self, lo)
+        _set_re(self, tuple(re))
+        _set_im(self, tuple(im) if any(im) else ())
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -191,81 +213,171 @@ class LaurentPoly:
 
     @classmethod
     def gauss(cls, c: GaussRational) -> "LaurentPoly":
-        return cls({0: c})
+        return cls.q_power(0, c)
 
     @classmethod
     def from_int(cls, n: int) -> "LaurentPoly":
-        return cls({0: GaussRational(n)})
+        return _poly(0, (n,), (), 1) if n else LP_ZERO
 
     @classmethod
     def q_power(cls, k: int, c: GaussRational = GR_ONE) -> "LaurentPoly":
-        return cls({k: c})
+        return _poly(k, (c.a,), (c.b,) if c.b else (), c.d) if c else LP_ZERO
+
+    @property
+    def coeff(self) -> dict:
+        re, im, d = self.re, self.im or (0,) * len(self.re), self.den
+        return {k: _reduced(a, b, d)
+                for k, a, b in zip(range(self.lo, self.lo + len(re)), re, im) if a or b}
 
     def __bool__(self) -> bool:
-        return bool(self.coeff)
+        return bool(self.re)
 
     @property
     def is_one(self) -> bool:
-        return self.coeff == {0: GR_ONE}
+        return self.re == _ONE_RE and self.lo == 0 and self.den == 1 and not self.im
 
     def min_exp(self) -> int:
-        return min(self.coeff)
+        return self.lo
 
     def max_exp(self) -> int:
-        return max(self.coeff)
+        return self.lo + len(self.re) - 1
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        c = dict(self.coeff)
-        for k, v in other.coeff.items():
-            s = c.get(k)
-            if s is None:
-                c[k] = v
-            else:
-                s = s + v
-                if s:
-                    c[k] = s
-                else:
-                    del c[k]
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "coeff", c)
-        return out
+        r1, r2 = self.re, other.re
+        if not r1:
+            return other
+        if not r2:
+            return self
+        i1, i2, d = self.im, other.im, self.den
+        if d != other.den:
+            g = gcd(d, other.den)
+            m1, m2 = other.den // g, d // g
+            d *= m1
+            r1, i1 = [x * m1 for x in r1], [x * m1 for x in i1]
+            r2, i2 = [x * m2 for x in r2], [x * m2 for x in i2]
+        lo = min(self.lo, other.lo)
+        o1, o2 = self.lo - lo, other.lo - lo
+        n = max(o1 + len(r1), o2 + len(r2))
+        re = _spread(n, o1, r1, o2, r2)
+        im = _spread(n, o1, i1, o2, i2) if i1 or i2 else ()
+        # cancellation may leave zero end coefficients
+        nonzero = [k for k, x in enumerate(re) if x or im and im[k]]
+        if not nonzero:
+            return LP_ZERO
+        a, b = nonzero[0], nonzero[-1] + 1
+        return _reduce(lo + a, re[a:b], im[a:b], d)
 
     def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "coeff", {k: -v for k, v in self.coeff.items()})
-        return out
+        return _poly(self.lo, tuple([-x for x in self.re]), tuple([-x for x in self.im]), self.den)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        c: dict = {}
-        for k1, v1 in self.coeff.items():
-            for k2, v2 in other.coeff.items():
-                k = k1 + k2
-                p = v1 * v2
-                s = c.get(k)
-                c[k] = p if s is None else s + p
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "coeff", {k: v for k, v in c.items() if v})
-        return out
+        r1, r2 = self.re, other.re
+        if not r1 or not r2:
+            return LP_ZERO
+        i1, i2 = self.im, other.im
+        if i1 and i2:
+            re, im = _complex_conv(r1, i1, r2, i2)
+        else:
+            re = _conv(r1, r2)
+            if i1:
+                im = _conv(i1, r2)
+            elif i2:
+                im = _conv(r1, i2)
+            else:
+                im = ()
+        return _reduce(self.lo + other.lo, re, im, self.den * other.den)
 
     def at_one(self) -> GaussRational:
-        total = GR_ZERO
-        for v in self.coeff.values():
-            total = total + v
-        return total
+        return _reduced(sum(self.re), sum(self.im), self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.coeff == other.coeff
+        return (self.lo == other.lo and self.den == other.den and self.re == other.re
+                and self.im == other.im)
 
     def __hash__(self):
-        return hash(frozenset(self.coeff.items()))
+        return hash((self.lo, self.re, self.im, self.den))
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.coeff!r})"
+
+
+_ONE_RE = (1,)
+_set_lo = LaurentPoly.lo.__set__
+_set_re = LaurentPoly.re.__set__
+_set_im = LaurentPoly.im.__set__
+_set_den = LaurentPoly.den.__set__
+
+
+def _poly(lo: int, re: tuple, im: tuple, den: int) -> LaurentPoly:
+    """A LaurentPoly from fields already in canonical form."""
+    out = _new(LaurentPoly)
+    _set_lo(out, lo)
+    _set_re(out, re)
+    _set_im(out, im)
+    _set_den(out, den)
+    return out
+
+
+def _reduce(lo: int, re, im, den: int) -> LaurentPoly:
+    """The canonical LaurentPoly of (re + i*im)/den, for nonzero end
+    coefficients and den > 0: one gcd of the content against den, skipped
+    when den is 1, and im dropped when it is all zero."""
+    if den != 1:
+        g = gcd(den, *re, *im)
+        if g != 1:
+            re = [x // g for x in re]
+            im = [x // g for x in im]
+            den //= g
+    return _poly(lo, tuple(re), tuple(im) if any(im) else (), den)
+
+
+def _conv(x, y) -> list:
+    """The coefficients of the product of two integer polynomials."""
+    if len(x) == 1:
+        a = x[0]
+        return [a * b for b in y]
+    if len(y) == 1:
+        b = y[0]
+        return [a * b for a in x]
+    out = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y, i):
+                out[j] += a * b
+    return out
+
+
+def _complex_conv(r1, i1, r2, i2) -> tuple:
+    """The real and imaginary coefficients of the product of two Gaussian
+    integer polynomials r1 + i*i1 and r2 + i*i2."""
+    n = len(r1) + len(r2) - 1
+    re, im = [0] * n, [0] * n
+    for k, (a, b) in enumerate(zip(r1, i1)):
+        for j, (c, e) in enumerate(zip(r2, i2), k):
+            re[j] += a * c - b * e
+            im[j] += a * e + b * c
+    return re, im
+
+
+def _spread(n: int, o1: int, x1, o2: int, x2) -> list:
+    """x1 placed at offset o1 plus x2 placed at offset o2, in a list of n."""
+    out = [0] * n
+    out[o1:o1 + len(x1)] = x1
+    for k, b in enumerate(x2, o2):
+        out[k] += b
+    return out
+
+
+def _scaled(p: LaurentPoly, lo: int, a: int, b: int, d: int) -> LaurentPoly:
+    """p times (a + b*i)/d, moved to start at q^lo; d > 0 and a + b*i != 0."""
+    re, im = p.re, p.im or (0,) * len(p.re)
+    return _reduce(lo, [x * a - y * b for x, y in zip(re, im)],
+                   [x * b + y * a for x, y in zip(re, im)], p.den * d)
 
 
 LP_ZERO = LaurentPoly.zero()
@@ -273,12 +385,14 @@ LP_ONE = LaurentPoly.from_int(1)
 
 
 def _dense(p: LaurentPoly) -> list:
-    """Coefficients of an ordinary polynomial (min exponent 0), ascending."""
-    lo, hi = p.min_exp(), p.max_exp()
-    out = [GR_ZERO] * (hi - lo + 1)
-    for k, v in p.coeff.items():
-        out[k - lo] = v
-    return out
+    """The integer part of p from q^lo up, as GaussRationals."""
+    return [_gauss(a, b, 1) for a, b in zip(p.re, p.im or (0,) * len(p.re))]
+
+
+def _cofactor(p: LaurentPoly, g: list) -> LaurentPoly:
+    """p/g, starting at q^0, for a dense divisor g of the integer part of p."""
+    q = LaurentPoly(dict(enumerate(_dense_div_exact(_dense(p), g))))
+    return _scaled(q, 0, 1, 0, p.den)
 
 
 def _dense_mod(a: list, b: list) -> list:
@@ -338,18 +452,12 @@ _I_MOD_P = _sqrt_minus_one(_P)
 assert _I_MOD_P * _I_MOD_P % _P == _P - 1
 
 
-def _dense_mod_p(a: list) -> list | None:
-    """The image in F_P of a dense polynomial over Q(i), or None when a
-    coefficient denominator is divisible by P."""
-    out = []
-    for c in a:
-        v, d = c.a + _I_MOD_P * c.b, c.d
-        if d != 1:
-            if d % _P == 0:
-                return None
-            v *= pow(d, -1, _P)
-        out.append(v % _P)
-    return out
+def _dense_mod_p(p: LaurentPoly) -> list:
+    """The image in F_P of the integer part of p, from q^lo up: a + s*b mod P
+    for each coefficient a + b*i."""
+    if p.im:
+        return [(a + _I_MOD_P * b) % _P for a, b in zip(p.re, p.im)]
+    return [a % _P for a in p.re]
 
 
 def _rem_mod_p(a: list, b: list) -> list:
@@ -369,11 +477,11 @@ def _rem_mod_p(a: list, b: list) -> list:
     return a
 
 
-def _coprime_mod_p(nd: list, dd: list) -> bool:
-    """True when the gcd of the images in F_P is a constant, which proves nd
-    and dd coprime over Q(i); False when the certificate decides nothing."""
-    a, b = _dense_mod_p(nd), _dense_mod_p(dd)
-    if a is None or b is None or not a[-1] or not b[-1]:
+def _coprime_mod_p(num: LaurentPoly, den: LaurentPoly) -> bool:
+    """True when the gcd of the images in F_P is a constant, which proves num
+    and den coprime over Q(i); False when the certificate decides nothing."""
+    a, b = _dense_mod_p(num), _dense_mod_p(den)
+    if not a[-1] or not b[-1]:
         return False
     while len(b) > 1:
         a, b = b, _rem_mod_p(a, b)
@@ -411,26 +519,30 @@ class QScalar:
             object.__setattr__(self, "num", num)
             object.__setattr__(self, "den", LP_ONE)
             return
-        lo_n, lo_d = num.min_exp(), den.min_exp()
-        net = lo_n - lo_d
-        nd, dd = _dense(num), _dense(den)
-        g = None
-        if len(dd) > 1 and not _coprime_mod_p(nd, dd):
-            x, y = nd, dd
+        net = num.lo - den.lo
+        if len(den.re) > 1 and not _coprime_mod_p(num, den):
+            x, y = _dense(num), _dense(den)
             while y:
                 x, y = y, _dense_mod(x, y)
             if len(x) > 1:
-                g = x
-        if g is not None:
-            nd = _dense_div_exact(nd, g)
-            dd = _dense_div_exact(dd, g)
-        if dd[0] == GR_ONE:
-            num = LaurentPoly({i + net: v for i, v in enumerate(nd) if v})
-            den = LaurentPoly({i: v for i, v in enumerate(dd) if v})
+                num, den = _cofactor(num, x), _cofactor(den, x)
+        a, d = den.re[0], den.den
+        b = den.im[0] if den.im else 0
+        if b or a != d:
+            # divide both by the constant coefficient c = (a + b*i)/d of the
+            # denominator: multiply by 1/c = d*(a - b*i)/(a^2 + b^2)
+            if b:
+                a, b, d = d * a, -d * b, a * a + b * b
+            elif a < 0:
+                a, d = -d, -a
+            else:
+                a, d = d, a
+            num, den = _scaled(num, net, a, b, d), _scaled(den, 0, a, b, d)
         else:
-            c = dd[0].inv()
-            num = LaurentPoly({i + net: v * c for i, v in enumerate(nd) if v})
-            den = LaurentPoly({i: v * c for i, v in enumerate(dd) if v})
+            if num.lo != net:
+                num = _poly(net, num.re, num.im, num.den)
+            if den.lo:
+                den = _poly(0, den.re, den.im, den.den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", LP_ONE if den.is_one else den)
 
@@ -471,9 +583,9 @@ class QScalar:
     def __mul__(self, other: "QScalar") -> "QScalar":
         # a polynomial times a polynomial, or a unit c*q^k times a reduced
         # fraction, is already reduced
-        if self.den.is_one and (other.den.is_one or len(self.num.coeff) == 1):
+        if self.den.is_one and (other.den.is_one or len(self.num.re) == 1):
             den = other.den
-        elif other.den.is_one and len(other.num.coeff) == 1:
+        elif other.den.is_one and len(other.num.re) == 1:
             den = self.den
         else:
             return QScalar(self.num * other.num, self.den * other.den)
@@ -613,16 +725,34 @@ def _degree_span(x: QScalar) -> int:
     return (x.num.max_exp() - x.num.min_exp()) + (x.den.max_exp() - x.den.min_exp())
 
 
+def _sum_pair(x: tuple, y: tuple) -> tuple:
+    """The unreduced sum of two fractions (num, den) of Laurent polynomials."""
+    (n1, d1), (n2, d2) = x, y
+    if d1 == d2:
+        return n1 + n2, d1
+    return n1 * d2 + n2 * d1, d1 * d2
+
+
 class _Parser:
-    """Recursive-descent parser for scalar literals over {digits, i, q, + - * / ^, parens}."""
+    """Recursive-descent parser for scalar literals over {digits, i, q, + - * / ^, parens}.
+
+    A subexpression is an unreduced fraction (num, den) of Laurent
+    polynomials: a product multiplies numerators and denominators, a quotient
+    cross-multiplies, and a sum adds numerators over an equal denominator and
+    cross-multiplies otherwise.  Only the whole literal and each base of `^`
+    are normalized, the base so that the degree bound reads its canonical
+    form.
+    """
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
 
     def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        text, pos = self.text, self.pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        self.pos = pos
 
     def _peek(self) -> str:
         self._skip_ws()
@@ -634,38 +764,38 @@ class _Parser:
         return ch
 
     def parse(self) -> QScalar:
-        val = self.expr()
+        num, den = self.expr()
         if self._peek():
             raise ScalarParseError(f"unexpected character {self._peek()!r}", self.pos)
-        return val
+        return QScalar(num, den)
 
-    def expr(self) -> QScalar:
+    def expr(self) -> tuple:
         val = self.term()
-        while self._peek() and self._peek() in "+-":
+        while self._peek() in ("+", "-"):
             op = self._take()
-            rhs = self.term()
-            val = val + rhs if op == "+" else val - rhs
+            num, den = self.term()
+            val = _sum_pair(val, (num, den) if op == "+" else (-num, den))
         return val
 
-    def term(self) -> QScalar:
-        val = self.factor()
-        while self._peek() and self._peek() in "*/":
+    def term(self) -> tuple:
+        num, den = self.factor()
+        while self._peek() in ("*", "/"):
             op = self._take()
-            rhs = self.factor()
+            rnum, rden = self.factor()
             if op == "*":
-                val = val * rhs
+                num, den = num * rnum, den * rden
             else:
-                if not rhs:
+                if not rnum:
                     raise ScalarParseError("division by zero", self.pos)
-                val = val / rhs
-        return val
+                num, den = num * rden, den * rnum
+        return num, den
 
-    def factor(self) -> QScalar:
+    def factor(self) -> tuple:
         neg = False
         if self._peek() == "-":
             self._take()
             neg = True
-        val = self.atom()
+        num, den = self.atom()
         if self._peek() == "^":
             self._take()
             esign = 1
@@ -677,14 +807,16 @@ class _Parser:
             k = self._digits()
             if k > MAX_EXPONENT:
                 raise ScalarParseError(f"exponent {k} exceeds {MAX_EXPONENT}", self.pos)
+            val = QScalar(num, den)
             if k * _degree_span(val) > MAX_EXPONENT:
                 raise ScalarParseError(f"power of degree above {MAX_EXPONENT}", self.pos)
             if esign < 0 and not val:
                 raise ScalarParseError("division by zero", self.pos)
             val = val ** (esign * k)
-        return -val if neg else val
+            num, den = val.num, val.den
+        return (-num, den) if neg else (num, den)
 
-    def atom(self) -> QScalar:
+    def atom(self) -> tuple:
         ch = self._peek()
         if ch == "(":
             self._take()
@@ -695,12 +827,12 @@ class _Parser:
             return val
         if ch == "i":
             self._take()
-            return I_UNIT
+            return I_UNIT.num, LP_ONE
         if ch == "q":
             self._take()
-            return Q
+            return Q.num, LP_ONE
         if ch.isdigit():
-            return QScalar(self._digits())
+            return LaurentPoly.from_int(self._digits()), LP_ONE
         raise ScalarParseError(f"unexpected character {ch!r}" if ch else "unexpected end of input", self.pos)
 
     def _digits(self) -> int:

@@ -19,24 +19,39 @@ spec.loader.exec_module(tracing)
 tracer = tracing.Tracer()
 tracer.install()
 from repoints.cli import main
-code = main(["verify", "--series", "so", "--N", "5", "--family", "t2", "--m", "1",
-             "--out", os.devnull])
-print(json.dumps({"code": code, "spans": sorted({rec[tracing.NAME] for rec in tracer.spans})}))
+code = main(["verify", *sys.argv[2:], "--out", os.devnull])
+print(json.dumps({"code": code, "spans": sorted({rec[tracing.NAME] for rec in tracer.spans}),
+                  "norm_calls": tracer.norm_calls, "norm_deg_max": tracer.norm_deg_max}))
 """
 
 
-def test_trace_mode_sees_every_stage():
+def _traced_verify(*args):
     src = os.path.dirname(os.path.dirname(os.path.abspath(repoints.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
-        [sys.executable, "-c", _SCRIPT, os.path.join(ROOT, "perfbench", "tracing.py")],
+        [sys.executable, "-c", _SCRIPT, os.path.join(ROOT, "perfbench", "tracing.py"), *args],
         env=env, capture_output=True, text=True, timeout=120, check=True)
-    result = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_trace_mode_sees_every_stage():
+    result = _traced_verify("--series", "so", "--N", "5", "--family", "t2", "--m", "1")
     assert result["code"] == 0
     assert {"cli.case", "verifier.full_report", "verifier.oc", "verifier.min_poly",
             "coideal.check_stabilizer", "classical.bivector",
             "linalg.expand"} <= set(result["spans"])
-    # the passing bivector is decided on the tensor; the adjoint matrix over
-    # the basis is built only to name a failing coordinate
+    # the bivector is decided on the tensor; no path of the program builds
+    # the adjoint matrix over the basis for a passing case
     assert "classical.adjoint" not in result["spans"]
+
+
+def test_trace_mode_counts_scalar_normalizations():
+    # rational parameters reach QScalar's normalizing constructor, whose
+    # calls and degrees the tracer counts by wrapping QScalar.__init__
+    result = _traced_verify("--series", "sl", "--N", "3", "--family", "t2", "--m", "1",
+                            "--param", "y1=(q + 2)/(q^2 + 3)",
+                            "--param", "y1'=(q^2 + 3)/(q^4 + 2*q^3)")
+    assert result["code"] == 0
+    assert result["norm_calls"] > 0
+    assert result["norm_deg_max"] > 0

@@ -6,6 +6,7 @@ import pytest
 
 from repoints import linalg
 from repoints.classical import (
+    _sorted_positive,
     adjoint_matrix,
     bivector_at,
     build_classical_algebra,
@@ -25,7 +26,7 @@ from repoints.points import (
     paired_index,
     param_indices,
 )
-from repoints.rootdata import ClassSpec, LieSeries, series_for_group, standard_cases
+from repoints.rootdata import ClassSpec, LieSeries, build_root_system, series_for_group, standard_cases
 from repoints.scalar import GaussRational, QScalar
 
 
@@ -275,3 +276,15 @@ def test_tensor_verdicts_match_basis_path_at_controls(name):
     a = grid()
     data = build_classical_algebra(series_for_group(group, len(a)))
     assert not _assert_paths_agree(data, a)
+
+
+SERIES_TO_16 = ([("sl", N) for N in range(2, 17)] + [("so", N) for N in range(3, 17)]
+                + [("sp", N) for N in range(2, 17, 2)])
+
+
+@pytest.mark.parametrize("group,N", SERIES_TO_16)
+def test_sorted_positive_matches_a_solve_per_root(group, N):
+    # the textbook route: each root's simple coordinates by their own solve
+    rs = build_root_system(series_for_group(group, N))
+    keyed = sorted((sum(rs.expand_in_simple(root)), root) for root in rs.positive)
+    assert _sorted_positive(rs) == [root for _, root in keyed]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repoints import scalar
 from repoints.scalar import (
+    GR_I,
     GR_ONE,
     GaussRational,
     I_UNIT,
@@ -156,7 +157,7 @@ def _lit(text):
 
 
 def _certificate(num, den):
-    return scalar._coprime_mod_p(scalar._dense(num), scalar._dense(den))
+    return scalar._coprime_mod_p(num, den)
 
 
 def test_certificate_modulus_and_root_of_minus_one():
@@ -199,7 +200,7 @@ def test_vanishing_leading_coefficient_falls_back_to_euclid():
     # (P q + 1)(q + 3) and (P q + 1)(q + 5) are coprime
     lead_vanishes = LaurentPoly({1: GaussRational(scalar._P), 0: GR_ONE})
     num, den = lead_vanishes * _lit("q + 3"), lead_vanishes * _lit("q + 5")
-    images = scalar._dense_mod_p(scalar._dense(num)), scalar._dense_mod_p(scalar._dense(den))
+    images = scalar._dense_mod_p(num), scalar._dense_mod_p(den)
     assert images[0][-1] == 0 and images[1][-1] == 0
     assert not _certificate(num, den)
     assert QScalar(num, den) == parse_scalar("(q + 3)/(q + 5)")
@@ -212,7 +213,8 @@ def test_vanishing_leading_coefficient_falls_back_to_euclid():
 
 def test_denominator_divisible_by_p_falls_back_to_euclid():
     small = LaurentPoly({1: GR_ONE, 0: GaussRational(0, Fraction(1, scalar._P))})
-    assert scalar._dense_mod_p(scalar._dense(small)) is None
+    # the integer part P*q + i has the leading coefficient P
+    assert scalar._dense_mod_p(small) == [scalar._I_MOD_P, 0]
     num, den = small * _lit("q - 1"), small * _lit("q + 2")
     assert not _certificate(num, den)
     assert QScalar(num, den) == parse_scalar("(q - 1)/(q + 2)")
@@ -333,14 +335,12 @@ def test_gauss_rational_constructor_and_fields():
             setattr(x, name, 1)
 
 
-def _image_from_re_im(c):
-    """The image in F_P through the Fraction components, or None."""
-    re, im = c.re, c.im
-    d = re.denominator * im.denominator
-    if d % scalar._P == 0:
-        return None
-    v = re.numerator * im.denominator + scalar._I_MOD_P * im.numerator * re.denominator
-    return v * pow(d, -1, scalar._P) % scalar._P
+def _image_from_re_im(c, d):
+    """The image in F_P of d*c, for d*c a Gaussian integer, through the
+    Fraction components."""
+    re, im = c.re * d, c.im * d
+    assert re.denominator == im.denominator == 1
+    return (re.numerator + scalar._I_MOD_P * im.numerator) % scalar._P
 
 
 _P_frac = st.builds(Fraction, st.integers(-10**25, 10**25),
@@ -350,20 +350,141 @@ _P_frac = st.builds(Fraction, st.integers(-10**25, 10**25),
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.builds(GaussRational, _P_frac, _P_frac), min_size=1, max_size=5))
 def test_dense_mod_p_matches_the_component_formula(coeffs):
-    images = [_image_from_re_im(c) for c in coeffs]
-    want = None if None in images else images
-    assert scalar._dense_mod_p(coeffs) == want
+    p = LaurentPoly(dict(enumerate(coeffs)))
+    nonzero = [k for k, c in enumerate(coeffs) if c]
+    if not nonzero:
+        assert scalar._dense_mod_p(p) == []
+        return
+    # the integer part is p times the lcm of the coefficient denominators,
+    # even when P divides one of them
+    d = math.lcm(*(f.denominator for c in coeffs for f in (c.re, c.im)))
+    assert p.den == d
+    want = [_image_from_re_im(c, d) for c in coeffs[nonzero[0]:nonzero[-1] + 1]]
+    assert scalar._dense_mod_p(p) == want
 
 
-def test_dense_mod_p_rejects_a_denominator_divisible_by_p():
+def test_dense_mod_p_reads_the_integer_part_when_p_divides_a_denominator():
     P = scalar._P
-    assert scalar._dense_mod_p([GaussRational(1), GaussRational(0, Fraction(3, 2 * P))]) is None
-    assert scalar._dense_mod_p([GaussRational(Fraction(1, P), Fraction(1, 7))]) is None
-    # P in a numerator is fine: the image is 0
-    assert scalar._dense_mod_p([GaussRational(P, Fraction(2 * P, 3))]) == [0]
     s = scalar._I_MOD_P
-    assert scalar._dense_mod_p([GaussRational(Fraction(1, 2), Fraction(3, 4))]) == [
-        (2 + 3 * s) * pow(4, -1, P) % P]
+    # 1 + 3/(2P)*i*q has the integer part 2P + 3*i*q over 2P
+    p = LaurentPoly({0: GaussRational(1), 1: GaussRational(0, Fraction(3, 2 * P))})
+    assert (p.re, p.im, p.den) == ((2 * P, 0), (0, 3), 2 * P)
+    assert scalar._dense_mod_p(p) == [0, 3 * s % P]
+    p = LaurentPoly({0: GaussRational(Fraction(1, P), Fraction(1, 7))})
+    assert (p.re, p.im, p.den) == ((7,), (P,), 7 * P)
+    assert scalar._dense_mod_p(p) == [7]
+    # P in a numerator: the image is 0
+    assert scalar._dense_mod_p(LaurentPoly({0: GaussRational(P, Fraction(2 * P, 3))})) == [0]
+    assert scalar._dense_mod_p(LaurentPoly({0: GaussRational(Fraction(1, 2), Fraction(3, 4))})) == [
+        (2 + 3 * s) % P]
+
+
+# --- LaurentPoly against the dict-of-GaussRational arithmetic --------------
+
+def _dict_add(x, y):
+    c = dict(x)
+    for k, v in y.items():
+        s = c.get(k, GaussRational(0)) + v
+        if s:
+            c[k] = s
+        else:
+            c.pop(k, None)
+    return c
+
+
+def _dict_neg(x):
+    return {k: -v for k, v in x.items()}
+
+
+def _dict_mul(x, y):
+    c = {}
+    for k1, v1 in x.items():
+        for k2, v2 in y.items():
+            c[k1 + k2] = c.get(k1 + k2, GaussRational(0)) + v1 * v2
+    return {k: v for k, v in c.items() if v}
+
+
+def _dict_at_one(x):
+    total = GaussRational(0)
+    for v in x.values():
+        total = total + v
+    return total
+
+
+def _fields(p):
+    return p.lo, p.re, p.im, p.den
+
+
+def _assert_canonical_poly(p, coeff):
+    """p holds coeff, a dict exponent -> nonzero GaussRational, in the
+    canonical (lo, re, im, den) form."""
+    assert p.coeff == coeff
+    assert type(p.lo) is int and type(p.den) is int and p.den > 0
+    assert type(p.re) is tuple and type(p.im) is tuple
+    assert all(type(x) is int for x in p.re + p.im)
+    assert math.gcd(p.den, *p.re, *p.im) == 1
+    if not coeff:
+        assert _fields(p) == (0, (), (), 1)
+        return
+    assert (p.lo, p.max_exp()) == (min(coeff), max(coeff))
+    assert len(p.re) == max(coeff) - min(coeff) + 1
+    assert p.re[0] or p.im[0]
+    assert p.re[-1] or p.im[-1]
+    if any(c.b for c in coeff.values()):
+        assert len(p.im) == len(p.re)
+    else:
+        assert p.im == ()
+    q = LaurentPoly(coeff)
+    assert p == q and _fields(p) == _fields(q) and hash(p) == hash(q)
+
+
+_lp_frac = st.builds(Fraction, st.integers(-40, 40),
+                     st.sampled_from([1, 1, 2, 3, 6, scalar._P, 2 * scalar._P]))
+_lp_gauss = st.builds(GaussRational, _lp_frac, st.one_of(st.just(0), _lp_frac))
+_lp_dict = st.one_of(
+    st.dictionaries(st.integers(-6, 6), _lp_gauss, max_size=5),
+    st.dictionaries(st.integers(-6, 6), _lp_gauss, min_size=1, max_size=1),
+    st.dictionaries(st.integers(-6, 6), st.builds(GaussRational, st.integers(-9, 9)), max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lp_dict, _lp_dict, _lp_dict)
+def test_laurent_poly_against_dict_arithmetic(x, y, z):
+    p, r, s = LaurentPoly(x), LaurentPoly(y), LaurentPoly(z)
+    x, y = ({k: v for k, v in d.items() if v} for d in (x, y))
+    _assert_canonical_poly(p, x)
+    _assert_canonical_poly(p + r, _dict_add(x, y))
+    _assert_canonical_poly(p - r, _dict_add(x, _dict_neg(y)))
+    _assert_canonical_poly(-p, _dict_neg(x))
+    _assert_canonical_poly(p * r, _dict_mul(x, y))
+    _assert_canonical_poly(p - p, {})
+    assert p.at_one() == _dict_at_one(x)
+    assert bool(p) == bool(x)
+    assert p.is_one == (x == {0: GR_ONE})
+    # the same value reached along different routes
+    for u, v in ((p * (r + s), p * r + p * s), ((p + r) + s, p + (r + s)),
+                 ((p * r) * s, s * (r * p)), ((p - r) + r, p)):
+        assert u == v and _fields(u) == _fields(v) and hash(u) == hash(v)
+
+
+def test_laurent_poly_fields():
+    half = GaussRational(Fraction(1, 2))
+    p = LaurentPoly({-2: half, 0: GaussRational(0, Fraction(1, 3)), 1: GaussRational(0)})
+    assert _fields(p) == (-2, (3, 0, 0), (0, 0, 2), 6)
+    assert _fields(LaurentPoly()) == _fields(LaurentPoly({3: GaussRational(0)})) == (0, (), (), 1)
+    assert _fields(LaurentPoly.q_power(-3, half)) == (-3, (1,), (), 2)
+    # i * i = -1 and (1 + i*q) - i*q = 1 drop the imaginary parts
+    i = LaurentPoly({0: GR_I})
+    assert _fields(i * i) == (0, (-1,), (), 1)
+    iq = LaurentPoly.q_power(1, GR_I)
+    assert _fields((LP_ONE + iq) - iq) == _fields(LP_ONE) == (0, (1,), (), 1)
+    # cancelling end coefficients: (q^-1 + 2 + q) - (q^-1 + q) = 2
+    assert _fields(LaurentPoly({-1: GR_ONE, 0: GaussRational(2), 1: GR_ONE})
+                   - LaurentPoly({-1: GR_ONE, 1: GR_ONE})) == (0, (2,), (), 1)
+    for name in ("lo", "re", "im", "den", "coeff"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 1)
 
 
 # --- QScalar fast paths against the general constructor ---------------------
