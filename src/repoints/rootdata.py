@@ -102,46 +102,22 @@ def simple_roots(ls: LieSeries) -> tuple:
     elif ls.series == "C":
         roots.append(_eps(d, n - 1, 2))
     else:
-        if n >= 2:
-            roots.append(_add(_eps(d, n - 2), _eps(d, n - 1)))
+        roots.append(_add(_eps(d, n - 2), _eps(d, n - 1)))
     return tuple(roots)
 
 
-def _reflect(v: tuple, alpha: tuple) -> tuple:
-    num = 2 * dot(v, alpha)
-    den = dot(alpha, alpha)
-    if num % den:
-        raise ArithmeticError("non-integral reflection")
-    c = num // den
-    return tuple(x - c * a for x, a in zip(v, alpha))
-
-
 def positive_roots(ls: LieSeries) -> tuple:
-    """All positive roots, found by closing the simple roots under reflections.
-
-    A root is positive exactly when its first nonzero epsilon coordinate is.
-    """
-    simple = simple_roots(ls)
-    seen = set(simple)
-    frontier = list(simple)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for alpha in simple:
-                w = _reflect(v, alpha)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-
-    def is_positive(v: tuple) -> bool:
-        for x in v:
-            if x:
-                return x > 0
-        return False
-
-    pos = sorted(v for v in seen if is_positive(v))
-    return tuple(pos)
+    """All positive roots, from their closed forms in the epsilon basis:
+    e_i - e_j (i < j); for B, C and D also e_i + e_j (i < j); e_i for B;
+    2 e_i for C.  Each has a positive first nonzero coordinate."""
+    d, s = ls.eps_dim, ls.series
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    roots = [_sub(_eps(d, i), _eps(d, j)) for i, j in pairs]
+    if s != "A":
+        roots += [_add(_eps(d, i), _eps(d, j)) for i, j in pairs]
+    if s in ("B", "C"):
+        roots += [_eps(d, i, 1 if s == "B" else 2) for i in range(d)]
+    return tuple(sorted(roots))
 
 
 @dataclass(frozen=True)

@@ -24,15 +24,20 @@ Normalization cancels the gcd of numerator and denominator.  A reduced
 numerator and denominator are not normalized again: a sum over one shared
 denominator normalizes only the new numerator, a unit c*q^k times a reduced
 fraction is reduced already, and a denominator whose constant coefficient is
-already 1 is not rescaled.  Most pairs are coprime, so before the Euclidean
-gcd over Q(i) the integer parts of both polynomials are mapped to F_P, with
-P = 4611686018427387817 a prime = 1 (mod 4) and i sent to a fixed square root
-s of -1 mod P: the image of the coefficient a + b*i is a + s*b mod P.  The
-integer parts differ from the polynomials by nonzero constants, so they have
-the same gcd over Q(i).  If the gcd over F_P is a constant, the pair is
-coprime over Q(i) and the Euclidean gcd is skipped; every other outcome (a
-leading coefficient that vanishes mod P, a nonconstant gcd mod P) runs the
-Euclidean gcd.  This is a proof, not a probabilistic test: reduction modulo
+already 1 is not rescaled.  The integer parts differ from the polynomials by
+nonzero constants, so they have the same gcd over Q(i), and the gcd runs on
+them in Z[i][q] as a primitive remainder sequence (Collins 1967; Brown and
+Traub 1971): each pseudo-remainder is divided by its content, a gcd in Z[i]
+of its coefficients found by Euclid with rounded quotients, and the last
+nonzero one is a primitive gcd h.  Z[i] is a unique factorization domain, so
+by Gauss's lemma h divides each integer part in Z[i][q]: each cofactor is an
+exact division, and an inexact one raises.  Most pairs are coprime, so before
+the gcd the integer parts are mapped to F_P, with P = 4611686018427387817 a
+prime = 1 (mod 4) and i sent to a fixed square root s of -1 mod P: the image
+of the coefficient a + b*i is a + s*b mod P.  If the gcd over F_P is a
+constant, the pair is coprime over Q(i) and the gcd over Z[i] is skipped; any
+other outcome (a leading coefficient that vanishes mod P, a nonconstant gcd
+mod P) runs it.  This is a proof, not a probabilistic test: reduction modulo
 the prime (P, i - s) is a ring map from Z[i] onto F_P, and it extends to the
 local ring R = Z[i]_(P, i - s), which holds every Gaussian integer.  R is a
 discrete valuation ring, so by Gauss's lemma the true gcd h can be taken
@@ -208,10 +213,6 @@ class LaurentPoly:
         raise AttributeError("LaurentPoly is immutable")
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
     def gauss(cls, c: GaussRational) -> "LaurentPoly":
         return cls.q_power(0, c)
 
@@ -380,59 +381,8 @@ def _scaled(p: LaurentPoly, lo: int, a: int, b: int, d: int) -> LaurentPoly:
                    [x * b + y * a for x, y in zip(re, im)], p.den * d)
 
 
-LP_ZERO = LaurentPoly.zero()
+LP_ZERO = LaurentPoly()
 LP_ONE = LaurentPoly.from_int(1)
-
-
-def _dense(p: LaurentPoly) -> list:
-    """The integer part of p from q^lo up, as GaussRationals."""
-    return [_gauss(a, b, 1) for a, b in zip(p.re, p.im or (0,) * len(p.re))]
-
-
-def _cofactor(p: LaurentPoly, g: list) -> LaurentPoly:
-    """p/g, starting at q^0, for a dense divisor g of the integer part of p."""
-    q = LaurentPoly(dict(enumerate(_dense_div_exact(_dense(p), g))))
-    return _scaled(q, 0, 1, 0, p.den)
-
-
-def _dense_mod(a: list, b: list) -> list:
-    """Remainder of dense polynomial division; b is nonzero."""
-    a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and any(a):
-        while a and not a[-1]:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        f = a[-1] / lead
-        shift = len(a) - 1 - db
-        for i, bc in enumerate(b):
-            a[shift + i] = a[shift + i] - f * bc
-        a.pop()
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _dense_div_exact(a: list, b: list) -> list:
-    """Exact quotient of dense polynomials; raises if division is inexact."""
-    a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    q = [GR_ZERO] * (len(a) - db)
-    while len(a) - 1 >= db:
-        f = a[-1] / lead
-        shift = len(a) - 1 - db
-        q[shift] = f
-        for i, bc in enumerate(b):
-            a[shift + i] = a[shift + i] - f * bc
-        a.pop()
-        while a and not a[-1]:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-    if a:
-        raise ArithmeticError("inexact polynomial division")
-    return q
 
 
 # the coprimality certificate of the module docstring
@@ -488,6 +438,80 @@ def _coprime_mod_p(num: LaurentPoly, den: LaurentPoly) -> bool:
     return len(b) == 1
 
 
+# --- the gcd over Z[i] of the module docstring ------------------------------
+
+def _parts(p: LaurentPoly) -> tuple:
+    """The integer part of p as integer sequences (re, im) from q^lo up."""
+    return p.re, p.im or (0,) * len(p.re)
+
+
+def _gauss_gcd(a: int, b: int, c: int, e: int) -> tuple:
+    """A gcd in Z[i] of a + b*i and c + e*i, by Euclid with the quotient
+    (a + b*i)(c - e*i)/n, n = c^2 + e^2, rounded part by part."""
+    while c or e:
+        n = c * c + e * e
+        u, v = (2 * (a * c + b * e) + n) // (2 * n), (2 * (b * c - a * e) + n) // (2 * n)
+        a, b, c, e = c, e, a - u * c + v * e, b - u * e - v * c
+    return a, b
+
+
+def _divmod(ar: list, ai: list, br: list, bi: list) -> tuple:
+    """The quotient and remainder of a by b in Z[i][q], the remainder without
+    trailing zeros; raises when a quotient coefficient is not in Z[i]."""
+    ar, ai, n, lr, li = list(ar), list(ai), len(br) - 1, br[-1], bi[-1]
+    m = lr * lr + li * li
+    qr, qi = [], []
+    while len(ar) > n:
+        cr, ci = ar.pop(), ai.pop()
+        u, v = cr * lr + ci * li, ci * lr - cr * li
+        if u % m or v % m:
+            raise ArithmeticError("inexact polynomial division")
+        u, v = u // m, v // m
+        for k in range(n):
+            s = len(ar) - n + k
+            ar[s] -= u * br[k] - v * bi[k]
+            ai[s] -= u * bi[k] + v * br[k]
+        qr.append(u)
+        qi.append(v)
+    while ar and not (ar[-1] or ai[-1]):
+        ar.pop()
+        ai.pop()
+    return (qr[::-1], qi[::-1]), (ar, ai)
+
+
+def _primitive(re: list, im: list) -> tuple:
+    """re + i*im divided by its content, a gcd in Z[i] of its coefficients."""
+    a = b = 0
+    for x, y in zip(re, im):
+        a, b = _gauss_gcd(x, y, a, b)
+    return _divmod(re, im, [a], [b])[0]
+
+
+def _primitive_gcd(x: tuple, y: tuple) -> tuple:
+    """A primitive gcd in Z[i][q] of two nonzero polynomials over Z[i], by the
+    primitive remainder sequence; ([1], [0]) when they are coprime."""
+    y = _primitive(*y)
+    while len(y[0]) > 1:
+        # the pseudo-remainder: lc(y)^(deg x - deg y + 1) x mod y
+        (ar, ai), (br, bi) = x, y
+        for _ in range(len(ar) - len(br) + 1):
+            ar, ai = ([u * br[-1] - v * bi[-1] for u, v in zip(ar, ai)],
+                      [u * bi[-1] + v * br[-1] for u, v in zip(ar, ai)])
+        r = _divmod(ar, ai, br, bi)[1]
+        if not r[0]:
+            return y
+        x, y = y, _primitive(*r)
+    return [1], [0]
+
+
+def _quotient(p: LaurentPoly, g: tuple) -> LaurentPoly:
+    """p divided by a divisor g in Z[i][q] of its integer part, from q^0 up."""
+    (qr, qi), r = _divmod(*_parts(p), *g)
+    if r[0]:
+        raise ArithmeticError("inexact polynomial division")
+    return _reduce(0, qr, qi, p.den)
+
+
 class QScalar:
     """An element of Q(i)(q) in canonical form.
 
@@ -521,11 +545,9 @@ class QScalar:
             return
         net = num.lo - den.lo
         if len(den.re) > 1 and not _coprime_mod_p(num, den):
-            x, y = _dense(num), _dense(den)
-            while y:
-                x, y = y, _dense_mod(x, y)
-            if len(x) > 1:
-                num, den = _cofactor(num, x), _cofactor(den, x)
+            g = _primitive_gcd(_parts(num), _parts(den))
+            if len(g[0]) > 1:
+                num, den = _quotient(num, g), _quotient(den, g)
         a, d = den.re[0], den.den
         b = den.im[0] if den.im else 0
         if b or a != d:

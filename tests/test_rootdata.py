@@ -7,7 +7,10 @@ from repoints.rootdata import (
     ClassSpec,
     LieSeries,
     build_root_system,
+    dot,
+    positive_roots,
     series_for_group,
+    simple_roots,
     standard_cases,
     theta_for_class,
 )
@@ -42,6 +45,41 @@ def test_small_root_systems():
     d3 = build_root_system(LieSeries("D", 3))
     assert len(d3.positive) == 6
     assert d3.two_rho == (4, 2, 0)
+
+
+def _reflection_closure(ls):
+    """The positive roots as the closure of the simple roots under the simple
+    reflections v -> v - (2 (v, a)/(a, a)) a."""
+    simple = [(a, dot(a, a)) for a in simple_roots(ls)]
+    seen = {a for a, _ in simple}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for a, norm in simple:
+                c, r = divmod(2 * dot(v, a), norm)
+                assert not r
+                w = tuple(x - c * y for x, y in zip(v, a))
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return tuple(sorted(v for v in seen if next(x for x in v if x) > 0))
+
+
+_SERIES_TO_32 = [LieSeries(s, n) for s, ranks in
+                 (("A", range(1, 32)), ("B", range(1, 16)), ("C", range(1, 17)), ("D", range(2, 17)))
+                 for n in ranks]
+
+
+@pytest.mark.parametrize("ls", _SERIES_TO_32, ids=lambda ls: f"{ls.series}{ls.rank}")
+def test_positive_roots_match_the_reflection_closure(ls):
+    pos = positive_roots(ls)
+    assert pos == _reflection_closure(ls)
+    N = ls.dim
+    dim_g = {"A": N * N - 1, "B": N * (N - 1) // 2, "C": N * (N + 1) // 2,
+             "D": N * (N - 1) // 2}[ls.series]
+    assert len(pos) == (dim_g - ls.rank) // 2
 
 
 def test_weights_of_natural_basis():

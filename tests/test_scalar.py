@@ -1,5 +1,7 @@
 """Field arithmetic in Q(i)(q): canonical form, parsing, and q-integers."""
+import functools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -195,7 +197,7 @@ def test_quotient_by_a_common_factor_is_reduced():
     assert parse_scalar("(q^2 - 1)/(q - 1)").den.is_one
 
 
-def test_vanishing_leading_coefficient_falls_back_to_euclid():
+def test_vanishing_leading_coefficient_falls_back_to_the_gcd():
     # mod P the common factor P q + 1 becomes the unit 1, so the images of
     # (P q + 1)(q + 3) and (P q + 1)(q + 5) are coprime
     lead_vanishes = LaurentPoly({1: GaussRational(scalar._P), 0: GR_ONE})
@@ -211,7 +213,7 @@ def test_vanishing_leading_coefficient_falls_back_to_euclid():
     assert x.den == _lit("1/2*q + 1")
 
 
-def test_denominator_divisible_by_p_falls_back_to_euclid():
+def test_denominator_divisible_by_p_falls_back_to_the_gcd():
     small = LaurentPoly({1: GR_ONE, 0: GaussRational(0, Fraction(1, scalar._P))})
     # the integer part P*q + i has the leading coefficient P
     assert scalar._dense_mod_p(small) == [scalar._I_MOD_P, 0]
@@ -222,6 +224,115 @@ def test_denominator_divisible_by_p_falls_back_to_euclid():
     x = QScalar(small, _lit("q + 2"))
     assert x * QScalar(_lit("q + 2")) == QScalar(small)
     assert x.den == _lit("1/2*q + 1")
+
+
+# --- the gcd over Z[i] -------------------------------------------------------
+
+def test_common_factor_with_non_unit_content_is_cancelled():
+    # the pseudo-remainder of (q + 1)(q + 3) by (2 + i)(q + 1)(q + 5) is
+    # -2(2 + i)(q + 1): unless its content is removed, the gcd keeps the
+    # factor 2(2 + i), which does not divide (q + 1)(q + 3) over Z[i]
+    num, den = _lit("(q + 1)*(q + 3)"), _lit("(2 + i)*(q + 1)*(q + 5)")
+    assert not _certificate(num, den)
+    g = scalar._primitive_gcd(scalar._parts(num), scalar._parts(den))
+    assert g in (([1, 1], [0, 0]), ([-1, -1], [0, 0]), ([0, 0], [1, 1]), ([0, 0], [-1, -1]))
+    assert QScalar(num, den) == parse_scalar("(q + 3)/((2 + i)*(q + 5))")
+    # content that is not a unit on both sides, and in the common factor
+    num, den = _lit("(1 + 3*i)*(q - 1)*(2*q + i)"), _lit("(3 - i)*(2*q + i)*(q + 7)")
+    assert QScalar(num, den) == parse_scalar("(1 + 3*i)*(q - 1)/((3 - i)*(q + 7))")
+    assert scalar._primitive([3, 4], [4, -3]) in (([1, 0], [0, -1]), ([-1, 0], [0, 1]),
+                                                 ([0, -1], [-1, 0]), ([0, 1], [1, 0]))
+
+
+def test_factor_shared_up_to_the_unit_i_is_cancelled():
+    # i*q + 1 = i*(q - i)
+    num, den = _lit("(i*q + 1)*(q + 2)"), _lit("(q - i)*(q + 3)")
+    assert not _certificate(num, den)
+    x = QScalar(num, den)
+    assert x == parse_scalar("i*(q + 2)/(q + 3)")
+    assert x.den == _lit("1/3*q + 1")
+
+
+def test_common_factor_with_non_unit_leading_coefficients_is_cancelled():
+    # the leading coefficients 6 and 10 are not units: the pseudo-remainder
+    # must multiply by lc(b) = 10 before 6 q^2 can be cancelled over Z[i]
+    num, den = _lit("(2*q + i)*(3*q - 1)"), _lit("(2*q + i)*(5*q + 2)")
+    assert not _certificate(num, den)
+    assert QScalar(num, den) == parse_scalar("(3*q - 1)/(5*q + 2)")
+
+
+def test_inexact_division_raises():
+    with pytest.raises(ArithmeticError):
+        scalar._quotient(_lit("q^2 + 1"), ([1, 1], [0, 0]))
+    # q + 1 divides 2*q + 2 over Q(i) but 2*q + 2 does not divide q + 1 over Z[i]
+    with pytest.raises(ArithmeticError):
+        scalar._quotient(_lit("q + 1"), ([2, 2], [0, 0]))
+
+
+def _gauss_gcd_bounded(*args):
+    """scalar._gauss_gcd(*args), failing once it has run more lines than
+    rounded quotients allow.  Each remainder has at most half the norm of its
+    divisor, so the loop of four lines runs at most 2 * bits + 3 times for
+    entries of `bits` bits.  A quotient rounded
+    another way need not shrink the remainder, and Euclid can then run for
+    ever on growing integers."""
+    lines, limit = 0, 4 * (2 * max(abs(x) for x in args).bit_length() + 3) + 2
+    def count(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        if lines > limit:
+            raise AssertionError(f"Euclid over Z[i] ran past {limit} lines")
+        return count
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg:
+                 count if frame.f_code is scalar._gauss_gcd.__code__ else None)
+    try:
+        return scalar._gauss_gcd(*args)
+    finally:
+        sys.settrace(old)
+
+
+_gauss_int = st.integers(-10**12, 10**12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gauss_int, _gauss_int, _gauss_int, _gauss_int, st.integers(-50, 50), st.integers(-50, 50))
+def test_gauss_gcd_against_sympy(a, b, c, e, x, y):
+    sympy = pytest.importorskip("sympy")
+    zz_i = sympy.polys.domains.ZZ_I
+    # a common factor x + y*i makes a nonunit gcd likely
+    a, b, c, e = a * x - b * y, a * y + b * x, c * x - e * y, c * y + e * x
+    want = zz_i.gcd(zz_i(a, b), zz_i(c, e))
+    u, v = _gauss_gcd_bounded(a, b, c, e)
+    # equal up to a unit: the same norm, and u + v*i divides both
+    assert u * u + v * v == want.x ** 2 + want.y ** 2
+    n = u * u + v * v
+    for r, s in ((a, b), (c, e)):
+        assert n == 0 or ((r * u + s * v) % n == 0 and (s * u - r * v) % n == 0)
+
+
+def _sympy_poly(re, im, sympy, q):
+    return sympy.Poly([sympy.Integer(a) + sympy.I * b for a, b in zip(re[::-1], im[::-1])],
+                      q, domain="QQ_I")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_poly.filter(bool), _poly.filter(bool), _poly.filter(bool))
+def test_primitive_gcd_divides_both_integer_parts(num, den, common):
+    sympy = pytest.importorskip("sympy")
+    zz_i, q = sympy.polys.domains.ZZ_I, sympy.Symbol("q")
+    x, y = scalar._parts(num * common), scalar._parts(den * common)
+    g = scalar._primitive_gcd(x, y)
+    content = functools.reduce(zz_i.gcd, [zz_i(a, b) for a, b in zip(*g)])
+    assert content.x ** 2 + content.y ** 2 == 1
+    for p in (x, y):
+        quotient, rest = scalar._divmod(*p, *g)
+        assert not rest[0]
+        assert all(type(c) is int for c in quotient[0] + quotient[1])
+        assert (_sympy_poly(*quotient, sympy, q) * _sympy_poly(*g, sympy, q)
+                == _sympy_poly(*p, sympy, q))
+    want = sympy.gcd(_sympy_poly(*x, sympy, q), _sympy_poly(*y, sympy, q))
+    assert len(g[0]) - 1 == want.degree() >= common.max_exp() - common.min_exp()
 
 
 def _sympy_expr(x, sympy, q):
