@@ -2,61 +2,36 @@
 the split Casimir omega, the skew two-tensor rho built from paired root
 vectors, and the vanishing of the induced bivector at the classical points.
 
-Everything here is exact arithmetic over the Gaussian rationals. Elements of
-End(V) are dense lists of lists of GaussRational. The Chevalley basis B_k of
-g comes with its dual basis B_k^v under the trace form, tr(B_m B_k^v) =
-delta_mk (`build_classical_algebra`), and every basis coordinate is read by
-pairing with it. The verdicts are decided on sparse tensors in
-End(V) (x) End(V): dicts (i, j, k, l) -> coefficient of E_ij (x) E_kl holding
-nonzero entries only. Basis coordinates of the bivector are read only to
-name one in a failure detail.
+Everything here is exact arithmetic over the Gaussian rationals, in one sparse
+format. An element of End(V) is a dict (i, j) -> coefficient of the matrix
+unit E_ij, and a tensor in End(V) (x) End(V) a dict (i, j, k, l) ->
+coefficient of E_ij (x) E_kl; both hold nonzero entries only. So a product, a
+bracket or the trace form costs the products of the nonzero counts, and a
+transpose is a key swap. `gauss_entries` reads a q-free point matrix into this
+format; the only dense N x N matrix is the input of `linalg.invert`.
+
+The Chevalley basis B_k of g comes with its dual basis B_k^v under the trace
+form, tr(B_m B_k^v) = delta_mk (`build_classical_algebra`), and every basis
+coordinate is read by pairing with it. The verdicts are decided on the
+tensors. Basis coordinates of the bivector are read only to name one in a
+failure detail.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import linalg
 from .natrep import CheckRecord, build_natural_rep
-from .points import gauss_grid
+from .points import default_params, quantum_point
+from .qmatrix import QMatrix
 from .rootdata import LieSeries, build_root_system, dot
-from .scalar import GR_ZERO, GaussRational
+from .scalar import GR_ZERO, GaussRational, eval_at_one
 
 
-def g_sub(a: list, b: list) -> list:
-    return [[x - y if y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def g_transpose(a: list) -> list:
-    return [list(col) for col in zip(*a)]
-
-
-def g_is_zero(a: list) -> bool:
-    return all(not x for row in a for x in row)
-
-
-def g_bracket(a: list, b: list) -> list:
-    return g_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
-
-
-def trace_pair(a: list, b: list) -> GaussRational:
-    """Tr(ab), the invariant form of the defining representation."""
-    t = GR_ZERO
-    n = len(a)
-    for i in range(n):
-        for k in range(n):
-            if a[i][k] and b[k][i]:
-                t = t + a[i][k] * b[k][i]
-    return t
-
-
-def _flatten(a: list) -> list:
-    return [x for row in a for x in row]
-
-
-def _entries(a: list) -> list:
-    return [(i, j, x) for i, row in enumerate(a) for j, x in enumerate(row) if x]
+def gauss_entries(A: QMatrix) -> dict:
+    """The nonzero entries of a q-free matrix, evaluated at q = 1."""
+    return {(i, j): eval_at_one(v) for i, j, v in A.nonzero_items()}
 
 
 def _accumulate(out: dict, key: tuple, v: GaussRational) -> None:
@@ -68,12 +43,52 @@ def _nonzero(t: dict) -> dict:
     return {key: v for key, v in t.items() if v}
 
 
+def _transpose(a: dict) -> dict:
+    return {(j, i): x for (i, j), x in a.items()}
+
+
+def _product(a: dict, b: dict) -> dict:
+    """The matrix product ab."""
+    rows = {}
+    for (k, j), y in b.items():
+        rows.setdefault(k, []).append((j, y))
+    out = {}
+    for (i, k), x in a.items():
+        for j, y in rows.get(k, ()):
+            _accumulate(out, (i, j), x * y)
+    return _nonzero(out)
+
+
+def _bracket(a: dict, b: dict) -> dict:
+    return _combine((1, _product(a, b)), (-1, _product(b, a)))
+
+
+def trace_pair(a: dict, b: dict) -> GaussRational:
+    """Tr(ab), the invariant form of the defining representation."""
+    t = GR_ZERO
+    for (i, k), x in a.items():
+        y = b.get((k, i))
+        if y is not None:
+            t = t + x * y
+    return t
+
+
+def _combination(coeffs: list, mats: list) -> dict:
+    """sum of coeffs[l] mats[l]."""
+    out = {}
+    for c, m in zip(coeffs, mats):
+        if c:
+            for key, x in m.items():
+                _accumulate(out, key, c * x)
+    return _nonzero(out)
+
+
 def _outer_sum(pairs) -> dict:
-    """sum of x (x) y over the (x, y) in pairs, given as `_entries` lists."""
+    """sum of x (x) y over the (x, y) in pairs."""
     out = {}
     for xs, ys in pairs:
-        for i, j, u in xs:
-            for r, s, v in ys:
+        for (i, j), u in xs.items():
+            for (r, s), v in ys.items():
                 _accumulate(out, (i, j, r, s), u * v)
     return _nonzero(out)
 
@@ -121,13 +136,13 @@ class ClassicalAlgebraData:
     basis: list  # cartan elements, then e vectors, then f vectors
     duals: list  # B_k^v with tr(B_m B_k^v) = delta_mk, in the order of basis
     cartan: list  # the cartan sub-list
-    e_vectors: dict  # positive root -> grid
-    f_vectors: dict  # positive root -> grid, normalized so (e, f) = 1
+    e_vectors: dict  # positive root -> e_beta
+    f_vectors: dict  # positive root -> f_beta, normalized so (e, f) = 1
     positive: tuple  # roots in construction order
     expander: linalg.BasisExpander
     omega_tensor: dict  # omega in End(V) (x) End(V)
     rho_tensor: dict  # rho in End(V) (x) End(V)
-    generators: list  # the simple e and f vectors as {(i, j): x}; they generate the algebra
+    generators: list  # the simple e and f vectors; they generate the algebra
 
     @property
     def dim(self) -> int:
@@ -139,24 +154,13 @@ def _sorted_positive(rs) -> list:
 
     The height of a root is the sum of its coordinates c = Gram^-1 s in the
     simple roots, s_j = (alpha_j, root). So it is the pairing (w, root) with
-    w = sum_j u_j alpha_j for u = Gram^-1 (1, ..., 1): one solve serves every
-    root.
+    w = sum_j u_j alpha_j for u = Gram^-1 (1, ..., 1), the row sums of the
+    root system's inverse Gram matrix: one vector serves every root. The
+    positive factor gram_inv_den is left out, as it keeps the order.
     """
-    gram = [[Fraction(x) for x in row] for row in rs.cartan_pairing]
-    u = linalg.solve(gram, [Fraction(1)] * len(gram))
+    u = [sum(row) for row in rs.gram_inv_num]
     w = [sum(c * alpha[t] for c, alpha in zip(u, rs.simple)) for t in range(rs.ls.eps_dim)]
     return sorted(rs.positive, key=lambda root: (dot(w, root), root))
-
-
-def _combination(coeffs: list, mats: list) -> list:
-    """sum of coeffs[l] mats[l]."""
-    n = len(mats[0])
-    out = [[GR_ZERO] * n for _ in range(n)]
-    for c, m in zip(coeffs, mats):
-        if c:
-            for i, j, x in _entries(m):
-                out[i][j] = out[i][j] + c * x
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -183,30 +187,24 @@ def build_classical_algebra(ls: LieSeries) -> ClassicalAlgebraData:
     rep = build_natural_rep(ls)
     rs = build_root_system(ls)
 
-    simple_e = [gauss_grid(m) for m in rep.e]
-    simple_f = [g_transpose(m) for m in simple_e]
-
-    e_vec = {}
-    f_vec = {}
-    for i, alpha in enumerate(rs.simple):
-        e_vec[alpha] = simple_e[i]
-        f_vec[alpha] = simple_f[i]
+    simple_e = [gauss_entries(m) for m in rep.e]
+    simple_f = [_transpose(x) for x in simple_e]
+    e_vec = dict(zip(rs.simple, simple_e))
+    f_vec = dict(zip(rs.simple, simple_f))
 
     positive = _sorted_positive(rs)
     for root in positive:
         if root in e_vec:
             continue
-        built = False
         for i, alpha in enumerate(rs.simple):
             rest = tuple(a - b for a, b in zip(root, alpha))
             if rest in e_vec:
-                cand = g_bracket(simple_e[i], e_vec[rest])
-                if not g_is_zero(cand):
+                cand = _bracket(simple_e[i], e_vec[rest])
+                if cand:
                     e_vec[root] = cand
-                    f_vec[root] = g_bracket(simple_f[i], f_vec[rest])
-                    built = True
+                    f_vec[root] = _bracket(simple_f[i], f_vec[rest])
                     break
-        if not built:
+        else:
             raise AssertionError(f"no bracket decomposition for root {root}")
 
     # normalize the lowering vectors to (e, f) = 1 under the trace form
@@ -215,65 +213,55 @@ def build_classical_algebra(ls: LieSeries) -> ClassicalAlgebraData:
         if not t:
             raise AssertionError(f"degenerate pairing at root {root}")
         inv = t.inv()
-        f_vec[root] = [[x * inv for x in row] for row in f_vec[root]]
+        f_vec[root] = {key: x * inv for key, x in f_vec[root].items()}
 
-    cartan = [g_bracket(e_vec[a], f_vec[a]) for a in rs.simple]
+    cartan = [_bracket(e_vec[a], f_vec[a]) for a in rs.simple]
     gram_inv = linalg.invert([[trace_pair(x, y) for y in cartan] for x in cartan])
     es = [e_vec[r] for r in positive]
     fs = [f_vec[r] for r in positive]
     basis = cartan + es + fs
     duals = [_combination(row, cartan) for row in gram_inv] + fs + es
-    expander = linalg.BasisExpander([_flatten(b) for b in basis],
-                                    [_flatten(g_transpose(d)) for d in duals])
+    expander = linalg.BasisExpander(basis, [_transpose(d) for d in duals])
 
-    e_f = _outer_sum((_entries(e), _entries(f)) for e, f in zip(es, fs))
+    e_f = _outer_sum(zip(es, fs))
     return ClassicalAlgebraData(ls, basis, duals, cartan, e_vec, f_vec, tuple(positive),
-                                expander,
-                                _outer_sum((_entries(b), _entries(d)) for b, d in zip(basis, duals)),
-                                _combine((1, e_f), (-1, _flip(e_f))),
-                                [{(i, j): x for i, j, x in _entries(m)}
-                                 for m in simple_e + simple_f])
+                                expander, _outer_sum(zip(basis, duals)),
+                                _combine((1, e_f), (-1, _flip(e_f))), simple_e + simple_f)
 
 
-def adjoint_matrix(data: ClassicalAlgebraData, a: list) -> list:
-    """Ad_a (conjugation) on the basis, each image expanded by the dual
-    basis; raises if a is singular or does not normalize the algebra.  No
-    check builds it: it is the tests' reference for Ad."""
-    a_inv = linalg.invert(a)
-    cols = [
-        data.expander.expand(_flatten(linalg.mat_mul(linalg.mat_mul(a, b), a_inv)))
-        for b in data.basis
-    ]
-    return g_transpose(cols)
+def adjoint_matrix(data: ClassicalAlgebraData, a: dict) -> list:
+    """Ad_a (conjugation) on the basis, column k the coordinates of
+    a B_k a^-1; raises if a is singular or does not normalize the algebra.
+    No check builds it: it is the tests' reference for Ad."""
+    conj = _conjugation(data, a)
+    cols = [data.expander.expand(_conjugate_first(b, conj)) for b in data.basis]
+    return [list(row) for row in zip(*cols)]
 
 
-def _conjugation(data: ClassicalAlgebraData, a: list):
+def _conjugation(data: ClassicalAlgebraData, a: dict):
     """The nonzeros of a by column and of a^-1 by row, which is what
     `_conjugate_first` reads, once a x a^-1 is shown to lie in the algebra for
     every simple generator x.  That suffices for Ad_a(g) = g: Ad_a is an
     automorphism of the Lie algebra gl(N), and the basis of g is built from
     brackets of the simple generators.  Raises SingularMatrixError if a is
     singular and NotInSpanError if a does not normalize the algebra."""
-    a_inv = linalg.invert(a)
-    n = len(a)
-    conj = ([[(p, a[p][i]) for p in range(n) if a[p][i]] for i in range(n)],
-            [[(r, x) for r, x in enumerate(row) if x] for row in a_inv])
+    n = data.ls.dim
+    a_inv = linalg.invert([[a.get((i, j), GR_ZERO) for j in range(n)] for i in range(n)])
+    cols = [[] for _ in range(n)]
+    for (p, i), x in a.items():
+        cols[i].append((p, x))
+    conj = (cols, [[(r, x) for r, x in enumerate(row) if x] for row in a_inv])
     for x in data.generators:
-        image = [GR_ZERO] * (n * n)
-        for (p, r), v in _conjugate_first(x, conj).items():
-            image[p * n + r] = v
-        data.expander.expand(image)
+        data.expander.expand(_conjugate_first(x, conj))
     return conj
 
 
 def _coordinates(data: ClassicalAlgebraData, tensor: dict) -> list:
     """The coefficient matrix over the B_k (x) B_l of a tensor in g (x) g,
     read through the dual basis: total[k][l] = <B_k^v (x) B_l^v, T>
-    = sum of T[i, j, r, s] B_k^v[j][i] B_l^v[s][r]."""
-    readers = {}  # (i, j) -> the (k, B_k^v[j][i]) with a nonzero entry there
-    for k, d in enumerate(data.duals):
-        for j, i, x in _entries(d):
-            readers.setdefault((i, j), []).append((k, x))
+    = sum of T[i, j, r, s] B_k^v[j][i] B_l^v[s][r].  The expander's readers
+    hold the B_k^v[j][i] by position (i, j)."""
+    readers = data.expander.readers
     total = [[GR_ZERO] * data.dim for _ in range(data.dim)]
     for (i, j, r, s), v in tensor.items():
         for k, x in readers.get((i, j), ()):
@@ -310,7 +298,7 @@ class BivectorValue:
         return best
 
 
-def bivector_at(data: ClassicalAlgebraData, a: list) -> BivectorValue:
+def bivector_at(data: ClassicalAlgebraData, a: dict) -> BivectorValue:
     """The reflection-equation Poisson bivector at the group element a, under
     the right-translation trivialization, decided in End(V) (x) End(V) as
 
@@ -344,7 +332,7 @@ def bivector_at(data: ClassicalAlgebraData, a: list) -> BivectorValue:
     return BivectorValue(data, tensor)
 
 
-def check_involutive_vanishing(data: ClassicalAlgebraData, a: list) -> CheckRecord:
+def check_involutive_vanishing(data: ClassicalAlgebraData, a: dict) -> CheckRecord:
     """For involutive adjoint action the omega contribution vanishes.
 
     Both conditions are decided without the basis:
@@ -353,17 +341,17 @@ def check_involutive_vanishing(data: ClassicalAlgebraData, a: list) -> CheckReco
       is scalar.  V (the defining module of sl(N), so(N) with N >= 3, or
       sp(N)) is an irreducible g-module, so by Schur its commutant over C is
       the scalars; the commutant is cut out by linear equations over Q(i), so
-      the same holds over Q(i).
+      the same holds over Q(i).  a is invertible (`_conjugation` raises
+      otherwise), so a scalar a^2 has the nonzero diagonal c = a^2[0][0].
     - The omega part (1 (x) Ad - Ad (x) 1) omega has coefficient matrix
       omega ad^T - ad omega over the basis B_k (x) B_l, which are linearly
       independent, so it vanishes iff (1 (x) Ad) omega = (Ad (x) 1) omega,
       that is (1 (x) a) omega (1 (x) a^-1) = (a (x) 1) omega (a^-1 (x) 1).
     """
     conj = _conjugation(data, a)
-    sq = linalg.mat_mul(a, a)
-    c = sq[0][0]
-    if not all(x == (c if i == j else GR_ZERO)
-               for i, row in enumerate(sq) for j, x in enumerate(row)):
+    sq = _product(a, a)
+    c = sq.get((0, 0))
+    if sq != {(i, i): c for i in range(data.ls.dim)}:
         return CheckRecord("omega.involutive", False, "Ad^2 is not the identity")
     omega = data.omega_tensor
     ok = _conjugate_first(omega, conj) == _conjugate_second(omega, conj)
@@ -371,8 +359,7 @@ def check_involutive_vanishing(data: ClassicalAlgebraData, a: list) -> CheckReco
                        None if ok else "omega part nonzero despite Ad^2 = id")
 
 
-def classical_point_grid(spec) -> list:
-    """The classical point A0 of a class spec as a dense Gaussian-rational grid."""
-    from .points import default_params, quantum_point
-
-    return gauss_grid(quantum_point(spec, default_params(spec)).A0)
+def classical_point_entries(spec) -> dict:
+    """The classical point A0 of a class spec at default parameters, read by
+    `gauss_entries`."""
+    return gauss_entries(quantum_point(spec, default_params(spec)).A0)

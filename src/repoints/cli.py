@@ -16,7 +16,8 @@ from . import classical, coideal
 from .points import ParamError, default_params, paired_index, quantum_point
 from .rootdata import ClassSpec, standard_cases, theta_for_class
 from .linalg import NotInSpanError, SingularMatrixError
-from .scalar import ScalarParseError, eval_at_one, parse_scalar, render_scalar
+from .qmatrix import QMatrix
+from .scalar import QScalar, ScalarParseError, parse_scalar, render_scalar
 
 
 class UsageError(ValueError):
@@ -202,18 +203,18 @@ def cmd_poisson(args) -> int:
             ls = series_for_group(args.series, args.N)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        grid = _matrix_grid(args.matrix, ls.dim)
+        a = classical.gauss_entries(_matrix_point(args.matrix, ls.dim))
         case_name = "explicit-matrix"
     else:
         if args.series is None or args.N is None or args.family is None:
             raise UsageError("poisson requires --series, --N and --family, or --matrix")
         spec = _spec_from_args(args)
         ls = spec.series
-        grid = classical.classical_point_grid(spec)
+        a = classical.classical_point_entries(spec)
         case_name = spec.case_id
     data = classical.build_classical_algebra(ls)
     try:
-        value = classical.bivector_at(data, grid)
+        value = classical.bivector_at(data, a)
     except SingularMatrixError as exc:
         raise UsageError(f"the matrix is not invertible: {exc}") from exc
     except NotInSpanError as exc:
@@ -228,14 +229,14 @@ def cmd_poisson(args) -> int:
             return f"{p['case']}: bivector vanishes"
         big = p["largest"]
         return (f"{p['case']}: bivector NONZERO, largest coefficient "
-                f"{big['re']}+{big['im']}i at ({big['row']}, {big['col']})")
+                f"{render_scalar(QScalar.from_gauss(v))} at ({big['row']}, {big['col']})")
 
     _emit(payload, args, text)
     return 0 if value.is_zero() else 1
 
 
-def _matrix_grid(literal: str, N: int) -> list:
-    """The N x N grid of q-free scalars in a --matrix JSON literal."""
+def _matrix_point(literal: str, N: int) -> QMatrix:
+    """The N x N matrix of q-free scalars in a --matrix JSON literal."""
     try:
         rows = json.loads(literal)
     except ValueError as exc:
@@ -250,7 +251,8 @@ def _matrix_grid(literal: str, N: int) -> list:
         raise UsageError(f"bad matrix literal: {exc}") from exc
     if any(x.num.min_exp() or x.num.max_exp() or not x.den.is_one for r in scalars for x in r if x):
         raise UsageError("--matrix entries must be q-free")
-    return [[eval_at_one(x) for x in r] for r in scalars]
+    return QMatrix.from_entries(N, ((i, j, x) for i, r in enumerate(scalars)
+                                    for j, x in enumerate(r)))
 
 
 def _add_case_flags(p):

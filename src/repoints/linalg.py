@@ -1,12 +1,14 @@
-"""Exact dense linear algebra over any field type with +, -, *, /, bool.
+"""Exact linear algebra over any field type with +, -, *, /, bool.
 
-Used with Fraction, GaussRational, and QScalar elements.  Matrices are plain
-lists of lists; nothing here mutates its arguments.  The matrices met in
-practice (classical point matrices, root vectors, adjoint matrices) are mostly
-zeros, so every kernel visits only nonzero entries: a product adds up only
-products of nonzero entries, and a row elimination touches only the pivot
-row's nonzero columns.  The skipped terms are exactly zero, so every result
-equals the dense computation entry by entry.
+Used with Fraction and GaussRational elements.  `mat_mul`, `invert` and
+`determinant` take dense matrices, plain lists of lists; nothing here mutates
+its arguments.  The matrices met in practice (classical point matrices, the
+Gram matrices of simple roots and of Cartan elements) are mostly zeros, so each
+kernel visits only nonzero entries: a product adds up only products of
+nonzero entries, and a row elimination touches only the pivot row's nonzero
+columns.  The skipped terms are exactly zero, so every result equals the
+dense computation entry by entry.  `BasisExpander` takes sparse vectors,
+dicts of nonzero entries, and expands them by pairing with a dual basis.
 """
 from __future__ import annotations
 
@@ -77,42 +79,6 @@ def invert(a: list) -> list:
     return [row[n:] for row in aug]
 
 
-def solve(a: list, b: list) -> list:
-    """Solve a @ x = b exactly for a possibly rectangular a of full column rank.
-
-    Raises NotInSpanError if the system is inconsistent, SingularMatrixError
-    if the columns are dependent.
-    """
-    nrows = len(a)
-    ncols = len(a[0])
-    aug = [list(a[i]) + [b[i]] for i in range(nrows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv_p = aug[r][c]
-        aug[r] = [x / inv_p if x else x for x in aug[r]]
-        pivot = _nonzeros(aug[r])
-        for i in range(nrows):
-            if i != r and aug[i][c]:
-                _subtract_multiple(aug[i], aug[i][c], pivot)
-        pivots.append(c)
-        r += 1
-    if len(pivots) < ncols:
-        raise SingularMatrixError("columns are linearly dependent")
-    for i in range(r, nrows):
-        if aug[i][ncols]:
-            raise NotInSpanError("inconsistent linear system")
-    zero = aug[0][0] - aug[0][0]
-    x = [zero] * ncols
-    for row_idx, c in enumerate(pivots):
-        x[c] = aug[row_idx][ncols]
-    return x
-
-
 def determinant(a: list):
     n = len(a)
     rows = [list(r) for r in a]
@@ -138,41 +104,45 @@ def determinant(a: list):
 
 
 class BasisExpander:
-    """Expands vectors in a fixed independent set B_k exactly, by pairing
-    with a dual set.
+    """Expands sparse vectors in a fixed independent set B_k exactly, by
+    pairing with a dual set.
 
-    columns[k] is B_k and duals[k] the coefficients of a linear functional
-    D_k, both flat lists; the caller supplies duals with D_k(B_m) = delta_km.
-    `expand` reads c_k = D_k(x) = sum_t x[t] duals[k][t] and checks the
-    residual x = sum_k c_k B_k, which decides membership by itself:
+    A vector is a dict from positions to its nonzero entries.  columns[k] is
+    B_k, and duals[k] holds the coefficients of a linear functional D_k,
+    D_k(x) = sum over positions t of x[t] duals[k][t]; the caller supplies
+    duals with D_k(B_m) = delta_km.  `expand` reads c_k = D_k(x) over the
+    nonzeros of x and checks the residual x = sum_k c_k B_k, which decides
+    membership by itself:
 
     - if the residual vanishes, x is in the span, with coordinates c;
     - if x = sum_m a_m B_m, then c_k = sum_m a_m D_k(B_m) = a_k, so it does.
 
     So NotInSpanError is raised iff x is outside the span.  For the Lie
     algebra basis of `classical`, D_k(x) = tr(x B_k^v), so duals[k] is the
-    flattened transpose of B_k^v.
+    transpose of B_k^v.
     """
 
     def __init__(self, columns: list, duals: list):
-        self.columns = [_nonzeros(c) for c in columns]
-        self.duals = [_nonzeros(d) for d in duals]
+        self.columns = columns
+        self.readers = {}  # position t -> the (k, duals[k][t]) over k
+        for k, dual in enumerate(duals):
+            for t, y in dual.items():
+                self.readers.setdefault(t, []).append((k, y))
+        y = next(iter(duals[0].values()))
+        self.zero = y - y
 
-    def expand(self, vector: list) -> list:
+    def expand(self, vector: dict) -> list:
         """Coefficients of vector in the basis; raises NotInSpanError if outside."""
-        zero = vector[0] - vector[0]
-        coeffs = []
-        for dual in self.duals:
-            s = zero
-            for t, y in dual:
-                if vector[t]:
-                    s = s + vector[t] * y
-            coeffs.append(s)
-        check = [zero] * len(vector)
+        coeffs = [self.zero] * len(self.columns)
+        for t, x in vector.items():
+            for k, y in self.readers.get(t, ()):
+                coeffs[k] = coeffs[k] + x * y
+        check = {}
         for c, column in zip(coeffs, self.columns):
             if c:
-                for t, y in column:
-                    check[t] = check[t] + c * y
-        if check != vector:
+                for t, y in column.items():
+                    s = check.get(t)
+                    check[t] = c * y if s is None else s + c * y
+        if {t: v for t, v in check.items() if v} != vector:
             raise NotInSpanError("vector is not in the span of the basis")
         return coeffs

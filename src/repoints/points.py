@@ -1,6 +1,7 @@
 """Construction of the point matrices: the quantum matrices A for each
 symmetric conjugacy class, their free parameters with pairing constraints,
-and the classical limits A0.
+and the classical limits A0.  Both are sparse `QMatrix` objects; A0 is
+q-free, and `classical.gauss_entries` reads its values at q = 1.
 """
 from __future__ import annotations
 
@@ -192,7 +193,3 @@ def pm_exponents(spec: ClassSpec) -> tuple:
         return spec.N - spec.m, spec.m
     return spec.m, spec.N - spec.m
 
-
-def gauss_grid(A: QMatrix) -> list:
-    """Dense GaussRational rows of a q-free matrix, via evaluation at q = 1."""
-    return [[eval_at_one(A.get(i, j)) for j in range(A.dim)] for i in range(A.dim)]

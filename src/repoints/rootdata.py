@@ -8,6 +8,7 @@ of the rest, are computed from theta rather than tabulated.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -127,6 +128,8 @@ class RootSystem:
     positive: tuple
     two_rho: tuple
     cartan_pairing: tuple  # integer matrix (alpha_i, alpha_j)
+    gram_inv_num: tuple  # integer matrix: Gram^-1 = gram_inv_num / gram_inv_den
+    gram_inv_den: int  # the least positive denominator of Gram^-1
     kappa: tuple  # per-basis-vector signs entering the R-matrix (length N)
 
     def prime(self, j: int) -> int:
@@ -146,10 +149,26 @@ class RootSystem:
         return _eps(d, self.prime(j), -1)
 
     def expand_in_simple(self, v: tuple) -> tuple:
-        """Coordinates of v in the simple-root basis, as Fractions."""
-        a = [[Fraction(self.simple[j][i]) for j in range(len(self.simple))]
-             for i in range(self.ls.eps_dim)]
-        return tuple(linalg.solve(a, [Fraction(x) for x in v]))
+        """Coordinates c of v in the simple-root basis, as Fractions.
+
+        If v = sum_i c_i alpha_i, then (alpha_j, v) = sum_i Gram_ji c_i, so
+        c = Gram^-1 ((alpha_j, v))_j, read here as num / gram_inv_den with
+        num = gram_inv_num ((alpha_j, v))_j in integers.  Outside the span
+        that c belongs to the orthogonal projection of v instead, so
+        sum_i num_i alpha_i = gram_inv_den v is checked; NotInSpanError is
+        raised if it fails.
+        """
+        s = [(j, x) for j, x in enumerate(dot(alpha, v) for alpha in self.simple) if x]
+        num = [sum(row[j] * x for j, x in s) for row in self.gram_inv_num]
+        back = [0] * len(v)
+        for c, alpha in zip(num, self.simple):
+            if c:
+                for t, a in enumerate(alpha):
+                    if a:
+                        back[t] += c * a
+        if back != [self.gram_inv_den * x for x in v]:
+            raise linalg.NotInSpanError(f"{v} is not in the span of the simple roots")
+        return tuple(Fraction(c, self.gram_inv_den) for c in num)
 
 
 @lru_cache(maxsize=None)
@@ -158,12 +177,15 @@ def build_root_system(ls: LieSeries) -> RootSystem:
     pos = positive_roots(ls)
     two_rho = tuple(sum(col) for col in zip(*pos))
     pairing = tuple(tuple(dot(a, b) for b in simple) for a in simple)
+    gram_inv = linalg.invert([[Fraction(x) for x in row] for row in pairing])
+    den = math.lcm(*(x.denominator for row in gram_inv for x in row))
     N = ls.dim
     if ls.series == "C":
         kappa = tuple(1 if j < N // 2 else -1 for j in range(N))
     else:
         kappa = tuple(1 for _ in range(N))
-    return RootSystem(ls, simple, pos, two_rho, pairing, kappa)
+    return RootSystem(ls, simple, pos, two_rho, pairing,
+                      tuple(tuple(int(x * den) for x in row) for row in gram_inv), den, kappa)
 
 
 # --- conjugacy class specifications ----------------------------------------

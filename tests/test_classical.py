@@ -1,4 +1,9 @@
-"""Classical (q = 1) structure: invariant tensors and the Poisson bivector."""
+"""Classical (q = 1) structure: invariant tensors and the Poisson bivector.
+
+The program keeps every element of End(V) as a sparse dict {(i, j): x}. The
+references here are dense lists of lists, built by the textbook formulas, and
+every comparison converts at the boundary (`_dense`, `_sparse`).
+"""
 import random
 from fractions import Fraction
 
@@ -11,43 +16,185 @@ from repoints.classical import (
     bivector_at,
     build_classical_algebra,
     check_involutive_vanishing,
-    classical_point_grid,
-    g_bracket,
-    g_is_zero,
-    g_sub,
-    g_transpose,
+    classical_point_entries,
+    gauss_entries,
     trace_pair,
 )
+from repoints.natrep import build_natural_rep
 from repoints.points import (
     PointParams,
     _top_indices,
     classical_point,
-    gauss_grid,
+    default_params,
     paired_index,
     param_indices,
+    quantum_point,
 )
 from repoints.rootdata import ClassSpec, LieSeries, build_root_system, series_for_group, standard_cases
-from repoints.scalar import GaussRational, QScalar
+from repoints.scalar import GaussRational, QScalar, eval_at_one
+
+ZERO = GaussRational(0)
+
+
+# --- the dense reference: lists of lists, converted at the boundary ----------
+
+def _dense(a, n):
+    return [[a.get((i, j), ZERO) for j in range(n)] for i in range(n)]
+
+
+def _sparse(m):
+    return {(i, j): x for i, row in enumerate(m) for j, x in enumerate(row) if x}
+
+
+def gauss_grid(A):
+    """Dense GaussRational rows of a q-free matrix, via evaluation at q = 1."""
+    return [[eval_at_one(A.get(i, j)) for j in range(A.dim)] for i in range(A.dim)]
 
 
 def g_identity(n):
     return [[GaussRational(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
 
+def g_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def g_transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def g_is_zero(a):
+    return all(not x for row in a for x in row)
+
+
+def g_bracket(a, b):
+    return g_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
+
+
+def dense_trace_pair(a, b):
+    """Tr(ab) summed over every index pair."""
+    n = len(a)
+    return sum((a[i][k] * b[k][i] for i in range(n) for k in range(n)), ZERO)
+
+
 def _diag(*values):
     n = len(values)
-    return [[GaussRational(values[i]) if i == j else GaussRational(0)
-             for j in range(n)] for i in range(n)]
+    return [[GaussRational(values[i]) if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def _flatten(a):
-    return [x for row in a for x in row]
+def _point_grid(spec):
+    return gauss_grid(quantum_point(spec, default_params(spec)).A0)
+
+
+def dense_adjoint(data, a):
+    """Ad_a on the basis from dense products a B_k a^-1, each image expanded
+    by the dual basis; columns are images."""
+    n = len(a)
+    a_inv = linalg.invert(a)
+    cols = [data.expander.expand(_sparse(linalg.mat_mul(linalg.mat_mul(a, _dense(b, n)), a_inv)))
+            for b in data.basis]
+    return g_transpose(cols)
 
 
 def ad_matrix(data, x):
     """ad_x on the chosen basis, as a coefficient matrix (columns = images)."""
-    cols = [data.expander.expand(_flatten(g_bracket(x, b))) for b in data.basis]
+    n = data.ls.dim
+    cols = [data.expander.expand(_sparse(g_bracket(_dense(x, n), _dense(b, n))))
+            for b in data.basis]
     return g_transpose(cols)
+
+
+class DenseAlgebra:
+    """The Chevalley basis, its trace-form dual basis and omega, rho, built
+    from dense N x N grids by the textbook steps: root vectors as dense
+    brackets of the simple generators, tr(e f) = 1 by scaling f, h_i =
+    [e_i, f_i], h_k^v from the inverse Gram matrix, and the tensors as sums
+    over every pair of nonzero entries."""
+
+    def __init__(self, ls):
+        rep = build_natural_rep(ls)
+        rs = build_root_system(ls)
+        n = ls.dim
+        self.simple_e = [gauss_grid(m) for m in rep.e]
+        self.simple_f = [g_transpose(m) for m in self.simple_e]
+        e_vec = dict(zip(rs.simple, self.simple_e))
+        f_vec = dict(zip(rs.simple, self.simple_f))
+        # by height, each root's height read from its own coordinates
+        self.positive = sorted(rs.positive, key=lambda r: (sum(rs.expand_in_simple(r)), r))
+        for root in self.positive:
+            if root in e_vec:
+                continue
+            for i, alpha in enumerate(rs.simple):
+                rest = tuple(a - b for a, b in zip(root, alpha))
+                if rest in e_vec and not g_is_zero(g_bracket(self.simple_e[i], e_vec[rest])):
+                    e_vec[root] = g_bracket(self.simple_e[i], e_vec[rest])
+                    f_vec[root] = g_bracket(self.simple_f[i], f_vec[rest])
+                    break
+        for root in self.positive:
+            inv = dense_trace_pair(e_vec[root], f_vec[root]).inv()
+            f_vec[root] = [[x * inv for x in row] for row in f_vec[root]]
+        self.e_vectors, self.f_vectors = e_vec, f_vec
+        self.cartan = [g_bracket(e_vec[a], f_vec[a]) for a in rs.simple]
+        gram_inv = linalg.invert([[dense_trace_pair(x, y) for y in self.cartan]
+                                  for x in self.cartan])
+        cartan_duals = []
+        for row in gram_inv:
+            d = [[ZERO] * n for _ in range(n)]
+            for c, h in zip(row, self.cartan):
+                d = [[u + c * v for u, v in zip(rd, rh)] for rd, rh in zip(d, h)]
+            cartan_duals.append(d)
+        es = [e_vec[r] for r in self.positive]
+        fs = [f_vec[r] for r in self.positive]
+        self.basis = self.cartan + es + fs
+        self.duals = cartan_duals + fs + es
+        e_f = self._outer_sum(zip(es, fs))
+        self.omega = self._outer_sum(zip(self.basis, self.duals))
+        flipped = {(k, l, i, j): v for (i, j, k, l), v in e_f.items()}
+        rho = {key: e_f.get(key, ZERO) - flipped.get(key, ZERO) for key in set(e_f) | set(flipped)}
+        self.rho = {key: v for key, v in rho.items() if v}
+
+    @staticmethod
+    def _outer_sum(pairs):
+        out = {}
+        for x, y in pairs:
+            xs = [(i, j, u) for i, row in enumerate(x) for j, u in enumerate(row) if u]
+            ys = [(r, s, v) for r, row in enumerate(y) for s, v in enumerate(row) if v]
+            for i, j, u in xs:
+                for r, s, v in ys:
+                    out[(i, j, r, s)] = out.get((i, j, r, s), ZERO) + u * v
+        return {key: v for key, v in out.items() if v}
+
+
+SERIES_TO_8 = ([("sl", N) for N in range(2, 9)] + [("so", N) for N in range(3, 9)]
+               + [("sp", N) for N in range(2, 9, 2)])
+
+
+@pytest.mark.parametrize("group,N", SERIES_TO_8)
+def test_sparse_algebra_matches_the_dense_construction(group, N):
+    ls = series_for_group(group, N)
+    data = build_classical_algebra(ls)
+    ref = DenseAlgebra(ls)
+    rep = build_natural_rep(ls)
+    for m, grid in zip(rep.e, ref.simple_e):
+        assert gauss_entries(m) == _sparse(grid)
+    assert data.generators == [_sparse(m) for m in ref.simple_e + ref.simple_f]
+    assert list(data.positive) == ref.positive
+    for root in ref.positive:
+        assert data.e_vectors[root] == _sparse(ref.e_vectors[root])
+        assert data.f_vectors[root] == _sparse(ref.f_vectors[root])
+    assert data.cartan == [_sparse(h) for h in ref.cartan]
+    assert data.basis == [_sparse(b) for b in ref.basis]
+    assert data.duals == [_sparse(d) for d in ref.duals]
+    assert data.omega_tensor == ref.omega
+    assert data.rho_tensor == ref.rho
+
+
+@pytest.mark.parametrize("group,N", [("sl", 3), ("so", 5), ("so", 6), ("sp", 4)])
+def test_trace_pair_matches_the_dense_trace(group, N):
+    data = build_classical_algebra(series_for_group(group, N))
+    for x in data.basis:
+        for y in data.duals:
+            assert trace_pair(x, y) == dense_trace_pair(_dense(x, N), _dense(y, N))
 
 
 # --- the bivector over the algebra basis, the formula the tensors replace -----
@@ -55,10 +202,11 @@ def ad_matrix(data, x):
 def coefficient_matrices(data):
     """omega and rho as coefficient matrices over the basis: the inverse
     Cartan Gram matrix, and +-1 at the (e_beta, f_beta) pairs."""
-    n, npos, dim = len(data.cartan), len(data.positive), data.dim
-    gram_inv = linalg.invert([[trace_pair(x, y) for y in data.cartan] for x in data.cartan])
-    omega = [[GaussRational(0)] * dim for _ in range(dim)]
-    rho = [[GaussRational(0)] * dim for _ in range(dim)]
+    n, npos, dim, N = len(data.cartan), len(data.positive), data.dim, data.ls.dim
+    cartan = [_dense(h, N) for h in data.cartan]
+    gram_inv = linalg.invert([[dense_trace_pair(x, y) for y in cartan] for x in cartan])
+    omega = [[ZERO] * dim for _ in range(dim)]
+    rho = [[ZERO] * dim for _ in range(dim)]
     for k in range(n):
         omega[k][:n] = gram_inv[k]
     for idx in range(npos):
@@ -77,7 +225,7 @@ def omega_part(data, ad):
 def basis_bivector(data, a):
     """The bivector's coefficient matrix over the algebra basis,
     (Ad - 1) rho (Ad - 1)^T + omega Ad^T - Ad omega."""
-    ad = adjoint_matrix(data, a)
+    ad = dense_adjoint(data, a)
     _, rho = coefficient_matrices(data)
     shifted = g_sub(ad, g_identity(data.dim))
     part_rho = linalg.mat_mul(linalg.mat_mul(shifted, rho), g_transpose(shifted))
@@ -85,14 +233,14 @@ def basis_bivector(data, a):
 
 
 def _phi(data, a):
-    return omega_part(data, adjoint_matrix(data, a))
+    return omega_part(data, dense_adjoint(data, a))
 
 
 def equivariant(data, a, b):
     """The omega field is equivariant: its value at b a b^-1 is the Ad_b x Ad_b
     transform of its value at a."""
     conj = linalg.mat_mul(linalg.mat_mul(b, a), linalg.invert(b))
-    ad_b = adjoint_matrix(data, b)
+    ad_b = dense_adjoint(data, b)
     rhs = linalg.mat_mul(linalg.mat_mul(ad_b, _phi(data, a)), g_transpose(ad_b))
     return g_is_zero(g_sub(_phi(data, conj), rhs))
 
@@ -101,18 +249,14 @@ def test_sl2_algebra_shape():
     data = build_classical_algebra(LieSeries("A", 1))
     assert data.dim == 3
     h, e, f = data.basis
-    assert h[0][0] == GaussRational(1) and h[1][1] == GaussRational(-1)
+    assert h[(0, 0)] == GaussRational(1) and h[(1, 1)] == GaussRational(-1)
     # the dual of h is h over the Gram matrix tr(h^2) = 2; e and f swap
-    assert data.duals == [[[x * GaussRational(Fraction(1, 2)) for x in row] for row in h], f, e]
-    assert e[0][1] == f[1][0] == GaussRational(1)
+    assert data.duals == [{key: x * GaussRational(Fraction(1, 2)) for key, x in h.items()}, f, e]
+    assert e == {(0, 1): GaussRational(1)} and f == {(1, 0): GaussRational(1)}
     # omega = h (x) h/2 + e (x) f + f (x) e, rho = e (x) f - f (x) e
     assert data.omega_tensor[(0, 0, 0, 0)] == GaussRational(Fraction(1, 2))
     assert data.omega_tensor[(0, 1, 1, 0)] == data.omega_tensor[(1, 0, 0, 1)] == GaussRational(1)
     assert data.rho_tensor == {(0, 1, 1, 0): GaussRational(1), (1, 0, 0, 1): GaussRational(-1)}
-
-
-def _entries(a):
-    return [(i, j, x) for i, row in enumerate(a) for j, x in enumerate(row) if x]
 
 
 def _tensor_of(data, coeffs):
@@ -122,10 +266,10 @@ def _tensor_of(data, coeffs):
         for l, bl in enumerate(data.basis):
             if not coeffs[k][l]:
                 continue
-            for i, j, u in _entries(bk):
-                for r, s, v in _entries(bl):
+            for (i, j), u in bk.items():
+                for (r, s), v in bl.items():
                     key = (i, j, r, s)
-                    out[key] = out.get(key, GaussRational(0)) + coeffs[k][l] * u * v
+                    out[key] = out.get(key, ZERO) + coeffs[k][l] * u * v
     return {key: v for key, v in out.items() if v}
 
 
@@ -158,21 +302,22 @@ def test_omega_is_invariant_sp4():
 
 def test_adjoint_of_identity():
     data = build_classical_algebra(LieSeries("A", 2))
-    assert adjoint_matrix(data, g_identity(3)) == g_identity(data.dim)
+    assert adjoint_matrix(data, _sparse(g_identity(3))) == g_identity(data.dim)
+    assert dense_adjoint(data, g_identity(3)) == g_identity(data.dim)
 
 
 def test_bivector_vanishes_at_identity_and_points():
     data = build_classical_algebra(LieSeries("A", 2))
-    assert bivector_at(data, g_identity(3)).is_zero()
+    assert bivector_at(data, _sparse(g_identity(3))).is_zero()
     for spec in (ClassSpec("sl", 3, "t2", 1, 1), ClassSpec("sl", 3, "t2", 1, -1)):
-        assert bivector_at(data, classical_point_grid(spec)).is_zero()
+        assert bivector_at(data, classical_point_entries(spec)).is_zero()
     so6 = build_classical_algebra(series_for_group("so", 6))
-    assert bivector_at(so6, classical_point_grid(ClassSpec("so", 6, "t4"))).is_zero()
+    assert bivector_at(so6, classical_point_entries(ClassSpec("so", 6, "t4"))).is_zero()
 
 
 def test_bivector_nonzero_negative_control():
     data = build_classical_algebra(LieSeries("A", 2))
-    value = bivector_at(data, _diag(4, 1, Fraction(1, 4)))
+    value = bivector_at(data, _sparse(_diag(4, 1, Fraction(1, 4))))
     assert not value.is_zero()
     i, j, v = value.largest_entry()
     assert v
@@ -180,11 +325,11 @@ def test_bivector_nonzero_negative_control():
 
 def test_involutive_vanishing_checks():
     data = build_classical_algebra(LieSeries("B", 2))
-    point = classical_point_grid(ClassSpec("so", 5, "t2", 1, 1))
+    point = classical_point_entries(ClassSpec("so", 5, "t2", 1, 1))
     record = check_involutive_vanishing(data, point)
     assert record.passed
     sl3 = build_classical_algebra(LieSeries("A", 2))
-    record = check_involutive_vanishing(sl3, _diag(4, 1, Fraction(1, 4)))
+    record = check_involutive_vanishing(sl3, _sparse(_diag(4, 1, Fraction(1, 4))))
     assert not record.passed  # Ad^2 != id there, reported as such
     assert "Ad^2" in record.detail
 
@@ -233,25 +378,29 @@ def _generic_classical_point(spec):
 
 
 def _basis_involutive(data, a):
-    ad = adjoint_matrix(data, a)
+    ad = dense_adjoint(data, a)
     return (g_is_zero(g_sub(linalg.mat_mul(ad, ad), g_identity(data.dim)))
             and g_is_zero(omega_part(data, ad)))
 
 
 def _assert_paths_agree(data, a, involutive=True):
-    value = bivector_at(data, a)
+    """a is a dense grid; the program sees its nonzero entries."""
+    value = bivector_at(data, _sparse(a))
     want = basis_bivector(data, a)
     assert value.coeffs == want
     assert value.is_zero() == g_is_zero(want)
+    assert adjoint_matrix(data, _sparse(a)) == dense_adjoint(data, a)
     if involutive:
-        assert check_involutive_vanishing(data, a).passed == _basis_involutive(data, a)
+        assert check_involutive_vanishing(data, _sparse(a)).passed == _basis_involutive(data, a)
     return value.is_zero()
 
 
 @pytest.mark.parametrize("spec", standard_cases(), ids=lambda s: s.case_id)
 def test_tensor_verdicts_match_basis_path_at_reference_points(spec):
     data = build_classical_algebra(spec.series)
-    assert _assert_paths_agree(data, classical_point_grid(spec))
+    grid = _point_grid(spec)
+    assert classical_point_entries(spec) == _sparse(grid)
+    assert _assert_paths_agree(data, grid)
 
 
 GENERIC = [s for s in standard_cases(n_max=6) if param_indices(s)]
@@ -267,7 +416,7 @@ def test_tensor_verdicts_match_basis_path_at_generic_points(spec):
                                   ClassSpec("sp", 16, "t4")], ids=lambda s: s.case_id)
 def test_tensor_verdict_matches_basis_path_at_n16(spec):
     data = build_classical_algebra(spec.series)
-    assert _assert_paths_agree(data, classical_point_grid(spec), involutive=False)
+    assert _assert_paths_agree(data, _point_grid(spec), involutive=False)
 
 
 @pytest.mark.parametrize("name", sorted(CONTROLS))
@@ -284,7 +433,8 @@ SERIES_TO_16 = ([("sl", N) for N in range(2, 17)] + [("so", N) for N in range(3,
 
 @pytest.mark.parametrize("group,N", SERIES_TO_16)
 def test_sorted_positive_matches_a_solve_per_root(group, N):
-    # the textbook route: each root's simple coordinates by their own solve
+    # each root's height read from its own simple-root coordinates, which
+    # tests/test_rootdata.py checks against the root itself
     rs = build_root_system(series_for_group(group, N))
     keyed = sorted((sum(rs.expand_in_simple(root)), root) for root in rs.positive)
     assert _sorted_positive(rs) == [root for _, root in keyed]

@@ -192,6 +192,17 @@ def test_poisson_case_and_matrix(capsys):
     assert payload["largest"] == {"row": 3, "col": 7, "re": "-2", "im": "0"}
 
 
+def test_poisson_text_renders_a_negative_imaginary_part(capsys):
+    literal = json.dumps([["i", "0"], ["0", "1"]])
+    argv = ["poisson", "--series", "sl", "--N", "2", "--matrix", literal]
+    assert main(argv + ["--format", "text"]) == 1
+    assert capsys.readouterr().out == (
+        "explicit-matrix: bivector NONZERO, largest coefficient (2-2*i) at (1, 2)\n")
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["largest"] == {
+        "row": 1, "col": 2, "re": "2", "im": "-2"}
+
+
 def test_poisson_matrix_requires_algebra():
     assert main(["poisson", "--matrix", "[[\"1\"]]"]) == 2
 

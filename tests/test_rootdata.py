@@ -1,6 +1,9 @@
 """Root systems, class specifications, and the involution combinatorics."""
+from fractions import Fraction
+
 import pytest
 
+from repoints import linalg
 from repoints.natrep import q_trace
 from repoints.qmatrix import QMatrix
 from repoints.rootdata import (
@@ -80,6 +83,29 @@ def test_positive_roots_match_the_reflection_closure(ls):
     dim_g = {"A": N * N - 1, "B": N * (N - 1) // 2, "C": N * (N + 1) // 2,
              "D": N * (N - 1) // 2}[ls.series]
     assert len(pos) == (dim_g - ls.rank) // 2
+
+
+@pytest.mark.parametrize("ls", _SERIES_TO_32, ids=lambda ls: f"{ls.series}{ls.rank}")
+def test_expand_in_simple_reproduces_every_positive_root(ls):
+    rs = build_root_system(ls)
+    # Gram gram_inv_num = gram_inv_den * 1, in integers
+    assert linalg.mat_mul([list(row) for row in rs.cartan_pairing],
+                          [list(row) for row in rs.gram_inv_num]) == [
+        [rs.gram_inv_den * (i == j) for j in range(ls.rank)] for i in range(ls.rank)]
+    for root in rs.positive:
+        coords = rs.expand_in_simple(root)
+        # a positive root is a nonnegative integer combination of the simple roots
+        assert all(type(c) is Fraction and c.denominator == 1 and c >= 0 for c in coords)
+        assert tuple(sum(int(c) * alpha[t] for c, alpha in zip(coords, rs.simple))
+                     for t in range(ls.eps_dim)) == root
+
+
+@pytest.mark.parametrize("ls,v", [(LieSeries("A", 2), (1, 0, 0)), (LieSeries("A", 2), (1, 1, 1)),
+                                  (LieSeries("A", 1), (0, 1))])
+def test_expand_in_simple_raises_outside_the_span(ls, v):
+    # in sl(N) the simple roots span the coordinate-sum-zero hyperplane only
+    with pytest.raises(linalg.NotInSpanError):
+        build_root_system(ls).expand_in_simple(v)
 
 
 def test_weights_of_natural_basis():

@@ -1,6 +1,7 @@
 """Verification reports: the individual checks and the full pipeline."""
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +11,7 @@ from repoints.rmatrix import build_rmatrix_data
 from repoints.rootdata import ClassSpec, LieSeries
 from repoints.scalar import ONE, QScalar, parse_scalar, q_integer
 from repoints.verifier import (
+    check_bivector,
     check_min_poly,
     check_reflection,
     embed_second,
@@ -160,3 +162,11 @@ def test_classical_algebra_is_built_before_the_reflection_check(monkeypatch):
     classical.build_classical_algebra.cache_clear()
     monkeypatch.setattr(verifier, "check_reflection", probe)
     assert full_report(ClassSpec("sl", 3, "t2", 1, 1)).passed
+
+
+def test_bivector_detail_renders_a_negative_imaginary_part():
+    point = quantum_point(ClassSpec("sl", 2, "t2", 1, 1))
+    a0 = QMatrix.from_entries(2, [(0, 0, parse_scalar("i")), (1, 1, ONE)])
+    record = check_bivector(replace(point, A0=a0))
+    assert not record.passed
+    assert record.detail == "largest coefficient (2-2*i) at (1, 2)"
