@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .natrep import CheckRecord, NaturalRep, build_natural_rep
+from .natrep import CheckRecord, NaturalRep, build_natural_rep, cartan_power
 from .points import PointParams
 from .qmatrix import QMatrix, commutator, first_product_difference
 from .rootdata import ClassSpec, ThetaData, build_root_system, theta_for_class
@@ -205,17 +205,17 @@ def mixture_table_formula(spec: ClassSpec, alpha: int, params: PointParams):
     return None, None
 
 
-def cartan_element(rep: NaturalRep, td: ThetaData, alpha: int) -> QMatrix:
-    """pi(q^{h_{tilde alpha} - h_alpha})."""
+def cartan_shift(td: ThetaData, alpha: int) -> tuple:
+    """beta = tilde(alpha) - alpha in epsilon coordinates, so that
+    cartan_power(ls, beta) = pi(q^{h_{tilde alpha} - h_alpha})."""
     rs = build_root_system(td.spec.series)
-    beta = tuple(t - a for t, a in zip(td.tilde_eps[alpha], rs.simple[alpha - 1]))
-    return rep.cartan_power(beta)
+    return tuple(t - a for t, a in zip(td.tilde_eps[alpha], rs.simple[alpha - 1]))
 
 
 def solve_mixture(rep: NaturalRep, td: ThetaData, A: QMatrix, alpha: int,
                   F_tilde: QMatrix) -> QScalar:
     """The unique c with [pi(q^{h_tilde - h_alpha}) pi(e_alpha) + c F_tilde, A] = 0."""
-    lead = cartan_element(rep, td, alpha) * rep.e[alpha - 1]
+    lead = cartan_power(td.spec.series, cartan_shift(td, alpha)) * rep.e[alpha - 1]
     b1 = commutator(lead, A)
     b2 = commutator(F_tilde, A)
     pivot = b2.first_nonzero()
@@ -244,14 +244,11 @@ def build_stabilizer(rep: NaturalRep, spec: ClassSpec, params: PointParams,
     cartan = []
     mixed = []
     unsolved = []
-    N = spec.N
     for a in td.pi_moved:
-        kb = cartan_element(rep, td, a)
-        kb_inv = QMatrix(N)
-        for j in range(N):
-            kb_inv.put(j, j, kb.get(j, j).inv())
+        beta = cartan_shift(td, a)
+        kb = cartan_power(spec.series, beta)
         cartan.append((f"k.tilde{a}", kb))
-        cartan.append((f"k.tilde{a}_inv", kb_inv))
+        cartan.append((f"k.tilde{a}_inv", cartan_power(spec.series, tuple(-x for x in beta))))
         f_tilde = f_tilde_root_vector(rep, spec, a)
         try:
             c_solved = solve_mixture(rep, td, A, a, f_tilde)

@@ -44,15 +44,15 @@ class NaturalRep:
     def rank(self) -> int:
         return self.series_data.rank
 
-    def cartan_power(self, beta: tuple) -> QMatrix:
-        """pi(q^{h_beta}) for a vector beta in epsilon coordinates: the diagonal
-        of q^(beta, weight_j) over the natural basis."""
-        rs = build_root_system(self.series_data)
-        N = self.series_data.dim
-        out = QMatrix(N)
-        for j in range(N):
-            out.put(j, j, QScalar.q_power(dot(beta, rs.weight_of_basis(j))))
-        return out
+
+def cartan_power(ls: LieSeries, beta: tuple) -> QMatrix:
+    """pi(q^{h_beta}) for a vector beta in epsilon coordinates: the diagonal
+    of q^(beta, weight_j) over the natural basis."""
+    rs = build_root_system(ls)
+    out = QMatrix(ls.dim)
+    for j in range(ls.dim):
+        out.put(j, j, QScalar.q_power(dot(beta, rs.weight_of_basis(j))))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -62,43 +62,20 @@ def build_natural_rep(ls: LieSeries) -> NaturalRep:
     def prime(i: int) -> int:
         return N - i + 1
 
-    def diag_q(exps) -> QMatrix:
-        m = QMatrix(N)
-        for j, e in enumerate(exps):
-            m.put(j, j, QScalar.q_power(e))
-        return m
-
-    e, k = [], []
     if ls.series == "A":
-        for i in range(1, n + 1):
-            e.append(_unit(N, i, i + 1))
-            k.append(diag_q([(j == i) - (j == i + 1) for j in range(1, N + 1)]))
+        e = [_unit(N, i, i + 1) for i in range(1, n + 1)]
     else:
-        for i in range(1, n):
-            e.append(_unit(N, i, i + 1) + _unit(N, prime(i + 1), prime(i), -1))
-            k.append(diag_q([
-                (j == i) - (j == prime(i)) - (j == i + 1) + (j == prime(i + 1))
-                for j in range(1, N + 1)
-            ]))
+        e = [_unit(N, i, i + 1) + _unit(N, prime(i + 1), prime(i), -1) for i in range(1, n)]
         if ls.series == "B":
             e.append(_unit(N, n, n + 1) + _unit(N, prime(n + 1), prime(n), -1))
-            k.append(diag_q([(j == n) - (j == prime(n)) for j in range(1, N + 1)]))
         elif ls.series == "C":
             e.append(_unit(N, n, prime(n)))
-            k.append(diag_q([2 * (j == n) - 2 * (j == prime(n)) for j in range(1, N + 1)]))
         else:
             e.append(_unit(N, n - 1, n + 1) + _unit(N, prime(n + 1), prime(n - 1), -1))
-            k.append(diag_q([
-                (j == n - 1) - (j == prime(n - 1)) + (j == n) - (j == prime(n))
-                for j in range(1, N + 1)
-            ]))
     f = [m.transpose() for m in e]
-    k_inv = []
-    for m in k:
-        inv = QMatrix(N)
-        for j in range(N):
-            inv.put(j, j, m.get(j, j).inv())
-        k_inv.append(inv)
+    simple = build_root_system(ls).simple
+    k = [cartan_power(ls, alpha) for alpha in simple]
+    k_inv = [cartan_power(ls, tuple(-x for x in alpha)) for alpha in simple]
     F = [ki * fi for ki, fi in zip(k, f)]
     return NaturalRep(ls, e, f, k, k_inv, F)
 

@@ -12,7 +12,7 @@ varpi^2 = varpi iff w.u = p den, and X varpi = mu varpi iff X u = mu u (and
 varpi X = mu varpi iff w^T X = mu w^T).
 
 Tensor indices are lexicographic: component (i, j) of C^N tensor C^N sits at
-row (i - 1) * N + j (1-based i, j).
+row i * N + j (0-based i, j).
 """
 from __future__ import annotations
 
@@ -20,28 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .qmatrix import QMatrix
-from .rootdata import LieSeries, build_root_system
-from .scalar import ONE, Q, QINV, ZERO, QScalar
-
-
-def _exponent_weights(ls: LieSeries) -> list:
-    """Doubled rho-style exponents r_j entering the kappa term of the R-matrix.
-
-    These follow two_rho except in the B series, where the middle basis vector
-    contributes exponent +1 (doubled), as forced by compatibility with the
-    natural representation's normalization of the short-root generators.
-    """
-    n, N = ls.rank, ls.dim
-    if ls.series == "B":
-        top = [2 * (n - j) - 1 for j in range(n)]
-        return top + [1] + [-t for t in reversed(top)]
-    if ls.series == "C":
-        top = [2 * (n - j) for j in range(n)]
-        return top + [-t for t in reversed(top)]
-    if ls.series == "D":
-        top = [2 * (n - j) - 2 for j in range(n)]
-        return top + [-t for t in reversed(top)]
-    raise ValueError("A series has no kappa term")
+from .rootdata import LieSeries, build_root_system, dot
+from .scalar import Q, QINV, ZERO, QScalar
 
 
 @dataclass(frozen=True)
@@ -89,47 +69,41 @@ class RMatrixData:
 
 
 def build_R(ls: LieSeries) -> QMatrix:
+    """The Faddeev-Reshetikhin-Takhtajan R-matrix on C^N tensor C^N.
+
+    With w_j the weight of the j-th natural basis vector, j' its mirror and
+    lambda = q - q^-1 (0-based indices):
+        R = sum_ij q^(w_i, w_j) e_ii x e_jj + lambda sum_{j<i} e_ij x e_ji
+            - lambda sum_{j<i} kappa_i kappa_j q^((r_i - r_j)/2) e_ij x e_i'j'.
+    The last sum is absent for series A.  r_j = (2 rho, w_j), except at the
+    middle basis vector of series B, whose weight is zero: there r = 1, as
+    (2 rho, w_j) is odd for every other j and without it the exponent would
+    not be an integer.
+    """
     N = ls.dim
+    rs = build_root_system(ls)
+    w = [rs.weight_of_basis(j) for j in range(N)]
+    r = [dot(rs.two_rho, wj) for wj in w]
+    if ls.series == "B":
+        r[ls.rank] = 1
     R = QMatrix(N * N)
     lam = Q - QINV
-
-    def idx(i: int, j: int) -> int:
-        # 1-based tensor component (i, j)
-        return (i - 1) * N + (j - 1)
-
-    if ls.series == "A":
-        for i in range(1, N + 1):
-            for j in range(1, N + 1):
-                R.put(idx(i, j), idx(i, j), Q if i == j else ONE)
-        for i in range(1, N + 1):
-            for j in range(i + 1, N + 1):
-                # (q - q^-1) e_ji x e_ij over i < j
-                R.put(idx(j, i), idx(i, j), R.get(idx(j, i), idx(i, j)) + lam)
-        return R
-
-    rs = build_root_system(ls)
-    r = _exponent_weights(ls)
-    kappa = rs.kappa
-
-    def prime(i: int) -> int:
-        return N - i + 1
-
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            e = (1 if i == j else 0) - (1 if j == prime(i) else 0)
-            R.put(idx(i, j), idx(i, j), QScalar.q_power(e))
-    for i in range(1, N + 1):
-        for j in range(1, i):
-            # (q - q^-1) (e_ij x e_ji - kappa_i kappa_j q^(rho_i - rho_j) e_ij x e_i'j')
-            R.put(idx(i, j), idx(j, i), R.get(idx(i, j), idx(j, i)) + lam)
-            num = r[i - 1] - r[j - 1]
+    for i in range(N):
+        for j in range(N):
+            R.put(i * N + j, i * N + j, QScalar.q_power(dot(w[i], w[j])))
+    for i in range(N):
+        for j in range(i):
+            R.put(i * N + j, j * N + i, R.get(i * N + j, j * N + i) + lam)
+            if ls.series == "A":
+                continue
+            num = r[i] - r[j]
             if num % 2:
                 raise AssertionError("non-integral exponent in R-matrix")
             c = QScalar.q_power(num // 2)
-            if kappa[i - 1] * kappa[j - 1] < 0:
+            if rs.kappa[i] * rs.kappa[j] < 0:
                 c = -c
-            pos = (idx(i, prime(i)), idx(j, prime(j)))
-            R.put(pos[0], pos[1], R.get(pos[0], pos[1]) - lam * c)
+            pos = (i * N + rs.prime(i), j * N + rs.prime(j))
+            R.put(*pos, R.get(*pos) - lam * c)
     return R
 
 

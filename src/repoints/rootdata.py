@@ -46,9 +46,9 @@ class LieSeries:
 
 
 # Largest N accepted.  The classical set-up and verdicts form no matrix of
-# the Lie algebra's dimension (about N^2), but no benchmark workload covers N
-# above 6 and the time and memory per case above 16 are unmeasured; the bound
-# keeps every command short.
+# the Lie algebra's dimension (about N^2).  Single cases up to N = 32 have
+# been timed (CHANGES.md), but no benchmark workload covers N above 6, so
+# raising the bound waits on the before/after benchmark pair of ROADMAP item 2.
 MAX_N = 16
 
 

@@ -1,4 +1,4 @@
-"""Shared fixtures."""
+"""Shared fixtures, and the time bound on every test."""
 import signal
 
 import pytest
@@ -20,9 +20,11 @@ def _expire(signum, frame):
     raise TimeBoundExceeded(f"test ran past {TEST_TIME_BOUND_S} s")
 
 
-@pytest.fixture(autouse=True)
-def time_bound():
-    """Arm SIGALRM around each test."""
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """Arm SIGALRM around each test's whole run: set-up, call and teardown,
+    so fixtures of any scope are bounded too.  The alarm is disarmed after
+    every test, whatever the test did with SIGALRM in between."""
     previous = signal.signal(signal.SIGALRM, _expire)
     signal.alarm(TEST_TIME_BOUND_S)
     try:

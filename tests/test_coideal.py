@@ -10,7 +10,7 @@ from repoints.coideal import (
     q_commutator,
     solve_mixture,
 )
-from repoints.natrep import build_natural_rep
+from repoints.natrep import build_natural_rep, cartan_power
 from repoints.points import default_params, quantum_point
 from repoints.qmatrix import QMatrix, commutator
 from repoints.rootdata import ClassSpec, theta_for_class
@@ -59,8 +59,8 @@ def test_sl_words_have_the_twisted_weight():
         # F_{tilde alpha} is a lowering operator of weight -tilde(alpha):
         # conjugating by q^{h_beta} scales it by q^{-(beta, tilde)}
         beta = tuple(1 if j == 0 else 0 for j in range(6))
-        kb = rep.cartan_power(beta)
-        kb_inv = rep.cartan_power(tuple(-x for x in beta))
+        kb = cartan_power(spec.series, beta)
+        kb_inv = cartan_power(spec.series, tuple(-x for x in beta))
         from repoints.rootdata import dot
         expected = QScalar.q_power(-dot(beta, td.tilde_eps[alpha]))
         assert kb * w * kb_inv == w.scale(expected)
