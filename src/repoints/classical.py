@@ -1,6 +1,6 @@
 """Classical (q = 1) checks: Lie algebra data in the defining representation,
-the split Casimir omega, the skew two-tensor rho built from paired root
-vectors, and the vanishing of the induced bivector at the classical points.
+its trace-form dual basis, and the vanishing of the Poisson bivector at the
+classical points.
 
 Everything here is exact arithmetic over the Gaussian rationals, in one sparse
 format. An element of End(V) is a dict (i, j) -> coefficient of the matrix
@@ -12,9 +12,12 @@ format; the only dense N x N matrix is the input of `linalg.invert`.
 
 The Chevalley basis B_k of g comes with its dual basis B_k^v under the trace
 form, tr(B_m B_k^v) = delta_mk (`build_classical_algebra`), and every basis
-coordinate is read by pairing with it. The verdicts are decided on the
-tensors. Basis coordinates of the bivector are read only to name one in a
-failure detail.
+coordinate is read by pairing with it. The split Casimir
+omega = sum_k B_k (x) B_k^v and rho = sum_beta e_beta (x) f_beta - f_beta (x)
+e_beta are not stored: `bivector_at` builds its tensor from the conjugated
+root vectors and basis elements. The verdicts are decided on that tensor.
+Basis coordinates of the bivector are read only to name one in a failure
+detail.
 """
 from __future__ import annotations
 
@@ -111,7 +114,7 @@ def _conjugate_first(t: dict, conj) -> dict:
     """Conjugation by a of the first index pair of t: E_ij goes to
     a E_ij a^-1 = sum of a[p][i] a^-1[j][r] E_pr.  On a tensor
     {(i, j, k, l): x} this is (Ad_a (x) 1) t; on a matrix {(i, j): x} it is
-    a t a^-1.  conj is what `_conjugation` returns."""
+    a t a^-1.  conj is the first item `_conjugation` returns."""
     cols, rows = conj
     out = {}
     for key, c in t.items():
@@ -125,11 +128,6 @@ def _conjugate_first(t: dict, conj) -> dict:
     return _nonzero(out)
 
 
-def _conjugate_second(t: dict, conj) -> dict:
-    """(1 (x) Ad_a) t."""
-    return _flip(_conjugate_first(_flip(t), conj))
-
-
 @dataclass
 class ClassicalAlgebraData:
     ls: LieSeries
@@ -140,8 +138,6 @@ class ClassicalAlgebraData:
     f_vectors: dict  # positive root -> f_beta, normalized so (e, f) = 1
     positive: tuple  # roots in construction order
     expander: linalg.BasisExpander
-    omega_tensor: dict  # omega in End(V) (x) End(V)
-    rho_tensor: dict  # rho in End(V) (x) End(V)
     generators: list  # the simple e and f vectors; they generate the algebra
 
     @property
@@ -167,9 +163,7 @@ def _sorted_positive(rs) -> list:
 def build_classical_algebra(ls: LieSeries) -> ClassicalAlgebraData:
     """The Chevalley basis B_k of g (h_i = [e_i, f_i], then e_beta, then
     f_beta with tr(e_beta f_beta) = 1), its trace-form dual basis
-    h_k^v = sum_l (Gram^-1)_kl h_l, e_beta^v = f_beta, f_beta^v = e_beta,
-    and omega = sum_k B_k (x) B_k^v, rho = sum_beta e_beta (x) f_beta -
-    f_beta (x) e_beta as sparse tensors.
+    h_k^v = sum_l (Gram^-1)_kl h_l, e_beta^v = f_beta, f_beta^v = e_beta.
 
     Why tr(B_m B_k^v) = delta_mk:
 
@@ -222,38 +216,63 @@ def build_classical_algebra(ls: LieSeries) -> ClassicalAlgebraData:
     basis = cartan + es + fs
     duals = [_combination(row, cartan) for row in gram_inv] + fs + es
     expander = linalg.BasisExpander(basis, [_transpose(d) for d in duals])
-
-    e_f = _outer_sum(zip(es, fs))
     return ClassicalAlgebraData(ls, basis, duals, cartan, e_vec, f_vec, tuple(positive),
-                                expander, _outer_sum(zip(basis, duals)),
-                                _combine((1, e_f), (-1, _flip(e_f))), simple_e + simple_f)
+                                expander, simple_e + simple_f)
 
 
 def adjoint_matrix(data: ClassicalAlgebraData, a: dict) -> list:
     """Ad_a (conjugation) on the basis, column k the coordinates of
     a B_k a^-1; raises if a is singular or does not normalize the algebra.
     No check builds it: it is the tests' reference for Ad."""
-    conj = _conjugation(data, a)
+    conj, _ = _conjugation(data, a)
     cols = [data.expander.expand(_conjugate_first(b, conj)) for b in data.basis]
     return [list(row) for row in zip(*cols)]
 
 
-def _conjugation(data: ClassicalAlgebraData, a: dict):
-    """The nonzeros of a by column and of a^-1 by row, which is what
-    `_conjugate_first` reads, once a x a^-1 is shown to lie in the algebra for
-    every simple generator x.  That suffices for Ad_a(g) = g: Ad_a is an
-    automorphism of the Lie algebra gl(N), and the basis of g is built from
-    brackets of the simple generators.  Raises SingularMatrixError if a is
-    singular and NotInSpanError if a does not normalize the algebra."""
+def _conjugation(data: ClassicalAlgebraData, a: dict) -> tuple:
+    """(conj, c): conj holds the nonzeros of a by column and of a^-1 by row,
+    which is what `_conjugate_first` reads, and c is the scalar with
+    a^2 = c I, or None if a^2 is not scalar.
+
+    - a^-1: if a^2 = c I with c != 0, then a (a / c) = I, so a^-1 = a / c and
+      no elimination is needed. Otherwise `linalg.invert` decides, so a
+      singular a raises SingularMatrixError (a nilpotent a, with a^2 = 0,
+      takes that path too).
+    - conj is returned only once a x a^-1 is shown to lie in the algebra for
+      every simple generator x. That suffices for Ad_a(g) = g: Ad_a is an
+      automorphism of the Lie algebra gl(N), and the basis of g is built from
+      brackets of the simple generators. Raises NotInSpanError if a does not
+      normalize the algebra.
+    """
     n = data.ls.dim
-    a_inv = linalg.invert([[a.get((i, j), GR_ZERO) for j in range(n)] for i in range(n)])
+    sq = _product(a, a)
+    c = sq.get((0, 0))
+    if c is not None and sq == {(i, i): c for i in range(n)}:
+        c_inv = c.inv()
+        rows = [[] for _ in range(n)]
+        for (j, r), x in a.items():
+            rows[j].append((r, x * c_inv))
+    else:
+        c = None
+        a_inv = linalg.invert([[a.get((i, j), GR_ZERO) for j in range(n)] for i in range(n)])
+        rows = [[(r, x) for r, x in enumerate(row) if x] for row in a_inv]
     cols = [[] for _ in range(n)]
     for (p, i), x in a.items():
         cols[i].append((p, x))
-    conj = (cols, [[(r, x) for r, x in enumerate(row) if x] for row in a_inv])
+    conj = (cols, rows)
     for x in data.generators:
         data.expander.expand(_conjugate_first(x, conj))
-    return conj
+    return conj, c
+
+
+def _omega_part(data: ClassicalAlgebraData, conj) -> dict:
+    """(1 (x) Ad - Ad (x) 1) omega for the split Casimir
+    omega = sum_k B_k (x) B_k^v, that is
+    sum_k B_k (x) Ad(B_k^v) - Ad(B_k) (x) B_k^v."""
+    pairs = list(zip(data.basis, data.duals))
+    right = _outer_sum((b, _conjugate_first(d, conj)) for b, d in pairs)
+    left = _outer_sum((_conjugate_first(b, conj), d) for b, d in pairs)
+    return _combine((1, right), (-1, left))
 
 
 def _coordinates(data: ClassicalAlgebraData, tensor: dict) -> list:
@@ -303,15 +322,32 @@ def bivector_at(data: ClassicalAlgebraData, a: dict) -> BivectorValue:
     the right-translation trivialization, decided in End(V) (x) End(V) as
 
         T = (1 (x) Ad)[(Ad (x) 1)rho - rho + omega] - (Ad (x) 1)rho
-            - (Ad (x) 1)omega + rho.
+            - (Ad (x) 1)omega + rho
+          = ((Ad - 1) (x) (Ad - 1)) rho + (1 (x) Ad - Ad (x) 1) omega,
+
+    expanding term by term with (1 (x) Ad)(Ad (x) 1) = Ad (x) Ad. Here
+    omega = sum_k B_k (x) B_k^v is the split Casimir and
+    rho = sum_beta e_beta (x) f_beta - f_beta (x) e_beta over the positive
+    roots; neither is stored.
+
+    - The rho part is sum_beta u_beta (x) v_beta - v_beta (x) u_beta with
+      u_beta = a e_beta a^-1 - e_beta and v_beta = a f_beta a^-1 - f_beta,
+      built from the root vectors.
+    - The omega part is zero when a^2 = c I: then a^-1 = a / c, so
+      Ad^-1 = Ad. Ad_a(g) = g (`_conjugation`) and Ad preserves tr(XY), so
+      the Ad_a(B_k) form a basis of g with dual basis Ad_a(B_k^v), and
+      (Ad (x) Ad) omega = omega. Hence
+      (Ad (x) 1) omega = (1 (x) Ad^-1) omega = (1 (x) Ad) omega. Otherwise it
+      is built by `_omega_part`. The verified points are involutions and
+      skip it.
 
     Why T = 0 iff its coefficient matrix `total` over the basis is zero:
 
-    - `_conjugation` proves Ad_a(g) = g (or raises). rho and omega lie in
-      g (x) g, so every term of T does, and T = sum total[k][l] B_k (x) B_l
-      for one matrix total. With Ad_a(B_k) = sum_i ad[i][k] B_i, expanding
-      term by term gives total = (ad - 1) rho (ad - 1)^T + omega ad^T
-      - ad omega, rho and omega here being their coefficient matrices.
+    - rho and omega lie in g (x) g, and Ad_a(g) = g, so every term of T does,
+      and T = sum total[k][l] B_k (x) B_l for one matrix total. With
+      Ad_a(B_k) = sum_i ad[i][k] B_i, total = (ad - 1) rho (ad - 1)^T
+      + omega ad^T - ad omega, rho and omega here being their coefficient
+      matrices.
     - The B_k are linearly independent in End(V), so the B_k (x) B_l are
       linearly independent in End(V) (x) End(V), and T = 0 iff total = 0.
     - The dual basis is biorthogonal, tr(B_m B_k^v) = delta_mk
@@ -320,13 +356,17 @@ def bivector_at(data: ClassicalAlgebraData, a: dict) -> BivectorValue:
 
     `total` is antisymmetric iff flip(T) = -T, which is asserted here.
     """
-    conj = _conjugation(data, a)
-    rho, omega = data.rho_tensor, data.omega_tensor
-    rho_left = _conjugate_first(rho, conj)
-    omega_left = _conjugate_first(omega, conj)
-    inner = _combine((1, rho_left), (-1, rho), (1, omega))
-    tensor = _combine((1, _conjugate_second(inner, conj)), (-1, rho_left),
-                      (-1, omega_left), (1, rho))
+    conj, c = _conjugation(data, a)
+    us, vs = [], []
+    for root in data.positive:
+        e, f = data.e_vectors[root], data.f_vectors[root]
+        us.append(_combine((1, _conjugate_first(e, conj)), (-1, e)))
+        vs.append(_combine((1, _conjugate_first(f, conj)), (-1, f)))
+    uv = _outer_sum(zip(us, vs))
+    terms = [(1, uv), (-1, _flip(uv))]
+    if c is None:
+        terms.append((1, _omega_part(data, conj)))
+    tensor = _combine(*terms)
     if _flip(tensor) != {key: -v for key, v in tensor.items()}:
         raise AssertionError("bivector lost antisymmetry")
     return BivectorValue(data, tensor)
@@ -335,26 +375,23 @@ def bivector_at(data: ClassicalAlgebraData, a: dict) -> BivectorValue:
 def check_involutive_vanishing(data: ClassicalAlgebraData, a: dict) -> CheckRecord:
     """For involutive adjoint action the omega contribution vanishes.
 
-    Both conditions are decided without the basis:
+    `bivector_at` skips the omega part by this argument when a^2 is scalar;
+    this check builds it with the same `_omega_part` and decides it.
 
     - Ad_a^2 = Ad_{a^2} is the identity on g iff a^2 commutes with g, iff a^2
       is scalar.  V (the defining module of sl(N), so(N) with N >= 3, or
       sp(N)) is an irreducible g-module, so by Schur its commutant over C is
       the scalars; the commutant is cut out by linear equations over Q(i), so
       the same holds over Q(i).  a is invertible (`_conjugation` raises
-      otherwise), so a scalar a^2 has the nonzero diagonal c = a^2[0][0].
+      otherwise), so a scalar a^2 = c I has c != 0; `_conjugation` returns c.
     - The omega part (1 (x) Ad - Ad (x) 1) omega has coefficient matrix
       omega ad^T - ad omega over the basis B_k (x) B_l, which are linearly
-      independent, so it vanishes iff (1 (x) Ad) omega = (Ad (x) 1) omega,
-      that is (1 (x) a) omega (1 (x) a^-1) = (a (x) 1) omega (a^-1 (x) 1).
+      independent, so it vanishes iff (1 (x) Ad) omega = (Ad (x) 1) omega.
     """
-    conj = _conjugation(data, a)
-    sq = _product(a, a)
-    c = sq.get((0, 0))
-    if sq != {(i, i): c for i in range(data.ls.dim)}:
+    conj, c = _conjugation(data, a)
+    if c is None:
         return CheckRecord("omega.involutive", False, "Ad^2 is not the identity")
-    omega = data.omega_tensor
-    ok = _conjugate_first(omega, conj) == _conjugate_second(omega, conj)
+    ok = not _omega_part(data, conj)
     return CheckRecord("omega.involutive", ok,
                        None if ok else "omega part nonzero despite Ad^2 = id")
 

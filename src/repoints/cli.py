@@ -239,7 +239,7 @@ def _matrix_point(literal: str, N: int) -> QMatrix:
     """The N x N matrix of q-free scalars in a --matrix JSON literal."""
     try:
         rows = json.loads(literal)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise UsageError(f"bad matrix literal: {exc}") from exc
     if (not isinstance(rows, list) or len(rows) != N
             or any(not isinstance(r, list) or len(r) != N for r in rows)

@@ -212,10 +212,9 @@ def cartan_shift(td: ThetaData, alpha: int) -> tuple:
     return tuple(t - a for t, a in zip(td.tilde_eps[alpha], rs.simple[alpha - 1]))
 
 
-def solve_mixture(rep: NaturalRep, td: ThetaData, A: QMatrix, alpha: int,
-                  F_tilde: QMatrix) -> QScalar:
-    """The unique c with [pi(q^{h_tilde - h_alpha}) pi(e_alpha) + c F_tilde, A] = 0."""
-    lead = cartan_power(td.spec.series, cartan_shift(td, alpha)) * rep.e[alpha - 1]
+def solve_mixture(lead: QMatrix, A: QMatrix, alpha: int, F_tilde: QMatrix) -> QScalar:
+    """The unique c with [lead + c F_tilde, A] = 0, where lead is
+    pi(q^{h_tilde - h_alpha}) pi(e_alpha) for the moved simple root alpha."""
     b1 = commutator(lead, A)
     b2 = commutator(F_tilde, A)
     pivot = b2.first_nonzero()
@@ -250,13 +249,14 @@ def build_stabilizer(rep: NaturalRep, spec: ClassSpec, params: PointParams,
         cartan.append((f"k.tilde{a}", kb))
         cartan.append((f"k.tilde{a}_inv", cartan_power(spec.series, tuple(-x for x in beta))))
         f_tilde = f_tilde_root_vector(rep, spec, a)
+        lead = kb * rep.e[a - 1]
         try:
-            c_solved = solve_mixture(rep, td, A, a, f_tilde)
+            c_solved = solve_mixture(lead, A, a, f_tilde)
         except (MixtureInconsistentError, MixtureUnderdeterminedError) as exc:
             unsolved.append((a, exc))
             continue
         c_table, note = mixture_table_formula(spec, a, params)
-        X = kb * rep.e[a - 1] + f_tilde.scale(c_solved)
+        X = lead + f_tilde.scale(c_solved)
         mixed.append(CoidealGen(a, _word_description(spec, a, td), f_tilde,
                                 c_table, note, c_solved, X))
     return StabilizerSet(spec, l_gens, cartan, mixed, unsolved)

@@ -738,6 +738,9 @@ def render_scalar(x: QScalar) -> str:
 # bounds on each literal exponent and on the degree of a power keep parsing
 # fast: (q + 1)^256 already takes seconds
 MAX_EXPONENT = 64
+# bound on parenthesis nesting: each level takes four stack frames of the
+# recursive descent, so this stays far below Python's recursion limit
+MAX_NESTING = 64
 
 
 def _degree_span(x: QScalar) -> int:
@@ -769,6 +772,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def _skip_ws(self):
         text, pos = self.text, self.pos
@@ -841,11 +845,15 @@ class _Parser:
     def atom(self) -> tuple:
         ch = self._peek()
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                raise ScalarParseError(f"parentheses nested deeper than {MAX_NESTING}", self.pos)
             self._take()
+            self.depth += 1
             val = self.expr()
             if self._peek() != ")":
                 raise ScalarParseError("expected ')'", self.pos)
             self._take()
+            self.depth -= 1
             return val
         if ch == "i":
             self._take()
@@ -864,7 +872,11 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise ScalarParseError("expected digits", self.pos)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError as exc:  # beyond Python's digit limit for int()
+            raise ScalarParseError(f"integer of {self.pos - start} digits is too long",
+                                   start) from exc
 
 
 def parse_scalar(text: str) -> QScalar:

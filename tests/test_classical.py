@@ -2,10 +2,14 @@
 
 The program keeps every element of End(V) as a sparse dict {(i, j): x}. The
 references here are dense lists of lists, built by the textbook formulas, and
-every comparison converts at the boundary (`_dense`, `_sparse`).
+every comparison converts at the boundary (`_dense`, `_sparse`). The program
+does not store omega and rho; the tests build them (`omega_tensor`,
+`rho_tensor`) and evaluate the bivector's six-term formula on them
+(`formula_bivector`) as the reference for its tensor.
 """
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -165,6 +169,71 @@ class DenseAlgebra:
         return {key: v for key, v in out.items() if v}
 
 
+def _sparse_outer_sum(pairs):
+    out = {}
+    for x, y in pairs:
+        for (i, j), u in x.items():
+            for (r, s), v in y.items():
+                out[(i, j, r, s)] = out.get((i, j, r, s), ZERO) + u * v
+    return {key: v for key, v in out.items() if v}
+
+
+def _flip(t):
+    return {(k, l, i, j): v for (i, j, k, l), v in t.items()}
+
+
+def _sum_terms(*terms):
+    """sum of sign * t over the (sign, t) in terms, zeros dropped."""
+    out = {}
+    for sign, t in terms:
+        for key, v in t.items():
+            out[key] = out.get(key, ZERO) + (v if sign > 0 else -v)
+    return {key: v for key, v in out.items() if v}
+
+
+@lru_cache(maxsize=None)
+def omega_tensor(ls):
+    """omega = sum_k B_k (x) B_k^v in End(V) (x) End(V)."""
+    data = build_classical_algebra(ls)
+    return _sparse_outer_sum(zip(data.basis, data.duals))
+
+
+@lru_cache(maxsize=None)
+def rho_tensor(ls):
+    """rho = sum_beta e_beta (x) f_beta - f_beta (x) e_beta."""
+    data = build_classical_algebra(ls)
+    e_f = _sparse_outer_sum((data.e_vectors[r], data.f_vectors[r]) for r in data.positive)
+    return _sum_terms((1, e_f), (-1, _flip(e_f)))
+
+
+def _conjugate_left(t, a, a_inv):
+    """(Ad_a (x) 1) t for dense a and a^-1: E_ij -> sum_pr a[p][i] a^-1[j][r] E_pr."""
+    n = len(a)
+    out = {}
+    for (i, j, k, l), x in t.items():
+        for p in range(n):
+            if a[p][i]:
+                for r in range(n):
+                    if a_inv[j][r]:
+                        key = (p, r, k, l)
+                        out[key] = out.get(key, ZERO) + x * a[p][i] * a_inv[j][r]
+    return {key: v for key, v in out.items() if v}
+
+
+def formula_bivector(ls, a):
+    """The bivector tensor at a dense grid a by the original formula,
+    T = (1 (x) Ad)[(Ad (x) 1)rho - rho + omega] - (Ad (x) 1)rho
+        - (Ad (x) 1)omega + rho,
+    conjugating whole tensors by a and its inverse from `linalg.invert`."""
+    a_inv = linalg.invert(a)
+    rho, omega = rho_tensor(ls), omega_tensor(ls)
+    rho_left = _conjugate_left(rho, a, a_inv)
+    inner = _sum_terms((1, rho_left), (-1, rho), (1, omega))
+    inner_right = _flip(_conjugate_left(_flip(inner), a, a_inv))
+    return _sum_terms((1, inner_right), (-1, rho_left),
+                      (-1, _conjugate_left(omega, a, a_inv)), (1, rho))
+
+
 SERIES_TO_8 = ([("sl", N) for N in range(2, 9)] + [("so", N) for N in range(3, 9)]
                + [("sp", N) for N in range(2, 9, 2)])
 
@@ -185,8 +254,8 @@ def test_sparse_algebra_matches_the_dense_construction(group, N):
     assert data.cartan == [_sparse(h) for h in ref.cartan]
     assert data.basis == [_sparse(b) for b in ref.basis]
     assert data.duals == [_sparse(d) for d in ref.duals]
-    assert data.omega_tensor == ref.omega
-    assert data.rho_tensor == ref.rho
+    assert omega_tensor(ls) == ref.omega
+    assert rho_tensor(ls) == ref.rho
 
 
 @pytest.mark.parametrize("group,N", [("sl", 3), ("so", 5), ("so", 6), ("sp", 4)])
@@ -254,9 +323,10 @@ def test_sl2_algebra_shape():
     assert data.duals == [{key: x * GaussRational(Fraction(1, 2)) for key, x in h.items()}, f, e]
     assert e == {(0, 1): GaussRational(1)} and f == {(1, 0): GaussRational(1)}
     # omega = h (x) h/2 + e (x) f + f (x) e, rho = e (x) f - f (x) e
-    assert data.omega_tensor[(0, 0, 0, 0)] == GaussRational(Fraction(1, 2))
-    assert data.omega_tensor[(0, 1, 1, 0)] == data.omega_tensor[(1, 0, 0, 1)] == GaussRational(1)
-    assert data.rho_tensor == {(0, 1, 1, 0): GaussRational(1), (1, 0, 0, 1): GaussRational(-1)}
+    omega = omega_tensor(data.ls)
+    assert omega[(0, 0, 0, 0)] == GaussRational(Fraction(1, 2))
+    assert omega[(0, 1, 1, 0)] == omega[(1, 0, 0, 1)] == GaussRational(1)
+    assert rho_tensor(data.ls) == {(0, 1, 1, 0): GaussRational(1), (1, 0, 0, 1): GaussRational(-1)}
 
 
 def _tensor_of(data, coeffs):
@@ -277,8 +347,8 @@ def _tensor_of(data, coeffs):
 def test_tensors_are_the_basis_coefficient_matrices(group, N):
     data = build_classical_algebra(series_for_group(group, N))
     omega, rho = coefficient_matrices(data)
-    assert data.omega_tensor == _tensor_of(data, omega)
-    assert data.rho_tensor == _tensor_of(data, rho)
+    assert omega_tensor(data.ls) == _tensor_of(data, omega)
+    assert rho_tensor(data.ls) == _tensor_of(data, rho)
 
 
 def test_so5_root_vectors():
@@ -354,6 +424,8 @@ CONTROLS = {
     "sl3-diag": ("sl", lambda: _diag(4, 1, Fraction(1, 4))),
     "sl3-unipotent": ("sl", _unipotent),
     "so5-diag": ("so", lambda: _diag(2, 1, 1, 1, Fraction(1, 2))),
+    "sp4-diag": ("sp", lambda: _diag(2, 1, 1, Fraction(1, 2))),
+    "sl8-diag": ("sl", lambda: _diag(2, *[1] * 6, Fraction(1, 2))),
 }
 
 
@@ -386,6 +458,7 @@ def _basis_involutive(data, a):
 def _assert_paths_agree(data, a, involutive=True):
     """a is a dense grid; the program sees its nonzero entries."""
     value = bivector_at(data, _sparse(a))
+    assert value.tensor == formula_bivector(data.ls, a)
     want = basis_bivector(data, a)
     assert value.coeffs == want
     assert value.is_zero() == g_is_zero(want)
@@ -412,8 +485,9 @@ def test_tensor_verdicts_match_basis_path_at_generic_points(spec):
     assert _assert_paths_agree(data, _generic_classical_point(spec))
 
 
-@pytest.mark.parametrize("spec", [ClassSpec("sl", 16, "t2", 0, 1), ClassSpec("so", 16, "t2", 7, -1),
-                                  ClassSpec("sp", 16, "t4")], ids=lambda s: s.case_id)
+@pytest.mark.parametrize("spec", [ClassSpec("sl", 16, "t2", 0, 1), ClassSpec("sl", 16, "t2", 8, 1),
+                                  ClassSpec("so", 16, "t2", 7, -1), ClassSpec("sp", 16, "t4")],
+                         ids=lambda s: s.case_id)
 def test_tensor_verdict_matches_basis_path_at_n16(spec):
     data = build_classical_algebra(spec.series)
     assert _assert_paths_agree(data, _point_grid(spec), involutive=False)

@@ -51,7 +51,7 @@ def test_verify_violated_constraint_exits_one(capsys):
 def test_unsolved_mixture_is_a_failing_record(monkeypatch, capsys, error):
     from repoints import coideal
 
-    def unsolvable(rep, td, A, alpha, F_tilde):
+    def unsolvable(lead, A, alpha, F_tilde):
         raise getattr(coideal, error)(f"alpha_{alpha}: forced")
 
     monkeypatch.setattr(coideal, "solve_mixture", unsolvable)
@@ -221,6 +221,25 @@ def test_poisson_matrix_outside_the_normalizer_exits_two(capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "error: the matrix does not normalize so(3)\n"
+
+
+def test_poisson_deeply_nested_matrix_exits_two(capsys):
+    assert main(["poisson", "--series", "sl", "--N", "2", "--matrix", "[" * 100000]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: bad matrix literal: ") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("literal", ["(" * 300 + "1" + ")" * 300, "9" * 5000],
+                         ids=["nested-parentheses", "5000-digits"])
+def test_param_literal_past_the_parser_bounds_exits_two(capsys, literal):
+    code = main(["verify", "--series", "sl", "--N", "4", "--family", "t2", "--m", "1",
+                 "--param", f"y1={literal}"])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: bad scalar literal for y1: ")
+    assert out.err.count("\n") == 1 and "(at position " in out.err
 
 
 def test_poisson_without_a_case_exits_two(capsys):

@@ -5,6 +5,7 @@ import pytest
 from repoints.coideal import (
     MixtureInconsistentError,
     build_point_stabilizer,
+    cartan_shift,
     check_stabilizer,
     f_tilde_root_vector,
     q_commutator,
@@ -122,8 +123,9 @@ def test_solve_mixture_rejects_non_point():
     point = quantum_point(spec)
     broken = point.A + QMatrix.from_entries(5, [(0, 4, parse_scalar("q^3"))])
     f_tilde = f_tilde_root_vector(rep, spec, 1)
+    lead = cartan_power(spec.series, cartan_shift(td, 1)) * rep.e[0]
     with pytest.raises(MixtureInconsistentError):
-        solve_mixture(rep, td, broken, 1, f_tilde)
+        solve_mixture(lead, broken, 1, f_tilde)
 
 
 def test_check_stabilizer_reports_failures():

@@ -15,6 +15,7 @@ from repoints.scalar import (
     GaussRational,
     I_UNIT,
     LP_ONE,
+    MAX_NESTING,
     LaurentPoly,
     ONE,
     PoleAtOneError,
@@ -92,6 +93,17 @@ def test_parse_errors_carry_position():
         parse_scalar("1/(q - q)")
     with pytest.raises(ScalarParseError):
         parse_scalar("")
+
+
+def test_parse_bounds_nesting_and_integer_length():
+    assert parse_scalar("(" * MAX_NESTING + "q" + ")" * MAX_NESTING) == Q
+    with pytest.raises(ScalarParseError) as e:
+        parse_scalar("(" * (MAX_NESTING + 1) + "q" + ")" * (MAX_NESTING + 1))
+    assert e.value.position == MAX_NESTING
+    # past Python's limit on the digits int() converts
+    with pytest.raises(ScalarParseError) as e:
+        parse_scalar("q + " + "9" * 5000)
+    assert e.value.position == 4
 
 
 def test_canonical_denominator_shape():
