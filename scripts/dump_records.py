@@ -29,25 +29,9 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 from repoints.cli import main as cli_main  # noqa: E402
 from repoints.points import default_params  # noqa: E402
-from repoints.rootdata import MAX_N, ClassSpec, series_for_group  # noqa: E402
+from repoints.rootdata import MAX_N, ClassSpec, admissible_cases, series_for_group  # noqa: E402
 from repoints.verifier import full_report  # noqa: E402
 from workloads import draw_params  # noqa: E402
-
-
-def admissible_cases(n_max: int) -> list:
-    """Every class ClassSpec accepts with N <= n_max, ordered by N first."""
-    cases = []
-    for N in range(1, n_max + 1):
-        for group in ("sl", "so", "sp"):
-            candidates = [(group, N, "t2", m, sign)
-                          for m in range(N // 2 + 1) for sign in (1, -1)]
-            candidates.append((group, N, "t4", None, 1))
-            for args in candidates:
-                try:
-                    cases.append(ClassSpec(*args))
-                except ValueError:
-                    pass
-    return cases
 
 
 def record_lines(spec: ClassSpec, params, label: str) -> list:

@@ -1,17 +1,22 @@
 #!/usr/bin/env python3
 """Print the involution combinatorics for every reference case: fixed and open
 simple roots, arcs between paired open nodes, the twisted roots in simple-root
-coordinates, and the solved mixture coefficients.
+coordinates, and the solved mixture coefficients.  The script imports the
+package from its own checkout.
 
 Usage:
     python scripts/satake_tables.py [sl|so|sp]
 """
+import os
 import sys
 
-from repoints.coideal import build_point_stabilizer
-from repoints.points import quantum_point
-from repoints.rootdata import standard_cases, theta_for_class
-from repoints.scalar import render_scalar
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from repoints.coideal import build_point_stabilizer  # noqa: E402
+from repoints.points import quantum_point  # noqa: E402
+from repoints.rootdata import standard_cases, theta_for_class  # noqa: E402
+from repoints.scalar import render_scalar  # noqa: E402
 
 
 def main(argv):

@@ -28,7 +28,7 @@ from . import linalg
 from .natrep import CheckRecord, build_natural_rep
 from .points import default_params, quantum_point
 from .qmatrix import QMatrix
-from .rootdata import LieSeries, build_root_system, dot
+from .rootdata import LieSeries, build_root_system
 from .scalar import GR_ZERO, GaussRational, eval_at_one
 
 
@@ -146,17 +146,9 @@ class ClassicalAlgebraData:
 
 
 def _sorted_positive(rs) -> list:
-    """The positive roots by height, ties in root order.
-
-    The height of a root is the sum of its coordinates c = Gram^-1 s in the
-    simple roots, s_j = (alpha_j, root). So it is the pairing (w, root) with
-    w = sum_j u_j alpha_j for u = Gram^-1 (1, ..., 1), the row sums of the
-    root system's inverse Gram matrix: one vector serves every root. The
-    positive factor gram_inv_den is left out, as it keeps the order.
-    """
-    u = [sum(row) for row in rs.gram_inv_num]
-    w = [sum(c * alpha[t] for c, alpha in zip(u, rs.simple)) for t in range(rs.ls.eps_dim)]
-    return sorted(rs.positive, key=lambda root: (dot(w, root), root))
+    """The positive roots by height, the sum of the simple-root coordinates
+    that `RootSystem.height` reads from prefix sums; ties in root order."""
+    return sorted(rs.positive, key=lambda root: (rs.height(root), root))
 
 
 @lru_cache(maxsize=None)

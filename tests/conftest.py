@@ -1,9 +1,14 @@
 """Shared fixtures, and the time bound on every test."""
+import math
 import signal
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+from repoints import linalg
 from repoints.qmatrix import QMatrix
+from repoints.rootdata import build_root_system, dot
 
 # Seconds any one test may run. The slowest test takes about 16 s, so only a
 # hang or a blow-up reaches the bound.
@@ -47,3 +52,39 @@ def _dense_varpi(proj):
 @pytest.fixture
 def dense_varpi():
     return _dense_varpi
+
+
+@lru_cache(maxsize=None)
+def _gram_inverse(ls):
+    """Gram^-1 = num / den for the simple roots of ls, num an integer matrix."""
+    inv = linalg.invert([[Fraction(x) for x in row]
+                         for row in build_root_system(ls).cartan_pairing])
+    den = math.lcm(*(x.denominator for row in inv for x in row))
+    return [[int(x * den) for x in row] for row in inv], den
+
+
+def _gram_coordinates(ls, v):
+    """Simple-root coordinates of v by the Gram-inverse formula: if
+    v = sum_i c_i alpha_i then (alpha_j, v) = sum_i Gram_ji c_i, so
+    c = Gram^-1 ((alpha_j, v))_j.  Outside the span that c belongs to the
+    orthogonal projection of v instead, so None is returned unless
+    sum_i c_i alpha_i = v."""
+    rs = build_root_system(ls)
+    num, den = _gram_inverse(ls)
+    s = [(j, x) for j, x in enumerate(dot(alpha, v) for alpha in rs.simple) if x]
+    c = [sum(row[j] * x for j, x in s) for row in num]
+    back = [0] * len(v)
+    for ci, alpha in zip(c, rs.simple):
+        if ci:
+            for t, a in enumerate(alpha):
+                back[t] += ci * a
+    if back != [den * x for x in v]:
+        return None
+    return tuple(Fraction(ci, den) for ci in c)
+
+
+@pytest.fixture
+def gram_coordinates():
+    """The oracle for `RootSystem.expand_in_simple`, which reads the same
+    coordinates from prefix sums."""
+    return _gram_coordinates

@@ -506,9 +506,10 @@ SERIES_TO_16 = ([("sl", N) for N in range(2, 17)] + [("so", N) for N in range(3,
 
 
 @pytest.mark.parametrize("group,N", SERIES_TO_16)
-def test_sorted_positive_matches_a_solve_per_root(group, N):
-    # each root's height read from its own simple-root coordinates, which
-    # tests/test_rootdata.py checks against the root itself
-    rs = build_root_system(series_for_group(group, N))
-    keyed = sorted((sum(rs.expand_in_simple(root)), root) for root in rs.positive)
+def test_sorted_positive_matches_a_solve_per_root(group, N, gram_coordinates):
+    # each root's height read from its coordinates by the Gram-inverse
+    # formula, independent of the prefix sums the program reads
+    ls = series_for_group(group, N)
+    rs = build_root_system(ls)
+    keyed = sorted((sum(gram_coordinates(ls, root)), root) for root in rs.positive)
     assert _sorted_positive(rs) == [root for _, root in keyed]

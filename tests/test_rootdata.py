@@ -1,14 +1,23 @@
-"""Root systems, class specifications, and the involution combinatorics."""
+"""Root systems, class specifications, and the involution combinatorics.
+
+The program reads simple-root coordinates from prefix sums and each moved
+root's partner from the support of those coordinates. The tests keep the
+Gram-inverse formula (the `gram_coordinates` fixture) and the search over
+every pair of moved roots as the oracles for both.
+"""
+import random
 from fractions import Fraction
 
 import pytest
 
 from repoints import linalg
+from repoints.classical import _sorted_positive
 from repoints.natrep import q_trace
 from repoints.qmatrix import QMatrix
 from repoints.rootdata import (
     ClassSpec,
     LieSeries,
+    admissible_cases,
     build_root_system,
     dot,
     positive_roots,
@@ -86,18 +95,53 @@ def test_positive_roots_match_the_reflection_closure(ls):
 
 
 @pytest.mark.parametrize("ls", _SERIES_TO_32, ids=lambda ls: f"{ls.series}{ls.rank}")
-def test_expand_in_simple_reproduces_every_positive_root(ls):
+def test_expand_in_simple_reproduces_every_positive_root(ls, gram_coordinates):
     rs = build_root_system(ls)
-    # Gram gram_inv_num = gram_inv_den * 1, in integers
-    assert linalg.mat_mul([list(row) for row in rs.cartan_pairing],
-                          [list(row) for row in rs.gram_inv_num]) == [
-        [rs.gram_inv_den * (i == j) for j in range(ls.rank)] for i in range(ls.rank)]
+    heights = {}
     for root in rs.positive:
         coords = rs.expand_in_simple(root)
+        assert coords == gram_coordinates(ls, root)
+        heights[root] = sum(coords)
+        assert rs.height(root) == heights[root]
         # a positive root is a nonnegative integer combination of the simple roots
         assert all(type(c) is Fraction and c.denominator == 1 and c >= 0 for c in coords)
         assert tuple(sum(int(c) * alpha[t] for c, alpha in zip(coords, rs.simple))
                      for t in range(ls.eps_dim)) == root
+    assert _sorted_positive(rs) == sorted(rs.positive, key=lambda r: (heights[r], r))
+
+
+@pytest.mark.parametrize("ls", _SERIES_TO_32, ids=lambda ls: f"{ls.series}{ls.rank}")
+def test_prefix_sums_match_the_gram_inverse(ls, gram_coordinates):
+    rs = build_root_system(ls)
+    d, n = ls.eps_dim, ls.rank
+    rng = random.Random(f"{ls.series}{n}")
+    units = [tuple(int(t == k) for t in range(d)) for k in range(d)]
+    drawn = ([tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(20)]
+             + [tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d))
+                for _ in range(5)])
+    # each drawn vector, and the same with its coordinates made to sum to 0,
+    # so that sl(N) sees vectors on both sides of its span
+    vectors = units + drawn + [v[:-1] + (-sum(v[:-1]),) for v in drawn]
+    outside = 0
+    for v in vectors:
+        expected = gram_coordinates(ls, v)
+        if expected is None:
+            outside += 1
+            with pytest.raises(linalg.NotInSpanError):
+                rs.expand_in_simple(v)
+            with pytest.raises(linalg.NotInSpanError):
+                rs.height(v)
+            continue
+        coords = rs.expand_in_simple(v)
+        assert coords == expected and all(type(c) is Fraction for c in coords)
+        assert rs.height(v) == sum(expected)
+    # only sl(N) has vectors outside the span, e_1 among them
+    assert (outside > 0) == (ls.series == "A")
+    if ls.series == "A":
+        assert gram_coordinates(ls, units[0]) is None
+    # e_n has half-integral coordinates in C and D
+    if ls.series in ("C", "D"):
+        assert rs.expand_in_simple(units[-1])[-1] == Fraction(1, 2)
 
 
 @pytest.mark.parametrize("ls,v", [(LieSeries("A", 2), (1, 0, 0)), (LieSeries("A", 2), (1, 1, 1)),
@@ -170,10 +214,46 @@ def test_theta_is_a_root_system_involution(spec):
         assert td.apply(image) == root
 
 
-@pytest.mark.parametrize("spec", standard_cases(), ids=lambda s: s.case_id)
-def test_twisted_roots_are_positive_with_valid_partners(spec):
+def _reference_theta_data(spec, gram_coordinates):
+    """Fixed and moved simple roots, tilde in both bases and the partners,
+    derived by the Gram-inverse coordinates and by trying every pair of
+    moved roots: j is the partner of i iff tilde(alpha_i) - alpha_j is a
+    nonnegative integer combination of the fixed simple roots."""
+    ls = spec.series
+    rs = build_root_system(ls)
+    matrix = theta_for_class(spec).matrix
+
+    def apply(v):
+        return tuple(dot(row, v) for row in matrix)
+
+    fixed = tuple(i for i, a in enumerate(rs.simple, start=1) if apply(a) == a)
+    moved = tuple(i for i in range(1, ls.rank + 1) if i not in fixed)
+    tilde_eps = {i: tuple(-x for x in apply(rs.simple[i - 1])) for i in moved}
+    tilde_simple = {}
+    for i in moved:
+        coords = gram_coordinates(ls, tilde_eps[i])
+        assert all(c.denominator == 1 and c >= 0 for c in coords)
+        tilde_simple[i] = tuple(int(c) for c in coords)
+    partner = {}
+    for i in moved:
+        matches = []
+        for j in moved:
+            diff = tuple(a - b for a, b in zip(tilde_eps[i], rs.simple[j - 1]))
+            coords = gram_coordinates(ls, diff)
+            if all(c.denominator == 1 and c >= 0 for c in coords) and all(
+                    c == 0 for k, c in enumerate(coords, start=1) if k not in fixed):
+                matches.append(j)
+        assert len(matches) == 1
+        partner[i] = matches[0]
+    return fixed, moved, tilde_eps, tilde_simple, partner
+
+
+@pytest.mark.parametrize("spec", admissible_cases(16), ids=lambda s: s.case_id)
+def test_twisted_roots_are_positive_with_valid_partners(spec, gram_coordinates):
     rs = build_root_system(spec.series)
     td = theta_for_class(spec)
+    assert (td.pi_fixed, td.pi_moved, td.tilde_eps, td.tilde_simple, td.partner) == (
+        _reference_theta_data(spec, gram_coordinates))
     fixed = set(td.pi_fixed)
     for i in td.pi_moved:
         tilde = td.tilde_eps[i]
