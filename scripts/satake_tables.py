@@ -13,7 +13,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from repoints.coideal import build_point_stabilizer  # noqa: E402
+from repoints.coideal import build_stabilizer  # noqa: E402
 from repoints.points import quantum_point  # noqa: E402
 from repoints.rootdata import standard_cases, theta_for_class  # noqa: E402
 from repoints.scalar import render_scalar  # noqa: E402
@@ -38,7 +38,7 @@ def main(argv):
         if not td.pi_moved:
             continue
         point = quantum_point(spec)
-        ss = build_point_stabilizer(spec, point.params, point.A)
+        ss = build_stabilizer(spec, point.params, point.A)
         for gen in ss.mixed_generators:
             coords = td.tilde_simple[gen.alpha]
             print(f"   alpha_{gen.alpha}: tilde = {coords}, "

@@ -22,6 +22,7 @@ detail.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import linalg
@@ -74,16 +75,6 @@ def trace_pair(a: dict, b: dict) -> GaussRational:
         if y is not None:
             t = t + x * y
     return t
-
-
-def _combination(coeffs: list, mats: list) -> dict:
-    """sum of coeffs[l] mats[l]."""
-    out = {}
-    for c, m in zip(coeffs, mats):
-        if c:
-            for key, x in m.items():
-                _accumulate(out, key, c * x)
-    return _nonzero(out)
 
 
 def _outer_sum(pairs) -> dict:
@@ -154,8 +145,12 @@ def _sorted_positive(rs) -> list:
 @lru_cache(maxsize=None)
 def build_classical_algebra(ls: LieSeries) -> ClassicalAlgebraData:
     """The Chevalley basis B_k of g (h_i = [e_i, f_i], then e_beta, then
-    f_beta with tr(e_beta f_beta) = 1), its trace-form dual basis
-    h_k^v = sum_l (Gram^-1)_kl h_l, e_beta^v = f_beta, f_beta^v = e_beta.
+    f_beta with tr(e_beta f_beta) = 1) and its trace-form dual basis:
+    e_beta^v = f_beta, f_beta^v = e_beta, and h_k^v the diagonal matrix with
+    (h_k^v)_jj = c_k(w_j - w_mean). Here w_j is the weight of the j-th
+    natural basis vector, w_mean the mean of the w_j (zero except in A), and
+    c_k the k-th simple-root coordinate (`RootSystem.expand_in_simple`); so
+    h_k^v is the fundamental coweight varpi_k^v on the natural module.
 
     Why tr(B_m B_k^v) = delta_mk:
 
@@ -167,8 +162,14 @@ def build_classical_algebra(ls: LieSeries) -> ClassicalAlgebraData:
       diagonal is zero and tr(e_beta f_gamma) = 0; likewise e_beta e_gamma
       and f_beta f_gamma, of weight +-(beta + gamma) != 0.
     - tr(e_beta f_beta) = 1 by the normalization below.
-    - On the Cartan block, tr(h_m h_k^v) = sum_l (Gram^-1)_kl Gram_lm =
-      delta_km, with Gram_lm = tr(h_l h_m).
+    - On the Cartan block: for a diagonal D, [f_m, D] = alpha_m(D) f_m, where
+      alpha_m(D) = D_aa - D_bb at any nonzero entry (a, b) of e_m, since
+      w_a - w_b = alpha_m. So tr(h_m D) = tr(e_m [f_m, D]) = alpha_m(D).
+      For D = h_k^v, c_k is linear, so alpha_m(D) = c_k(alpha_m) = delta_km.
+
+    h_k^v lies in g, as a dual basis of g must: in A its trace is
+    c_k(sum_j (w_j - w_mean)) = c_k(0) = 0, and in B, C and D the weights
+    satisfy w_j' = -w_j, so (h_k^v)_j'j' = -(h_k^v)_jj.
     """
     rep = build_natural_rep(ls)
     rs = build_root_system(ls)
@@ -202,11 +203,15 @@ def build_classical_algebra(ls: LieSeries) -> ClassicalAlgebraData:
         f_vec[root] = {key: x * inv for key, x in f_vec[root].items()}
 
     cartan = [_bracket(e_vec[a], f_vec[a]) for a in rs.simple]
-    gram_inv = linalg.invert([[trace_pair(x, y) for y in cartan] for x in cartan])
+    weights = [rs.weight_of_basis(j) for j in range(ls.dim)]
+    mean = [Fraction(sum(col), ls.dim) for col in zip(*weights)]
+    coords = [rs.expand_in_simple(tuple(x - m for x, m in zip(w, mean))) for w in weights]
+    cartan_duals = [{(j, j): GaussRational(c[k]) for j, c in enumerate(coords) if c[k]}
+                    for k in range(ls.rank)]
     es = [e_vec[r] for r in positive]
     fs = [f_vec[r] for r in positive]
     basis = cartan + es + fs
-    duals = [_combination(row, cartan) for row in gram_inv] + fs + es
+    duals = cartan_duals + fs + es
     expander = linalg.BasisExpander(basis, [_transpose(d) for d in duals])
     return ClassicalAlgebraData(ls, basis, duals, cartan, e_vec, f_vec, tuple(positive),
                                 expander, simple_e + simple_f)

@@ -134,7 +134,7 @@ def _point_stabilizer(args):
     spec = _spec_from_args(args)
     params = _params_from_args(spec, args.param)
     point = quantum_point(spec, params)
-    return spec, point, coideal.build_point_stabilizer(spec, params, point.A)
+    return spec, point, coideal.build_stabilizer(spec, params, point.A)
 
 
 def _generator_entry(g, **extra) -> dict:

@@ -65,7 +65,7 @@ class StabilizerSet:
             yield f"X.alpha{gen.alpha}", gen.X
 
 
-def _word_description(spec: ClassSpec, i: int, td: ThetaData) -> str:
+def _word_description(i: int, td: ThetaData) -> str:
     coords = td.tilde_simple[i]
     terms = [f"{c}*a{k}" if c != 1 else f"a{k}"
              for k, c in enumerate(coords, start=1) if c]
@@ -231,8 +231,10 @@ def solve_mixture(lead: QMatrix, A: QMatrix, alpha: int, F_tilde: QMatrix) -> QS
     return -(b1_pivot / val)
 
 
-def build_stabilizer(rep: NaturalRep, spec: ClassSpec, params: PointParams,
-                     A: QMatrix) -> StabilizerSet:
+def build_stabilizer(spec: ClassSpec, params: PointParams, A: QMatrix) -> StabilizerSet:
+    """The stabilizer generators of the point A of spec, in the natural
+    representation of its series."""
+    rep = build_natural_rep(spec.series)
     td = theta_for_class(spec)
     l_gens = []
     for b in td.pi_fixed:
@@ -257,7 +259,7 @@ def build_stabilizer(rep: NaturalRep, spec: ClassSpec, params: PointParams,
             continue
         c_table, note = mixture_table_formula(spec, a, params)
         X = lead + f_tilde.scale(c_solved)
-        mixed.append(CoidealGen(a, _word_description(spec, a, td), f_tilde,
+        mixed.append(CoidealGen(a, _word_description(a, td), f_tilde,
                                 c_table, note, c_solved, X))
     return StabilizerSet(spec, l_gens, cartan, mixed, unsolved)
 
@@ -286,7 +288,3 @@ def check_stabilizer(ss: StabilizerSet, A: QMatrix) -> list:
         records.append(CheckRecord(f"mixture.alpha{gen.alpha}.table", gen.table_matches, detail))
     return records
 
-
-def build_point_stabilizer(spec: ClassSpec, params: PointParams, A: QMatrix) -> StabilizerSet:
-    rep = build_natural_rep(spec.series)
-    return build_stabilizer(rep, spec, params, A)

@@ -1,10 +1,10 @@
 """Exact linear algebra over any field type with +, -, *, /, bool.
 
-Used with Fraction and GaussRational elements.  `mat_mul`, `invert` and
-`determinant` take dense matrices, plain lists of lists; nothing here mutates
-its arguments.  The matrices met in practice (classical point matrices, the
-Gram matrices of simple roots and of Cartan elements) are mostly zeros, so each
-kernel visits only nonzero entries: a product adds up only products of
+Used with Fraction and GaussRational elements.  `mat_mul` and `invert` take
+dense matrices, plain lists of lists; nothing here mutates its arguments.
+`invert` has one caller, the conjugation of `poisson --matrix` at a point
+whose square is not scalar, and such point matrices are mostly zeros.  So
+each kernel visits only nonzero entries: a product adds up only products of
 nonzero entries, and a row elimination touches only the pivot row's nonzero
 columns.  The skipped terms are exactly zero, so every result equals the
 dense computation entry by entry.  `BasisExpander` takes sparse vectors,
@@ -23,12 +23,6 @@ class NotInSpanError(ValueError):
 
 def _nonzeros(row: list) -> list:
     return [(j, y) for j, y in enumerate(row) if y]
-
-
-def _subtract_multiple(row: list, f, pivot_nonzeros: list) -> None:
-    """row -= f * pivot in place, given the pivot row's nonzero entries."""
-    for j, y in pivot_nonzeros:
-        row[j] = row[j] - f * y
 
 
 def mat_mul(a: list, b: list) -> list:
@@ -73,34 +67,12 @@ def invert(a: list) -> list:
         inv_p = aug[c][c]
         aug[c] = [x / inv_p if x else x for x in aug[c]]
         pivot = _nonzeros(aug[c])
-        for i in range(n):
-            if i != c and aug[i][c]:
-                _subtract_multiple(aug[i], aug[i][c], pivot)
+        for i, row in enumerate(aug):
+            f = row[c]
+            if i != c and f:
+                for j, y in pivot:
+                    row[j] = row[j] - f * y
     return [row[n:] for row in aug]
-
-
-def determinant(a: list):
-    n = len(a)
-    rows = [list(r) for r in a]
-    det = None
-    sign = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c]), None)
-        if piv is None:
-            x = rows[0][0]
-            return x - x
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        p = rows[c][c]
-        det = p if det is None else det * p
-        pivot = _nonzeros(rows[c])
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                _subtract_multiple(rows[i], rows[i][c] / p, pivot)
-    if sign < 0:
-        det = -det
-    return det
 
 
 class BasisExpander:

@@ -370,6 +370,13 @@ def theta_for_class(spec: ClassSpec) -> ThetaData:
     # With c >= 0 the coordinates of tilde(alpha_i), tilde(alpha_i) - alpha_j is
     # in the span Z+ of the fixed simple roots iff c - e_j >= 0 is zero on every
     # moved index: iff j is the only moved index where c != 0, and c_j = 1.
+    # c_j = 1 follows from the other checks: theta is an involution and fixes
+    # every fixed alpha_k, so applying -theta to
+    # tilde(alpha_i) = c_j alpha_j + (fixed roots) gives
+    # alpha_i = c_j tilde(alpha_j) - (fixed roots). Index i is moved, so its
+    # coordinate reads 1 = c_j tilde(alpha_j)_i, where both factors are
+    # nonnegative integers once tilde(alpha_j) passes the check below; so
+    # c_j = 1. Its test stays as a guard.
     tilde_eps, tilde_simple, partner = {}, {}, {}
     for i in moved:
         t = tuple(-x for x in apply(rs.simple[i - 1]))

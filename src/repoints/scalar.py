@@ -699,8 +699,7 @@ def _render_poly(p: LaurentPoly) -> str:
     if not p:
         return "0"
     parts = []
-    for e in sorted(p.coeff, reverse=True):
-        c = p.coeff[e]
+    for e, c in sorted(p.coeff.items(), reverse=True):
         if e == 0:
             mono = None
         elif e == 1:

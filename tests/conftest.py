@@ -10,7 +10,7 @@ from repoints import linalg
 from repoints.qmatrix import QMatrix
 from repoints.rootdata import build_root_system, dot
 
-# Seconds any one test may run. The slowest test takes about 16 s, so only a
+# Seconds any one test may run. The slowest test takes about 10 s, so only a
 # hang or a blow-up reaches the bound.
 TEST_TIME_BOUND_S = 300
 

@@ -12,7 +12,7 @@ from repoints.classical import (
     check_involutive_vanishing,
     gauss_entries,
 )
-from repoints.coideal import build_point_stabilizer
+from repoints.coideal import build_stabilizer
 from repoints.natrep import build_natural_rep, check_defining_relations, check_rtt_compat
 from repoints.points import default_params, quantum_point
 from repoints.qmatrix import commutator
@@ -54,7 +54,7 @@ def desk():
         report = full_report(spec)
         records = {r.name: r.passed for r in report.checks}
         point = quantum_point(spec)
-        ss = build_point_stabilizer(spec, point.params, point.A)
+        ss = build_stabilizer(spec, point.params, point.A)
         # Ad is insensitive to the overall sign of A0, so share the involutive
         # check between the two signs of a class
         key = (spec.group, spec.N, spec.family, spec.m)

@@ -513,3 +513,23 @@ def test_sorted_positive_matches_a_solve_per_root(group, N, gram_coordinates):
     rs = build_root_system(ls)
     keyed = sorted((sum(gram_coordinates(ls, root)), root) for root in rs.positive)
     assert _sorted_positive(rs) == [root for _, root in keyed]
+
+
+SERIES_TO_32 = [LieSeries(s, n) for s, ranks in
+                (("A", range(1, 32)), ("B", range(1, 16)), ("C", range(1, 17)), ("D", range(2, 17)))
+                for n in ranks]
+
+
+@pytest.mark.parametrize("ls", SERIES_TO_32, ids=lambda ls: f"{ls.series}{ls.rank}")
+def test_cartan_duals_are_the_inverse_gram_combinations(ls):
+    # h_k^v = sum_l (Gram^-1)_kl h_l with Gram_lm = tr(h_l h_m), the formula
+    # the program's coweight diagonals replace; LieSeries directly, as N > MAX_N
+    data = build_classical_algebra(ls)
+    cartan = data.cartan
+    gram_inv = linalg.invert([[trace_pair(x, y) for y in cartan] for x in cartan])
+    for k, row in enumerate(gram_inv):
+        want = {}
+        for c, h in zip(row, cartan):
+            for key, x in h.items():
+                want[key] = want.get(key, ZERO) + c * x
+        assert data.duals[k] == {key: x for key, x in want.items() if x}

@@ -4,7 +4,7 @@ import pytest
 
 from repoints.coideal import (
     MixtureInconsistentError,
-    build_point_stabilizer,
+    build_stabilizer,
     cartan_shift,
     check_stabilizer,
     f_tilde_root_vector,
@@ -77,7 +77,7 @@ def test_sl_words_have_the_twisted_weight():
 ], ids=lambda s: s.case_id)
 def test_solved_coefficients_match_tables(spec):
     point = quantum_point(spec)
-    ss = build_point_stabilizer(spec, point.params, point.A)
+    ss = build_stabilizer(spec, point.params, point.A)
     assert ss.mixed_generators
     for gen in ss.mixed_generators:
         assert gen.c_solved
@@ -89,7 +89,7 @@ def test_undefined_table_entry_is_flagged_not_guessed():
     # so(2n) with m = n-1 has a tabulated coefficient with an undefined index
     spec = ClassSpec("so", 8, "t2", 3, 1)
     point = quantum_point(spec)
-    ss = build_point_stabilizer(spec, point.params, point.A)
+    ss = build_stabilizer(spec, point.params, point.A)
     by_alpha = {g.alpha: g for g in ss.mixed_generators}
     assert by_alpha[3].c_table is None
     assert "undefined index" in by_alpha[3].c_table_note
@@ -99,7 +99,7 @@ def test_undefined_table_entry_is_flagged_not_guessed():
 def test_known_coefficient_value():
     spec = ClassSpec("so", 5, "t2", 1, 1)
     point = quantum_point(spec)
-    ss = build_point_stabilizer(spec, point.params, point.A)
+    ss = build_stabilizer(spec, point.params, point.A)
     gen = ss.mixed_generators[0]
     # c = (-1)^(n-m+1)/(y_m q^(m+1)) with n = 2, m = 1, y_1 = 1
     assert gen.c_solved == QScalar.q_power(-2)
@@ -109,7 +109,7 @@ def test_known_coefficient_value():
 def test_perturbed_coefficient_breaks_commutation():
     spec = ClassSpec("sp", 4, "t2", 2, 1)
     point = quantum_point(spec)
-    ss = build_point_stabilizer(spec, point.params, point.A)
+    ss = build_stabilizer(spec, point.params, point.A)
     for gen in ss.mixed_generators:
         assert commutator(gen.X, point.A).is_zero()
         bad = gen.X + gen.F_tilde.scale(gen.c_solved * (Q - ONE))
@@ -131,7 +131,7 @@ def test_solve_mixture_rejects_non_point():
 def test_check_stabilizer_reports_failures():
     spec = ClassSpec("sl", 3, "t2", 1, 1)
     point = quantum_point(spec)
-    ss = build_point_stabilizer(spec, point.params, point.A)
+    ss = build_stabilizer(spec, point.params, point.A)
     good = check_stabilizer(ss, point.A)
     assert all(r.passed for r in good)
     other = quantum_point(ClassSpec("sl", 3, "t2", 0, 1)).A  # identity

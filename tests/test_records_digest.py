@@ -15,8 +15,8 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPT = os.path.join(ROOT, "scripts", "dump_records.py")
 
-LINES = 4955
-SHA256 = "a2ae405ef03ab8e01570d5021c00be465c3407d1664da07766f999c847d08b93"
+LINES = 4767
+SHA256 = "55b63b767ab6ca89d0e4c3703652e2f8a59635470afbbefbbac9d197a4def2fd"
 
 
 def test_record_dump_to_n8_is_unchanged():

@@ -132,9 +132,9 @@ def _control_details(args, pos):
     records = [check_reflection(bad, build_rmatrix_data(spec.series).S)]
     records += check_min_poly(bad, spec)
     records += coideal.check_stabilizer(
-        coideal.build_point_stabilizer(spec, point.params, point.A), bad)
+        coideal.build_stabilizer(spec, point.params, point.A), bad)
     records += [r for r in coideal.check_stabilizer(
-        coideal.build_point_stabilizer(spec, point.params, bad), bad)
+        coideal.build_stabilizer(spec, point.params, bad), bad)
         if r.name.startswith("mixture.")]
     return {r.name: r.detail for r in records if not r.passed}
 
