@@ -50,7 +50,6 @@ class CoidealGen:
 
 @dataclass
 class StabilizerSet:
-    spec: ClassSpec
     l_generators: list  # (name, QMatrix) for simple roots fixed by theta
     cartan_generators: list  # (name, QMatrix): q^{+-(h_tilde - h_alpha)}
     mixed_generators: list  # CoidealGen
@@ -261,7 +260,7 @@ def build_stabilizer(spec: ClassSpec, params: PointParams, A: QMatrix) -> Stabil
         X = lead + f_tilde.scale(c_solved)
         mixed.append(CoidealGen(a, _word_description(a, td), f_tilde,
                                 c_table, note, c_solved, X))
-    return StabilizerSet(spec, l_gens, cartan, mixed, unsolved)
+    return StabilizerSet(l_gens, cartan, mixed, unsolved)
 
 
 def check_stabilizer(ss: StabilizerSet, A: QMatrix) -> list:

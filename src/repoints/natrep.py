@@ -24,13 +24,6 @@ class CheckRecord:
             {"detail": self.detail} if self.detail else {})
 
 
-def _unit(N: int, i: int, j: int, sign: int = 1) -> QMatrix:
-    # matrix unit e_ij, 1-based
-    m = QMatrix(N)
-    m.put(i - 1, j - 1, ONE if sign > 0 else -ONE)
-    return m
-
-
 @dataclass
 class NaturalRep:
     series_data: LieSeries
@@ -57,25 +50,24 @@ def cartan_power(ls: LieSeries, beta: tuple) -> QMatrix:
 
 @lru_cache(maxsize=None)
 def build_natural_rep(ls: LieSeries) -> NaturalRep:
-    n, N = ls.rank, ls.dim
-
-    def prime(i: int) -> int:
-        return N - i + 1
-
-    if ls.series == "A":
-        e = [_unit(N, i, i + 1) for i in range(1, n + 1)]
-    else:
-        e = [_unit(N, i, i + 1) + _unit(N, prime(i + 1), prime(i), -1) for i in range(1, n)]
-        if ls.series == "B":
-            e.append(_unit(N, n, n + 1) + _unit(N, prime(n + 1), prime(n), -1))
-        elif ls.series == "C":
-            e.append(_unit(N, n, prime(n)))
-        else:
-            e.append(_unit(N, n - 1, n + 1) + _unit(N, prime(n + 1), prime(n - 1), -1))
+    """pi(e_i) has an entry at each (a, b) with w_a - w_b = alpha_i, for the
+    natural basis's weights w: -1 where the series is B, C or D and
+    a + b > N - 1 (0-based), 1 otherwise."""
+    N = ls.dim
+    rs = build_root_system(ls)
+    w = [rs.weight_of_basis(j) for j in range(N)]
+    index = {wj: j for j, wj in enumerate(w)}
+    e = []
+    for alpha in rs.simple:
+        m = QMatrix(N)
+        for a, wa in enumerate(w):
+            b = index.get(tuple(x - y for x, y in zip(wa, alpha)))
+            if b is not None:
+                m.put(a, b, -ONE if ls.series != "A" and a + b > N - 1 else ONE)
+        e.append(m)
     f = [m.transpose() for m in e]
-    simple = build_root_system(ls).simple
-    k = [cartan_power(ls, alpha) for alpha in simple]
-    k_inv = [cartan_power(ls, tuple(-x for x in alpha)) for alpha in simple]
+    k = [cartan_power(ls, alpha) for alpha in rs.simple]
+    k_inv = [cartan_power(ls, tuple(-x for x in alpha)) for alpha in rs.simple]
     F = [ki * fi for ki, fi in zip(k, f)]
     return NaturalRep(ls, e, f, k, k_inv, F)
 

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import isqrt
 
-from .qmatrix import QMatrix
+from .qmatrix import QMatrix, first_product_difference
 from .rootdata import LieSeries, build_root_system, dot
-from .scalar import Q, QINV, ZERO, QScalar
+from .scalar import Q, QINV, QScalar
 
 
 @dataclass(frozen=True)
@@ -47,22 +48,18 @@ class Projector:
     @cached_property
     def factor_mismatch(self):
         """First (i, j, p raw[i][j], u[i] w[j]) in row-major order where
-        p raw != u w^T, or None when raw = u w^T / p.  Requires a pivot."""
-        p, u, w = self.pivot, self.u, self.w
-        for i, row in enumerate(self.raw.rows):
-            ui = u.get(i)
-            cols = set(row) if ui is None else set(row) | set(w)
-            for j in sorted(cols):
-                a = p * row[j] if j in row else ZERO
-                b = ui * w[j] if ui is not None and j in w else ZERO
-                if a != b:
-                    return i, j, a, b
-        return None
+        p raw != u w^T, or None when raw = u w^T / p.  Requires a pivot.
+        It compares raw (p I) with U W, where U holds u as column j0 and W
+        holds w as row j0, so (U W)[i][j] = u_i w_j."""
+        dim = self.raw.dim
+        U = QMatrix(dim, [{self.j0: self.u[i]} if i in self.u else {} for i in range(dim)])
+        W = QMatrix(dim)
+        W.rows[self.j0] = self.w
+        return first_product_difference(self.raw, QMatrix.identity(dim).scale(self.pivot), U, W)
 
 
 @dataclass
 class RMatrixData:
-    series_data: LieSeries
     R: QMatrix
     S: QMatrix
     projector: Projector | None  # absent for the A series
@@ -110,7 +107,7 @@ def build_R(ls: LieSeries) -> QMatrix:
 def flip_rows(M: QMatrix) -> QMatrix:
     """P * M where P is the tensor-flip permutation."""
     dim = M.dim
-    N = round(dim ** 0.5)
+    N = isqrt(dim)
     if N * N != dim:
         raise ValueError("dimension is not a perfect square")
     rows = [M.rows[(t % N) * N + t // N] for t in range(dim)]
@@ -162,8 +159,8 @@ def build_rmatrix_data(ls: LieSeries) -> RMatrixData:
     R = build_R(ls)
     S = flip_rows(R)
     if ls.series == "A":
-        return RMatrixData(ls, R, S, None)
-    return RMatrixData(ls, R, S, build_projector(S, ls))
+        return RMatrixData(R, S, None)
+    return RMatrixData(R, S, build_projector(S, ls))
 
 
 def braid_identity_holds(S: QMatrix, N: int) -> bool:

@@ -86,6 +86,22 @@ def test_corrupted_raw_fails_rank_one_and_every_dependent(group, N):
     assert all("varpi.rank_one" in r.detail for r in structure + oc if r is not rank_one)
 
 
+@pytest.mark.parametrize("group,N", [("so", 5), ("sp", 4)])
+def test_factor_mismatch_is_the_first_dense_difference(group, N):
+    """p raw against the dense u w^T: the same first entry and values, for the
+    true raw and for raw corrupted at its first and at its last diagonal."""
+    raw = build_rmatrix_data(series_for_group(group, N)).projector.raw
+    dim = raw.dim
+    for extra in (QMatrix(dim), QMatrix.identity(dim),
+                  QMatrix.from_entries(dim, [(dim - 1, dim - 1, Q)])):
+        f = factor_projector(raw + extra, Q, Q)
+        uw = QMatrix.from_entries(dim, ((i, j, a * b) for i, a in f.u.items()
+                                        for j, b in f.w.items()))
+        dense = (raw + extra).scale(f.pivot).first_difference(uw)
+        assert f.factor_mismatch == dense
+        assert (dense is None) == extra.is_zero()
+
+
 def test_zero_raw_fails_every_record():
     rmd = build_rmatrix_data(series_for_group("sp", 4))
     proj = rmd.projector

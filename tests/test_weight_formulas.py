@@ -1,7 +1,8 @@
-"""The R-matrix and the Cartan generators read the natural basis's weights
-from rootdata.  As a reference, this file writes both out per series with
-hand-written exponents, and compares the two constructions entry by entry on
-every series with N <= MAX_N (37 series at MAX_N = 16)."""
+"""The R-matrix and the natural generators read the natural basis's weights
+from rootdata.  As a reference, this file writes them out per series with
+hand-written exponents and matrix units, and compares the two constructions
+entry by entry on every series with N <= MAX_N (37 series at MAX_N = 16), and
+the generators also on every series with N <= 32 (77 series)."""
 import pytest
 
 from repoints.natrep import build_natural_rep
@@ -23,6 +24,9 @@ def _all_series():
 
 
 ALL_SERIES = _all_series()
+SERIES_TO_32 = [LieSeries(s, n) for s, ranks in
+                (("A", range(1, 32)), ("B", range(1, 16)), ("C", range(1, 17)), ("D", range(2, 17)))
+                for n in ranks]
 
 
 def _exponent_weights(ls: LieSeries) -> list:
@@ -97,6 +101,30 @@ def _reference_k_exponents(ls: LieSeries) -> list:
     return out
 
 
+def _reference_e(ls: LieSeries) -> list:
+    """pi(e_i) per series, from 1-based matrix units and the mirror i' = N + 1 - i."""
+    n, N = ls.rank, ls.dim
+
+    def unit(i, j, sign=1):
+        m = QMatrix(N)
+        m.put(i - 1, j - 1, ONE if sign > 0 else -ONE)
+        return m
+
+    def prime(i):
+        return N - i + 1
+
+    if ls.series == "A":
+        return [unit(i, i + 1) for i in range(1, n + 1)]
+    e = [unit(i, i + 1) + unit(prime(i + 1), prime(i), -1) for i in range(1, n)]
+    if ls.series == "B":
+        e.append(unit(n, n + 1) + unit(prime(n + 1), prime(n), -1))
+    elif ls.series == "C":
+        e.append(unit(n, prime(n)))
+    else:
+        e.append(unit(n - 1, n + 1) + unit(prime(n + 1), prime(n - 1), -1))
+    return e
+
+
 def _diag(exps) -> QMatrix:
     m = QMatrix(len(exps))
     for j, e in enumerate(exps):
@@ -120,3 +148,18 @@ def test_k_and_k_inv_match_the_per_series_formulas(ls):
     for k, k_inv, row in zip(rep.k, rep.k_inv, exps):
         assert k.first_difference(_diag(row)) is None
         assert k_inv.first_difference(_diag([-e for e in row])) is None
+
+
+@pytest.mark.parametrize("ls", SERIES_TO_32, ids=lambda ls: f"{ls.series}{ls.rank}")
+def test_natural_generators_match_the_per_series_tables(ls):
+    rep = build_natural_rep(ls)
+    exps = _reference_k_exponents(ls)
+    e = _reference_e(ls)
+    assert len(rep.e) == len(rep.f) == len(rep.F) == len(e) == ls.rank
+    for i, row in enumerate(exps):
+        k, f = _diag(row), e[i].transpose()
+        assert rep.e[i].first_difference(e[i]) is None
+        assert rep.f[i].first_difference(f) is None
+        assert rep.k[i].first_difference(k) is None
+        assert rep.k_inv[i].first_difference(_diag([-x for x in row])) is None
+        assert rep.F[i].first_difference(k * f) is None
