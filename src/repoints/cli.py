@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -70,7 +71,14 @@ def _emit(payload, args, text_renderer) -> None:
         except OSError as exc:
             raise UsageError(f"cannot write --out {args.out}: {exc.strerror}") from exc
     else:
-        print(out)
+        try:
+            print(out, flush=True)
+        except BrokenPipeError:
+            # the reader left: drop the rest of the output, and keep the
+            # command's own exit code (the final flush then writes to devnull)
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
 
 def _render_report_text(payload: dict) -> str:

@@ -4,7 +4,10 @@ Products and sums of `QMatrix` values are canonical: every entry is a reduced
 `QScalar`.  A matrix identity X Y = Z W is decided without reducing the
 entries of either side: `first_product_difference` builds both products as
 unreduced fractions and compares them by cross-multiplication, and only the
-first mismatching pair is brought to canonical form, to name it.
+first mismatching pair is brought to canonical form, to name it.  A factor
+of such an identity may itself be a product that nothing else reads; an
+`UnreducedProduct` holds it with unreduced entries, which the kernel reads
+as it reads a `QMatrix`.
 """
 from __future__ import annotations
 
@@ -245,15 +248,46 @@ def _unreduced_row(row: dict, orows: list) -> dict:
     return acc
 
 
-def first_product_difference(x: QMatrix, y: QMatrix, z: QMatrix, w: QMatrix):
+class _Fraction:
+    """n/d with neither reduced, read through `.num` and `.den` as a QScalar is."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den):
+        self.num, self.den = num, den
+
+
+class UnreducedProduct:
+    """x y for `first_product_difference` to read, built row by row with
+    `_unreduced_row`; entries with a zero numerator are dropped.
+
+    Not a `QMatrix`: it has only `.dim` and `.rows`, and an entry is a
+    fraction n/d with neither reduced, so equal entries may differ in their
+    fields.  The kernel stays exact on it for the reason it is exact on
+    canonical entries: d is a product of canonical, hence nonzero,
+    denominators, and Q(i)[q, q^-1] is an integral domain.
+    """
+
+    __slots__ = ("dim", "rows")
+
+    def __init__(self, x, y):
+        yrows = y.rows
+        self.dim = x.dim
+        self.rows = [{j: _Fraction(n, d) for j, (n, d) in _unreduced_row(row, yrows).items()
+                      if n} for row in x.rows]
+
+
+def first_product_difference(x, y, z, w):
     """The first (i, j, (xy)[i][j], (zw)[i][j]) in row-major order, columns
     sorted, where the products x y and z w differ; None when they are equal.
+    Each factor is a `QMatrix` or an `UnreducedProduct`.
 
     Both products are built a row at a time as unreduced fractions n/d of
     Laurent polynomials (`_unreduced_row`), and an entry n1/d1 of x y is
     compared with n2/d2 of z w as n1 d2 = n2 d1, or as n1 = n2 when d1 = d2.
     This is exact: Q(i)[q, q^-1] is an integral domain, every denominator is
-    a product of nonzero canonical denominators and hence nonzero, so
+    a product of nonzero canonical denominators (an `UnreducedProduct`'s
+    entries included) and hence nonzero, so
     n1/d1 = n2/d2 in Q(i)(q) iff n1 d2 = n2 d1 in Q(i)[q, q^-1]; and a
     LaurentPoly is kept in a canonical form (Gaussian-integer arrays over one
     denominator with no common factor, nonzero end coefficients), so two

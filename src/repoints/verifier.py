@@ -18,7 +18,7 @@ from .points import (
     pm_exponents,
     quantum_point,
 )
-from .qmatrix import QMatrix, first_product_difference
+from .qmatrix import QMatrix, UnreducedProduct, first_product_difference
 from .rmatrix import Projector, build_rmatrix_data, epsilon_for
 from .rootdata import ClassSpec, RootSystem, build_root_system
 from .scalar import I_UNIT, ZERO, QScalar, eval_at_one, q_integer, render_scalar
@@ -66,12 +66,14 @@ def embed_second(A: QMatrix, N: int) -> QMatrix:
 
 def check_reflection(A: QMatrix, S: QMatrix) -> CheckRecord:
     """S A2 S A2 = A2 S A2 S with A2 = I x A, decided as S M = M S with
-    M = A2 S A2: by associativity S M is the left side and M S the right."""
+    M = A2 S A2: by associativity S M is the left side and M S the right.
+    M is the `UnreducedProduct` of A2 and the `UnreducedProduct` S A2, so no
+    entry is normalized unless it names the first mismatch."""
     N = A.dim
     if S.dim != N * N:
         raise ValueError("dimension mismatch between A and S")
     A2 = embed_second(A, N)
-    M = A2 * (S * A2)
+    M = UnreducedProduct(A2, UnreducedProduct(S, A2))
     return _record("reflection", first_product_difference(S, M, M, S))
 
 

@@ -3,6 +3,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -138,6 +140,24 @@ def test_sweep_small(capsys):
         "sl3-t2-m0-p", "sl3-t2-m0-m", "sl3-t2-m1-p", "sl3-t2-m1-m"]
     for row in payload["cases"]:
         assert {"build", "reflection", "invariants", "stabilizer", "total"} <= set(row["timings"])
+
+
+def test_closed_stdout_keeps_the_exit_code_and_prints_nothing_to_stderr():
+    # a reader that has left, as in `repoints sweep | head -1`
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repoints.cli", "sweep", "--series", "sl", "--Nmax", "3",
+             "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
 
 
 def test_satake_arcs_sl6(capsys):

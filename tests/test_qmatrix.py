@@ -2,7 +2,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repoints.qmatrix import QMatrix, first_product_difference
+from repoints.qmatrix import QMatrix, UnreducedProduct, first_product_difference
 from repoints.scalar import ONE, ZERO, parse_scalar
 
 # rational entries with shared and distinct denominators, some of them equal
@@ -30,9 +30,10 @@ def sparse_matrices(draw, dim):
 
 @st.composite
 def quadruples(draw):
+    """(x, y, z, w) for the kernel and the same four, normalized, for `_direct`."""
     dim = draw(st.integers(1, 3))
     x, y = draw(sparse_matrices(dim)), draw(sparse_matrices(dim))
-    mode = draw(st.sampled_from(("free", "same", "regrouped", "rescaled", "near")))
+    mode = draw(st.sampled_from(("free", "same", "regrouped", "rescaled", "near", "unreduced")))
     if mode == "free":
         z, w = draw(sparse_matrices(dim)), draw(sparse_matrices(dim))
     elif mode == "same":
@@ -43,15 +44,25 @@ def quadruples(draw):
     elif mode == "rescaled":
         s = draw(st.sampled_from([v for v in POOL if v]))
         z, w = x.scale(s), y.scale(s.inv())
-    else:
+    elif mode == "near":
         z, w = x, y + draw(sparse_matrices(dim))
-    return x, y, z, w
+    else:
+        # y = w = a b, given to the kernel unreduced in y, in w or in both
+        a, b = draw(sparse_matrices(dim)), draw(sparse_matrices(dim))
+        y = w = a * b
+        z = draw(st.sampled_from((x, draw(sparse_matrices(dim)))))
+        kernel = [x, y, z, w]
+        for k in draw(st.sampled_from(((1,), (3,), (1, 3)))):
+            kernel[k] = UnreducedProduct(a, b)
+        return tuple(kernel), (x, y, z, w)
+    return (x, y, z, w), (x, y, z, w)
 
 
 @settings(max_examples=200, deadline=None)
 @given(quadruples())
-def test_kernel_matches_normalized_products(xyzw):
-    assert first_product_difference(*xyzw) == _direct(*xyzw)
+def test_kernel_matches_normalized_products(operands):
+    kernel, normalized = operands
+    assert first_product_difference(*kernel) == _direct(*normalized)
 
 
 def test_sum_cancelling_to_zero_over_distinct_denominators():

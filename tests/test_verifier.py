@@ -1,15 +1,17 @@
 """Verification reports: the individual checks and the full pipeline."""
 import json
 import os
+import random
+import sys
 from dataclasses import replace
 
 import pytest
 
 from repoints.points import default_params, quantum_point
-from repoints.qmatrix import QMatrix
+from repoints.qmatrix import QMatrix, first_product_difference
 from repoints.rmatrix import build_rmatrix_data
 from repoints.rootdata import ClassSpec, LieSeries
-from repoints.scalar import ONE, QScalar, parse_scalar, q_integer
+from repoints.scalar import ONE, LaurentPoly, QScalar, parse_scalar, q_integer, render_scalar
 from repoints.verifier import (
     check_bivector,
     check_min_poly,
@@ -19,7 +21,11 @@ from repoints.verifier import (
     full_report,
 )
 
-DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DATA_DIR = os.path.join(ROOT, "tests", "data")
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from workloads import draw_params  # noqa: E402
 
 
 def test_identity_solves_re():
@@ -147,6 +153,50 @@ def test_perturbed_point_failure_details_are_pinned(args):
     for pos in [(0, N - 1), (N // 2, 0)]:
         key = f"{ClassSpec(*args).case_id}@{pos}"
         assert _control_details(args, pos) == golden[key], key
+
+
+@pytest.mark.parametrize("args", CONTROL_CASES, ids=lambda a: ClassSpec(*a).case_id)
+def test_unreduced_reflection_names_the_mismatch_of_the_normalized_form(args):
+    # check_reflection never normalizes M = A2 S A2; the reduced form does
+    spec = ClassSpec(*args)
+    N = spec.N
+    A, S = quantum_point(spec).A, build_rmatrix_data(spec.series).S
+    values = [parse_scalar(v) for v in ("(q+2)/(q^2+3)", "q^-1", "(2*q-i)/(q+1)")]
+    positions = [(0, N - 1), (N // 2, 0), (N - 1, N - 1)]
+    perturbations = [[(p, v)] for p, v in zip(positions, values)]
+    perturbations.append(list(zip(positions, values)))
+    for cells in perturbations:
+        bad = A + QMatrix.from_entries(N, [(*p, v) for p, v in cells])
+        A2 = embed_second(bad, N)
+        M = A2 * (S * A2)
+        diff = first_product_difference(S, M, M, S)
+        assert diff is not None, cells
+        i, j, a, b = diff
+        record = check_reflection(bad, S)
+        assert not record.passed
+        assert record.detail == (f"first mismatch at ({i}, {j}): "
+                                 f"{render_scalar(a)} vs {render_scalar(b)}"), cells
+
+
+def test_passing_parametric_reflection_normalizes_no_scalar(monkeypatch):
+    # counted as the benchmark's tracer counts: a nonzero numerator over a
+    # denominator other than 1
+    spec = ClassSpec("sl", 6, "t2", 2, 1)
+    point = quantum_point(spec, draw_params(spec, random.Random(7)))
+    assert any(not v.den.is_one for row in point.A.rows for v in row.values())
+    S = build_rmatrix_data(spec.series).S
+    init = QScalar.__init__
+    normalized = []
+
+    def counting(obj, num, den=None):
+        if den is not None and num and not (
+                den.is_one if isinstance(den, LaurentPoly) else den == 1):
+            normalized.append((num, den))
+        init(obj, num, den)
+
+    monkeypatch.setattr(QScalar, "__init__", counting)
+    assert check_reflection(point.A, S).passed
+    assert normalized == []
 
 
 def test_classical_algebra_is_built_before_the_reflection_check(monkeypatch):
