@@ -27,9 +27,9 @@ from functools import cached_property, lru_cache
 
 from . import linalg
 from .natrep import CheckRecord, build_natural_rep
-from .points import default_params, quantum_point
+from .points import quantum_point
 from .qmatrix import QMatrix
-from .rootdata import LieSeries, build_root_system
+from .rootdata import LieSeries, build_root_system, sub
 from .scalar import GR_ZERO, GaussRational, eval_at_one
 
 
@@ -152,6 +152,12 @@ def build_classical_algebra(ls: LieSeries) -> ClassicalAlgebraData:
     c_k the k-th simple-root coordinate (`RootSystem.expand_in_simple`); so
     h_k^v is the fundamental coweight varpi_k^v on the natural module.
 
+    f_beta = e_beta^T / tr(e_beta e_beta^T). The natural module has
+    f_i = e_i^T (`build_natural_rep`), and [x^T, y^T] = -[x, y]^T, so the
+    brackets that build e_beta from the e_i build (-1)^(ht beta - 1) e_beta^T
+    from the f_i: e_beta^T lies in g, of weight -beta. The entries of e_beta
+    are rational, so tr(e_beta e_beta^T), their sum of squares, is positive.
+
     Why tr(B_m B_k^v) = delta_mk:
 
     - The Cartan elements are diagonal and every e_beta, f_beta is a weight
@@ -161,7 +167,7 @@ def build_classical_algebra(ls: LieSeries) -> ClassicalAlgebraData:
     - For beta != gamma, e_beta f_gamma has weight beta - gamma != 0, so its
       diagonal is zero and tr(e_beta f_gamma) = 0; likewise e_beta e_gamma
       and f_beta f_gamma, of weight +-(beta + gamma) != 0.
-    - tr(e_beta f_beta) = 1 by the normalization below.
+    - tr(e_beta f_beta) = 1 by the choice of f_beta.
     - On the Cartan block: for a diagonal D, [f_m, D] = alpha_m(D) f_m, where
       alpha_m(D) = D_aa - D_bb at any nonzero entry (a, b) of e_m, since
       w_a - w_b = alpha_m. So tr(h_m D) = tr(e_m [f_m, D]) = alpha_m(D).
@@ -175,37 +181,31 @@ def build_classical_algebra(ls: LieSeries) -> ClassicalAlgebraData:
     rs = build_root_system(ls)
 
     simple_e = [gauss_entries(m) for m in rep.e]
-    simple_f = [_transpose(x) for x in simple_e]
     e_vec = dict(zip(rs.simple, simple_e))
-    f_vec = dict(zip(rs.simple, simple_f))
 
     positive = _sorted_positive(rs)
     for root in positive:
         if root in e_vec:
             continue
         for i, alpha in enumerate(rs.simple):
-            rest = tuple(a - b for a, b in zip(root, alpha))
+            rest = sub(root, alpha)
             if rest in e_vec:
                 cand = _bracket(simple_e[i], e_vec[rest])
                 if cand:
                     e_vec[root] = cand
-                    f_vec[root] = _bracket(simple_f[i], f_vec[rest])
                     break
         else:
             raise AssertionError(f"no bracket decomposition for root {root}")
 
-    # normalize the lowering vectors to (e, f) = 1 under the trace form
+    f_vec = {}
     for root in positive:
-        t = trace_pair(e_vec[root], f_vec[root])
-        if not t:
-            raise AssertionError(f"degenerate pairing at root {root}")
-        inv = t.inv()
-        f_vec[root] = {key: x * inv for key, x in f_vec[root].items()}
+        e_t = _transpose(e_vec[root])
+        inv = trace_pair(e_vec[root], e_t).inv()
+        f_vec[root] = {key: x * inv for key, x in e_t.items()}
 
     cartan = [_bracket(e_vec[a], f_vec[a]) for a in rs.simple]
-    weights = [rs.weight_of_basis(j) for j in range(ls.dim)]
-    mean = [Fraction(sum(col), ls.dim) for col in zip(*weights)]
-    coords = [rs.expand_in_simple(tuple(x - m for x, m in zip(w, mean))) for w in weights]
+    mean = [Fraction(sum(col), ls.dim) for col in zip(*rs.weights)]
+    coords = [rs.expand_in_simple(sub(w, mean)) for w in rs.weights]
     cartan_duals = [{(j, j): GaussRational(c[k]) for j, c in enumerate(coords) if c[k]}
                     for k in range(ls.rank)]
     es = [e_vec[r] for r in positive]
@@ -214,7 +214,7 @@ def build_classical_algebra(ls: LieSeries) -> ClassicalAlgebraData:
     duals = cartan_duals + fs + es
     expander = linalg.BasisExpander(basis, [_transpose(d) for d in duals])
     return ClassicalAlgebraData(ls, basis, duals, cartan, e_vec, f_vec, tuple(positive),
-                                expander, simple_e + simple_f)
+                                expander, simple_e + [_transpose(x) for x in simple_e])
 
 
 def adjoint_matrix(data: ClassicalAlgebraData, a: dict) -> list:
@@ -396,4 +396,4 @@ def check_involutive_vanishing(data: ClassicalAlgebraData, a: dict) -> CheckReco
 def classical_point_entries(spec) -> dict:
     """The classical point A0 of a class spec at default parameters, read by
     `gauss_entries`."""
-    return gauss_entries(quantum_point(spec, default_params(spec)).A0)
+    return gauss_entries(quantum_point(spec).A0)

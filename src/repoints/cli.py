@@ -15,8 +15,8 @@ import time
 
 from . import classical, coideal
 from .points import ParamError, default_params, paired_index, quantum_point
-from .rootdata import ClassSpec, standard_cases, theta_for_class
-from .linalg import NotInSpanError, SingularMatrixError
+from .rootdata import ClassSpec, NotInSpanError, series_for_group, standard_cases, theta_for_class
+from .linalg import SingularMatrixError
 from .qmatrix import QMatrix
 from .scalar import QScalar, ScalarParseError, parse_scalar, render_scalar
 
@@ -192,7 +192,7 @@ def cmd_stabilizer(args) -> int:
     spec, point, ss = _point_stabilizer(args)
     payload = {
         "case": spec.case_id,
-        "params": point.param_digest(),
+        "params": point.params.digest(),
         "checks": [r.to_dict() for r in coideal.check_stabilizer(ss, point.A)],
         "generators": [_generator_entry(g, agrees=g.table_matches)
                        for g in ss.mixed_generators],
@@ -205,8 +205,6 @@ def cmd_poisson(args) -> int:
     if args.matrix:
         if args.series is None or args.N is None:
             raise UsageError("--matrix requires --series and --N to fix the algebra")
-        from .rootdata import series_for_group
-
         try:
             ls = series_for_group(args.series, args.N)
         except ValueError as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .natrep import CheckRecord, NaturalRep, build_natural_rep, cartan_power
 from .points import PointParams
 from .qmatrix import QMatrix, commutator, first_product_difference
-from .rootdata import ClassSpec, ThetaData, build_root_system, theta_for_class
+from .rootdata import ClassSpec, ThetaData, build_root_system, sub, theta_for_class
 from .scalar import I_UNIT, ONE, Q, QScalar, render_scalar
 
 
@@ -208,7 +208,7 @@ def cartan_shift(td: ThetaData, alpha: int) -> tuple:
     """beta = tilde(alpha) - alpha in epsilon coordinates, so that
     cartan_power(ls, beta) = pi(q^{h_{tilde alpha} - h_alpha})."""
     rs = build_root_system(td.spec.series)
-    return tuple(t - a for t, a in zip(td.tilde_eps[alpha], rs.simple[alpha - 1]))
+    return sub(td.tilde_eps[alpha], rs.simple[alpha - 1])
 
 
 def solve_mixture(lead: QMatrix, A: QMatrix, alpha: int, F_tilde: QMatrix) -> QScalar:

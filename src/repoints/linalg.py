@@ -12,12 +12,10 @@ dicts of nonzero entries, and expands them by pairing with a dual basis.
 """
 from __future__ import annotations
 
+from .rootdata import NotInSpanError
+
 
 class SingularMatrixError(ArithmeticError):
-    pass
-
-
-class NotInSpanError(ValueError):
     pass
 
 

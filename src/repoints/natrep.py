@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .qmatrix import QMatrix, commutator
-from .rootdata import LieSeries, RootSystem, build_root_system, dot
+from .rootdata import LieSeries, RootSystem, build_root_system, dot, sub
 from .scalar import ONE, Q, QINV, QScalar
 
 
@@ -33,18 +33,13 @@ class NaturalRep:
     k_inv: list
     F: list  # pi(q^{h_i}) pi(f_i)
 
-    @property
-    def rank(self) -> int:
-        return self.series_data.rank
-
 
 def cartan_power(ls: LieSeries, beta: tuple) -> QMatrix:
     """pi(q^{h_beta}) for a vector beta in epsilon coordinates: the diagonal
     of q^(beta, weight_j) over the natural basis."""
-    rs = build_root_system(ls)
     out = QMatrix(ls.dim)
-    for j in range(ls.dim):
-        out.put(j, j, QScalar.q_power(dot(beta, rs.weight_of_basis(j))))
+    for j, w in enumerate(build_root_system(ls).weights):
+        out.put(j, j, QScalar.q_power(dot(beta, w)))
     return out
 
 
@@ -55,13 +50,12 @@ def build_natural_rep(ls: LieSeries) -> NaturalRep:
     a + b > N - 1 (0-based), 1 otherwise."""
     N = ls.dim
     rs = build_root_system(ls)
-    w = [rs.weight_of_basis(j) for j in range(N)]
-    index = {wj: j for j, wj in enumerate(w)}
+    index = {wj: j for j, wj in enumerate(rs.weights)}
     e = []
     for alpha in rs.simple:
         m = QMatrix(N)
-        for a, wa in enumerate(w):
-            b = index.get(tuple(x - y for x, y in zip(wa, alpha)))
+        for a, wa in enumerate(rs.weights):
+            b = index.get(sub(wa, alpha))
             if b is not None:
                 m.put(a, b, -ONE if ls.series != "A" and a + b > N - 1 else ONE)
         e.append(m)
@@ -107,7 +101,7 @@ def coproduct_pairs(rep: NaturalRep):
     """(pi x pi) of Delta(x) and of the opposite coproduct, per generator."""
     N = rep.series_data.dim
     I = QMatrix.identity(N)
-    for i in range(rep.rank):
+    for i in range(rep.series_data.rank):
         e, f, k, ki = rep.e[i], rep.f[i], rep.k[i], rep.k_inv[i]
         yield f"e{i+1}", k.kron(e) + e.kron(I), e.kron(k) + I.kron(e)
         yield f"f{i+1}", f.kron(ki) + I.kron(f), ki.kron(f) + f.kron(I)
@@ -127,8 +121,8 @@ def check_rtt_compat(rep: NaturalRep, R: QMatrix) -> list:
 def q_trace(A: QMatrix, rs: RootSystem) -> QScalar:
     """Weighted trace: sum of q^(2 rho, weight_j) A_jj over the natural basis."""
     total = QScalar(0)
-    for j in range(rs.ls.dim):
+    for j, w in enumerate(rs.weights):
         a = A.get(j, j)
         if a:
-            total = total + QScalar.q_power(dot(rs.two_rho, rs.weight_of_basis(j))) * a
+            total = total + QScalar.q_power(dot(rs.two_rho, w)) * a
     return total

@@ -29,8 +29,10 @@ class PointParams:
     kind: str
     values: dict
 
-    def literal_items(self):
-        return [(f"{self.kind}{i}", render_scalar(v)) for i, v in sorted(self.values.items())]
+    def digest(self) -> str:
+        """The parameters as one line, name=value joined by commas, for reports."""
+        return ",".join(f"{self.kind}{i}={render_scalar(v)}"
+                        for i, v in sorted(self.values.items()))
 
 
 def paired_index(spec: ClassSpec, i: int) -> int:
@@ -164,9 +166,6 @@ class QuantumPoint:
     params: PointParams
     A: QMatrix
     A0: QMatrix  # entries are q-free
-
-    def param_digest(self) -> str:
-        return ",".join(f"{n}={v}" for n, v in self.params.literal_items())
 
 
 def classical_limit_params(params: PointParams) -> PointParams:

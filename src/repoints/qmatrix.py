@@ -31,10 +31,6 @@ class QMatrix:
             self.rows = rows
 
     @classmethod
-    def zeros(cls, dim: int) -> "QMatrix":
-        return cls(dim)
-
-    @classmethod
     def identity(cls, dim: int) -> "QMatrix":
         return cls(dim, [{i: ONE} for i in range(dim)])
 
@@ -80,17 +76,7 @@ class QMatrix:
         return self + (-other)
 
     def __mul__(self, other: "QMatrix") -> "QMatrix":
-        out = []
-        orows = other.rows
-        for row in self.rows:
-            acc: dict = {}
-            for k, a in row.items():
-                for j, b in orows[k].items():
-                    p = a * b
-                    s = acc.get(j)
-                    acc[j] = p if s is None else s + p
-            out.append({j: v for j, v in acc.items() if v})
-        return QMatrix(self.dim, out)
+        return QMatrix(self.dim, [other.apply_left(row) for row in self.rows])
 
     def apply(self, vec: dict) -> dict:
         """self * v for a sparse column vector {index: nonzero value}."""
@@ -119,7 +105,7 @@ class QMatrix:
 
     def scale(self, c: QScalar) -> "QMatrix":
         if not c:
-            return QMatrix.zeros(self.dim)
+            return QMatrix(self.dim)
         return QMatrix(self.dim, [{j: c * v for j, v in r.items()} for r in self.rows])
 
     def add_scalar_diag(self, c: QScalar) -> "QMatrix":
@@ -148,14 +134,6 @@ class QMatrix:
                         dest[j * d2 + l] = a * b
         return out
 
-    def trace(self) -> QScalar:
-        t = ZERO
-        for i, row in enumerate(self.rows):
-            v = row.get(i)
-            if v is not None:
-                t = t + v
-        return t
-
     def is_zero(self) -> bool:
         return all(not r for r in self.rows)
 
@@ -179,12 +157,10 @@ class QMatrix:
 
     def first_difference(self, other: "QMatrix"):
         """Position and values of the first differing entry, or None if equal."""
-        for i in range(self.dim):
-            cols = set(self.rows[i]) | set(other.rows[i])
-            for j in sorted(cols):
-                a, b = self.get(i, j), other.get(i, j)
-                if a != b:
-                    return i, j, a, b
+        for i, (r1, r2) in enumerate(zip(self.rows, other.rows)):
+            diff = first_vector_difference(r1, r2)
+            if diff is not None:
+                return (i, *diff)
         return None
 
     def rank(self) -> int:
@@ -222,6 +198,15 @@ class QMatrix:
 
 def commutator(a: QMatrix, b: QMatrix) -> QMatrix:
     return a * b - b * a
+
+
+def first_vector_difference(got: dict, want: dict):
+    """First index where two sparse vectors differ, with both values, or None."""
+    for k in sorted(got.keys() | want.keys()):
+        a, b = got.get(k, ZERO), want.get(k, ZERO)
+        if a != b:
+            return k, a, b
+    return None
 
 
 _ZERO_PAIR = (LP_ZERO, LP_ONE)

@@ -79,7 +79,7 @@ def build_R(ls: LieSeries) -> QMatrix:
     """
     N = ls.dim
     rs = build_root_system(ls)
-    w = [rs.weight_of_basis(j) for j in range(N)]
+    w = rs.weights
     r = [dot(rs.two_rho, wj) for wj in w]
     if ls.series == "B":
         r[ls.rank] = 1

@@ -9,12 +9,15 @@ it fixes, and the partners of the rest (read from the support of
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
-from . import linalg
+
+class NotInSpanError(ValueError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -85,7 +88,7 @@ def _add(u: tuple, v: tuple) -> tuple:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def _sub(u: tuple, v: tuple) -> tuple:
+def sub(u: tuple, v: tuple) -> tuple:
     return tuple(a - b for a, b in zip(u, v))
 
 
@@ -95,9 +98,9 @@ def dot(u: tuple, v: tuple):
 
 def simple_roots(ls: LieSeries) -> tuple:
     n, d = ls.rank, ls.eps_dim
-    roots = [_sub(_eps(d, i), _eps(d, i + 1)) for i in range(n - 1)]
+    roots = [sub(_eps(d, i), _eps(d, i + 1)) for i in range(n - 1)]
     if ls.series == "A":
-        roots.append(_sub(_eps(d, n - 1), _eps(d, n)))
+        roots.append(sub(_eps(d, n - 1), _eps(d, n)))
     elif ls.series == "B":
         roots.append(_eps(d, n - 1))
     elif ls.series == "C":
@@ -113,12 +116,24 @@ def positive_roots(ls: LieSeries) -> tuple:
     2 e_i for C.  Each has a positive first nonzero coordinate."""
     d, s = ls.eps_dim, ls.series
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    roots = [_sub(_eps(d, i), _eps(d, j)) for i, j in pairs]
+    roots = [sub(_eps(d, i), _eps(d, j)) for i, j in pairs]
     if s != "A":
         roots += [_add(_eps(d, i), _eps(d, j)) for i, j in pairs]
     if s in ("B", "C"):
         roots += [_eps(d, i, 1 if s == "B" else 2) for i in range(d)]
     return tuple(sorted(roots))
+
+
+def _basis_weights(ls: LieSeries) -> tuple:
+    """The weights of the natural-representation basis vectors, in order:
+    e_1, ..., e_N for A; e_1, ..., e_n, then 0 for B, then -e_n, ..., -e_1,
+    so that the mirrored index j' = N - 1 - j carries the opposite weight."""
+    d = ls.eps_dim
+    top = [_eps(d, j) for j in range(d)]
+    if ls.series == "A":
+        return tuple(top)
+    middle = [(0,) * d] if ls.series == "B" else []
+    return tuple(top + middle + [_eps(d, j, -1) for j in reversed(range(d))])
 
 
 @dataclass(frozen=True)
@@ -129,22 +144,11 @@ class RootSystem:
     two_rho: tuple
     cartan_pairing: tuple  # integer matrix (alpha_i, alpha_j)
     kappa: tuple  # per-basis-vector signs entering the R-matrix (length N)
+    weights: tuple  # weight of each natural-representation basis vector
 
     def prime(self, j: int) -> int:
         """The mirrored basis index j' = N - 1 - j (0-based)."""
         return self.ls.dim - 1 - j
-
-    def weight_of_basis(self, j: int) -> tuple:
-        """Weight of the j-th natural-representation basis vector (0-based)."""
-        d = self.ls.eps_dim
-        if self.ls.series == "A":
-            return _eps(d, j)
-        n, N = self.ls.rank, self.ls.dim
-        if j < n:
-            return _eps(d, j)
-        if 2 * j + 1 == N:
-            return tuple([0] * d)
-        return _eps(d, self.prime(j), -1)
 
     def expand_in_simple(self, v: tuple) -> tuple:
         """Coordinates c of v in the simple-root basis, as Fractions.
@@ -169,7 +173,7 @@ class RootSystem:
         n, series = self.ls.rank, self.ls.series
         p = list(accumulate(v))
         if series == "A" and p[n]:
-            raise linalg.NotInSpanError(f"{v} is not in the span of the simple roots")
+            raise NotInSpanError(f"{v} is not in the span of the simple roots")
         c = p[:n]
         if series == "C":
             c[n - 1] = Fraction(p[n - 1], 2)
@@ -186,7 +190,7 @@ def build_root_system(ls: LieSeries) -> RootSystem:
     two_rho = tuple(sum(col) for col in zip(*pos))
     pairing = tuple(tuple(dot(a, b) for b in simple) for a in simple)
     kappa = tuple(-1 if ls.series == "C" and 2 * j >= ls.dim else 1 for j in range(ls.dim))
-    return RootSystem(ls, simple, pos, two_rho, pairing, kappa)
+    return RootSystem(ls, simple, pos, two_rho, pairing, kappa, _basis_weights(ls))
 
 
 # --- conjugacy class specifications ----------------------------------------
@@ -302,14 +306,12 @@ class ThetaData:
 
     spec: ClassSpec
     matrix: tuple  # eps_dim x eps_dim signed permutation, rows of ints
+    apply: Callable = field(repr=False, compare=False)  # v -> theta(v), over the nonzeros of matrix
     pi_fixed: tuple  # 1-based indices of simple roots fixed by theta
     pi_moved: tuple  # 1-based indices of the remaining simple roots
     tilde_eps: dict  # i -> -theta(alpha_i) in epsilon coordinates
     tilde_simple: dict  # i -> the same vector in simple-root coordinates
     partner: dict  # i -> the unique moved index i' with tilde(i) - alpha_{i'} in span Z+ of fixed simples
-
-    def apply(self, v: tuple) -> tuple:
-        return tuple(dot(row, v) for row in self.matrix)
 
 
 def _theta_matrix(spec: ClassSpec) -> tuple:
@@ -388,4 +390,4 @@ def theta_for_class(spec: ClassSpec) -> ThetaData:
             raise AssertionError(f"expected a unique partner for alpha_{i}, got {support}")
         tilde_eps[i], tilde_simple[i], partner[i] = t, tuple(map(int, coords)), support[0]
 
-    return ThetaData(spec, matrix, tuple(fixed), tuple(moved), tilde_eps, tilde_simple, partner)
+    return ThetaData(spec, matrix, apply, tuple(fixed), tuple(moved), tilde_eps, tilde_simple, partner)

@@ -104,12 +104,7 @@ class GaussRational:
         return _reduced(a, b, d)
 
     def __sub__(self, other: "GaussRational") -> "GaussRational":
-        d, f = self.d, other.d
-        if d == f:
-            a, b = self.a - other.a, self.b - other.b
-        else:
-            a, b, d = self.a * f - other.a * d, self.b * f - other.b * d, d * f
-        return _reduced(a, b, d)
+        return self + (-other)
 
     def __neg__(self) -> "GaussRational":
         return _gauss(-self.a, -self.b, self.d)
@@ -735,18 +730,22 @@ def render_scalar(x: QScalar) -> str:
 # --- literal parsing --------------------------------------------------------
 
 # bounds on each literal exponent and on the degree of a power keep parsing
-# fast: (q + 1)^256 already takes seconds
+# fast: (q + 1)^256 already takes seconds, and ((q^64)^64)^64 + 1 holds
+# 262145 coefficients
 MAX_EXPONENT = 64
 # bound on parenthesis nesting: each level takes four stack frames of the
 # recursive descent, so this stays far below Python's recursion limit
 MAX_NESTING = 64
 
 
-def _degree_span(x: QScalar) -> int:
-    """Exponent spread of numerator plus denominator (0 for monomials)."""
+def _power_degree(x: QScalar) -> int:
+    """The larger of the exponent spread of numerator plus denominator and the
+    largest |exponent| of either; k times it bounds the exponents of x^k."""
     if not x:
         return 0
-    return (x.num.max_exp() - x.num.min_exp()) + (x.den.max_exp() - x.den.min_exp())
+    n, d = x.num, x.den
+    spread = (n.max_exp() - n.min_exp()) + (d.max_exp() - d.min_exp())
+    return max(spread, -n.min_exp(), n.max_exp(), -d.min_exp(), d.max_exp())
 
 
 def _sum_pair(x: tuple, y: tuple) -> tuple:
@@ -833,7 +832,7 @@ class _Parser:
             if k > MAX_EXPONENT:
                 raise ScalarParseError(f"exponent {k} exceeds {MAX_EXPONENT}", self.pos)
             val = QScalar(num, den)
-            if k * _degree_span(val) > MAX_EXPONENT:
+            if k * _power_degree(val) > MAX_EXPONENT:
                 raise ScalarParseError(f"power of degree above {MAX_EXPONENT}", self.pos)
             if esign < 0 and not val:
                 raise ScalarParseError("division by zero", self.pos)

@@ -18,7 +18,7 @@ from .points import (
     pm_exponents,
     quantum_point,
 )
-from .qmatrix import QMatrix, UnreducedProduct, first_product_difference
+from .qmatrix import QMatrix, UnreducedProduct, first_product_difference, first_vector_difference
 from .rmatrix import Projector, build_rmatrix_data, epsilon_for
 from .rootdata import ClassSpec, RootSystem, build_root_system
 from .scalar import I_UNIT, ZERO, QScalar, eval_at_one, q_integer, render_scalar
@@ -77,15 +77,6 @@ def check_reflection(A: QMatrix, S: QMatrix) -> CheckRecord:
     return _record("reflection", first_product_difference(S, M, M, S))
 
 
-def _first_vector_difference(got: dict, want: dict):
-    """First index where two sparse vectors differ, with both values, or None."""
-    for k in sorted(set(got) | set(want)):
-        a, b = got.get(k, ZERO), want.get(k, ZERO)
-        if a != b:
-            return k, a, b
-    return None
-
-
 def _factoring_problem(proj: Projector) -> str | None:
     """Why varpi is not u w^T / (p den), or None when it is (rank one)."""
     if proj.i0 is None:
@@ -105,7 +96,7 @@ def _eigen_record(name: str, got: dict, proj: Projector, left: bool = False) -> 
     got = w^T X when left.  The dense matrices first differ in column j0
     (row i0 when left), where the entry is got[k] / den."""
     factor = proj.w if left else proj.u
-    diff = _first_vector_difference(got, {k: proj.mu * v for k, v in factor.items()})
+    diff = first_vector_difference(got, {k: proj.mu * v for k, v in factor.items()})
     if diff is None:
         return CheckRecord(name, True)
     k, a, b = diff
@@ -170,7 +161,7 @@ def check_min_poly(A: QMatrix, spec: ClassSpec) -> list:
         val = I_UNIT * QScalar.q_power(-spec.N // 2 + epsilon_for(spec.series))
         roots = ((val, spec.N // 2), (-val, spec.N // 2))
     plus, minus = (A.add_scalar_diag(-lam) for lam, _ in roots)
-    zero = QMatrix.zeros(spec.N)
+    zero = QMatrix(spec.N)
     records = [_record("min_poly", first_product_difference(plus, minus, zero, zero))]
     for name, mat, (_, want) in zip(("mult.plus", "mult.minus"), (plus, minus), roots):
         rk = mat.rank()
@@ -228,57 +219,55 @@ def check_bivector(point: QuantumPoint) -> CheckRecord:
 def full_report(spec: ClassSpec, params: PointParams | None = None) -> VerificationReport:
     if params is None:
         params = default_params(spec)
-    report = VerificationReport(spec.case_id, "")
-    t0 = time.perf_counter()
+    report = VerificationReport(spec.case_id, params.digest())
+    marks = [time.perf_counter()]
+
+    def stage(name: str) -> None:
+        """Record the time since the previous stage ended (or the report began)."""
+        marks.append(time.perf_counter())
+        report.timings[name] = round(marks[-1] - marks[-2], 6)
 
     try:
         point = quantum_point(spec, params)
     except ParamError as exc:
         report.checks.extend(CheckRecord("params", False, p) for p in exc.problems)
         return report
-    report.param_digest = point.param_digest()
     rmd = build_rmatrix_data(spec.series)
     rs = build_root_system(spec.series)
     # the per-series set-up of the stabilizer and the classical layer is
     # build time, not stabilizer or bivector time
     build_natural_rep(spec.series)
     classical.build_classical_algebra(spec.series)
-    report.timings["build"] = round(time.perf_counter() - t0, 6)
+    stage("build")
 
-    t = time.perf_counter()
     report.checks.append(check_reflection(point.A, rmd.S))
-    report.timings["reflection"] = round(time.perf_counter() - t, 6)
+    stage("reflection")
 
     if rmd.projector is not None:
-        t = time.perf_counter()
         report.checks.extend(check_oc(point.A, rmd.S, rmd.projector))
         report.checks.extend(check_varpi_structure(rmd.S, rmd.projector))
-        report.timings["oc"] = round(time.perf_counter() - t, 6)
+        stage("oc")
 
-    t = time.perf_counter()
     report.checks.extend(check_min_poly(point.A, spec))
     report.checks.append(check_q_trace(point.A, spec, rs))
-    report.timings["invariants"] = round(time.perf_counter() - t, 6)
+    stage("invariants")
 
     # the classical limit is recomputed from the limiting parameters, so this
     # cross-checks the two construction paths
-    t = time.perf_counter()
     limit = QMatrix(spec.N)
     for i, j, v in point.A.nonzero_items():
         limit.put(i, j, QScalar.from_gauss(eval_at_one(v)))
     report.checks.append(_record_equal("classical.limit", limit, point.A0))
     report.checks.append(check_classical_involution(point))
-    report.timings["classical"] = round(time.perf_counter() - t, 6)
+    stage("classical")
 
-    t = time.perf_counter()
     ss = coideal.build_stabilizer(spec, params, point.A)
     report.checks.extend(coideal.check_stabilizer(ss, point.A))
-    report.timings["stabilizer"] = round(time.perf_counter() - t, 6)
+    stage("stabilizer")
 
     # the bivector is checked last, and only at a point that passed the rest
     if report.passed:
-        t = time.perf_counter()
         report.checks.append(check_bivector(point))
-        report.timings["bivector"] = round(time.perf_counter() - t, 6)
-    report.timings["total"] = round(time.perf_counter() - t0, 6)
+        stage("bivector")
+    report.timings["total"] = round(time.perf_counter() - marks[0], 6)
     return report

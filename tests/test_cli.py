@@ -284,7 +284,10 @@ def test_param_with_pole_at_one_is_a_params_failure(capsys):
 
 def test_exponent_bound_exits_two(capsys):
     base = ["verify", "--series", "sl", "--N", "4", "--family", "t2", "--m", "1"]
-    for literal in ("(q+1)^3000", "q^-65", "((q+1)^64)^64", "(q^2+1)^33", "0^-1"):
+    # a nested power of a monomial grows its exponent, not its degree span
+    nested = "((((((((((q^64)^64)^64)^64)^64)^64)^64)^64)^64)^64)^64 + 1"
+    for literal in ("(q+1)^3000", "q^-65", "((q+1)^64)^64", "(q^2+1)^33", "0^-1",
+                    nested, "((q^64)^64)^64 + 1"):
         assert main([*base, "--param", f"y1={literal}"]) == 2, literal
     assert "exceeds 64" in capsys.readouterr().err
     assert main([*base, "--param", "y1=q^-64", "--param", "y1'=q^60"]) == 0

@@ -69,7 +69,7 @@ def test_sum_cancelling_to_zero_over_distinct_denominators():
     s, t, r = (parse_scalar(v) for v in ("1/(q+1)", "(q+1)/(q+2)", "q+2"))
     x = _matrix(2, [(0, 0, s), (0, 1, t)])
     y = _matrix(2, [(0, 0, t * r), (1, 0, -(s * r))])
-    zero = QMatrix.zeros(2)
+    zero = QMatrix(2)
     assert (x * y).is_zero()
     assert first_product_difference(x, y, zero, zero) is None
     assert first_product_difference(zero, zero, x, y) is None
@@ -83,7 +83,7 @@ def test_entries_equal_only_after_reduction():
 
 
 def test_zero_products_and_a_located_mismatch():
-    zero = QMatrix.zeros(3)
+    zero = QMatrix(3)
     a = parse_scalar("(q+2)/(q^2+3)")
     x = _matrix(3, [(1, 2, a)])
     assert first_product_difference(zero, x, x, zero) is None

@@ -72,7 +72,8 @@ def test_varpi_projector_sp4(dense_varpi):
 
 def test_varpi_trace_one_so6(dense_varpi):
     data = build_rmatrix_data(series_for_group("so", 6))
-    assert dense_varpi(data.projector).trace() == ONE
+    varpi = dense_varpi(data.projector)
+    assert sum((varpi.get(i, i) for i in range(varpi.dim)), QScalar(0)) == ONE
 
 
 @pytest.mark.parametrize("group,N", [("so", 5), ("sp", 4)])

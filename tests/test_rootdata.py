@@ -154,8 +154,7 @@ def test_expand_in_simple_raises_outside_the_span(ls, v):
 
 def test_weights_of_natural_basis():
     rs = build_root_system(LieSeries("B", 2))
-    assert [rs.weight_of_basis(j) for j in range(5)] == [
-        (1, 0), (0, 1), (0, 0), (0, -1), (-1, 0)]
+    assert rs.weights == ((1, 0), (0, 1), (0, 0), (0, -1), (-1, 0))
 
 
 @pytest.mark.parametrize("group,N,series,value_of", [

@@ -106,6 +106,19 @@ def test_parse_bounds_nesting_and_integer_length():
     assert e.value.position == 4
 
 
+def test_parse_bounds_the_exponents_of_a_power():
+    # k times the largest |exponent| of the base is bounded, so a nested
+    # power of a monomial is refused at its first level past the bound
+    for literal in ("((q^64)^64)^64 + 1", "(q^2)^33", "(q^-3)^22", "(1/q^33)^2"):
+        with pytest.raises(ScalarParseError) as e:
+            parse_scalar(literal)
+        assert "power of degree above 64" in str(e.value)
+    assert parse_scalar("((q^64)^64)^64 + 1".replace("64", "2")) == Q ** 8 + ONE
+    assert parse_scalar("(q^2)^32") == Q ** 64
+    assert parse_scalar("q^-64") == Q ** -64
+    assert parse_scalar("(q^-2)^32") == Q ** -64
+
+
 def test_canonical_denominator_shape():
     x = parse_scalar("(q^3 + q)/(q^5 - q^-5)")
     assert x.den.min_exp() == 0

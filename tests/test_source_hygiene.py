@@ -1,9 +1,16 @@
-"""Every name a module of the package imports is used in that module, and
-every private function, class or method is read somewhere in the package.
+"""Every name a module of the package imports is used in that module, every
+private function, class or method is read somewhere in the package, and so is
+every public function and method that `PUBLIC_WITHOUT_READER` does not name.
 
 An import or a helper left behind by a deletion is not an error to Python,
 so nothing else notices it. `__init__.py` is exempt from the import check, as
 it imports to re-export, and so are `__future__` imports.
+
+"Read" means by bare name: a method counts as read when any name or attribute
+in the package spells its name, whatever the receiver. So a method that shares
+its name with one that is called (say `apply` beside `QMatrix.apply`) passes
+with no caller of its own; `test_a_shared_method_name_hides_an_unread_method`
+pins that limit.
 """
 import ast
 import os
@@ -33,18 +40,34 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
-def unread_private_names(sources: dict) -> list:
-    """(module, line, name) of each single-underscore module-level function or
-    class, or method of a module-level class, that no module of `sources`
-    (module name -> source) reads as a name, an attribute or an import."""
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+# Public functions and methods that no module of the package reads, each with
+# the reason it stays.  The benchmark's tracer patches the first two by name.
+PUBLIC_WITHOUT_READER = {
+    "classical.adjoint_matrix": "the benchmark tracer patches it; the tests' reference for Ad",
+    "linalg.mat_mul": "the benchmark tracer patches it; the tests multiply dense matrices",
+    "natrep.check_defining_relations": "acceptance check",
+    "natrep.check_rtt_compat": "acceptance check",
+    "rmatrix.braid_identity_holds": "acceptance check",
+    "rmatrix.annihilating_polynomial_holds": "acceptance check",
+    "classical.check_involutive_vanishing": "acceptance check",
+    "rootdata.admissible_cases": "scripts/dump_records.py reads it",
+}
+
+
+def _unread_definitions(sources: dict, kinds: tuple, wanted) -> list:
+    """(module, line, name) of each module-level definition of one of `kinds`,
+    or such a member of a module-level class, whose name passes `wanted` and
+    that no module of `sources` (module name -> source) reads as a name, an
+    attribute or an import."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     defined, read = [], set()
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for module, tree in trees.items():
         for node in tree.body:
             members = node.body if isinstance(node, ast.ClassDef) else []
             for d in [node, *members]:
-                if isinstance(d, defs) and _is_private(d.name):
+                if isinstance(d, kinds) and wanted(d.name):
                     defined.append((module, d.lineno, d.name))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -54,6 +77,20 @@ def unread_private_names(sources: dict) -> list:
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
     return sorted(d for d in defined if d[2] not in read)
+
+
+def unread_private_names(sources: dict) -> list:
+    """Each single-underscore module-level function or class, or method of a
+    module-level class, that no module of `sources` reads."""
+    return _unread_definitions(sources, (*_FUNCTIONS, ast.ClassDef), _is_private)
+
+
+def unread_public_names(sources: dict, allowed: dict) -> list:
+    """Each public module-level function, or public method of a module-level
+    class, that no module of `sources` reads and that `allowed` does not name
+    as "module.name"."""
+    return [d for d in _unread_definitions(sources, _FUNCTIONS, lambda n: not n.startswith("_"))
+            if f"{d[0].removesuffix('.py')}.{d[2]}" not in allowed]
 
 
 def _package_sources() -> dict:
@@ -91,3 +128,37 @@ def test_an_unread_private_name_is_reported():
         "b.py": "from .a import _Box, _called\n_called()\n_Box()._peek()\n",
     }
     assert unread_private_names(sources) == [("a.py", 1, "_unit"), ("a.py", 8, "_drop")]
+
+
+def test_every_public_function_is_read():
+    assert unread_public_names(_package_sources(), PUBLIC_WITHOUT_READER) == []
+
+
+def test_every_allowed_public_function_exists():
+    # an entry whose function was deleted or renamed must leave the list too
+    defined = {f"{m.removesuffix('.py')}.{node.name}"
+               for m, source in _package_sources().items()
+               for node in ast.walk(ast.parse(source)) if isinstance(node, _FUNCTIONS)}
+    assert set(PUBLIC_WITHOUT_READER) <= defined
+
+
+def test_an_unread_public_name_is_reported():
+    sources = {
+        "a.py": "def used():\n    pass\ndef unused():\n    pass\n"
+                "class Box:\n    def peek(self):\n        pass\n    def drop(self):\n"
+                "        pass\n    def kept(self):\n        pass\n    def _hidden(self):\n"
+                "        pass\n",
+        "b.py": "from .a import Box, used\nused()\nBox().peek()\n",
+    }
+    assert unread_public_names(sources, {"a.kept": "a reason"}) == [
+        ("a.py", 3, "unused"), ("a.py", 8, "drop")]
+
+
+def test_a_shared_method_name_hides_an_unread_method():
+    # the check's known blind spot: Box.apply has no caller, but Tray.apply does
+    sources = {
+        "a.py": "class Box:\n    def apply(self):\n        pass\n"
+                "class Tray:\n    def apply(self):\n        pass\n",
+        "b.py": "from .a import Tray\nTray().apply()\n",
+    }
+    assert unread_public_names(sources, {}) == []

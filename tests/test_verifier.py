@@ -46,6 +46,14 @@ def test_embed_second():
     A2 = embed_second(A, 2)
     assert A2.get(0, 1) == ONE and A2.get(2, 3) == ONE
     assert not A2.get(0, 2)
+    # I x A is A's rows in N diagonal blocks, at default and at seeded
+    # generic points
+    for args in CONTROL_CASES:
+        spec = ClassSpec(*args)
+        for params in (default_params(spec), draw_params(spec, random.Random(7))):
+            A, N = quantum_point(spec, params).A, spec.N
+            blocks = [{i * N + j: v for j, v in row.items()} for i in range(N) for row in A.rows]
+            assert embed_second(A, N) == QMatrix(N * N, blocks), spec.case_id
 
 
 def test_expected_q_traces():
@@ -108,6 +116,9 @@ def test_full_report_flags_bad_params():
     assert not report.passed
     assert [c.name for c in report.checks] == ["params"]
     assert "y1*y3" in report.checks[0].detail
+    # the report names the parameters it rejected
+    assert report.param_digest == params.digest() == "y1=1,y3=1"
+    assert report.to_dict()["params"] == "y1=1,y3=1"
 
 
 def test_scaled_point_fails_invariants_but_not_re():
