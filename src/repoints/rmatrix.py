@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import isqrt
 
-from .qmatrix import QMatrix, first_product_difference
+from .qmatrix import QMatrix, UnreducedProduct, first_product_difference
 from .rootdata import LieSeries, build_root_system, dot
 from .scalar import Q, QINV, QScalar
 
@@ -164,16 +164,23 @@ def build_rmatrix_data(ls: LieSeries) -> RMatrixData:
 
 
 def braid_identity_holds(S: QMatrix, N: int) -> bool:
-    """S12 S23 S12 = S23 S12 S23 on the N^3-dimensional triple tensor product."""
+    """S12 S23 S12 = S23 S12 S23 on the N^3-dimensional triple tensor product,
+    decided by the kernel on the unreduced products S12 S23 and S23 S12."""
     I = QMatrix.identity(N)
     S12 = S.kron(I)
     S23 = I.kron(S)
-    return S12 * S23 * S12 == S23 * S12 * S23
+    return first_product_difference(UnreducedProduct(S12, S23), S12,
+                                    UnreducedProduct(S23, S12), S23) is None
 
 
-def annihilating_polynomial_holds(S: QMatrix, ls: LieSeries) -> bool:
-    """Hecke relation (A series) or the cubic relation (B/C/D)."""
-    quad = S.add_scalar_diag(-Q) * S.add_scalar_diag(QINV)
-    if ls.series == "A":
-        return quad.is_zero()
-    return (quad * S.add_scalar_diag(-projector_eigenvalue(ls))).is_zero()
+def annihilating_polynomial_holds(data: RMatrixData) -> bool:
+    """Hecke relation (S - q)(S + q^-1) = 0 (A series, no projector), or the
+    cubic relation raw (S - mu) = 0 (B/C/D) on the projector's numerator
+    raw = (S - q)(S + q^-1)."""
+    S, proj = data.S, data.projector
+    if proj is None:
+        left, right = S.add_scalar_diag(-Q), S.add_scalar_diag(QINV)
+    else:
+        left, right = proj.raw, S.add_scalar_diag(-proj.mu)
+    zero = QMatrix(S.dim)
+    return first_product_difference(left, right, zero, zero) is None

@@ -115,7 +115,7 @@ def test_criterion_5_r_matrix_structure(verdict):
                          key=lambda s: (s.series, s.rank)):
         data = build_rmatrix_data(series)
         ok = ok and braid_identity_holds(data.S, series.dim)
-        ok = ok and annihilating_polynomial_holds(data.S, series)
+        ok = ok and annihilating_polynomial_holds(data)
         rep = build_natural_rep(series)
         ok = ok and all(r.passed for r in check_rtt_compat(rep, data.R))
         ok = ok and all(r.passed for r in check_defining_relations(rep))

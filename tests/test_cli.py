@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repoints import coideal, qmatrix, rmatrix, verifier
 from repoints.cli import main
 from repoints.points import param_indices
 from repoints.rootdata import standard_cases
@@ -291,6 +292,41 @@ def test_exponent_bound_exits_two(capsys):
         assert main([*base, "--param", f"y1={literal}"]) == 2, literal
     assert "exceeds 64" in capsys.readouterr().err
     assert main([*base, "--param", "y1=q^-64", "--param", "y1'=q^60"]) == 0
+
+
+def _normalized(m):
+    if isinstance(m, qmatrix.UnreducedProduct):
+        return _normalized(m.x) * _normalized(m.y)
+    return m
+
+
+def _normalized_product_difference(x, y, z, w):
+    """The kernel's oracle: both products normalized, then compared."""
+    x, y, z, w = map(_normalized, (x, y, z, w))
+    return (x * y).first_difference(z * w)
+
+
+def test_params_with_coefficients_past_the_substitution_point(capsys, monkeypatch):
+    # y1 y1' = q^-4 with coefficients above 2^64, written as plain integers
+    big, bigger = 2 ** 64 + 3, 2 ** 65 + 1
+    argv = ["verify", "--series", "sl", "--N", "4", "--family", "t2", "--m", "1",
+            "--param", f"y1=({bigger}*q^2+{big})/({big}*q-1)",
+            "--param", f"y1'=({big}*q^-3-q^-4)/({bigger}*q^2+{big})"]
+    seen = []
+    at = qmatrix._first_substituted_difference
+
+    def recording(x, y, z, w, K):
+        seen.append(K)
+        return at(x, y, z, w, K)
+
+    monkeypatch.setattr(qmatrix, "_first_substituted_difference", recording)
+    assert main(argv) == 0
+    got = _strip_timings(json.loads(capsys.readouterr().out))
+    assert max(seen) > qmatrix._K
+    for module in (coideal, rmatrix, verifier):
+        monkeypatch.setattr(module, "first_product_difference", _normalized_product_difference)
+    assert main(argv) == 0
+    assert got == _strip_timings(json.loads(capsys.readouterr().out))
 
 
 def test_n_bound_exits_two(capsys):

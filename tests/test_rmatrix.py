@@ -10,8 +10,9 @@ from repoints.rmatrix import (
     build_projector,
     build_rmatrix_data,
     flip_rows,
+    RMatrixData,
 )
-from repoints.rootdata import LieSeries, series_for_group
+from repoints.rootdata import LieSeries, build_root_system, series_for_group
 from repoints.scalar import ONE, Q, QINV, QScalar
 
 
@@ -53,7 +54,27 @@ def test_braid_identity(series):
 ])
 def test_annihilating_polynomial(series):
     data = build_rmatrix_data(series)
-    assert annihilating_polynomial_holds(data.S, series)
+    assert annihilating_polynomial_holds(data)
+
+
+def _kappa_flipped(series):
+    """S with the kappa-term of the pair (i, j) = (1, 0) negated, and its own
+    projector: R's entry at (N + 1', 0') holds that term alone."""
+    N = series.dim
+    rs = build_root_system(series)
+    R = build_R(series)
+    pos = (N + rs.prime(1), rs.prime(0))
+    assert R.get(*pos)
+    R.put(*pos, -R.get(*pos))
+    S = flip_rows(R)
+    return RMatrixData(R, S, build_projector(S, series))
+
+
+@pytest.mark.parametrize("series", [LieSeries("B", 2), LieSeries("C", 2), LieSeries("D", 3)])
+def test_a_flipped_kappa_sign_fails_braid_and_annihilating_polynomial(series):
+    data = _kappa_flipped(series)
+    assert not braid_identity_holds(data.S, series.dim)
+    assert not annihilating_polynomial_holds(data)
 
 
 def test_varpi_projector_sp4(dense_varpi):
