@@ -4,8 +4,8 @@ algebra, realized in the natural representation.
 For each simple root alpha moved by the involution, the mixed generator is
 X_alpha = pi(q^{h_tilde - h_alpha}) pi(e_alpha) + c_alpha pi(F_tilde), where
 F_tilde is an iterated q-commutator word in the F_i.  The coefficient c_alpha
-is solved exactly from the commutation requirement [X_alpha, A] = 0 and
-compared against the tabulated closed forms.
+is read off one row of both terms' commutators with A, accepted when
+[X_alpha, A] = 0 is decided exactly, and compared with the tabulated forms.
 """
 from __future__ import annotations
 
@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 from .natrep import CheckRecord, NaturalRep, build_natural_rep, cartan_power
 from .points import PointParams
-from .qmatrix import QMatrix, commutator, first_product_difference
+from .qmatrix import QMatrix, first_product_difference, first_vector_difference
 from .rootdata import ClassSpec, ThetaData, build_root_system, sub, theta_for_class
-from .scalar import I_UNIT, ONE, Q, QScalar, render_scalar
+from .scalar import I_UNIT, ONE, Q, ZERO, QScalar, render_scalar
 
 
 class MixtureInconsistentError(ArithmeticError):
@@ -212,22 +212,22 @@ def cartan_shift(td: ThetaData, alpha: int) -> tuple:
 
 
 def solve_mixture(lead: QMatrix, A: QMatrix, alpha: int, F_tilde: QMatrix) -> QScalar:
-    """The unique c with [lead + c F_tilde, A] = 0, where lead is
-    pi(q^{h_tilde - h_alpha}) pi(e_alpha) for the moved simple root alpha."""
-    b1 = commutator(lead, A)
-    b2 = commutator(F_tilde, A)
-    pivot = b2.first_nonzero()
-    if pivot is None:
-        if b1.is_zero():
-            raise MixtureUnderdeterminedError(f"alpha_{alpha}: both commutators vanish")
-        raise MixtureInconsistentError(f"alpha_{alpha}: no coefficient can cancel the commutator")
-    i, j, val = pivot
-    b1_pivot = b1.get(i, j)
-    # b1 + c b2 = 0 with c = -b1_pivot / val iff b1 val = b1_pivot b2, as val != 0
-    unit = QMatrix.identity(A.dim)
-    if first_product_difference(b1, unit.scale(val), unit.scale(b1_pivot), b2) is not None:
-        raise MixtureInconsistentError(f"alpha_{alpha}: commutators are not proportional")
-    return -(b1_pivot / val)
+    """The unique c with [lead + c F_tilde, A] = 0, lead = pi(q^{h_tilde - h_alpha})
+    pi(e_alpha) for the moved simple root alpha: c = -b1[p] / b2[p] at the first
+    nonzero p of b2 = [F_tilde, A], b1 = [lead, A], read from row p[0] alone."""
+    for i, row in enumerate(A.rows):
+        diff = first_vector_difference(A.apply_left(F_tilde.row(i)), F_tilde.apply_left(row))
+        if diff is not None:
+            j, fa, af = diff
+            b1 = A.apply_left(lead.row(i)).get(j, ZERO) - lead.apply_left(row).get(j, ZERO)
+            c = -(b1 / (fa - af))
+            X = lead + F_tilde.scale(c)
+            if first_product_difference(X, A, A, X) is not None:
+                raise MixtureInconsistentError(f"alpha_{alpha}: commutators are not proportional")
+            return c
+    if first_product_difference(lead, A, A, lead) is None:
+        raise MixtureUnderdeterminedError(f"alpha_{alpha}: both commutators vanish")
+    raise MixtureInconsistentError(f"alpha_{alpha}: no coefficient can cancel the commutator")
 
 
 def build_stabilizer(spec: ClassSpec, params: PointParams, A: QMatrix) -> StabilizerSet:

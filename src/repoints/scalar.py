@@ -729,9 +729,10 @@ def render_scalar(x: QScalar) -> str:
 
 # --- literal parsing --------------------------------------------------------
 
-# bounds on each literal exponent and on the degree of a power keep parsing
-# fast: (q + 1)^256 already takes seconds, and ((q^64)^64)^64 + 1 holds
-# 262145 coefficients
+# bounds on each literal exponent, on the degree of a power and (at four
+# times it) on each unreduced product and sum keep parsing fast:
+# (q + 1)^256 already takes seconds, ((q^64)^64)^64 + 1 holds 262145
+# coefficients, and 400 factors (q + 1)^64 multiplied out ran past 30 s
 MAX_EXPONENT = 64
 # bound on parenthesis nesting: each level takes four stack frames of the
 # recursive descent, so this stays far below Python's recursion limit
@@ -746,14 +747,6 @@ def _power_degree(x: QScalar) -> int:
     n, d = x.num, x.den
     spread = (n.max_exp() - n.min_exp()) + (d.max_exp() - d.min_exp())
     return max(spread, -n.min_exp(), n.max_exp(), -d.min_exp(), d.max_exp())
-
-
-def _sum_pair(x: tuple, y: tuple) -> tuple:
-    """The unreduced sum of two fractions (num, den) of Laurent polynomials."""
-    (n1, d1), (n2, d2) = x, y
-    if d1 == d2:
-        return n1 + n2, d1
-    return n1 * d2 + n2 * d1, d1 * d2
 
 
 class _Parser:
@@ -793,25 +786,52 @@ class _Parser:
             raise ScalarParseError(f"unexpected character {self._peek()!r}", self.pos)
         return QScalar(num, den)
 
+    def _bound(self, a: LaurentPoly, b: LaurentPoly, lo: int = 0, hi: int = 0) -> tuple:
+        """The exponent range of the product a b joined with [lo, hi], which
+        holds 0, read off the factors before anything is formed.  A range
+        that spans more than 4 MAX_EXPONENT powers of q is refused; as it
+        holds 0, that also refuses an |exponent| above 4 MAX_EXPONENT."""
+        if a and b:
+            low = a.lo + b.lo
+            high = low + len(a.re) + len(b.re) - 2
+            if low < lo:
+                lo = low
+            if high > hi:
+                hi = high
+            if hi - lo > 4 * MAX_EXPONENT:
+                raise ScalarParseError(f"product or sum of degree above {4 * MAX_EXPONENT}",
+                                       self.pos)
+        return lo, hi
+
     def expr(self) -> tuple:
-        val = self.term()
+        num, den = self.term()
         while self._peek() in ("+", "-"):
             op = self._take()
-            num, den = self.term()
-            val = _sum_pair(val, (num, den) if op == "+" else (-num, den))
-        return val
+            rnum, rden = self.term()
+            if op == "-":
+                rnum = -rnum
+            # each unreduced numerator is the sum of two products
+            if den == rden:
+                self._bound(rnum, LP_ONE, *self._bound(num, LP_ONE))
+                num = num + rnum
+            else:
+                self._bound(rnum, den, *self._bound(num, rden))
+                self._bound(den, rden)
+                num, den = num * rden + rnum * den, den * rden
+        return num, den
 
     def term(self) -> tuple:
         num, den = self.factor()
         while self._peek() in ("*", "/"):
             op = self._take()
             rnum, rden = self.factor()
-            if op == "*":
-                num, den = num * rnum, den * rden
-            else:
+            if op == "/":
                 if not rnum:
                     raise ScalarParseError("division by zero", self.pos)
-                num, den = num * rden, den * rnum
+                rnum, rden = rden, rnum
+            self._bound(num, rnum)
+            self._bound(den, rden)
+            num, den = num * rnum, den * rden
         return num, den
 
     def factor(self) -> tuple:

@@ -20,7 +20,10 @@ tracer = tracing.Tracer()
 tracer.install()
 from repoints.cli import main
 code = main(["verify", *sys.argv[2:], "--out", os.devnull])
+metric_spans = ({n for names in tracing.SELF_METRICS.values() for n in names}
+                | set(tracing.INCL_METRICS.values()) | set(tracing.CALL_METRICS.values()))
 print(json.dumps({"code": code, "spans": sorted({rec[tracing.NAME] for rec in tracer.spans}),
+                  "metric_spans": sorted(metric_spans),
                   "norm_calls": tracer.norm_calls, "norm_deg_max": tracer.norm_deg_max}))
 """
 
@@ -35,15 +38,22 @@ def _traced_verify(*args):
     return json.loads(proc.stdout)
 
 
+# span names that a per-layer metric reads but no verify reaches: the bivector
+# is decided on the tensor, so no path of the program builds the adjoint
+# matrix over the basis or multiplies and inverts dense matrices for it
+DEAD_ON_VERIFY = {"classical.adjoint", "linalg.invert", "linalg.mat_mul"}
+
+
 def test_trace_mode_sees_every_stage():
+    """Every span name that the per-layer metrics read shows up in a traced
+    so5 verify, so a renamed or rebound stage fails here, not as a metric
+    that silently reads 0."""
     result = _traced_verify("--series", "so", "--N", "5", "--family", "t2", "--m", "1")
     assert result["code"] == 0
-    assert {"cli.case", "verifier.full_report", "verifier.oc", "verifier.min_poly",
-            "coideal.check_stabilizer", "classical.bivector",
-            "linalg.expand"} <= set(result["spans"])
-    # the bivector is decided on the tensor; no path of the program builds
-    # the adjoint matrix over the basis for a passing case
-    assert "classical.adjoint" not in result["spans"]
+    spans, wanted = set(result["spans"]), set(result["metric_spans"])
+    assert DEAD_ON_VERIFY <= wanted
+    assert sorted(wanted - DEAD_ON_VERIFY - spans) == []
+    assert sorted(DEAD_ON_VERIFY & spans) == []
 
 
 def test_trace_mode_counts_scalar_normalizations():

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -261,6 +262,21 @@ def test_param_literal_past_the_parser_bounds_exits_two(capsys, literal):
     assert out.out == ""
     assert out.err.startswith("error: bad scalar literal for y1: ")
     assert out.err.count("\n") == 1 and "(at position " in out.err
+
+
+def test_param_literal_of_too_high_degree_exits_two_at_once(capsys):
+    # 400 factors of degree 64 are refused at the fifth, before any product
+    # of degree above 4 * 64 is formed
+    literal = "*".join(["(q+1)^64"] * 400)
+    start = time.perf_counter()
+    code = main(["verify", "--series", "sl", "--N", "3", "--family", "t2", "--m", "1",
+                 "--param", f"y1={literal}", "--param", f"y1'=q^-3/({literal})"])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: bad scalar literal for y1: product or sum of degree")
+    assert out.err.count("\n") == 1 and "(at position 44)" in out.err
 
 
 def test_poisson_without_a_case_exits_two(capsys):

@@ -1,9 +1,14 @@
 """Stabilizer generators: q-commutator words, solved mixture coefficients,
 and agreement with the tabulated closed forms."""
+import os
+import random
+import sys
+
 import pytest
 
 from repoints.coideal import (
     MixtureInconsistentError,
+    MixtureUnderdeterminedError,
     build_stabilizer,
     cartan_shift,
     check_stabilizer,
@@ -14,8 +19,12 @@ from repoints.coideal import (
 from repoints.natrep import build_natural_rep, cartan_power
 from repoints.points import default_params, quantum_point
 from repoints.qmatrix import QMatrix, commutator
-from repoints.rootdata import ClassSpec, theta_for_class
+from repoints.rootdata import ClassSpec, admissible_cases, theta_for_class
 from repoints.scalar import ONE, Q, QINV, QScalar, parse_scalar
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+from workloads import draw_params  # noqa: E402
 
 
 def _random_like(dim, seed):
@@ -137,3 +146,75 @@ def test_check_stabilizer_reports_failures():
     other = quantum_point(ClassSpec("sl", 3, "t2", 0, 1)).A  # identity
     mixed = check_stabilizer(ss, other + QMatrix.from_entries(3, [(0, 1, ONE)]))
     assert any(not r.passed for r in mixed)
+
+
+def _mixture_inputs(spec, A):
+    """(lead, alpha, F_tilde) for each moved simple root, as `build_stabilizer`
+    forms them."""
+    rep = build_natural_rep(spec.series)
+    td = theta_for_class(spec)
+    for a in td.pi_moved:
+        lead = cartan_power(spec.series, cartan_shift(td, a)) * rep.e[a - 1]
+        yield lead, a, f_tilde_root_vector(rep, spec, a)
+
+
+def _direct_mixture(lead, A, alpha, F_tilde):
+    """The coefficient from the full commutators b1 = [lead, A] and
+    b2 = [F_tilde, A]: c = -b1[p] / b2[p] at b2's first nonzero p, accepted
+    when b1[r] b2[p] = b1[p] b2[r] at every entry r."""
+    b1, b2 = commutator(lead, A), commutator(F_tilde, A)
+    pivot = b2.first_nonzero()
+    if pivot is None:
+        if b1.is_zero():
+            raise MixtureUnderdeterminedError(f"alpha_{alpha}: both commutators vanish")
+        raise MixtureInconsistentError(f"alpha_{alpha}: no coefficient can cancel the commutator")
+    i, j, val = pivot
+    b1p = b1.get(i, j)
+    entries = {(r, col) for m in (b1, b2) for r, col, _ in m.nonzero_items()}
+    if any(b1.get(r, col) * val != b1p * b2.get(r, col) for r, col in entries):
+        raise MixtureInconsistentError(f"alpha_{alpha}: commutators are not proportional")
+    return -(b1p / val)
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except (MixtureInconsistentError, MixtureUnderdeterminedError) as exc:
+        return type(exc), str(exc)
+
+
+def test_row_read_coefficient_matches_the_full_commutators():
+    """Every admissible class with N <= 10, at its default parameters and at
+    one seeded draw: `solve_mixture` gives the coefficient, or the error, that
+    the full commutators give."""
+    rng = random.Random(7)
+    points = []
+    for spec in admissible_cases(10):
+        params = default_params(spec)
+        points.append((spec, params))
+        if params.values:
+            points.append((spec, draw_params(spec, rng)))
+    count = 0
+    for spec, params in points:
+        A = quantum_point(spec, params).A
+        for lead, a, f_tilde in _mixture_inputs(spec, A):
+            want = _outcome(_direct_mixture, lead, A, a, f_tilde)
+            assert _outcome(solve_mixture, lead, A, a, f_tilde) == want, (spec.case_id, a)
+            count += 1
+    assert count >= 700
+
+
+def test_zero_f_tilde_with_zero_lead_is_underdetermined():
+    spec = ClassSpec("so", 5, "t2", 1, 1)
+    A = quantum_point(spec).A
+    with pytest.raises(MixtureUnderdeterminedError, match="both commutators vanish"):
+        solve_mixture(QMatrix(5), A, 1, QMatrix(5))
+
+
+def test_zero_f_tilde_cannot_cancel_a_nonzero_commutator():
+    spec = ClassSpec("so", 5, "t2", 1, 1)
+    rep = build_natural_rep(spec.series)
+    A = quantum_point(spec).A
+    with pytest.raises(MixtureInconsistentError,
+                       match="no coefficient can cancel the commutator"):
+        solve_mixture(rep.e[0], A, 1, QMatrix(5))

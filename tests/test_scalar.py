@@ -2,6 +2,7 @@
 import functools
 import math
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,29 @@ def test_parse_bounds_the_exponents_of_a_power():
     assert parse_scalar("(q^2)^32") == Q ** 64
     assert parse_scalar("q^-64") == Q ** -64
     assert parse_scalar("(q^-2)^32") == Q ** -64
+
+
+def test_parse_bounds_the_degree_of_products_and_sums():
+    # a product, quotient or sum whose unreduced numerator or denominator
+    # would pass 4 * 64 powers of q is refused before it is formed, so 400
+    # factors of degree 64 cost no more than the 4 that fit
+    literal = "*".join(["(q+1)^64"] * 400)
+    start = time.perf_counter()
+    with pytest.raises(ScalarParseError) as e:
+        parse_scalar(literal)
+    assert time.perf_counter() - start < 1
+    assert e.value.position == 44
+    assert "product or sum of degree above 256" in str(e.value)
+    for refused in ("q^64*q^64*q^64*q^64*q", "1/(q^64*q^64*q^64*q^64*q)",
+                    "q^-64*q^-64*q^-64*q^-64*q^-1", "q^-64*q^-64 + q^64*q^64*q",
+                    "1/q^64/q^64 + 1/q^64/q^64/q"):
+        with pytest.raises(ScalarParseError) as e:
+            parse_scalar(refused)
+        assert "degree above 256" in str(e.value), refused
+    assert parse_scalar("*".join(["(q+1)^64"] * 4)) == (Q + ONE) ** 256
+    assert parse_scalar("q^64*q^64*q^64*q^64") == Q ** 256
+    assert parse_scalar("q^-64*q^-64*q^-64*q^-64/q") == Q ** -257
+    assert parse_scalar("q^-64*q^-64 + q^64*q^64") == Q ** -128 + Q ** 128
 
 
 def test_canonical_denominator_shape():
