@@ -11,11 +11,12 @@ from .points import (
     QuantumPoint,
     default_params,
     quantum_point,
+    theta_for_class,
     validate_params,
 )
 from .qmatrix import QMatrix, commutator
 from .rmatrix import build_rmatrix_data
-from .rootdata import ClassSpec, LieSeries, series_for_group, standard_cases, theta_for_class
+from .rootdata import ClassSpec, LieSeries, series_for_group, standard_cases
 from .scalar import GaussRational, QScalar, parse_scalar, q_integer, render_scalar
 from .verifier import VerificationReport, full_report
 

@@ -14,8 +14,8 @@ import sys
 import time
 
 from . import classical, coideal
-from .points import ParamError, default_params, paired_index, quantum_point
-from .rootdata import ClassSpec, NotInSpanError, series_for_group, standard_cases, theta_for_class
+from .points import ParamError, default_params, paired_index, quantum_point, theta_for_class
+from .rootdata import ClassSpec, NotInSpanError, series_for_group, standard_cases
 from .linalg import SingularMatrixError
 from .qmatrix import QMatrix
 from .scalar import QScalar, ScalarParseError, parse_scalar, render_scalar
@@ -25,7 +25,7 @@ class UsageError(ValueError):
     pass
 
 
-_PARAM_RE = re.compile(r"^([yz])(\d+)('?)$")
+_PARAM_RE = re.compile(r"^([yz])([0-9]+)('?)$")
 
 
 def _spec_from_args(args) -> ClassSpec:

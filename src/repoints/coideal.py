@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .natrep import CheckRecord, NaturalRep, build_natural_rep, cartan_power
-from .points import PointParams
-from .qmatrix import QMatrix, first_product_difference, first_vector_difference
-from .rootdata import ClassSpec, ThetaData, build_root_system, sub, theta_for_class
+from .points import PointParams, ThetaData, theta_for_class
+from .qmatrix import QMatrix, first_product_difference
+from .rootdata import ClassSpec, build_root_system, sub
 from .scalar import I_UNIT, ONE, Q, ZERO, QScalar, render_scalar
 
 
@@ -215,16 +215,15 @@ def solve_mixture(lead: QMatrix, A: QMatrix, alpha: int, F_tilde: QMatrix) -> QS
     """The unique c with [lead + c F_tilde, A] = 0, lead = pi(q^{h_tilde - h_alpha})
     pi(e_alpha) for the moved simple root alpha: c = -b1[p] / b2[p] at the first
     nonzero p of b2 = [F_tilde, A], b1 = [lead, A], read from row p[0] alone."""
-    for i, row in enumerate(A.rows):
-        diff = first_vector_difference(A.apply_left(F_tilde.row(i)), F_tilde.apply_left(row))
-        if diff is not None:
-            j, fa, af = diff
-            b1 = A.apply_left(lead.row(i)).get(j, ZERO) - lead.apply_left(row).get(j, ZERO)
-            c = -(b1 / (fa - af))
-            X = lead + F_tilde.scale(c)
-            if first_product_difference(X, A, A, X) is not None:
-                raise MixtureInconsistentError(f"alpha_{alpha}: commutators are not proportional")
-            return c
+    diff = first_product_difference(F_tilde, A, A, F_tilde)
+    if diff is not None:
+        i, j, fa, af = diff
+        b1 = A.apply_left(lead.row(i)).get(j, ZERO) - lead.apply_left(A.row(i)).get(j, ZERO)
+        c = -(b1 / (fa - af))
+        X = lead + F_tilde.scale(c)
+        if first_product_difference(X, A, A, X) is not None:
+            raise MixtureInconsistentError(f"alpha_{alpha}: commutators are not proportional")
+        return c
     if first_product_difference(lead, A, A, lead) is None:
         raise MixtureUnderdeterminedError(f"alpha_{alpha}: both commutators vanish")
     raise MixtureInconsistentError(f"alpha_{alpha}: no coefficient can cancel the commutator")

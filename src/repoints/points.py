@@ -2,13 +2,21 @@
 symmetric conjugacy class, their free parameters with pairing constraints,
 and the classical limits A0.  Both are sparse `QMatrix` objects; A0 is
 q-free, and `classical.gauss_entries` reads its values at q = 1.
+
+The involution theta = Ad(A0) of each class is read off A0, where the
+class's shape is stated once: theta acts on the weights by the signed
+permutation that A0 makes of the basis.  The simple roots it fixes, and the
+partners of the rest (read from the support of -theta(alpha_i)), are
+computed from theta rather than tabulated.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .qmatrix import QMatrix
-from .rootdata import ClassSpec
+from .rootdata import ClassSpec, build_root_system
 from .scalar import GR_I, ONE, QScalar, eval_at_one, render_scalar
 
 
@@ -192,3 +200,73 @@ def pm_exponents(spec: ClassSpec) -> tuple:
         return spec.N - spec.m, spec.m
     return spec.m, spec.N - spec.m
 
+
+# --- the involution attached to a class -------------------------------------
+
+@dataclass(frozen=True)
+class ThetaData:
+    """The involution theta on weight space for one class, plus the derived
+    combinatorics: fixed simple roots, twisted partners and their tildes.
+    """
+
+    spec: ClassSpec
+    matrix: tuple  # eps_dim x eps_dim signed permutation, rows of ints
+    apply: Callable = field(repr=False, compare=False)  # v -> theta(v), over the nonzeros of matrix
+    pi_fixed: tuple  # 1-based indices of simple roots fixed by theta
+    pi_moved: tuple  # 1-based indices of the remaining simple roots
+    tilde_eps: dict  # i -> -theta(alpha_i) in epsilon coordinates
+    tilde_simple: dict  # i -> the same vector in simple-root coordinates
+    partner: dict  # i -> the unique moved index i' with tilde(i) - alpha_{i'} in span Z+ of fixed simples
+
+
+@lru_cache(maxsize=None)
+def theta_for_class(spec: ClassSpec) -> ThetaData:
+    """theta = Ad(A0) on the torus, for A0 the classical point at default
+    parameters.  A0 is a signed permutation (its nonzeros are units), so
+    A0 e_b = A0[a][b] e_a for one a per column b, and conjugating a diagonal
+    h by A0 puts h_b at (a, a): theta sends the weight w_b of e_b to w_a."""
+    ls = spec.series
+    rs = build_root_system(ls)
+    A0 = classical_point(spec, classical_limit_params(default_params(spec)))
+    image = {b: rs.weights[a] for a, row in enumerate(A0.rows) for b in row}
+    if len(image) != ls.dim or any(len(row) != 1 for row in A0.rows):
+        raise AssertionError(f"the classical point of {spec.case_id} is not a signed permutation")
+    # the first eps_dim basis vectors carry the weights e_0, ..., e_{d-1}
+    d = ls.eps_dim
+    matrix = tuple(tuple(image[b][k] for b in range(d)) for k in range(d))
+
+    # a signed permutation has one nonzero per row, so apply it over those
+    nonzero = [[(k, a) for k, a in enumerate(row) if a] for row in matrix]
+
+    def apply(v):
+        return tuple(sum(a * v[k] for k, a in row) for row in nonzero)
+
+    if any(apply(apply(w)) != w for w in rs.weights):
+        raise AssertionError("theta is not an involution")
+
+    fixed, moved = [], []
+    for idx, alpha in enumerate(rs.simple, start=1):
+        (fixed if apply(alpha) == alpha else moved).append(idx)
+
+    # With c >= 0 the coordinates of tilde(alpha_i), tilde(alpha_i) - alpha_j is
+    # in the span Z+ of the fixed simple roots iff c - e_j >= 0 is zero on every
+    # moved index: iff j is the only moved index where c != 0, and c_j = 1.
+    # c_j = 1 follows from the other checks: theta is an involution and fixes
+    # every fixed alpha_k, so applying -theta to
+    # tilde(alpha_i) = c_j alpha_j + (fixed roots) gives
+    # alpha_i = c_j tilde(alpha_j) - (fixed roots). Index i is moved, so its
+    # coordinate reads 1 = c_j tilde(alpha_j)_i, where both factors are
+    # nonnegative integers once tilde(alpha_j) passes the check below; so
+    # c_j = 1. Its test stays as a guard.
+    tilde_eps, tilde_simple, partner = {}, {}, {}
+    for i in moved:
+        t = tuple(-x for x in apply(rs.simple[i - 1]))
+        coords = rs.expand_in_simple(t)
+        if any(c.denominator != 1 or c < 0 for c in coords):
+            raise AssertionError("twisted partner is not a positive root combination")
+        support = [j for j in moved if coords[j - 1]]
+        if len(support) != 1 or coords[support[0] - 1] != 1:
+            raise AssertionError(f"expected a unique partner for alpha_{i}, got {support}")
+        tilde_eps[i], tilde_simple[i], partner[i] = t, tuple(map(int, coords)), support[0]
+
+    return ThetaData(spec, matrix, apply, tuple(fixed), tuple(moved), tilde_eps, tilde_simple, partner)

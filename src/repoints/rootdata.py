@@ -1,16 +1,13 @@
-"""Root systems for the classical series and the involution data attached to
-each symmetric conjugacy class.
+"""Root systems for the classical series and the symmetric conjugacy classes
+of sl, so and sp.
 
 Roots and weights live in an orthonormal epsilon basis and are stored as
 integer tuples; simple-root coordinates are read from prefix sums.  The
-involution theta acts on that basis by a signed permutation; the simple roots
-it fixes, and the partners of the rest (read from the support of
--theta(alpha_i)), are computed from theta rather than tabulated.
+involution of each class is read off its classical point in `points`.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -294,100 +291,3 @@ def admissible_cases(n_max: int) -> list:
                 except ValueError:
                     pass
     return cases
-
-
-# --- the involution attached to a class -------------------------------------
-
-@dataclass(frozen=True)
-class ThetaData:
-    """The involution theta on weight space for one class, plus the derived
-    combinatorics: fixed simple roots, twisted partners, and restricted pairing.
-    """
-
-    spec: ClassSpec
-    matrix: tuple  # eps_dim x eps_dim signed permutation, rows of ints
-    apply: Callable = field(repr=False, compare=False)  # v -> theta(v), over the nonzeros of matrix
-    pi_fixed: tuple  # 1-based indices of simple roots fixed by theta
-    pi_moved: tuple  # 1-based indices of the remaining simple roots
-    tilde_eps: dict  # i -> -theta(alpha_i) in epsilon coordinates
-    tilde_simple: dict  # i -> the same vector in simple-root coordinates
-    partner: dict  # i -> the unique moved index i' with tilde(i) - alpha_{i'} in span Z+ of fixed simples
-
-
-def _theta_matrix(spec: ClassSpec) -> tuple:
-    ls = spec.series
-    d = ls.eps_dim
-    rows = [[int(i == j) for j in range(d)] for i in range(d)]
-    N, m = spec.N, spec.m
-
-    if spec.family == "t2":
-        if spec.group == "sl":
-            # swap the first m coordinates with their mirrors
-            for i in range(m):
-                j = N - 1 - i
-                rows[i][i] = rows[j][j] = 0
-                rows[i][j] = rows[j][i] = 1
-        elif spec.group == "so":
-            for i in range(m):
-                rows[i][i] = -1
-        else:  # sp, m even
-            for i in range(0, m, 2):
-                rows[i][i] = rows[i + 1][i + 1] = 0
-                rows[i][i + 1] = rows[i + 1][i] = -1
-    else:  # t4
-        n = ls.rank
-        if spec.group == "sp":
-            for i in range(n):
-                rows[i][i] = -1
-        else:  # so, even N
-            for i in range(0, n - 1, 2):
-                rows[i][i] = rows[i + 1][i + 1] = 0
-                rows[i][i + 1] = rows[i + 1][i] = -1
-            # with n odd the last coordinate is fixed
-    return tuple(tuple(r) for r in rows)
-
-
-@lru_cache(maxsize=None)
-def theta_for_class(spec: ClassSpec) -> ThetaData:
-    ls = spec.series
-    rs = build_root_system(ls)
-    matrix = _theta_matrix(spec)
-
-    # a signed permutation has one nonzero per row, so apply it over those
-    nonzero = [[(k, a) for k, a in enumerate(row) if a] for row in matrix]
-
-    def apply(v):
-        return tuple(sum(a * v[k] for k, a in row) for row in nonzero)
-
-    d = ls.eps_dim
-    for j in range(d):
-        basis = _eps(d, j)
-        if apply(apply(basis)) != basis:
-            raise AssertionError("theta is not an involution")
-
-    fixed, moved = [], []
-    for idx, alpha in enumerate(rs.simple, start=1):
-        (fixed if apply(alpha) == alpha else moved).append(idx)
-
-    # With c >= 0 the coordinates of tilde(alpha_i), tilde(alpha_i) - alpha_j is
-    # in the span Z+ of the fixed simple roots iff c - e_j >= 0 is zero on every
-    # moved index: iff j is the only moved index where c != 0, and c_j = 1.
-    # c_j = 1 follows from the other checks: theta is an involution and fixes
-    # every fixed alpha_k, so applying -theta to
-    # tilde(alpha_i) = c_j alpha_j + (fixed roots) gives
-    # alpha_i = c_j tilde(alpha_j) - (fixed roots). Index i is moved, so its
-    # coordinate reads 1 = c_j tilde(alpha_j)_i, where both factors are
-    # nonnegative integers once tilde(alpha_j) passes the check below; so
-    # c_j = 1. Its test stays as a guard.
-    tilde_eps, tilde_simple, partner = {}, {}, {}
-    for i in moved:
-        t = tuple(-x for x in apply(rs.simple[i - 1]))
-        coords = rs.expand_in_simple(t)
-        if any(c.denominator != 1 or c < 0 for c in coords):
-            raise AssertionError("twisted partner is not a positive root combination")
-        support = [j for j in moved if coords[j - 1]]
-        if len(support) != 1 or coords[support[0] - 1] != 1:
-            raise AssertionError(f"expected a unique partner for alpha_{i}, got {support}")
-        tilde_eps[i], tilde_simple[i], partner[i] = t, tuple(map(int, coords)), support[0]
-
-    return ThetaData(spec, matrix, apply, tuple(fixed), tuple(moved), tilde_eps, tilde_simple, partner)

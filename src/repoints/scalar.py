@@ -750,7 +750,7 @@ def _power_degree(x: QScalar) -> int:
 
 
 class _Parser:
-    """Recursive-descent parser for scalar literals over {digits, i, q, + - * / ^, parens}.
+    """Recursive-descent parser for scalar literals over {digits 0-9, i, q, + - * / ^, parens}.
 
     A subexpression is an unreduced fraction (num, den) of Laurent
     polynomials: a product multiplies numerators and denominators, a quotient
@@ -846,8 +846,10 @@ class _Parser:
             if self._peek() == "-":
                 self._take()
                 esign = -1
-            if not self._peek().isdigit():
-                raise ScalarParseError("expected digits after '^'", self.pos)
+            ch = self._peek()
+            if not "0" <= ch <= "9":
+                raise ScalarParseError(f"unexpected character {ch!r} after '^'" if ch
+                                       else "expected digits after '^'", self.pos)
             k = self._digits()
             if k > MAX_EXPONENT:
                 raise ScalarParseError(f"exponent {k} exceeds {MAX_EXPONENT}", self.pos)
@@ -879,14 +881,14 @@ class _Parser:
         if ch == "q":
             self._take()
             return Q.num, LP_ONE
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             return LaurentPoly.from_int(self._digits()), LP_ONE
         raise ScalarParseError(f"unexpected character {ch!r}" if ch else "unexpected end of input", self.pos)
 
     def _digits(self) -> int:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise ScalarParseError("expected digits", self.pos)

@@ -14,14 +14,14 @@ from repoints.classical import (
 )
 from repoints.coideal import build_stabilizer
 from repoints.natrep import build_natural_rep, check_defining_relations, check_rtt_compat
-from repoints.points import default_params, quantum_point
+from repoints.points import default_params, quantum_point, theta_for_class
 from repoints.qmatrix import commutator
 from repoints.rmatrix import (
     annihilating_polynomial_holds,
     braid_identity_holds,
     build_rmatrix_data,
 )
-from repoints.rootdata import ClassSpec, build_root_system, standard_cases, theta_for_class
+from repoints.rootdata import ClassSpec, build_root_system, standard_cases
 from repoints.scalar import GaussRational, ONE, Q
 from repoints.verifier import full_report
 

@@ -96,6 +96,20 @@ def test_usage_errors_exit_two(capsys):
                  "--m", "2", "--param", "y1=1"]) == 2
 
 
+@pytest.mark.parametrize("param, message", [
+    ("y1=q^\u00b2", "unexpected character '\u00b2' after '^' (at position 2)"),
+    ("y1=\u0663*q", "unexpected character '\u0663' (at position 0)"),
+    ("y1=\uff11", "unexpected character '\uff11' (at position 0)"),
+    ("y\u0661=1", "malformed parameter name 'y\u0661'"),
+])
+def test_non_ascii_digits_exit_two(capsys, param, message):
+    # only 0-9 are digits, in a literal and in a parameter name
+    assert main(["verify", "--series", "sl", "--N", "3", "--family", "t2", "--m", "1",
+                 "--param", param]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and message in err and "Traceback" not in err
+
+
 def test_argparse_rejects_unknown_flags():
     with pytest.raises(SystemExit) as e:
         main(["verify", "--series", "xx", "--N", "5", "--family", "t2", "--m", "1"])

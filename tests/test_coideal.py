@@ -17,9 +17,9 @@ from repoints.coideal import (
     solve_mixture,
 )
 from repoints.natrep import build_natural_rep, cartan_power
-from repoints.points import default_params, quantum_point
+from repoints.points import default_params, quantum_point, theta_for_class
 from repoints.qmatrix import QMatrix, commutator
-from repoints.rootdata import ClassSpec, admissible_cases, theta_for_class
+from repoints.rootdata import ClassSpec, admissible_cases
 from repoints.scalar import ONE, Q, QINV, QScalar, parse_scalar
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),

@@ -10,9 +10,10 @@ from fractions import Fraction
 
 import pytest
 
-from repoints import linalg
+from repoints import linalg, points
 from repoints.classical import _sorted_positive
 from repoints.natrep import q_trace
+from repoints.points import theta_for_class
 from repoints.qmatrix import QMatrix
 from repoints.rootdata import (
     ClassSpec,
@@ -24,7 +25,6 @@ from repoints.rootdata import (
     series_for_group,
     simple_roots,
     standard_cases,
-    theta_for_class,
 )
 from repoints.scalar import ONE, QScalar, q_integer
 
@@ -211,6 +211,34 @@ def test_theta_is_a_root_system_involution(spec):
         image = td.apply(root)
         assert image in all_roots
         assert td.apply(image) == root
+
+
+# theta as it was tabulated per (group, family, m) before it was read off the
+# classical point; for so10-t4 (odd rank) the last coordinate is fixed
+THETA_TABLE = {
+    ClassSpec("sl", 4, "t2", 1, 1): ((0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0)),
+    ClassSpec("so", 5, "t2", 1, 1): ((-1, 0), (0, 1)),
+    ClassSpec("so", 6, "t2", 2, -1): ((-1, 0, 0), (0, -1, 0), (0, 0, 1)),
+    ClassSpec("so", 8, "t4"): ((0, -1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, -1), (0, 0, -1, 0)),
+    ClassSpec("so", 10, "t4"): ((0, -1, 0, 0, 0), (-1, 0, 0, 0, 0), (0, 0, 0, -1, 0),
+                                (0, 0, -1, 0, 0), (0, 0, 0, 0, 1)),
+    ClassSpec("sp", 4, "t2", 2, 1): ((0, -1), (-1, 0)),
+    ClassSpec("sp", 6, "t4"): ((-1, 0, 0), (0, -1, 0), (0, 0, -1)),
+}
+
+
+@pytest.mark.parametrize("spec", THETA_TABLE, ids=lambda s: s.case_id)
+def test_theta_read_off_the_point_matches_the_table(spec):
+    assert theta_for_class(spec).matrix == THETA_TABLE[spec]
+
+
+def test_theta_refuses_a_point_that_is_not_a_signed_permutation(monkeypatch):
+    spec = ClassSpec("sl", 3, "t2", 1, 1)
+    A0 = points.classical_point(spec, points.classical_limit_params(points.default_params(spec)))
+    A0.put(0, 1, ONE)
+    monkeypatch.setattr(points, "classical_point", lambda spec, params: A0)
+    with pytest.raises(AssertionError, match="not a signed permutation"):
+        theta_for_class.__wrapped__(spec)
 
 
 def _reference_theta_data(spec, gram_coordinates):

@@ -96,6 +96,17 @@ def test_parse_errors_carry_position():
         parse_scalar("")
 
 
+@pytest.mark.parametrize("literal, position", [("q^\u00b2", 2), ("\u0663*q", 0), ("\uff11", 0),
+                                               ("2\u0663", 1)])
+def test_parse_accepts_only_ascii_digits(literal, position):
+    # str.isdigit and the regex \d also match superscript, Arabic-Indic and
+    # fullwidth digits; the parser names such a character at its position
+    with pytest.raises(ScalarParseError) as e:
+        parse_scalar(literal)
+    assert e.value.position == position
+    assert f"unexpected character {literal[position]!r}" in str(e.value)
+
+
 def test_parse_bounds_nesting_and_integer_length():
     assert parse_scalar("(" * MAX_NESTING + "q" + ")" * MAX_NESTING) == Q
     with pytest.raises(ScalarParseError) as e:

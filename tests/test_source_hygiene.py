@@ -1,6 +1,8 @@
 """Every name a module of the package imports is used in that module, every
 private function, class or method is read somewhere in the package, and so is
 every public function and method that `PUBLIC_WITHOUT_READER` does not name.
+The modules' relative imports, at the top level or inside a function, form
+no cycle.
 
 An import or a helper left behind by a deletion is not an error to Python,
 so nothing else notices it. `__init__.py` is exempt from the import check, as
@@ -101,6 +103,49 @@ def _package_sources() -> dict:
     return out
 
 
+def relative_import_graph(sources: dict) -> dict:
+    """module -> the modules of `sources` it imports by a relative import, at
+    the top level or inside a function.  `from .a import f` and
+    `from . import a` both name module a; `from . import f` for a name that
+    is not a module names the package's `__init__`."""
+    graph = {}
+    for module, source in sources.items():
+        edges = graph.setdefault(module.removesuffix(".py"), set())
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module:
+                    edges.add(node.module.split(".")[0])
+                else:
+                    edges.update(a.name if f"{a.name}.py" in sources else "__init__"
+                                 for a in node.names)
+    return graph
+
+
+def import_cycle(graph: dict) -> list:
+    """One cycle of `graph`, as the modules along it with the first repeated
+    at the end, or [] when the graph is acyclic (depth-first search)."""
+    done, path = set(), []
+
+    def visit(node):
+        path.append(node)
+        for succ in sorted(graph.get(node, ())):
+            if succ in path:
+                return path[path.index(succ):] + [succ]
+            if succ not in done:
+                cycle = visit(succ)
+                if cycle:
+                    return cycle
+        path.pop()
+        done.add(node)
+        return []
+
+    for node in sorted(graph):
+        cycle = [] if node in done else visit(node)
+        if cycle:
+            return cycle
+    return []
+
+
 def test_modules_are_found():
     assert "classical.py" in MODULES and "verifier.py" in MODULES
 
@@ -114,6 +159,30 @@ def test_no_unused_import(module):
 def test_an_unused_import_is_reported():
     source = "from __future__ import annotations\nimport os\nfrom . import a, b as c\nc.f(a)\n"
     assert unused_imports(source) == [(2, "os")]
+
+
+def test_the_import_graph_is_acyclic():
+    graph = relative_import_graph(_package_sources())
+    assert "verifier" in graph["cli"] and "points" in graph["coideal"]
+    assert import_cycle(graph) == []
+
+
+def test_an_import_cycle_is_reported():
+    # the cycle closes through an import inside a function
+    sources = {
+        "__init__.py": "from .a import f\n",
+        "a.py": "from . import b\ndef f():\n    pass\n",
+        "b.py": "def g():\n    from .c import h\n    return h\n",
+        "c.py": "import os\nfrom .a import f as h\n",
+    }
+    graph = relative_import_graph(sources)
+    assert graph == {"__init__": {"a"}, "a": {"b"}, "b": {"c"}, "c": {"a"}}
+    assert import_cycle(graph) == ["a", "b", "c", "a"]
+    sources["c.py"] = "h = 1\n"
+    assert import_cycle(relative_import_graph(sources)) == []
+    # a name that is not a module is read from the package's __init__
+    sources["c.py"] = "from . import f as h\n"
+    assert import_cycle(relative_import_graph(sources)) == ["__init__", "a", "b", "c", "__init__"]
 
 
 def test_every_private_name_is_read():
