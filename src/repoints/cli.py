@@ -38,6 +38,7 @@ def _spec_from_args(args) -> ClassSpec:
 
 def _params_from_args(spec: ClassSpec, overrides) -> "PointParams":
     params = default_params(spec)
+    named = {}  # index -> the name that set it
     for item in overrides or []:
         if "=" not in item:
             raise UsageError(f"malformed --param {item!r}, expected name=value")
@@ -52,6 +53,10 @@ def _params_from_args(spec: ClassSpec, overrides) -> "PointParams":
             idx = paired_index(spec, idx)
         if idx not in params.values:
             raise UsageError(f"parameter index {idx} not used by {spec.case_id}")
+        if idx in named:
+            raise UsageError(f"parameters {named[idx]} and {match.group(0)} both set "
+                             f"{kind}{idx}")
+        named[idx] = match.group(0)
         try:
             params.values[idx] = parse_scalar(literal)
         except ScalarParseError as exc:

@@ -210,8 +210,7 @@ class ThetaData:
     """
 
     spec: ClassSpec
-    matrix: tuple  # eps_dim x eps_dim signed permutation, rows of ints
-    apply: Callable = field(repr=False, compare=False)  # v -> theta(v), over the nonzeros of matrix
+    apply: Callable = field(repr=False, compare=False)  # v -> theta(v), a signed permutation
     pi_fixed: tuple  # 1-based indices of simple roots fixed by theta
     pi_moved: tuple  # 1-based indices of the remaining simple roots
     tilde_eps: dict  # i -> -theta(alpha_i) in epsilon coordinates
@@ -231,15 +230,14 @@ def theta_for_class(spec: ClassSpec) -> ThetaData:
     image = {b: rs.weights[a] for a, row in enumerate(A0.rows) for b in row}
     if len(image) != ls.dim or any(len(row) != 1 for row in A0.rows):
         raise AssertionError(f"the classical point of {spec.case_id} is not a signed permutation")
-    # the first eps_dim basis vectors carry the weights e_0, ..., e_{d-1}
+    # the first eps_dim basis vectors carry the weights e_0, ..., e_{d-1}, so
+    # theta's column b is image[b]; a signed permutation has one nonzero per
+    # row, so apply it over those
     d = ls.eps_dim
-    matrix = tuple(tuple(image[b][k] for b in range(d)) for k in range(d))
-
-    # a signed permutation has one nonzero per row, so apply it over those
-    nonzero = [[(k, a) for k, a in enumerate(row) if a] for row in matrix]
+    nonzero = [[(b, image[b][k]) for b in range(d) if image[b][k]] for k in range(d)]
 
     def apply(v):
-        return tuple(sum(a * v[k] for k, a in row) for row in nonzero)
+        return tuple(sum(a * v[b] for b, a in row) for row in nonzero)
 
     if any(apply(apply(w)) != w for w in rs.weights):
         raise AssertionError("theta is not an involution")
@@ -269,4 +267,4 @@ def theta_for_class(spec: ClassSpec) -> ThetaData:
             raise AssertionError(f"expected a unique partner for alpha_{i}, got {support}")
         tilde_eps[i], tilde_simple[i], partner[i] = t, tuple(map(int, coords)), support[0]
 
-    return ThetaData(spec, matrix, apply, tuple(fixed), tuple(moved), tilde_eps, tilde_simple, partner)
+    return ThetaData(spec, apply, tuple(fixed), tuple(moved), tilde_eps, tilde_simple, partner)

@@ -21,32 +21,32 @@ exponents over the lcm of the two denominators.  The integer part of a
 polynomial is re + i*im, the polynomial times den.
 
 Normalization cancels the gcd of numerator and denominator.  A reduced
-numerator and denominator are not normalized again: a sum over one shared
-denominator normalizes only the new numerator, a unit c*q^k times a reduced
-fraction is reduced already, and a denominator whose constant coefficient is
-already 1 is not rescaled.  The integer parts differ from the polynomials by
-nonzero constants, so they have the same gcd over Q(i), and the gcd runs on
-them in Z[i][q] as a primitive remainder sequence (Collins 1967; Brown and
-Traub 1971): each pseudo-remainder is divided by its content, a gcd in Z[i]
-of its coefficients found by Euclid with rounded quotients, and the last
-nonzero one is a primitive gcd h.  Z[i] is a unique factorization domain, so
-by Gauss's lemma h divides each integer part in Z[i][q]: each cofactor is an
-exact division, and an inexact one raises.  Most pairs are coprime, so before
-the gcd the integer parts are mapped to F_P, with P = 4611686018427387817 a
-prime = 1 (mod 4) and i sent to a fixed square root s of -1 mod P: the image
-of the coefficient a + b*i is a + s*b mod P.  If the gcd over F_P is a
-constant, the pair is coprime over Q(i) and the gcd over Z[i] is skipped; any
-other outcome (a leading coefficient that vanishes mod P, a nonconstant gcd
-mod P) runs it.  This is a proof, not a probabilistic test: reduction modulo
-the prime (P, i - s) is a ring map from Z[i] onto F_P, and it extends to the
-local ring R = Z[i]_(P, i - s), which holds every Gaussian integer.  R is a
-discrete valuation ring, so by Gauss's lemma the true gcd h can be taken
-primitive in R[q], and each of the two integer parts, lying in Z[i][q], is h
-times a cofactor in R[q].  The leading coefficient of h divides a leading
-coefficient that survives the reduction, so it survives too: the image of h
-keeps deg h and divides both images.  Hence the degree of the gcd mod P is at
-least deg h, and degree 0 mod P proves the pair coprime.  The certificate
-never claims a common factor.
+numerator and denominator are not normalized again: a sum with zero is the
+other operand, a sum over one shared denominator normalizes only the new
+numerator, a unit c*q^k times a reduced fraction is reduced already, and a
+denominator whose constant coefficient is 1 is not rescaled.  The integer
+parts differ from the polynomials by nonzero constants, so they have the same
+gcd over Q(i), and the gcd runs on them in Z[i][q] as a primitive remainder
+sequence (Collins 1967; Brown and Traub 1971): each pseudo-remainder is
+divided by its content, a gcd in Z[i] of its coefficients found by Euclid with
+rounded quotients, and the last nonzero one is a primitive gcd h.  Z[i] is a
+unique factorization domain, so by Gauss's lemma h divides each integer part
+in Z[i][q]: each cofactor is an exact division, and an inexact one raises.
+Most pairs are coprime, so before the gcd the integer parts are mapped to F_P,
+with P = 4611686018427387817 a prime = 1 (mod 4) and i sent to a fixed square
+root s of -1 mod P: the image of the coefficient a + b*i is a + s*b mod P.  If
+the gcd over F_P is a constant, the pair is coprime over Q(i) and the gcd over
+Z[i] is skipped; any other outcome (a leading coefficient that vanishes mod P,
+a nonconstant gcd mod P) runs it.  This is a proof, not a probabilistic test:
+reduction modulo the prime (P, i - s) is a ring map from Z[i] onto F_P, and it
+extends to the local ring R = Z[i]_(P, i - s), which holds every Gaussian
+integer.  R is a discrete valuation ring, so by Gauss's lemma the true gcd h
+can be taken primitive in R[q], and each of the two integer parts, lying in
+Z[i][q], is h times a cofactor in R[q].  The leading coefficient of h divides
+a leading coefficient that survives the reduction, so it survives too: the
+image of h keeps deg h and divides both images.  Hence the degree of the gcd
+mod P is at least deg h, and degree 0 mod P proves the pair coprime.  The
+certificate never claims a common factor.
 """
 from __future__ import annotations
 
@@ -578,6 +578,8 @@ class QScalar:
         return bool(self.num)
 
     def __add__(self, other: "QScalar") -> "QScalar":
+        if not (self.num.re and other.num.re):  # a sum with zero: the other operand, reduced
+            return self if self.num.re else other
         if self.den.is_one and other.den.is_one:
             s = self.num + other.num
             out = QScalar.__new__(QScalar)
@@ -668,56 +670,36 @@ def eval_at_one(x: QScalar) -> GaussRational:
 
 # --- literal rendering ------------------------------------------------------
 
-def _render_fraction(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+def _render_ratio(n: int, d: int) -> str:
+    """n/d in lowest terms, for d > 0."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
-def _render_gauss(c: GaussRational) -> str:
-    """Render a Gaussian rational; mixed values get wrapped in parentheses."""
-    if not c.im:
-        return _render_fraction(c.re)
-    if not c.re:
-        if c.im == 1:
-            return "i"
-        if c.im == -1:
-            return "-i"
-        return f"{_render_fraction(c.im)}*i"
-    im = _render_gauss(GaussRational(0, c.im))
-    if im.startswith("-"):
-        return f"({_render_fraction(c.re)}-{im[1:]})"
-    return f"({_render_fraction(c.re)}+{im})"
+def _render_coeff(a: int, b: int, d: int) -> str:
+    """Render (a + b*i)/d, for d > 0; mixed values get wrapped in parentheses."""
+    if not b:
+        return _render_ratio(a, d)
+    im = "i" if b == d else "-i" if b == -d else f"{_render_ratio(b, d)}*i"
+    if not a:
+        return im
+    return f"({_render_ratio(a, d)}-{im[1:]})" if b < 0 else f"({_render_ratio(a, d)}+{im})"
 
 
 def _render_poly(p: LaurentPoly) -> str:
-    if not p:
-        return "0"
-    parts = []
-    for e, c in sorted(p.coeff.items(), reverse=True):
-        if e == 0:
-            mono = None
-        elif e == 1:
-            mono = "q"
-        else:
-            mono = f"q^{e}"
-        cs = _render_gauss(c)
-        if mono is None:
-            term = cs
-        elif cs == "1":
-            term = mono
-        elif cs == "-1":
-            term = f"-{mono}"
-        else:
-            term = f"{cs}*{mono}"
-        parts.append(term)
-    out = parts[0]
-    for term in parts[1:]:
-        if term.startswith("-"):
-            out += f" - {term[1:]}"
-        else:
-            out += f" + {term}"
-    return out
+    """The terms from the highest power of q down, joined by " + " or " - "."""
+    re, im, d = p.re, p.im or (0,) * len(p.re), p.den
+    out = ""
+    for k in range(len(re) - 1, -1, -1):
+        if not (re[k] or im[k]):
+            continue
+        e = p.lo + k
+        term = _render_coeff(re[k], im[k], d)
+        if e:
+            mono = "q" if e == 1 else f"q^{e}"
+            term = mono if term == "1" else f"-{mono}" if term == "-1" else f"{term}*{mono}"
+        out += term if not out else f" - {term[1:]}" if term[0] == "-" else f" + {term}"
+    return out or "0"
 
 
 def render_scalar(x: QScalar) -> str:
@@ -749,15 +731,54 @@ def _power_degree(x: QScalar) -> int:
     return max(spread, -n.min_exp(), n.max_exp(), -d.min_exp(), d.max_exp())
 
 
+# 1 as a side of `_Parser`'s pair: the tuple (e, a, b) is (a + b*i) q^e
+_T_ONE = (0, 1, 0)
+
+
+def _lp(x) -> LaurentPoly:
+    """A side of the parser's pair as a LaurentPoly."""
+    return _poly(x[0], (x[1],), (x[2],) if x[2] else (), 1) if type(x) is tuple else x
+
+
+def _mul(x, y):
+    if type(x) is tuple and type(y) is tuple:
+        (e, a, b), (f, c, d) = x, y
+        return e + f, a * c - b * d, a * d + b * c
+    return _lp(x) * _lp(y)
+
+
+def _add(x, y):
+    if type(x) is tuple and type(y) is tuple and x[0] == y[0]:
+        a, b = x[1] + y[1], x[2] + y[2]
+        return (x[0], a, b) if a or b else LP_ZERO
+    return _lp(x) + _lp(y)
+
+
+def _span(x) -> tuple:
+    """The lowest and highest exponent of a nonzero side."""
+    return (x[0], x[0]) if type(x) is tuple else (x.lo, x.lo + len(x.re) - 1)
+
+
+def _same(x, y) -> bool:
+    return x == y if type(x) is tuple and type(y) is tuple else _lp(x) == _lp(y)
+
+
 class _Parser:
     """Recursive-descent parser for scalar literals over {digits 0-9, i, q, + - * / ^, parens}.
 
-    A subexpression is an unreduced fraction (num, den) of Laurent
-    polynomials: a product multiplies numerators and denominators, a quotient
-    cross-multiplies, and a sum adds numerators over an equal denominator and
-    cross-multiplies otherwise.  Only the whole literal and each base of `^`
-    are normalized, the base so that the degree bound reads its canonical
-    form.
+    A subexpression is an unreduced fraction (num, den): a product
+    multiplies numerators and denominators, a quotient cross-multiplies, and
+    a sum adds numerators over an equal denominator and cross-multiplies
+    otherwise.  A side that is a single term (a + b*i) q^e with a nonzero
+    Gaussian-integer coefficient is the int tuple (e, a, b); products and
+    same-exponent sums of tuples are integer arithmetic, with no LaurentPoly
+    and no gcd.  A side becomes a LaurentPoly only when a sum has two
+    exponents (or is zero) or a factor is one already.  Only the whole
+    literal and each base of `^` are normalized, the base so that the degree
+    bound reads its canonical form.  A tuple over 1, such as a bare q, is
+    canonical already, so its `^k` is a tuple too, and so is its `^-k` when
+    a + b*i is a unit.  Numerator and denominator are kept apart, so every bound
+    reads the exponents of the multiplied-out polynomials.
     """
 
     def __init__(self, text: str):
@@ -765,39 +786,33 @@ class _Parser:
         self.pos = 0
         self.depth = 0
 
-    def _skip_ws(self):
+    def _peek(self) -> str:
+        """The next character after whitespace, which is skipped; "" at the end."""
         text, pos = self.text, self.pos
         while pos < len(text) and text[pos].isspace():
             pos += 1
         self.pos = pos
-
-    def _peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return text[pos] if pos < len(text) else ""
 
     def _take(self) -> str:
-        ch = self._peek()
+        """Consume the character that `_peek` has just returned."""
         self.pos += 1
-        return ch
+        return self.text[self.pos - 1]
 
     def parse(self) -> QScalar:
         num, den = self.expr()
         if self._peek():
             raise ScalarParseError(f"unexpected character {self._peek()!r}", self.pos)
-        return QScalar(num, den)
+        return QScalar(_lp(num), _lp(den))
 
-    def _bound(self, a: LaurentPoly, b: LaurentPoly, lo: int = 0, hi: int = 0) -> tuple:
+    def _bound(self, a, b, lo: int = 0, hi: int = 0) -> tuple:
         """The exponent range of the product a b joined with [lo, hi], which
         holds 0, read off the factors before anything is formed.  A range
         that spans more than 4 MAX_EXPONENT powers of q is refused; as it
         holds 0, that also refuses an |exponent| above 4 MAX_EXPONENT."""
         if a and b:
-            low = a.lo + b.lo
-            high = low + len(a.re) + len(b.re) - 2
-            if low < lo:
-                lo = low
-            if high > hi:
-                hi = high
+            (la, ha), (lb, hb) = _span(a), _span(b)
+            lo, hi = min(lo, la + lb), max(hi, ha + hb)
             if hi - lo > 4 * MAX_EXPONENT:
                 raise ScalarParseError(f"product or sum of degree above {4 * MAX_EXPONENT}",
                                        self.pos)
@@ -809,15 +824,15 @@ class _Parser:
             op = self._take()
             rnum, rden = self.term()
             if op == "-":
-                rnum = -rnum
+                rnum = (rnum[0], -rnum[1], -rnum[2]) if type(rnum) is tuple else -rnum
             # each unreduced numerator is the sum of two products
-            if den == rden:
-                self._bound(rnum, LP_ONE, *self._bound(num, LP_ONE))
-                num = num + rnum
+            if _same(den, rden):
+                self._bound(rnum, _T_ONE, *self._bound(num, _T_ONE))
+                num = _add(num, rnum)
             else:
                 self._bound(rnum, den, *self._bound(num, rden))
                 self._bound(den, rden)
-                num, den = num * rden + rnum * den, den * rden
+                num, den = _add(_mul(num, rden), _mul(rnum, den)), _mul(den, rden)
         return num, den
 
     def term(self) -> tuple:
@@ -831,7 +846,7 @@ class _Parser:
                 rnum, rden = rden, rnum
             self._bound(num, rnum)
             self._bound(den, rden)
-            num, den = num * rnum, den * rden
+            num, den = _mul(num, rnum), _mul(den, rden)
         return num, den
 
     def factor(self) -> tuple:
@@ -853,14 +868,30 @@ class _Parser:
             k = self._digits()
             if k > MAX_EXPONENT:
                 raise ScalarParseError(f"exponent {k} exceeds {MAX_EXPONENT}", self.pos)
-            val = QScalar(num, den)
-            if k * _power_degree(val) > MAX_EXPONENT:
-                raise ScalarParseError(f"power of degree above {MAX_EXPONENT}", self.pos)
-            if esign < 0 and not val:
-                raise ScalarParseError("division by zero", self.pos)
-            val = val ** (esign * k)
-            num, den = val.num, val.den
-        return (-num, den) if neg else (num, den)
+            if (type(num) is tuple and _same(den, _T_ONE)
+                    and (esign > 0 or num[1] * num[1] + num[2] * num[2] == 1)):
+                # (a + b*i) q^e, nonzero and canonical: its degree is |e|,
+                # and a unit's inverse is its conjugate times q^-e
+                e, a, b = num
+                if k * abs(e) > MAX_EXPONENT:
+                    raise ScalarParseError(f"power of degree above {MAX_EXPONENT}", self.pos)
+                if esign < 0:
+                    e, b = -e, -b
+                c, d = 1, 0
+                for _ in range(k):
+                    c, d = c * a - d * b, c * b + d * a
+                num, den = (e * k, c, d), _T_ONE
+            else:
+                val = QScalar(_lp(num), _lp(den))
+                if k * _power_degree(val) > MAX_EXPONENT:
+                    raise ScalarParseError(f"power of degree above {MAX_EXPONENT}", self.pos)
+                if esign < 0 and not val:
+                    raise ScalarParseError("division by zero", self.pos)
+                val = val ** (esign * k)
+                num, den = val.num, val.den
+        if neg:
+            num = (num[0], -num[1], -num[2]) if type(num) is tuple else -num
+        return num, den
 
     def atom(self) -> tuple:
         ch = self._peek()
@@ -877,16 +908,17 @@ class _Parser:
             return val
         if ch == "i":
             self._take()
-            return I_UNIT.num, LP_ONE
+            return (0, 0, 1), _T_ONE
         if ch == "q":
             self._take()
-            return Q.num, LP_ONE
+            return (1, 1, 0), _T_ONE
         if "0" <= ch <= "9":
-            return LaurentPoly.from_int(self._digits()), LP_ONE
+            n = self._digits()
+            return ((0, n, 0) if n else LP_ZERO), _T_ONE
         raise ScalarParseError(f"unexpected character {ch!r}" if ch else "unexpected end of input", self.pos)
 
     def _digits(self) -> int:
-        self._skip_ws()
+        self._peek()
         start = self.pos
         while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1

@@ -85,6 +85,23 @@ def test_primed_param_override(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("params, message", [
+    (["y1=q", "y3=q^-5", "y1'=q^-4"], "parameters y3 and y1' both set y3"),
+    (["y1'=q^-4", "y3=q^-4"], "parameters y1' and y3 both set y3"),
+    (["y1=q", "y1=q"], "parameters y1 and y1 both set y1"),
+])
+def test_a_parameter_set_twice_exits_two(capsys, params, message):
+    # y1' names index 3 on sl3, so y3 and y1' set the same corner
+    argv = ["verify", "--series", "sl", "--N", "3", "--family", "t2", "--m", "1"]
+    for p in params:
+        argv += ["--param", p]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1 and message in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(["verify", "--series", "so", "--N", "5", "--family", "t2",
                  "--m", "1", "--param", "y1=)q("]) == 2

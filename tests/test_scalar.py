@@ -690,6 +690,28 @@ def test_sum_over_a_shared_denominator_matches_the_general_constructor(x, p, r):
     assert y + (-y) == ZERO
 
 
+@settings(max_examples=60, deadline=None)
+@given(_scalar.filter(lambda x: not x.den.is_one))
+def test_a_sum_with_zero_normalizes_nothing(x):
+    # the other operand is reduced already, so no QScalar is normalized
+    init = QScalar.__init__
+    normalized = []
+
+    def counting(obj, num, den=None):
+        if den is not None and num and not den.is_one:
+            normalized.append((num, den))
+        init(obj, num, den)
+
+    QScalar.__init__ = counting
+    try:
+        sums = [ZERO + x, x + ZERO, x - ZERO]
+    finally:
+        QScalar.__init__ = init
+    assert normalized == []
+    assert sums == [x, x, x]
+    assert ZERO - x == -x
+
+
 def test_polynomial_times_a_fraction_is_reduced():
     # only a unit keeps the denominator; q - 1 cancels against q^2 - 1
     x = parse_scalar("1/(q^2 - 1)")

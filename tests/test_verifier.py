@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+from repoints import points
 from repoints.points import default_params, quantum_point
 from repoints.qmatrix import QMatrix, first_product_difference
 from repoints.rmatrix import build_rmatrix_data
@@ -189,13 +190,10 @@ def test_unreduced_reflection_names_the_mismatch_of_the_normalized_form(args):
                                  f"{render_scalar(a)} vs {render_scalar(b)}"), cells
 
 
-def test_passing_parametric_reflection_normalizes_no_scalar(monkeypatch):
-    # counted as the benchmark's tracer counts: a nonzero numerator over a
-    # denominator other than 1
-    spec = ClassSpec("sl", 6, "t2", 2, 1)
-    point = quantum_point(spec, draw_params(spec, random.Random(7)))
-    assert any(not v.den.is_one for row in point.A.rows for v in row.values())
-    S = build_rmatrix_data(spec.series).S
+def _normalizations(monkeypatch):
+    """A list that gets each normalizing QScalar construction from now on,
+    counted as the benchmark's tracer counts: a nonzero numerator over a
+    denominator other than 1."""
     init = QScalar.__init__
     normalized = []
 
@@ -206,8 +204,41 @@ def test_passing_parametric_reflection_normalizes_no_scalar(monkeypatch):
         init(obj, num, den)
 
     monkeypatch.setattr(QScalar, "__init__", counting)
+    return normalized
+
+
+def test_passing_parametric_reflection_normalizes_no_scalar(monkeypatch):
+    spec = ClassSpec("sl", 6, "t2", 2, 1)
+    point = quantum_point(spec, draw_params(spec, random.Random(7)))
+    assert any(not v.den.is_one for row in point.A.rows for v in row.values())
+    S = build_rmatrix_data(spec.series).S
+    normalized = _normalizations(monkeypatch)
     assert check_reflection(point.A, S).passed
     assert normalized == []
+
+
+@pytest.mark.parametrize("spec", [ClassSpec("sl", 6, "t2", 2, 1), ClassSpec("sp", 6, "t2", 2, -1),
+                                  ClassSpec("so", 8, "t4")], ids=lambda s: s.case_id)
+def test_assembling_a_drawn_point_normalizes_no_scalar(monkeypatch, spec):
+    # each parameter lands on a zero entry, and a sum with zero is the other
+    # operand, so the reduced fractions are put in as they are
+    params = draw_params(spec, random.Random(7))
+    assert any(not v.den.is_one for v in params.values.values())
+    normalized = _normalizations(monkeypatch)
+    assemble = points._assemble
+    added = []
+
+    def probe(*args, **kwargs):
+        start = len(normalized)
+        out = assemble(*args, **kwargs)
+        added.append(len(normalized) - start)
+        return out
+
+    monkeypatch.setattr(points, "_assemble", probe)
+    point = quantum_point(spec, params)
+    assert added == [0, 0]
+    assert all(point.A.get(i - 1, spec.N - i if params.kind == "y" else spec.N - i - 1)
+               == (-v if spec.sign < 0 else v) for i, v in params.values.items())
 
 
 def test_classical_algebra_is_built_before_the_reflection_check(monkeypatch):
