@@ -1,20 +1,27 @@
 """Stabilizer generators of the quantum point inside the quantized enveloping
 algebra, realized in the natural representation.
 
+A Cartan generator (k_b, k_b^-1 for a fixed b, and the k-tilde of each moved
+alpha and its inverse) is kept as its integer exponent vector d, for the
+diagonal matrix diag(q^d_j); it commutes with A iff d_i = d_j at every
+nonzero A_ij (`support_difference`), so it is decided with no product.
+
 For each simple root alpha moved by the involution, the mixed generator is
 X_alpha = pi(q^{h_tilde - h_alpha}) pi(e_alpha) + c_alpha pi(F_tilde), where
 F_tilde is an iterated q-commutator word in the F_i.  The coefficient c_alpha
 is read off one row of both terms' commutators with A, accepted when
 [X_alpha, A] = 0 is decided exactly, and compared with the tabulated forms.
+That acceptance is the verdict on X_alpha at the point it was solved for.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .natrep import CheckRecord, NaturalRep, build_natural_rep, cartan_power
+from .natrep import CheckRecord, NaturalRep, build_natural_rep
 from .points import PointParams, ThetaData, theta_for_class
 from .qmatrix import QMatrix, first_product_difference
-from .rootdata import ClassSpec, build_root_system, sub
+from .rootdata import ClassSpec, LieSeries, build_root_system, sub
 from .scalar import I_UNIT, ONE, Q, ZERO, QScalar, render_scalar
 
 
@@ -50,18 +57,13 @@ class CoidealGen:
 
 @dataclass
 class StabilizerSet:
-    l_generators: list  # (name, QMatrix) for simple roots fixed by theta
-    cartan_generators: list  # (name, QMatrix): q^{+-(h_tilde - h_alpha)}
+    # for each simple root b fixed by theta: (name, QMatrix) for e_b and f_b,
+    # then (name, exponent vector) for k_b and k_b^-1
+    l_generators: list
+    cartan_generators: list  # (name, exponent vector): q^{+-(h_tilde - h_alpha)}
     mixed_generators: list  # CoidealGen
     unsolved: list  # (alpha, error) for each moved root with no solvable coefficient
-
-    def all_matrices(self):
-        for name, g in self.l_generators:
-            yield name, g
-        for name, g in self.cartan_generators:
-            yield name, g
-        for gen in self.mixed_generators:
-            yield f"X.alpha{gen.alpha}", gen.X
+    A: QMatrix  # the point the mixtures were solved against
 
 
 def _word_description(i: int, td: ThetaData) -> str:
@@ -206,15 +208,53 @@ def mixture_table_formula(spec: ClassSpec, alpha: int, params: PointParams):
 
 def cartan_shift(td: ThetaData, alpha: int) -> tuple:
     """beta = tilde(alpha) - alpha in epsilon coordinates, so that
-    cartan_power(ls, beta) = pi(q^{h_{tilde alpha} - h_alpha})."""
+    cartan_exponents(ls, beta) is pi(q^{h_{tilde alpha} - h_alpha})."""
     rs = build_root_system(td.spec.series)
     return sub(td.tilde_eps[alpha], rs.simple[alpha - 1])
 
 
-def solve_mixture(lead: QMatrix, A: QMatrix, alpha: int, F_tilde: QMatrix) -> QScalar:
-    """The unique c with [lead + c F_tilde, A] = 0, lead = pi(q^{h_tilde - h_alpha})
-    pi(e_alpha) for the moved simple root alpha: c = -b1[p] / b2[p] at the first
-    nonzero p of b2 = [F_tilde, A], b1 = [lead, A], read from row p[0] alone."""
+@lru_cache(maxsize=None)
+def _weight_axes(ls: LieSeries) -> tuple:
+    """(k, s) with w_j = s e_k for each natural basis weight w_j; s = 0 for
+    the zero weight of B."""
+    return tuple(max(enumerate(w), key=lambda kx: abs(kx[1]))
+                 for w in build_root_system(ls).weights)
+
+
+def cartan_exponents(ls: LieSeries, beta: tuple) -> tuple:
+    """The exponents d_j = (beta, w_j) of pi(q^{h_beta}) = diag(q^d_j) over the
+    natural basis: each weight is +-e_k or 0, so d_j is +-beta[k] or 0."""
+    return tuple(s * beta[k] for k, s in _weight_axes(ls))
+
+
+def _diagonal_times(d: tuple, m: QMatrix) -> QMatrix:
+    """diag(q^d_j) m: row i of m times the monomial q^(d_i)."""
+    return QMatrix(m.dim, [{j: QScalar.q_power(d[i]) * v for j, v in row.items()}
+                           for i, row in enumerate(m.rows)])
+
+
+def support_difference(d: tuple, A: QMatrix):
+    """first_product_difference(D, A, A, D) for D = diag(q^d_j), read off A's
+    support: [D, A] has the entry (q^(d_i) - q^(d_j)) A_ij at (i, j), which is
+    nonzero iff A_ij != 0 and d_i != d_j.  So the first such (i, j) in
+    row-major order, columns sorted, is the kernel's first mismatch, with its
+    values q^(d_i) A_ij and A_ij q^(d_j); None when there is none."""
+    for i, row in enumerate(A.rows):
+        di = d[i]
+        moved = [j for j in row if d[j] != di]
+        if moved:
+            j = min(moved)
+            a = row[j]
+            return i, j, QScalar.q_power(di) * a, a * QScalar.q_power(d[j])
+    return None
+
+
+def solve_mixture(lead: QMatrix, A: QMatrix, alpha: int, F_tilde: QMatrix) -> tuple:
+    """(c, X) for the unique c with [X, A] = 0, X = lead + c F_tilde, where
+    lead = pi(q^{h_tilde - h_alpha}) pi(e_alpha) for the moved simple root
+    alpha: c = -b1[p] / b2[p] at the first nonzero p of b2 = [F_tilde, A],
+    b1 = [lead, A], read from row p[0] alone, and accepted by one kernel call
+    on X."""
     diff = first_product_difference(F_tilde, A, A, F_tilde)
     if diff is not None:
         i, j, fa, af = diff
@@ -223,7 +263,7 @@ def solve_mixture(lead: QMatrix, A: QMatrix, alpha: int, F_tilde: QMatrix) -> QS
         X = lead + F_tilde.scale(c)
         if first_product_difference(X, A, A, X) is not None:
             raise MixtureInconsistentError(f"alpha_{alpha}: commutators are not proportional")
-        return c
+        return c, X
     if first_product_difference(lead, A, A, lead) is None:
         raise MixtureUnderdeterminedError(f"alpha_{alpha}: both commutators vanish")
     raise MixtureInconsistentError(f"alpha_{alpha}: no coefficient can cancel the commutator")
@@ -232,40 +272,50 @@ def solve_mixture(lead: QMatrix, A: QMatrix, alpha: int, F_tilde: QMatrix) -> QS
 def build_stabilizer(spec: ClassSpec, params: PointParams, A: QMatrix) -> StabilizerSet:
     """The stabilizer generators of the point A of spec, in the natural
     representation of its series."""
-    rep = build_natural_rep(spec.series)
+    ls = spec.series
+    rep = build_natural_rep(ls)
+    rs = build_root_system(ls)
     td = theta_for_class(spec)
     l_gens = []
     for b in td.pi_fixed:
+        d = cartan_exponents(ls, rs.simple[b - 1])
         l_gens.append((f"e{b}", rep.e[b - 1]))
         l_gens.append((f"f{b}", rep.f[b - 1]))
-        l_gens.append((f"k{b}", rep.k[b - 1]))
-        l_gens.append((f"k{b}_inv", rep.k_inv[b - 1]))
+        l_gens.append((f"k{b}", d))
+        l_gens.append((f"k{b}_inv", tuple(-x for x in d)))
     cartan = []
     mixed = []
     unsolved = []
     for a in td.pi_moved:
-        beta = cartan_shift(td, a)
-        kb = cartan_power(spec.series, beta)
-        cartan.append((f"k.tilde{a}", kb))
-        cartan.append((f"k.tilde{a}_inv", cartan_power(spec.series, tuple(-x for x in beta))))
+        d = cartan_exponents(ls, cartan_shift(td, a))
+        cartan.append((f"k.tilde{a}", d))
+        cartan.append((f"k.tilde{a}_inv", tuple(-x for x in d)))
         f_tilde = f_tilde_root_vector(rep, spec, a)
-        lead = kb * rep.e[a - 1]
+        lead = _diagonal_times(d, rep.e[a - 1])
         try:
-            c_solved = solve_mixture(lead, A, a, f_tilde)
+            c_solved, X = solve_mixture(lead, A, a, f_tilde)
         except (MixtureInconsistentError, MixtureUnderdeterminedError) as exc:
             unsolved.append((a, exc))
             continue
         c_table, note = mixture_table_formula(spec, a, params)
-        X = lead + f_tilde.scale(c_solved)
         mixed.append(CoidealGen(a, _word_description(a, td), f_tilde,
                                 c_table, note, c_solved, X))
-    return StabilizerSet(l_gens, cartan, mixed, unsolved)
+    return StabilizerSet(l_gens, cartan, mixed, unsolved, A)
 
 
 def check_stabilizer(ss: StabilizerSet, A: QMatrix) -> list:
+    """A record per generator: [g, A] = 0 for each generator g, then one per
+    unsolved mixture and per tabulated coefficient.  A Cartan generator is
+    decided on A's support; X_alpha at the point it was solved for
+    (A is ss.A) takes its verdict from `solve_mixture`'s acceptance."""
+    decided = [(name, support_difference(g, A) if isinstance(g, tuple)
+                else first_product_difference(g, A, A, g))
+               for name, g in ss.l_generators + ss.cartan_generators]
+    decided += [(f"X.alpha{gen.alpha}",
+                 None if A is ss.A else first_product_difference(gen.X, A, A, gen.X))
+                for gen in ss.mixed_generators]
     records = []
-    for name, g in ss.all_matrices():
-        diff = first_product_difference(g, A, A, g)
+    for name, diff in decided:
         if diff is None:
             records.append(CheckRecord(f"stab.{name}", True))
         else:

@@ -121,14 +121,15 @@ def validate_params(spec: ClassSpec, params: PointParams, classical: bool = Fals
     c = constraint_value(spec, classical)
     for i in _top_indices(spec):
         j = paired_index(spec, i)
-        vi = params.values[i]
+        vi, vj = params.values[i], params.values[j]
         if not vi:
             problems.append(f"{k}{i} = 0")
             continue
-        prod = vi * params.values[j] if j != i else vi * vi
-        if prod != c:
+        # vi vj = c, cross-multiplied: the denominators are nonzero, so this
+        # compares two Laurent polynomials and normalizes no fraction
+        if vi.num * vj.num * c.den != c.num * vi.den * vj.den:
             pair = f"{k}{i}*{k}{j}" if j != i else f"{k}{i}^2"
-            problems.append(f"{pair} = {render_scalar(prod)}, expected {render_scalar(c)}")
+            problems.append(f"{pair} = {render_scalar(vi * vj)}, expected {render_scalar(c)}")
     return problems
 
 

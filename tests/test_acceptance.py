@@ -62,7 +62,8 @@ def desk():
             data = build_classical_algebra(spec.series)
             involutive_cache[key] = check_involutive_vanishing(
                 data, gauss_entries(point.A0)).passed
-        stab = [f"stab.{name}" for name, _ in ss.all_matrices()]
+        stab = [f"stab.{name}" for name, _ in ss.l_generators + ss.cartan_generators]
+        stab += [f"stab.X.alpha{g.alpha}" for g in ss.mixed_generators]
         stab += [f"mixture.alpha{alpha}" for alpha, _ in ss.unsolved]
         table = [f"mixture.alpha{g.alpha}.table" for g in ss.mixed_generators
                  if g.table_matches is not None]

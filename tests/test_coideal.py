@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from repoints import coideal
 from repoints.coideal import (
     MixtureInconsistentError,
     MixtureUnderdeterminedError,
@@ -15,12 +16,14 @@ from repoints.coideal import (
     f_tilde_root_vector,
     q_commutator,
     solve_mixture,
+    support_difference,
 )
 from repoints.natrep import build_natural_rep, cartan_power
 from repoints.points import default_params, quantum_point, theta_for_class
-from repoints.qmatrix import QMatrix, commutator
-from repoints.rootdata import ClassSpec, admissible_cases
-from repoints.scalar import ONE, Q, QINV, QScalar, parse_scalar
+from repoints.qmatrix import QMatrix, commutator, first_product_difference
+from repoints.rootdata import ClassSpec, admissible_cases, build_root_system
+from repoints.verifier import full_report
+from repoints.scalar import ONE, Q, QINV, QScalar, parse_scalar, render_scalar
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
@@ -161,7 +164,7 @@ def _mixture_inputs(spec, A):
 def _direct_mixture(lead, A, alpha, F_tilde):
     """The coefficient from the full commutators b1 = [lead, A] and
     b2 = [F_tilde, A]: c = -b1[p] / b2[p] at b2's first nonzero p, accepted
-    when b1[r] b2[p] = b1[p] b2[r] at every entry r."""
+    when b1[r] b2[p] = b1[p] b2[r] at every entry r; with X = lead + c F_tilde."""
     b1, b2 = commutator(lead, A), commutator(F_tilde, A)
     pivot = b2.first_nonzero()
     if pivot is None:
@@ -173,7 +176,8 @@ def _direct_mixture(lead, A, alpha, F_tilde):
     entries = {(r, col) for m in (b1, b2) for r, col, _ in m.nonzero_items()}
     if any(b1.get(r, col) * val != b1p * b2.get(r, col) for r, col in entries):
         raise MixtureInconsistentError(f"alpha_{alpha}: commutators are not proportional")
-    return -(b1p / val)
+    c = -(b1p / val)
+    return c, lead + F_tilde.scale(c)
 
 
 def _outcome(solve, *args):
@@ -218,3 +222,143 @@ def test_zero_f_tilde_cannot_cancel_a_nonzero_commutator():
     with pytest.raises(MixtureInconsistentError,
                        match="no coefficient can cancel the commutator"):
         solve_mixture(rep.e[0], A, 1, QMatrix(5))
+
+
+def _dense_cartan(spec):
+    """(name, beta) for each Cartan generator q^{h_beta} of the stabilizer, in
+    the order `build_stabilizer` lists them."""
+    rs = build_root_system(spec.series)
+    td = theta_for_class(spec)
+    for b in td.pi_fixed:
+        beta = rs.simple[b - 1]
+        yield f"k{b}", beta
+        yield f"k{b}_inv", tuple(-x for x in beta)
+    for a in td.pi_moved:
+        beta = cartan_shift(td, a)
+        yield f"k.tilde{a}", beta
+        yield f"k.tilde{a}_inv", tuple(-x for x in beta)
+
+
+_PERTURBATION = parse_scalar("(q+2)/(q^2+3)")
+
+
+def test_support_decision_matches_the_kernel_on_every_class_to_n12():
+    """Every Cartan generator of every admissible class with N <= 12, at the
+    point for default parameters and for one seeded draw, and at the default
+    point with (q+2)/(q^2+3) added at (0, N-1) or at (N//2, 0): the support
+    decision returns what the kernel returns on the dense matrix
+    cartan_power(beta).  Each X that `check_stabilizer` takes from the
+    mixture's acceptance agrees with a fresh kernel call, and X is
+    pi(q^{h_beta}) e_alpha + c F_tilde with the dense Cartan factor."""
+    rng = random.Random(7)
+    decided = failing = reused = 0
+    for spec in admissible_cases(12):
+        N = spec.N
+        rep = build_natural_rep(spec.series)
+        default = quantum_point(spec)
+        points = [default.A]
+        if default.params.values:
+            points.append(quantum_point(spec, draw_params(spec, rng)).A)
+        points += [default.A + QMatrix.from_entries(N, [(*pos, _PERTURBATION)])
+                   for pos in [(0, N - 1), (N // 2, 0)]]
+        for A in points:
+            ss = build_stabilizer(spec, default_params(spec), A)
+            gens = dict(ss.l_generators + ss.cartan_generators)
+            for name, beta in _dense_cartan(spec):
+                D = cartan_power(spec.series, beta)
+                want = first_product_difference(D, A, A, D)
+                assert support_difference(gens[name], A) == want, (spec.case_id, name)
+                decided += 1
+                failing += want is not None
+            records = {r.name: r for r in check_stabilizer(ss, A)}
+            for gen in ss.mixed_generators:
+                X = gen.X
+                assert records[f"stab.X.alpha{gen.alpha}"].passed
+                assert first_product_difference(X, A, A, X) is None, (spec.case_id, gen.alpha)
+                lead = cartan_power(spec.series, cartan_shift(theta_for_class(spec), gen.alpha))
+                assert X == lead * rep.e[gen.alpha - 1] + gen.F_tilde.scale(gen.c_solved)
+                reused += 1
+    assert decided >= 9000 and failing >= 1200 and reused >= 1900, (decided, failing, reused)
+
+
+@pytest.mark.parametrize("spec", [
+    ClassSpec("sl", 6, "t2", 2, 1),
+    ClassSpec("so", 7, "t2", 2, 1),
+    ClassSpec("so", 8, "t4"),
+    ClassSpec("sp", 6, "t2", 2, -1),
+], ids=lambda s: s.case_id)
+def test_passing_stabilizer_multiplies_no_diagonal_and_accepts_each_x_once(monkeypatch, spec):
+    """On a passing `full_report`, at default and at drawn parameters, the
+    stabilizer's kernel calls are one per F_tilde, one acceptance per mixed X
+    and one per e_b and f_b: none has a diagonal first factor."""
+    built, calls = [], []  # each StabilizerSet, and each kernel call's first factor
+
+    def keeping(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    def recording(x, y, z, w):
+        calls.append(x)
+        return first_product_difference(x, y, z, w)
+
+    build = coideal.build_stabilizer
+    monkeypatch.setattr(coideal, "build_stabilizer", keeping)
+    monkeypatch.setattr(coideal, "first_product_difference", recording)
+    for params in (default_params(spec), draw_params(spec, random.Random(7))):
+        del calls[:], built[:]
+        assert full_report(spec, params).passed
+        (ss,) = built
+        td = theta_for_class(spec)
+        assert ss.mixed_generators and len(ss.mixed_generators) == len(td.pi_moved)
+        assert not any(all(row.keys() <= {i} for i, row in enumerate(x.rows)) for x in calls)
+        for gen in ss.mixed_generators:
+            assert sum(x is gen.X for x in calls) == 1
+            assert sum(x is gen.F_tilde for x in calls) == 1
+        assert len(calls) == 2 * len(td.pi_moved) + 2 * len(td.pi_fixed)
+
+
+def test_a_wrong_k_tilde_exponent_fails_with_the_kernel_detail():
+    """Negative control: each k-tilde of every class with N <= 8, with beta
+    shifted by a simple root, fails `stab.k.tilde<a>` with the detail that
+    the kernel gives on the dense diagonal matrix, and passes exactly when
+    the kernel finds the dense matrix commuting with A."""
+    failing = 0
+    for spec in admissible_cases(8):
+        ls = spec.series
+        td = theta_for_class(spec)
+        point = quantum_point(spec)
+        A = point.A
+        ss = build_stabilizer(spec, point.params, A)
+        cartan = ss.cartan_generators
+        for a in td.pi_moved:
+            name = f"k.tilde{a}"
+            shifted = []
+            for alpha in build_root_system(ls).simple:
+                beta = tuple(x + y for x, y in zip(cartan_shift(td, a), alpha))
+                ss.cartan_generators = [(n, coideal.cartan_exponents(ls, beta) if n == name else g)
+                                        for n, g in cartan]
+                (record,) = [r for r in check_stabilizer(ss, A) if r.name == f"stab.{name}"]
+                D = cartan_power(ls, beta)
+                diff = first_product_difference(D, A, A, D)
+                if diff is None:
+                    assert record.passed and record.detail is None
+                else:
+                    i, j, da, ad = diff
+                    assert not record.passed
+                    assert record.detail == (f"[{name}, A] has entry "
+                                             f"{render_scalar(da - ad)} at ({i}, {j})")
+                shifted.append(record.passed)
+            assert not all(shifted), (spec.case_id, a)
+            failing += shifted.count(False)
+    assert failing >= 700
+
+
+def test_k_tilde_control_detail_is_pinned():
+    spec = ClassSpec("so", 5, "t2", 1, 1)
+    point = quantum_point(spec)
+    ss = build_stabilizer(spec, point.params, point.A)
+    beta = tuple(x + y for x, y in zip(cartan_shift(theta_for_class(spec), 1),
+                                       build_root_system(spec.series).simple[0]))
+    ss.cartan_generators[0] = ("k.tilde1", coideal.cartan_exponents(spec.series, beta))
+    (record,) = [r for r in check_stabilizer(ss, point.A) if r.name == "stab.k.tilde1"]
+    assert (record.passed, record.detail) == (False, "[k.tilde1, A] has entry q - q^-1 at (0, 4)")

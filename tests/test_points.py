@@ -1,9 +1,15 @@
 """Point matrices: shapes, parameters, constraints, and classical limits."""
+import os
+import random
+import sys
+
 import pytest
 
+from repoints import cli
 from repoints.points import (
     ParamError,
     PointParams,
+    _top_indices,
     classical_limit_params,
     constraint_value,
     default_params,
@@ -14,8 +20,12 @@ from repoints.points import (
     validate_params,
 )
 from repoints.qmatrix import QMatrix
-from repoints.rootdata import ClassSpec
-from repoints.scalar import I_UNIT, ONE, Q, QScalar, parse_scalar
+from repoints.rootdata import ClassSpec, admissible_cases
+from repoints.scalar import I_UNIT, ONE, Q, QScalar, parse_scalar, render_scalar
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+from workloads import WORKLOADS, build, draw_params  # noqa: E402
 
 
 def test_so6_m1_entries():
@@ -124,3 +134,53 @@ def test_sp_t2_staggered_corners():
     # the z block contributes +z at (i, i'-1) and -z at (i+1, i')
     assert point.A.get(0, 2) == z1
     assert point.A.get(1, 3) == -z1
+
+
+def _normalized_problems(spec, params, classical=False):
+    """`validate_params` with each pairing product normalized and compared
+    with the constant, for parameters that pass its index and pole checks."""
+    problems = []
+    c = constraint_value(spec, classical)
+    k = params.kind
+    for i in _top_indices(spec):
+        j = paired_index(spec, i)
+        vi = params.values[i]
+        if not vi:
+            problems.append(f"{k}{i} = 0")
+            continue
+        prod = vi * params.values[j] if j != i else vi * vi
+        if prod != c:
+            pair = f"{k}{i}*{k}{j}" if j != i else f"{k}{i}^2"
+            problems.append(f"{pair} = {render_scalar(prod)}, expected {render_scalar(c)}")
+    return problems
+
+
+def test_cross_multiplied_pairing_check_matches_the_normalized_products():
+    """The benchmark workloads' controls (seeds 1-3), and every admissible
+    class with N <= 8 at one seeded draw, as drawn and with one parameter
+    times 2, times q, divided by (q + 1) and set to 0: `validate_params`
+    gives the problems that the normalized products give."""
+    cases = []
+    for workload in WORKLOADS:
+        for seed in (1, 2, 3):
+            for argv in build(workload, seed)["controls"]:
+                args = cli.build_parser().parse_args(argv)
+                spec = cli._spec_from_args(args)
+                cases.append((spec, cli._params_from_args(spec, args.param)))
+    rng = random.Random(7)
+    for spec in admissible_cases(8):
+        drawn = draw_params(spec, rng)
+        for idx in sorted(drawn.values):
+            for factor in (ONE, QScalar(2), Q, (Q + ONE).inv(), QScalar(0)):
+                values = dict(drawn.values)
+                values[idx] = values[idx] * factor
+                cases.append((spec, PointParams(drawn.kind, values)))
+    failing = 0
+    for spec, params in cases:
+        want = _normalized_problems(spec, params)
+        assert validate_params(spec, params) == want, spec.case_id
+        failing += bool(want)
+    assert failing >= 400
+    for spec in admissible_cases(8):
+        params = classical_limit_params(default_params(spec))
+        assert validate_params(spec, params, classical=True) == []
