@@ -22,7 +22,7 @@ from .natrep import CheckRecord, NaturalRep, build_natural_rep
 from .points import PointParams, ThetaData, theta_for_class
 from .qmatrix import QMatrix, first_product_difference
 from .rootdata import ClassSpec, LieSeries, build_root_system, sub
-from .scalar import I_UNIT, ONE, Q, ZERO, QScalar, render_scalar
+from .scalar import I_UNIT, ONE, Q, QINV, ZERO, QScalar, render_scalar
 
 
 class MixtureInconsistentError(ArithmeticError):
@@ -100,7 +100,7 @@ def f_tilde_root_vector(rep: NaturalRep, spec: ClassSpec, alpha: int) -> QMatrix
             if alpha == m:
                 return climb(F(m + 1), range(m + 2, N - m + 1), Q)
             if alpha == N - m:
-                return climb(F(m), range(m + 1, N - m), Q.inv())
+                return climb(F(m), range(m + 1, N - m), QINV)
         elif spec.group == "so" and N % 2:
             if alpha == m:
                 w = climb(F(m), range(m + 1, n + 1), Q)

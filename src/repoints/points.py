@@ -224,24 +224,36 @@ def theta_for_class(spec: ClassSpec) -> ThetaData:
     """theta = Ad(A0) on the torus, for A0 the classical point at default
     parameters.  A0 is a signed permutation (its nonzeros are units), so
     A0 e_b = A0[a][b] e_a for one a per column b, and conjugating a diagonal
-    h by A0 puts h_b at (a, a): theta sends the weight w_b of e_b to w_a."""
+    h by A0 puts h_b at (a, a): theta sends the weight w_b of e_b to w_a.
+
+    The first eps_dim basis vectors carry the weights e_0, ..., e_{d-1}, and
+    each weight is s e_k or 0, so theta(e_b) = s e_k makes theta(v)_k = s v_b:
+    a signed lookup (src, sign), with theta^2 = 1 iff src(src(k)) = k and
+    sign_k = sign_src(k).  For B, C and D, A0 must map each pair
+    b, b' = N - 1 - b to a pair, or Ad(A0) leaves the torus h_b' = -h_b."""
     ls = spec.series
     rs = build_root_system(ls)
     A0 = classical_point(spec, classical_limit_params(default_params(spec)))
-    image = {b: rs.weights[a] for a, row in enumerate(A0.rows) for b in row}
-    if len(image) != ls.dim or any(len(row) != 1 for row in A0.rows):
+    row_of = {b: a for a, row in enumerate(A0.rows) for b in row}
+    N = ls.dim
+    if len(row_of) != N or any(len(row) != 1 for row in A0.rows):
         raise AssertionError(f"the classical point of {spec.case_id} is not a signed permutation")
-    # the first eps_dim basis vectors carry the weights e_0, ..., e_{d-1}, so
-    # theta's column b is image[b]; a signed permutation has one nonzero per
-    # row, so apply it over those
+    if ls.series != "A" and any(row_of[N - 1 - b] != N - 1 - a for b, a in row_of.items()):
+        raise AssertionError(f"the classical point of {spec.case_id} breaks the pairing b, b'")
     d = ls.eps_dim
-    nonzero = [[(b, image[b][k]) for b in range(d) if image[b][k]] for k in range(d)]
+    src, sign = [None] * d, [0] * d
+    for b in range(d):
+        w = rs.weights[row_of[b]]
+        k = next((k for k, x in enumerate(w) if x), None)
+        if k is None or src[k] is not None:
+            raise AssertionError("theta is not an involution")
+        src[k], sign[k] = b, w[k]
+    if any(src[b] != k or sign[k] != sign[b] for k, b in enumerate(src)):
+        raise AssertionError("theta is not an involution")
+    perm = tuple(zip(src, sign))
 
     def apply(v):
-        return tuple(sum(a * v[b] for b, a in row) for row in nonzero)
-
-    if any(apply(apply(w)) != w for w in rs.weights):
-        raise AssertionError("theta is not an involution")
+        return tuple(s * v[b] for b, s in perm)
 
     fixed, moved = [], []
     for idx, alpha in enumerate(rs.simple, start=1):

@@ -10,7 +10,13 @@ iff its value at t does; otherwise the call is redone at t^2.  Only the first
 mismatching entry is computed symbolically, from normalized rows, to name it.
 A factor of such an identity may itself be a product that nothing else
 reads; an `UnreducedProduct` keeps its factors, and the kernel reads its rows
-at t.  A `QMatrix` keeps its integer rows for the latest K (`substituted`).
+at t.  A `QMatrix` keeps its integer rows for the latest K (`substituted`);
+I x A (`IdentityKron`) places A's integer rows in its diagonal blocks rather
+than converting its own entries.
+
+`QMatrix.rank` is exact Gaussian elimination, which normalizes every pivot
+step; a passing verify computes no rank (`verifier.check_min_poly` decides
+the multiplicities by the trace), so it runs only to name a failure.
 """
 from __future__ import annotations
 
@@ -216,6 +222,33 @@ class QMatrix:
     def __repr__(self) -> str:
         nnz = sum(len(r) for r in self.rows)
         return f"QMatrix(dim={self.dim}, nnz={nnz})"
+
+
+def _diagonal_blocks(rows: list) -> list:
+    """The rows of I x X from the n rows of X: X's rows in each of the n
+    diagonal blocks, block i at row and column offset i n."""
+    n = len(rows)
+    return [{i * n + j: v for j, v in row.items()} for i in range(n) for row in rows]
+
+
+class IdentityKron(QMatrix):
+    """I x A, entry for entry `QMatrix.identity(n).kron(A)`: every block
+    shares A's `QScalar`s.  So its rows at t = 2^K (`substituted`) are A's
+    substituted rows placed in the same blocks, the very tuples `_entry`
+    would give; they are built only when the kernel asks, and A keeps its
+    own conversion for later calls."""
+
+    __slots__ = ("block",)
+
+    def __init__(self, A: QMatrix):
+        super().__init__(A.dim * A.dim, _diagonal_blocks(A.rows))
+        self.block = A
+
+    def substituted(self, K: int) -> list:
+        subs = self._subs
+        if subs is None or subs[0] != K:
+            subs = self._subs = (K, _diagonal_blocks(self.block.substituted(K)))
+        return subs[1]
 
 
 def commutator(a: QMatrix, b: QMatrix) -> QMatrix:

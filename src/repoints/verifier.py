@@ -18,10 +18,16 @@ from .points import (
     pm_exponents,
     quantum_point,
 )
-from .qmatrix import QMatrix, UnreducedProduct, first_product_difference, first_vector_difference
+from .qmatrix import (
+    IdentityKron,
+    QMatrix,
+    UnreducedProduct,
+    first_product_difference,
+    first_vector_difference,
+)
 from .rmatrix import Projector, build_rmatrix_data, epsilon_for
 from .rootdata import ClassSpec, RootSystem, build_root_system
-from .scalar import I_UNIT, ZERO, QScalar, eval_at_one, q_integer, render_scalar
+from .scalar import I_UNIT, LP_ONE, LP_ZERO, ZERO, QScalar, eval_at_one, q_integer, render_scalar
 
 
 @dataclass
@@ -60,8 +66,11 @@ def _record_equal(name: str, left: QMatrix, right: QMatrix) -> CheckRecord:
 
 
 def embed_second(A: QMatrix, N: int) -> QMatrix:
-    """A acting on the second tensor factor: I x A."""
-    return QMatrix.identity(N).kron(A)
+    """A acting on the second tensor factor: I x A, whose integer rows for
+    the kernel are A's (`IdentityKron`)."""
+    if A.dim != N:
+        raise ValueError("dimension mismatch between A and N")
+    return IdentityKron(A)
 
 
 def check_reflection(A: QMatrix, S: QMatrix) -> CheckRecord:
@@ -150,10 +159,32 @@ def check_varpi_structure(S: QMatrix, proj: Projector) -> list:
     ]
 
 
+def _unreduced_trace(A: QMatrix) -> tuple:
+    """tr A as one unreduced fraction (num, den) of Laurent polynomials: the
+    diagonal entries summed over the product of their distinct
+    denominators, with no gcd."""
+    num, den = LP_ZERO, LP_ONE
+    for i, row in enumerate(A.rows):
+        v = row.get(i)
+        if v is None:
+            continue
+        if v.den == den:
+            num = num + v.num
+        else:
+            num, den = num * v.den + v.num * den, den * v.den
+    return num, den
+
+
 def check_min_poly(A: QMatrix, spec: ClassSpec) -> list:
     """(A - lam+)(A - lam-) = 0, and rank(A - lam+), rank(A - lam-) as the
     class fixes them.  The two factors are polynomials in A, so they commute
-    and their product does not depend on the order."""
+    and their product does not depend on the order.
+
+    Once min_poly passes, A is diagonalizable with eigenvalues lam+ != lam-
+    of multiplicities m+ + m- = N, rank(A - lam+) = m-, and
+    tr A = m+ lam+ + m- lam- fixes m+; so rank(A - lam) = r, with lam' the
+    other root, iff tr A = (N - r) lam + r lam', decided on the unreduced
+    trace.  A rank is computed only for a failing record's detail."""
     if spec.family == "t2":
         P, M = pm_exponents(spec)
         roots = ((QScalar.q_power(-M), M), (-QScalar.q_power(-P), P))
@@ -163,7 +194,15 @@ def check_min_poly(A: QMatrix, spec: ClassSpec) -> list:
     plus, minus = (A.add_scalar_diag(-lam) for lam, _ in roots)
     zero = QMatrix(spec.N)
     records = [_record("min_poly", first_product_difference(plus, minus, zero, zero))]
-    for name, mat, (_, want) in zip(("mult.plus", "mult.minus"), (plus, minus), roots):
+    num, den = _unreduced_trace(A)
+    for name, mat, (lam, want), (other, _) in zip(("mult.plus", "mult.minus"), (plus, minus),
+                                                  roots, roots[::-1]):
+        if records[0].passed:
+            # lam and other are units c q^k, so this normalizes nothing
+            value = QScalar(spec.N - want) * lam + QScalar(want) * other
+            if num * value.den == value.num * den:
+                records.append(CheckRecord(name, True))
+                continue
         rk = mat.rank()
         records.append(CheckRecord(name, rk == want,
                                    None if rk == want else f"rank {rk}, expected {want}"))

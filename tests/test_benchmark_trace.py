@@ -38,10 +38,12 @@ def _traced_verify(*args):
     return json.loads(proc.stdout)
 
 
-# span names that a per-layer metric reads but no verify reaches: the bivector
-# is decided on the tensor, so no path of the program builds the adjoint
-# matrix over the basis or multiplies and inverts dense matrices for it
-DEAD_ON_VERIFY = {"classical.adjoint", "linalg.invert", "linalg.mat_mul"}
+# span names that a per-layer metric reads but no passing verify reaches: the
+# bivector is decided on the tensor, so no path of the program builds the
+# adjoint matrix over the basis or multiplies and inverts dense matrices for
+# it; and the multiplicities are decided by the trace, so a rank is computed
+# only to name a failing record
+DEAD_ON_VERIFY = {"classical.adjoint", "linalg.invert", "linalg.mat_mul", "qmatrix.rank"}
 
 
 def test_trace_mode_sees_every_stage():
