@@ -12,12 +12,13 @@ format; the only dense N x N matrix is the input of `linalg.invert`.
 
 The Chevalley basis B_k of g comes with its dual basis B_k^v under the trace
 form, tr(B_m B_k^v) = delta_mk (`build_classical_algebra`), and every basis
-coordinate is read by pairing with it. The split Casimir
-omega = sum_k B_k (x) B_k^v and rho = sum_beta e_beta (x) f_beta - f_beta (x)
-e_beta are not stored: `bivector_at` builds its tensor from the conjugated
-root vectors and basis elements. The verdicts are decided on that tensor.
-Basis coordinates of the bivector are read only to name one in a failure
-detail.
+coordinate is read by pairing with it. In B, C and D it also comes with the
+invariant form J of V, by which `_conjugation` decides that a normalizes g.
+The split Casimir omega = sum_k B_k (x) B_k^v and
+rho = sum_beta e_beta (x) f_beta - f_beta (x) e_beta are not stored:
+`bivector_at` builds its tensor from the root vectors that a moves. The
+verdicts are decided on that tensor. Basis coordinates of the bivector are
+read only to name one in a failure detail.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from . import linalg
 from .natrep import CheckRecord, build_natural_rep
 from .points import quantum_point
 from .qmatrix import QMatrix
-from .rootdata import LieSeries, build_root_system, sub
+from .rootdata import LieSeries, NotInSpanError, build_root_system, sub
 from .scalar import GR_ZERO, GaussRational, eval_at_one
 
 
@@ -101,21 +102,18 @@ def _combine(*terms) -> dict:
     return _nonzero(out)
 
 
-def _conjugate_first(t: dict, conj) -> dict:
-    """Conjugation by a of the first index pair of t: E_ij goes to
-    a E_ij a^-1 = sum of a[p][i] a^-1[j][r] E_pr.  On a tensor
-    {(i, j, k, l): x} this is (Ad_a (x) 1) t; on a matrix {(i, j): x} it is
-    a t a^-1.  conj is the first item `_conjugation` returns."""
+def _conjugate(x: dict, conj, moved: bool = False) -> dict:
+    """a x a^-1 for a matrix x = {(i, j): v}, or a x a^-1 - x when moved, in
+    one pass over the nonzeros of x: E_ij goes to a E_ij a^-1 = sum of
+    a[p][i] a^-1[j][r] E_pr.  conj is the first item `_conjugation` returns."""
     cols, rows = conj
-    out = {}
-    for key, c in t.items():
-        rest = key[2:]
-        for p, u in cols[key[0]]:
+    out = {key: -v for key, v in x.items()} if moved else {}
+    for (i, j), c in x.items():
+        for p, u in cols[i]:
             cu = c * u
-            for r, w in rows[key[1]]:
-                k = (p, r) + rest
-                s = out.get(k)
-                out[k] = cu * w if s is None else s + cu * w
+            for r, w in rows[j]:
+                s = out.get((p, r))
+                out[(p, r)] = cu * w if s is None else s + cu * w
     return _nonzero(out)
 
 
@@ -129,7 +127,7 @@ class ClassicalAlgebraData:
     f_vectors: dict  # positive root -> f_beta, normalized so (e, f) = 1
     positive: tuple  # roots in construction order
     expander: linalg.BasisExpander
-    generators: list  # the simple e and f vectors; they generate the algebra
+    form: dict | None  # J = sum_j kappa_j E_(j, N-1-j) in B, C and D; None in A
 
     @property
     def dim(self) -> int:
@@ -176,6 +174,10 @@ def build_classical_algebra(ls: LieSeries) -> ClassicalAlgebraData:
     h_k^v lies in g, as a dual basis of g must: in A its trace is
     c_k(sum_j (w_j - w_mean)) = c_k(0) = 0, and in B, C and D the weights
     satisfy w_j' = -w_j, so (h_k^v)_j'j' = -(h_k^v)_jj.
+
+    In B, C and D, g = {X : X^T J + J X = 0} for the form
+    J = sum_j kappa_j E_(j, N-1-j) (`RootSystem.kappa`), which `_conjugation`
+    reads; a test checks every basis element against it for N <= 16.
     """
     rep = build_natural_rep(ls)
     rs = build_root_system(ls)
@@ -213,8 +215,10 @@ def build_classical_algebra(ls: LieSeries) -> ClassicalAlgebraData:
     basis = cartan + es + fs
     duals = cartan_duals + fs + es
     expander = linalg.BasisExpander(basis, [_transpose(d) for d in duals])
+    form = None if ls.series == "A" else {
+        (j, ls.dim - 1 - j): GaussRational(k) for j, k in enumerate(rs.kappa)}
     return ClassicalAlgebraData(ls, basis, duals, cartan, e_vec, f_vec, tuple(positive),
-                                expander, simple_e + [_transpose(x) for x in simple_e])
+                                expander, form)
 
 
 def adjoint_matrix(data: ClassicalAlgebraData, a: dict) -> list:
@@ -222,24 +226,53 @@ def adjoint_matrix(data: ClassicalAlgebraData, a: dict) -> list:
     a B_k a^-1; raises if a is singular or does not normalize the algebra.
     No check builds it: it is the tests' reference for Ad."""
     conj, _ = _conjugation(data, a)
-    cols = [data.expander.expand(_conjugate_first(b, conj)) for b in data.basis]
+    cols = [data.expander.expand(_conjugate(b, conj)) for b in data.basis]
     return [list(row) for row in zip(*cols)]
+
+
+def _scales_form(form: dict, a: dict) -> bool:
+    """a^T J a = s J for a scalar s, with J = form: sum over the nonzeros
+    J[j][j'] of a[j][i] J[j][j'] a[j'][l] at (i, l)."""
+    rows = {}
+    for (j, i), x in a.items():
+        rows.setdefault(j, []).append((i, x))
+    out = {}
+    for (j, jp), k in form.items():
+        for i, x in rows.get(j, ()):
+            kx = k * x
+            for l, y in rows.get(jp, ()):
+                _accumulate(out, (i, l), kx * y)
+    key, k = next(iter(form.items()))
+    s = out.get(key)
+    if s is None:
+        return False
+    s = s * k.inv()
+    return _nonzero(out) == {p: s * x for p, x in form.items()}
 
 
 def _conjugation(data: ClassicalAlgebraData, a: dict) -> tuple:
     """(conj, c): conj holds the nonzeros of a by column and of a^-1 by row,
-    which is what `_conjugate_first` reads, and c is the scalar with
-    a^2 = c I, or None if a^2 is not scalar.
+    which is what `_conjugate` reads, and c is the scalar with a^2 = c I, or
+    None if a^2 is not scalar.
 
     - a^-1: if a^2 = c I with c != 0, then a (a / c) = I, so a^-1 = a / c and
       no elimination is needed. Otherwise `linalg.invert` decides, so a
       singular a raises SingularMatrixError (a nilpotent a, with a^2 = 0,
       takes that path too).
-    - conj is returned only once a x a^-1 is shown to lie in the algebra for
-      every simple generator x. That suffices for Ad_a(g) = g: Ad_a is an
-      automorphism of the Lie algebra gl(N), and the basis of g is built from
-      brackets of the simple generators. Raises NotInSpanError if a does not
-      normalize the algebra.
+    - conj is returned only once Ad_a(g) = g is shown; raises NotInSpanError
+      if a does not normalize the algebra. In A there is nothing to show:
+      conjugation by an invertible a keeps the trace and the bracket, so it
+      maps sl(N) onto itself. In B, C and D, a normalizes
+      g = {X : X^T J + J X = 0} iff a^T J a = s J for a scalar s:
+      - if a^T J a = s J (s != 0, as a is invertible), then conjugating
+        X^T J + J X = 0 by a gives Y^T J + J Y = 0 for Y = a X a^-1;
+      - if Ad_a(g) = g, then (x, y) -> J(a^-1 x, a^-1 y) is a g-invariant
+        bilinear form on V, because a^-1 X a lies in g for X in g. V is an
+        irreducible g-module (so(N) with N >= 3, where so(4) acts on
+        C^2 (x) C^2, and sp(N)), and V is self-dual, so by Schur the
+        invariant forms are the multiples of J, over C and so over Q(i),
+        where they are cut out by linear equations. Hence
+        (a^-1)^T J a^-1 = s' J, and a^T J a = J / s'.
     """
     n = data.ls.dim
     sq = _product(a, a)
@@ -253,13 +286,12 @@ def _conjugation(data: ClassicalAlgebraData, a: dict) -> tuple:
         c = None
         a_inv = linalg.invert([[a.get((i, j), GR_ZERO) for j in range(n)] for i in range(n)])
         rows = [[(r, x) for r, x in enumerate(row) if x] for row in a_inv]
+    if data.form is not None and not _scales_form(data.form, a):
+        raise NotInSpanError("the matrix does not normalize the algebra")
     cols = [[] for _ in range(n)]
     for (p, i), x in a.items():
         cols[i].append((p, x))
-    conj = (cols, rows)
-    for x in data.generators:
-        data.expander.expand(_conjugate_first(x, conj))
-    return conj, c
+    return (cols, rows), c
 
 
 def _omega_part(data: ClassicalAlgebraData, conj) -> dict:
@@ -267,8 +299,8 @@ def _omega_part(data: ClassicalAlgebraData, conj) -> dict:
     omega = sum_k B_k (x) B_k^v, that is
     sum_k B_k (x) Ad(B_k^v) - Ad(B_k) (x) B_k^v."""
     pairs = list(zip(data.basis, data.duals))
-    right = _outer_sum((b, _conjugate_first(d, conj)) for b, d in pairs)
-    left = _outer_sum((_conjugate_first(b, conj), d) for b, d in pairs)
+    right = _outer_sum((b, _conjugate(d, conj)) for b, d in pairs)
+    left = _outer_sum((_conjugate(b, conj), d) for b, d in pairs)
     return _combine((1, right), (-1, left))
 
 
@@ -329,14 +361,17 @@ def bivector_at(data: ClassicalAlgebraData, a: dict) -> BivectorValue:
 
     - The rho part is sum_beta u_beta (x) v_beta - v_beta (x) u_beta with
       u_beta = a e_beta a^-1 - e_beta and v_beta = a f_beta a^-1 - f_beta,
-      built from the root vectors.
+      each built in one pass over the nonzeros of the root vector. A root
+      that a does not move, u_beta = 0, adds zero, and its v_beta is not
+      built.
     - The omega part is zero when a^2 = c I: then a^-1 = a / c, so
       Ad^-1 = Ad. Ad_a(g) = g (`_conjugation`) and Ad preserves tr(XY), so
       the Ad_a(B_k) form a basis of g with dual basis Ad_a(B_k^v), and
       (Ad (x) Ad) omega = omega. Hence
       (Ad (x) 1) omega = (1 (x) Ad^-1) omega = (1 (x) Ad) omega. Otherwise it
       is built by `_omega_part`. The verified points are involutions and
-      skip it.
+      skip it. Then T = U - flip(U) with U = sum_beta u_beta (x) v_beta, so
+      T = 0 iff U = flip(U), which is decided before T is built.
 
     Why T = 0 iff its coefficient matrix `total` over the basis is zero:
 
@@ -354,16 +389,17 @@ def bivector_at(data: ClassicalAlgebraData, a: dict) -> BivectorValue:
     `total` is antisymmetric iff flip(T) = -T, which is asserted here.
     """
     conj, c = _conjugation(data, a)
-    us, vs = [], []
+    pairs = []
     for root in data.positive:
-        e, f = data.e_vectors[root], data.f_vectors[root]
-        us.append(_combine((1, _conjugate_first(e, conj)), (-1, e)))
-        vs.append(_combine((1, _conjugate_first(f, conj)), (-1, f)))
-    uv = _outer_sum(zip(us, vs))
-    terms = [(1, uv), (-1, _flip(uv))]
+        u = _conjugate(data.e_vectors[root], conj, moved=True)
+        if u:
+            pairs.append((u, _conjugate(data.f_vectors[root], conj, moved=True)))
+    uv = _outer_sum(pairs)
+    flipped = _flip(uv)
     if c is None:
-        terms.append((1, _omega_part(data, conj)))
-    tensor = _combine(*terms)
+        tensor = _combine((1, uv), (-1, flipped), (1, _omega_part(data, conj)))
+    else:
+        tensor = {} if uv == flipped else _combine((1, uv), (-1, flipped))
     if _flip(tensor) != {key: -v for key, v in tensor.items()}:
         raise AssertionError("bivector lost antisymmetry")
     return BivectorValue(data, tensor)

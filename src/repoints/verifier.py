@@ -27,7 +27,7 @@ from .qmatrix import (
 )
 from .rmatrix import Projector, build_rmatrix_data, epsilon_for
 from .rootdata import ClassSpec, RootSystem, build_root_system
-from .scalar import I_UNIT, LP_ONE, LP_ZERO, ZERO, QScalar, eval_at_one, q_integer, render_scalar
+from .scalar import I_UNIT, LP_ONE, LP_ZERO, ZERO, GaussRational, QScalar, q_integer, render_scalar
 
 
 @dataclass
@@ -63,6 +63,20 @@ def _record(name: str, diff) -> CheckRecord:
 
 def _record_equal(name: str, left: QMatrix, right: QMatrix) -> CheckRecord:
     return _record(name, left.first_difference(right))
+
+
+def _gauss_record(name: str, N: int, left: dict, right: dict) -> CheckRecord:
+    """left = right for q-free N x N matrices held as their nonzero Gaussian
+    entries (`classical.gauss_entries`). A failing record lifts both through
+    `QScalar.from_gauss`, so it names the first mismatch in row-major order
+    as `_record_equal` does on the QMatrix values."""
+    if left == right:
+        return CheckRecord(name, True)
+
+    def lift(m: dict) -> QMatrix:
+        return QMatrix.from_entries(N, [(i, j, QScalar.from_gauss(v)) for (i, j), v in m.items()])
+
+    return _record_equal(name, lift(left), lift(right))
 
 
 def embed_second(A: QMatrix, N: int) -> QMatrix:
@@ -229,8 +243,8 @@ def check_q_trace(A: QMatrix, spec: ClassSpec, rs: RootSystem) -> CheckRecord:
     return CheckRecord("q_trace", ok, detail)
 
 
-def check_classical_involution(point: QuantumPoint) -> CheckRecord:
-    """A0^2 = I, or -I for family t4.
+def check_classical_involution(spec: ClassSpec, a0: dict) -> CheckRecord:
+    """A0^2 = I, or -I for family t4, on the Gaussian entries a0 of A0.
 
     det(A0) needs no record. Once min_poly and mult.plus, mult.minus pass,
     A is diagonalizable over Q(i)(q) with eigenvalues lam+, lam- of
@@ -238,16 +252,19 @@ def check_classical_involution(point: QuantumPoint) -> CheckRecord:
     det(A) = lam+^m+ lam-^m-. Once classical.limit passes, A0 is A at q = 1,
     and the determinant is a polynomial in the entries, so
     det(A0) = lam+(1)^m+ lam-(1)^m-."""
-    unit = QMatrix.identity(point.spec.N)
-    if point.spec.family == "t4":
-        unit = -unit
-    return _record_equal("classical.square", point.A0 * point.A0, unit)
+    unit = GaussRational(-1 if spec.family == "t4" else 1)
+    return _gauss_record("classical.square", spec.N, classical._product(a0, a0),
+                         {(i, i): unit for i in range(spec.N)})
 
 
-def check_bivector(point: QuantumPoint) -> CheckRecord:
-    """The classical Poisson bivector vanishes at the q = 1 limit A0."""
+def check_bivector(point: QuantumPoint, a0: dict | None = None) -> CheckRecord:
+    """The classical Poisson bivector vanishes at the q = 1 limit A0, read
+    from its Gaussian entries a0 (`classical.gauss_entries(point.A0)` if not
+    given)."""
+    if a0 is None:
+        a0 = classical.gauss_entries(point.A0)
     data = classical.build_classical_algebra(point.spec.series)
-    value = classical.bivector_at(data, classical.gauss_entries(point.A0))
+    value = classical.bivector_at(data, a0)
     if value.is_zero():
         return CheckRecord("classical.bivector", True)
     i, j, v = value.largest_entry()
@@ -292,12 +309,12 @@ def full_report(spec: ClassSpec, params: PointParams | None = None) -> Verificat
     stage("invariants")
 
     # the classical limit is recomputed from the limiting parameters, so this
-    # cross-checks the two construction paths
-    limit = QMatrix(spec.N)
-    for i, j, v in point.A.nonzero_items():
-        limit.put(i, j, QScalar.from_gauss(eval_at_one(v)))
-    report.checks.append(_record_equal("classical.limit", limit, point.A0))
-    report.checks.append(check_classical_involution(point))
+    # cross-checks the two construction paths; A0 is read into Gaussian
+    # entries once, for the limit, the square and the bivector
+    a0 = classical.gauss_entries(point.A0)
+    limit = {key: x for key, x in classical.gauss_entries(point.A).items() if x}
+    report.checks.append(_gauss_record("classical.limit", spec.N, limit, a0))
+    report.checks.append(check_classical_involution(spec, a0))
     stage("classical")
 
     ss = coideal.build_stabilizer(spec, params, point.A)
@@ -306,7 +323,7 @@ def full_report(spec: ClassSpec, params: PointParams | None = None) -> Verificat
 
     # the bivector is checked last, and only at a point that passed the rest
     if report.passed:
-        report.checks.append(check_bivector(point))
+        report.checks.append(check_bivector(point, a0))
         stage("bivector")
     report.timings["total"] = round(time.perf_counter() - marks[0], 6)
     return report

@@ -41,9 +41,11 @@ def _traced_verify(*args):
 # span names that a per-layer metric reads but no passing verify reaches: the
 # bivector is decided on the tensor, so no path of the program builds the
 # adjoint matrix over the basis or multiplies and inverts dense matrices for
-# it; and the multiplicities are decided by the trace, so a rank is computed
-# only to name a failing record
-DEAD_ON_VERIFY = {"classical.adjoint", "linalg.invert", "linalg.mat_mul", "qmatrix.rank"}
+# it; a passing verify proves that A0 normalizes g by the invariant form, so
+# it expands nothing in the basis; and the multiplicities are decided by the
+# trace, so a rank is computed only to name a failing record
+DEAD_ON_VERIFY = {"classical.adjoint", "linalg.expand", "linalg.invert", "linalg.mat_mul",
+                  "qmatrix.rank"}
 
 
 def test_trace_mode_sees_every_stage():

@@ -8,6 +8,7 @@ does not store omega and rho; the tests build them (`omega_tensor`,
 (`formula_bivector`) as the reference for its tensor.
 """
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -34,8 +35,17 @@ from repoints.points import (
     param_indices,
     quantum_point,
 )
-from repoints.rootdata import ClassSpec, LieSeries, build_root_system, series_for_group, standard_cases
+from repoints.qmatrix import QMatrix
+from repoints.rootdata import (
+    ClassSpec,
+    LieSeries,
+    admissible_cases,
+    build_root_system,
+    series_for_group,
+    standard_cases,
+)
 from repoints.scalar import GaussRational, QScalar, eval_at_one
+from repoints.verifier import check_bivector
 
 ZERO = GaussRational(0)
 
@@ -246,7 +256,8 @@ def test_sparse_algebra_matches_the_dense_construction(group, N):
     rep = build_natural_rep(ls)
     for m, grid in zip(rep.e, ref.simple_e):
         assert gauss_entries(m) == _sparse(grid)
-    assert data.generators == [_sparse(m) for m in ref.simple_e + ref.simple_f]
+    for m, grid in zip(rep.f, ref.simple_f):
+        assert gauss_entries(m) == _sparse(grid)
     assert list(data.positive) == ref.positive
     for root in ref.positive:
         assert data.e_vectors[root] == _sparse(ref.e_vectors[root])
@@ -499,6 +510,34 @@ def test_tensor_verdicts_match_basis_path_at_controls(name):
     a = grid()
     data = build_classical_algebra(series_for_group(group, len(a)))
     assert not _assert_paths_agree(data, a)
+
+
+# involutions a, with a^2 = I, at which the bivector is nonzero: every entry
+# of CONTROLS has a^2 not scalar, so these are the controls of the a^2 = c I
+# path, where the bivector is decided as U = flip(U)
+INVOLUTIVE_CONTROLS = {
+    "sl3-signs": ("sl", (1, -1, 1)),
+    "so5-signs": ("so", (-1, 1, 1, 1, -1)),
+    "sp4-signs": ("sp", (-1, 1, 1, -1)),
+    "sl8-signs": ("sl", (1, -1, 1, -1, 1, -1, 1, -1)),
+    "so8-signs": ("so", (-1, -1, 1, 1, 1, 1, -1, -1)),
+    "sp8-signs": ("sp", (-1, -1, 1, 1, 1, 1, -1, -1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVOLUTIVE_CONTROLS))
+def test_tensor_verdicts_match_basis_path_at_involutive_controls(name):
+    group, signs = INVOLUTIVE_CONTROLS[name]
+    a = _diag(*signs)
+    N = len(a)
+    data = build_classical_algebra(series_for_group(group, N))
+    assert not _assert_paths_agree(data, a)
+    # the same matrix as the classical point of a class fails the record
+    spec = next(s for s in admissible_cases(N) if s.group == group and s.N == N)
+    a0 = QMatrix.from_entries(N, [(i, i, QScalar(x)) for i, x in enumerate(signs)])
+    record = check_bivector(replace(quantum_point(spec), A0=a0))
+    assert not record.passed
+    assert record.detail.startswith("largest coefficient")
 
 
 SERIES_TO_16 = ([("sl", N) for N in range(2, 17)] + [("so", N) for N in range(3, 17)]
