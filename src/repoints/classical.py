@@ -250,10 +250,11 @@ def _scales_form(form: dict, a: dict) -> bool:
     return _nonzero(out) == {p: s * x for p, x in form.items()}
 
 
-def _conjugation(data: ClassicalAlgebraData, a: dict) -> tuple:
+def _conjugation(data: ClassicalAlgebraData, a: dict, square=None) -> tuple:
     """(conj, c): conj holds the nonzeros of a by column and of a^-1 by row,
     which is what `_conjugate` reads, and c is the scalar with a^2 = c I, or
-    None if a^2 is not scalar.
+    None if a^2 is not scalar.  A caller that has decided a^2 = c I already
+    passes c as `square`, and a is not squared again.
 
     - a^-1: if a^2 = c I with c != 0, then a (a / c) = I, so a^-1 = a / c and
       no elimination is needed. Otherwise `linalg.invert` decides, so a
@@ -275,15 +276,18 @@ def _conjugation(data: ClassicalAlgebraData, a: dict) -> tuple:
         (a^-1)^T J a^-1 = s' J, and a^T J a = J / s'.
     """
     n = data.ls.dim
-    sq = _product(a, a)
-    c = sq.get((0, 0))
-    if c is not None and sq == {(i, i): c for i in range(n)}:
+    c = square
+    if c is None:
+        sq = _product(a, a)
+        c = sq.get((0, 0))
+        if c is not None and sq != {(i, i): c for i in range(n)}:
+            c = None
+    if c is not None:
         c_inv = c.inv()
         rows = [[] for _ in range(n)]
         for (j, r), x in a.items():
             rows[j].append((r, x * c_inv))
     else:
-        c = None
         a_inv = linalg.invert([[a.get((i, j), GR_ZERO) for j in range(n)] for i in range(n)])
         rows = [[(r, x) for r, x in enumerate(row) if x] for row in a_inv]
     if data.form is not None and not _scales_form(data.form, a):
@@ -346,7 +350,7 @@ class BivectorValue:
         return best
 
 
-def bivector_at(data: ClassicalAlgebraData, a: dict) -> BivectorValue:
+def bivector_at(data: ClassicalAlgebraData, a: dict, square=None) -> BivectorValue:
     """The reflection-equation Poisson bivector at the group element a, under
     the right-translation trivialization, decided in End(V) (x) End(V) as
 
@@ -387,8 +391,10 @@ def bivector_at(data: ClassicalAlgebraData, a: dict) -> BivectorValue:
       out total[k][l]; `BivectorValue.coeffs` reads `total` that way.
 
     `total` is antisymmetric iff flip(T) = -T, which is asserted here.
+    `square` is c with a^2 = c I when the caller has decided it
+    (`_conjugation`).
     """
-    conj, c = _conjugation(data, a)
+    conj, c = _conjugation(data, a, square)
     pairs = []
     for root in data.positive:
         u = _conjugate(data.e_vectors[root], conj, moved=True)

@@ -6,23 +6,53 @@ alpha and its inverse) is kept as its integer exponent vector d, for the
 diagonal matrix diag(q^d_j); it commutes with A iff d_i = d_j at every
 nonzero A_ij (`support_difference`), so it is decided with no product.
 
+Each e_b and f_b has at most one nonzero, +-1, per row and per column, so
+[e_b, A] = 0 is decided entry by entry on A's rows and columns
+(`signed_permutation_difference`), with no product either.
+
 For each simple root alpha moved by the involution, the mixed generator is
 X_alpha = pi(q^{h_tilde - h_alpha}) pi(e_alpha) + c_alpha pi(F_tilde), where
 F_tilde is an iterated q-commutator word in the F_i.  The coefficient c_alpha
-is read off one row of both terms' commutators with A, accepted when
-[X_alpha, A] = 0 is decided exactly, and compared with the tabulated forms.
+is read off one entry of both terms' commutators with A as an unreduced
+fraction c_num / c_den, and accepted when [X'', A] = 0 is decided exactly for
+X'' = c_den X_alpha, which the kernel reads at t as its two terms
+(`ScaledSum`): no scalar is normalized.
 That acceptance is the verdict on X_alpha at the point it was solved for.
+The tabulated form is a constant times a Laurent monomial in the parameters,
+compared with c_alpha by cross-multiplication.  c_alpha and X_alpha are
+normalized only where they are read: in a failing detail, in the
+`stabilizer` and `satake` output, and to decide X_alpha at another point.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import mul
 
 from .natrep import CheckRecord, NaturalRep, build_natural_rep
 from .points import PointParams, ThetaData, theta_for_class
-from .qmatrix import QMatrix, first_product_difference
+from .qmatrix import (
+    QMatrix,
+    ScaledSum,
+    first_product_difference,
+    first_product_mismatch,
+    first_vector_difference,
+    same_products,
+)
 from .rootdata import ClassSpec, LieSeries, build_root_system, sub
-from .scalar import I_UNIT, ONE, Q, QINV, ZERO, QScalar, render_scalar
+from .scalar import (
+    GR_I,
+    LP_ONE,
+    LP_ZERO,
+    ONE,
+    Q,
+    QINV,
+    GaussRational,
+    LaurentPoly,
+    QScalar,
+    render_scalar,
+    unreduced_sum,
+)
 
 
 class MixtureInconsistentError(ArithmeticError):
@@ -39,26 +69,70 @@ def q_commutator(x: QMatrix, y: QMatrix, a: QScalar) -> QMatrix:
 
 
 @dataclass
+class TabulatedValue:
+    """A tabulated c_alpha, unreduced: the constant num / den of Q(i)(q)
+    times the Laurent monomial prod y_k^e over (k, e) in `mono`, at the
+    parameter values `values` (k -> QScalar)."""
+    num: LaurentPoly
+    den: LaurentPoly
+    mono: tuple
+    values: dict
+
+    def factors(self) -> tuple:
+        """The value as lists of numerator and denominator factors, Laurent
+        polynomials: each y_k^e adds y_k's numerator and denominator e times,
+        swapped for e < 0."""
+        num, den = [self.num], [self.den]
+        for k, e in self.mono:
+            y = self.values[k]
+            a, b = (y.num, y.den) if e > 0 else (y.den, y.num)
+            num += [a] * abs(e)
+            den += [b] * abs(e)
+        return num, den
+
+
+
+@dataclass
 class CoidealGen:
     alpha: int  # 1-based simple-root index
     word: str  # human-readable form of the F_tilde word
     F_tilde: QMatrix
-    c_table: QScalar | None
+    lead: QMatrix  # pi(q^{h_tilde - h_alpha}) pi(e_alpha)
+    table: TabulatedValue | None
     c_table_note: str | None
-    c_solved: QScalar
-    X: QMatrix
+    c_num: LaurentPoly  # c_solved = c_num / c_den, unreduced
+    c_den: LaurentPoly
+    X_cleared: ScaledSum  # c_den X, which `solve_mixture` accepted
+
+    @cached_property
+    def c_solved(self) -> QScalar:
+        return QScalar(self.c_num, self.c_den)
+
+    @cached_property
+    def c_table(self) -> QScalar | None:
+        if self.table is None:
+            return None
+        num, den = self.table.factors()
+        return QScalar(reduce(mul, num), reduce(mul, den))
+
+    @cached_property
+    def X(self) -> QMatrix:
+        return self.lead + self.F_tilde.scale(self.c_solved)
 
     @property
     def table_matches(self) -> bool | None:
-        if self.c_table is None:
+        """c_table = c_solved, cross-multiplied: Tn c_den = c_num Td for the
+        table's value Tn / Td, decided on the factors (`same_products`)."""
+        if self.table is None:
             return None
-        return self.c_table == self.c_solved
+        num, den = self.table.factors()
+        return same_products(num + [self.c_den], [self.c_num] + den)
 
 
 @dataclass
 class StabilizerSet:
-    # for each simple root b fixed by theta: (name, QMatrix) for e_b and f_b,
-    # then (name, exponent vector) for k_b and k_b^-1
+    # for each simple root b fixed by theta: (name, `signed_permutation`) for
+    # e_b and f_b, then (name, exponent vector) for k_b and k_b^-1
     l_generators: list
     cartan_generators: list  # (name, exponent vector): q^{+-(h_tilde - h_alpha)}
     mixed_generators: list  # CoidealGen
@@ -134,74 +208,81 @@ def f_tilde_root_vector(rep: NaturalRep, spec: ClassSpec, alpha: int) -> QMatrix
 
 
 def mixture_table_formula(spec: ClassSpec, alpha: int, params: PointParams):
-    """The tabulated closed form of c_alpha, evaluated in the given parameters.
+    """The tabulated closed form of c_alpha, at the given parameters, as a
+    `TabulatedValue`: a constant of Q(i)(q) times a Laurent monomial in the
+    parameters, unreduced.
 
     Returns (value or None, note or None).  None values mark table entries
     that do not determine a coefficient (an undefined index); notes flag
     entries that required an interpretive reading.
     """
-    v = params.values
     i = alpha
     N, m = spec.N, spec.m
     n = spec.series.rank
 
+    def table(c, k: int, *mono, den: LaurentPoly = LP_ONE) -> TabulatedValue:
+        """c q^k / den times prod y_j^e over the (j, e) in mono."""
+        c = c if isinstance(c, GaussRational) else GaussRational(c)
+        return TabulatedValue(LaurentPoly.q_power(k, c), den, mono,
+                              {j: params.values[j] for j, _ in mono})
+
     if spec.family == "t4":
         if spec.group == "sp":
             if i < n:
-                return -Q * v[i + 1] / v[i], None
-            return -(v[n] * v[n] * QScalar.q_power(2 * n)).inv(), None
+                return table(-1, 1, (i + 1, 1), (i, -1)), None
+            return table(-1, -2 * n, (n, -2)), None
         if i % 2 == 0 and i < n - 1:
-            return -Q * v[i + 1] / v[i - 1], None
+            return table(-1, 1, (i + 1, 1), (i - 1, -1)), None
         if n % 2 == 0 and i == n:
-            return -(QScalar.q_power(2 * n - 3) * v[n - 1] * v[n - 1]).inv(), None
+            return table(-1, 3 - 2 * n, (n - 1, -2)), None
         if n % 2 and i in (n - 1, n):
             # the tabulated subscript n-1 names no parameter (only odd indices
             # exist here); the nearest reading, n-2, is used and flagged
-            val = I_UNIT * (QScalar.q_power(n - 1) * v[n - 2]).inv()
             note = "table subscript adjusted from n-1 to the existing index n-2"
-            return (val if i == n - 1 else -val), note
+            return table(GR_I if i == n - 1 else -GR_I, 1 - n, (n - 2, -1)), note
 
     elif spec.group == "sl":
         if i < m or i > N - m:
-            return v[i + 1] / v[i], None
+            return table(1, 0, (i + 1, 1), (i, -1)), None
         if 2 * m == N and i == m:
             note = "table labels this entry with a generic index; read as the middle root"
-            return QScalar.q_power(-2 * m + 1) / (v[m] * v[m]), note
-        sgn = ONE if (N + 1) % 2 == 0 else -ONE
+            return table(1, 1 - 2 * m, (m, -2)), note
+        sgn = 1 if (N + 1) % 2 == 0 else -1
         if i == m:
-            return sgn * QScalar.q_power(-N + m) / v[m], None
+            return table(sgn, m - N, (m, -1)), None
         if i == N - m:
-            return sgn * QScalar.q_power(2 * N - 5 * m - 3) / v[m], None
+            return table(sgn, 2 * N - 5 * m - 3, (m, -1)), None
 
     elif spec.group == "so" and N % 2:
         if i < m:
-            return -Q * v[i + 1] / v[i], None
+            return table(-1, 1, (i + 1, 1), (i, -1)), None
         if i == m:
             if m < n:
-                sgn = ONE if (n - m + 1) % 2 == 0 else -ONE
-                return sgn * (v[m] * QScalar.q_power(m + 1)).inv(), None
-            return -(v[m] * QScalar.q_power(m)).inv(), None
+                sgn = 1 if (n - m + 1) % 2 == 0 else -1
+                return table(sgn, -m - 1, (m, -1)), None
+            return table(-1, -m, (m, -1)), None
 
     elif spec.group == "sp":
         if i < m:
-            return -Q * v[i + 1] / v[i - 1], None
+            return table(-1, 1, (i + 1, 1), (i - 1, -1)), None
         if i == m:
             if m <= n - 1:
-                sgn = ONE if (n + 1) % 2 == 0 else -ONE
-                return sgn * (v[m - 1] * QScalar.q_power(m)).inv(), None
-            den = (Q * Q + ONE) * QScalar.q_power(2 * n - 2) * v[n - 1] * v[n - 1]
-            return -den.inv(), None
+                sgn = 1 if (n + 1) % 2 == 0 else -1
+                return table(sgn, -m, (m - 1, -1)), None
+            # (q^2 + 1) q^(2n - 2)
+            den = LaurentPoly({2 * n - 2: GaussRational(1), 2 * n: GaussRational(1)})
+            return table(-1, 0, (n - 1, -2), den=den), None
 
     else:  # so, even N, t2
         if i < m:
-            return -Q * v[i + 1] / v[i], None
+            return table(-1, 1, (i + 1, 1), (i, -1)), None
         if m == n and i == n:
-            return -(v[n - 1] * v[n] * QScalar.q_power(2 * n - 1)).inv(), None
+            return table(-1, 1 - 2 * n, (n - 1, -1), (n, -1)), None
         if m == n - 1:
             return None, "table entry uses an undefined index; no value evaluated"
         if i == m:
-            sgn = ONE if (n - m) % 2 == 0 else -ONE
-            return sgn * (v[m] * QScalar.q_power(m + 1)).inv(), None
+            sgn = 1 if (n - m) % 2 == 0 else -1
+            return table(sgn, -m - 1, (m, -1)), None
 
     return None, None
 
@@ -249,21 +330,86 @@ def support_difference(d: tuple, A: QMatrix):
     return None
 
 
+def signed_permutation(g: QMatrix) -> dict:
+    """{l: (j, g_lj > 0)} for a g with at most one nonzero per row and per
+    column, each +-1; raises ValueError for any other g."""
+    moves = {}
+    for l, row in enumerate(g.rows):
+        for j, s in row.items():
+            if len(row) > 1 or s != ONE and s != -ONE:
+                raise ValueError("not a signed partial permutation")
+            moves[l] = j, s == ONE
+    if len({j for j, _ in moves.values()}) < len(moves):
+        raise ValueError("not a signed partial permutation")
+    return moves
+
+
+@lru_cache(maxsize=None)
+def _root_vector_moves(ls: LieSeries) -> tuple:
+    """(e_b, f_b) of each simple root b as `signed_permutation`s: the natural
+    basis's weights are distinct, so each has at most one +-1 per row and
+    per column (`build_natural_rep`)."""
+    rep = build_natural_rep(ls)
+    return tuple((signed_permutation(e), signed_permutation(f)) for e, f in zip(rep.e, rep.f))
+
+
+def signed_permutation_difference(moves: dict, A: QMatrix):
+    """first_product_difference(g, A, A, g) for g = `signed_permutation`
+    moves, as every e_b and f_b is: (g A)_ij = s A_kj for g_ik = s, and
+    (A g)_ij = A_il s' for g_lj = s', so each entry of either product is one
+    signed entry of A.  Row i of g A is A's row k, and row i of A g holds
+    A_il at column j for each row l of g; only the rows of g and the rows of
+    A with a nonzero in one of those columns l can be nonzero.  Canonical
+    `QScalar`s are equal iff their fields are, so the first differing
+    column, rows in order, is the kernel's first mismatch, with the
+    kernel's values."""
+    rows = set(moves)
+    rows.update(i for i, row in enumerate(A.rows) if not row.keys().isdisjoint(moves))
+    for i in sorted(rows):
+        k = moves.get(i)
+        left = {} if k is None else {j: v if k[1] else -v for j, v in A.rows[k[0]].items()}
+        right = {}
+        row = A.rows[i]
+        for l, (j, positive) in moves.items():
+            v = row.get(l)
+            if v is not None:
+                right[j] = v if positive else -v
+        diff = first_vector_difference(left, right)
+        if diff is not None:
+            return (i, *diff)
+    return None
+
+
+def _commutator_entry(g: QMatrix, A: QMatrix, i: int, j: int) -> tuple:
+    """[g, A]_ij = sum_k g_ik A_kj - A_ik g_kj as an unreduced fraction
+    (num, den) of Laurent polynomials, summed by `unreduced_sum`."""
+    terms = [(a.num * b.num, a.den * b.den) for k, a in g.rows[i].items()
+             if (b := A.rows[k].get(j)) is not None]
+    terms += [(-a.num * b.num, a.den * b.den) for k, a in A.rows[i].items()
+              if (b := g.rows[k].get(j)) is not None]
+    return reduce(unreduced_sum, terms) if terms else (LP_ZERO, LP_ONE)
+
+
 def solve_mixture(lead: QMatrix, A: QMatrix, alpha: int, F_tilde: QMatrix) -> tuple:
-    """(c, X) for the unique c with [X, A] = 0, X = lead + c F_tilde, where
-    lead = pi(q^{h_tilde - h_alpha}) pi(e_alpha) for the moved simple root
-    alpha: c = -b1[p] / b2[p] at the first nonzero p of b2 = [F_tilde, A],
-    b1 = [lead, A], read from row p[0] alone, and accepted by one kernel call
-    on X."""
-    diff = first_product_difference(F_tilde, A, A, F_tilde)
-    if diff is not None:
-        i, j, fa, af = diff
-        b1 = A.apply_left(lead.row(i)).get(j, ZERO) - lead.apply_left(A.row(i)).get(j, ZERO)
-        c = -(b1 / (fa - af))
-        X = lead + F_tilde.scale(c)
-        if first_product_difference(X, A, A, X) is not None:
+    """(c_num, c_den, X'') for the unique c = c_num / c_den with [X, A] = 0,
+    X = lead + c F_tilde, where lead = pi(q^{h_tilde - h_alpha}) pi(e_alpha)
+    for the moved simple root alpha.  At the first nonzero p of
+    b2 = [F_tilde, A], with b1 = [lead, A], both read off the factors'
+    entries as unreduced fractions b1n / b1d and b2n / b2d
+    (`_commutator_entry`): c = -b1[p] / b2[p], so c_num = -b1n b2d and
+    c_den = b2n b1d != 0.  X'' = c_den lead + c_num F_tilde is X times
+    c_den, so it commutes with A iff X does; one kernel call accepts it.
+    X'' is kept as its two terms (`ScaledSum`), whose rows the kernel reads
+    at t, so building it normalizes nothing."""
+    p = first_product_mismatch(F_tilde, A, A, F_tilde)
+    if p is not None:
+        b2n, b2d = _commutator_entry(F_tilde, A, *p)
+        b1n, b1d = _commutator_entry(lead, A, *p)
+        c_num, c_den = -(b1n * b2d), b2n * b1d
+        X2 = ScaledSum(QScalar(c_den), lead, QScalar(c_num), F_tilde)
+        if first_product_mismatch(X2, A, A, X2) is not None:
             raise MixtureInconsistentError(f"alpha_{alpha}: commutators are not proportional")
-        return c, X
+        return c_num, c_den, X2
     if first_product_difference(lead, A, A, lead) is None:
         raise MixtureUnderdeterminedError(f"alpha_{alpha}: both commutators vanish")
     raise MixtureInconsistentError(f"alpha_{alpha}: no coefficient can cancel the commutator")
@@ -276,11 +422,12 @@ def build_stabilizer(spec: ClassSpec, params: PointParams, A: QMatrix) -> Stabil
     rep = build_natural_rep(ls)
     rs = build_root_system(ls)
     td = theta_for_class(spec)
+    moves = _root_vector_moves(ls)
     l_gens = []
     for b in td.pi_fixed:
         d = cartan_exponents(ls, rs.simple[b - 1])
-        l_gens.append((f"e{b}", rep.e[b - 1]))
-        l_gens.append((f"f{b}", rep.f[b - 1]))
+        l_gens.append((f"e{b}", moves[b - 1][0]))
+        l_gens.append((f"f{b}", moves[b - 1][1]))
         l_gens.append((f"k{b}", d))
         l_gens.append((f"k{b}_inv", tuple(-x for x in d)))
     cartan = []
@@ -293,23 +440,24 @@ def build_stabilizer(spec: ClassSpec, params: PointParams, A: QMatrix) -> Stabil
         f_tilde = f_tilde_root_vector(rep, spec, a)
         lead = _diagonal_times(d, rep.e[a - 1])
         try:
-            c_solved, X = solve_mixture(lead, A, a, f_tilde)
+            c_num, c_den, X2 = solve_mixture(lead, A, a, f_tilde)
         except (MixtureInconsistentError, MixtureUnderdeterminedError) as exc:
             unsolved.append((a, exc))
             continue
-        c_table, note = mixture_table_formula(spec, a, params)
-        mixed.append(CoidealGen(a, _word_description(a, td), f_tilde,
-                                c_table, note, c_solved, X))
+        table, note = mixture_table_formula(spec, a, params)
+        mixed.append(CoidealGen(a, _word_description(a, td), f_tilde, lead,
+                                table, note, c_num, c_den, X2))
     return StabilizerSet(l_gens, cartan, mixed, unsolved, A)
 
 
 def check_stabilizer(ss: StabilizerSet, A: QMatrix) -> list:
     """A record per generator: [g, A] = 0 for each generator g, then one per
     unsolved mixture and per tabulated coefficient.  A Cartan generator is
-    decided on A's support; X_alpha at the point it was solved for
-    (A is ss.A) takes its verdict from `solve_mixture`'s acceptance."""
+    decided on A's support, e_b and f_b on A's rows and columns; X_alpha at
+    the point it was solved for (A is ss.A) takes its verdict from
+    `solve_mixture`'s acceptance, and is formed only at another point."""
     decided = [(name, support_difference(g, A) if isinstance(g, tuple)
-                else first_product_difference(g, A, A, g))
+                else signed_permutation_difference(g, A))
                for name, g in ss.l_generators + ss.cartan_generators]
     decided += [(f"X.alpha{gen.alpha}",
                  None if A is ss.A else first_product_difference(gen.X, A, A, gen.X))
@@ -327,12 +475,13 @@ def check_stabilizer(ss: StabilizerSet, A: QMatrix) -> list:
         records.append(CheckRecord(f"mixture.alpha{alpha}", False,
                                    f"{type(exc).__name__}: {exc}"))
     for gen in ss.mixed_generators:
-        if gen.table_matches is None:
+        matches = gen.table_matches
+        if matches is None:
             continue
         detail = None
-        if not gen.table_matches:
+        if not matches:
             detail = (f"tabulated {render_scalar(gen.c_table)}, "
                       f"solved {render_scalar(gen.c_solved)}")
-        records.append(CheckRecord(f"mixture.alpha{gen.alpha}.table", gen.table_matches, detail))
+        records.append(CheckRecord(f"mixture.alpha{gen.alpha}.table", matches, detail))
     return records
 

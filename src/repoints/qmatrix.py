@@ -6,13 +6,16 @@ on integers, with no gcd: q is replaced by t = 2^K (Kronecker substitution),
 so an entry of either side is q^e P(t)/Q(t) for Gaussian-integer polynomials
 P and Q, kept as integers with exact bounds on P's and Q's coefficients, and
 an entry is decided only where that bound proves that a polynomial vanishes
-iff its value at t does; otherwise the call is redone at t^2.  Only the first
-mismatching entry is computed symbolically, from normalized rows, to name it.
-A factor of such an identity may itself be a product that nothing else
-reads; an `UnreducedProduct` keeps its factors, and the kernel reads its rows
-at t.  A `QMatrix` keeps its integer rows for the latest K (`substituted`);
-I x A (`IdentityKron`) places A's integer rows in its diagonal blocks rather
-than converting its own entries.
+iff its value at t does; otherwise that entry's row alone is redone at t^2,
+from the factor rows it reads, and the next row is decided at t again.  Only
+the first mismatching entry is computed symbolically, from normalized rows,
+to name it.  A factor of such an identity may itself be a product or a sum
+that nothing else reads: an `UnreducedProduct` keeps its factors and a
+`ScaledSum` a x + b z its terms, and the kernel reads their rows at t, built
+by its own row builder.  A `QMatrix` keeps its integer rows for the first K
+(`substituted`), which a redone row neither reads nor replaces; I x A
+(`IdentityKron`) places A's integer rows in its diagonal blocks rather than
+converting its own entries.
 
 `QMatrix.rank` is exact Gaussian elimination, which normalizes every pivot
 step; a passing verify computes no rank (`verifier.check_min_poly` decides
@@ -68,13 +71,17 @@ class QMatrix:
 
     def substituted(self, K: int) -> list:
         """The rows at t = 2^K, each entry as `_entry` gives it; built once
-        per K, and only the latest K is kept, so a redo at t^2 does not keep
-        a second copy."""
+        per K, and only the latest K is kept.  The kernel asks only for its
+        first K: a row it escalates to t^2 is read by `substituted_row`."""
         subs = self._subs
         if subs is None or subs[0] != K:
             subs = self._subs = (K, [{j: _entry(v, K) for j, v in row.items()}
                                      for row in self.rows])
         return subs[1]
+
+    def substituted_row(self, i: int, K: int, memo: dict) -> dict:
+        """Row i at t = 2^K alone, for `_row`."""
+        return {j: _entry(v, K) for j, v in self.rows[i].items()}
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
         out = []
@@ -101,20 +108,6 @@ class QMatrix:
 
     def __mul__(self, other: "QMatrix") -> "QMatrix":
         return QMatrix(self.dim, [other.apply_left(row) for row in self.rows])
-
-    def apply(self, vec: dict) -> dict:
-        """self * v for a sparse column vector {index: nonzero value}."""
-        out = {}
-        for i, row in enumerate(self.rows):
-            acc = None
-            for k, a in row.items():
-                b = vec.get(k)
-                if b is not None:
-                    p = a * b
-                    acc = p if acc is None else acc + p
-            if acc:
-                out[i] = acc
-        return out
 
     def apply_left(self, vec: dict) -> dict:
         """v^T * self for a sparse row vector {index: nonzero value}."""
@@ -250,6 +243,11 @@ class IdentityKron(QMatrix):
             subs = self._subs = (K, _diagonal_blocks(self.block.substituted(K)))
         return subs[1]
 
+    def substituted_row(self, i: int, K: int, memo: dict) -> dict:
+        n = self.block.dim
+        b, r = divmod(i, n)
+        return {b * n + j: v for j, v in _row(self.block, r, K, memo).items()}
+
 
 def commutator(a: QMatrix, b: QMatrix) -> QMatrix:
     return a * b - b * a
@@ -264,7 +262,7 @@ def first_vector_difference(got: dict, want: dict):
     return None
 
 
-# Bits of the first substitution point t = 2^K; a call whose bound reaches
+# Bits of the first substitution point t = 2^K; a row whose bound reaches
 # past t is redone at t^2.
 _K = 64
 _UNDECIDED = object()
@@ -307,6 +305,31 @@ def _entry(x: QScalar, K: int) -> tuple:
         nr, ni, dr = nr * dr + ni * di, ni * dr - nr * di, dr * dr + di * di
         h, g = h * g, g * g
     return num.lo - den.lo, nr, ni, dr, h, g
+
+
+def _product_entry(polys: list, K: int) -> tuple:
+    """The product of Laurent polynomials at t = 2^K as an entry
+    (e, re, im, d, h, g) in `_entry`'s form: P is the product of their
+    integer parts and Q the product d of their integer denominators, so
+    h is the product of the h(P) and g = d."""
+    e, re, im, d, h = 0, 1, 0, 1, 1
+    for p in polys:
+        r, i = _value(p.re, K), _value(p.im, K)
+        e, re, im, d, h = e + p.lo, re * r - im * i, re * i + im * r, d * p.den, h * _norm(p)
+    return e, re, im, d, h, d
+
+
+def same_products(left: list, right: list) -> bool:
+    """Whether the products of two lists of Laurent polynomials are equal,
+    decided as the kernel decides an entry (`_same`): at t = 2^K, and again
+    at t^2, ... while the bound leaves it open, with no polynomial product
+    and no gcd."""
+    K = _K
+    while True:
+        same = _same(_product_entry(left, K), _product_entry(right, K), K, 1 << K)
+        if same is not None:
+            return same
+        K *= 2
 
 
 def _sum(a: tuple, b: tuple, K: int, T: int) -> tuple:
@@ -387,6 +410,11 @@ class UnreducedProduct:
                 for row in self.x.substituted(K)])
         return subs[1]
 
+    def substituted_row(self, i: int, K: int, memo: dict) -> dict:
+        """Row i at t = 2^K from row i of x and the rows of y it reads."""
+        xrow = _row(self.x, i, K, memo)
+        return _product_row(xrow, {k: _row(self.y, k, K, memo) for k in xrow}, K, 1 << K)
+
     def row(self, i: int) -> dict:
         return self.y.apply_left(self.x.row(i))
 
@@ -394,20 +422,104 @@ class UnreducedProduct:
         return self.y.apply_left(self.x.apply_left(vec))
 
 
-def _first_substituted_difference(x, y, z, w, K: int):
-    """(i, j) of the first entry where x y and z w differ, None when they are
-    equal, or _UNDECIDED when the bound at t = 2^K does not decide the first
-    entry that is not proven equal."""
+class ScaledSum:
+    """a x + b z for `first_product_mismatch` to read, for scalars a, b and
+    `QMatrix`es x, z, kept as its terms.  Its row i at t = 2^K is
+    a(t) x_i + b(t) z_i, built with the kernel's row builder, so no entry is
+    formed as a `QScalar`; an entry is dropped only when the bound proves it
+    zero.  Not a `QMatrix`, and it has no normalized rows: only a verdict
+    reads it."""
+
+    __slots__ = ("dim", "terms", "_subs")
+
+    def __init__(self, a: QScalar, x: QMatrix, b: QScalar, z: QMatrix):
+        self.dim, self.terms, self._subs = x.dim, ((a, x), (b, z)), None
+
+    def _scalars(self, K: int) -> dict:
+        return {k: _entry(c, K) for k, (c, _) in enumerate(self.terms)}
+
+    def substituted(self, K: int) -> list:
+        subs = self._subs
+        if subs is None or subs[0] != K:
+            scalars, T = self._scalars(K), 1 << K
+            (_, x), (_, z) = self.terms
+            subs = self._subs = (K, [_product_row(scalars, {0: xrow, 1: zrow}, K, T)
+                                     for xrow, zrow in zip(x.substituted(K), z.substituted(K))])
+        return subs[1]
+
+    def substituted_row(self, i: int, K: int, memo: dict) -> dict:
+        rows = {k: _row(m, i, K, memo) for k, (_, m) in enumerate(self.terms)}
+        return _product_row(self._scalars(K), rows, K, 1 << K)
+
+
+def _product_row(row: dict, orows, K: int, T: int) -> dict:
+    """`_substituted_row` without the entries that the bound proves zero:
+    P(t) = 0 with h <= t."""
+    return {j: v for j, v in _substituted_row(row, orows, K, T).items()
+            if v[1] or v[2] or v[4] > T}
+
+
+def _row(m, i: int, K: int, memo: dict) -> dict:
+    """Row i of a factor m at t = 2^K: m's kept rows when they are for K,
+    else built alone and kept in memo, one dict per K and call.  So a row
+    escalated to t^2 builds only the factor rows it reads, and no factor's
+    rows kept for the first K are replaced."""
+    subs = m._subs
+    if subs is not None and subs[0] == K:
+        return subs[1][i]
+    key = id(m), i
+    row = memo.get(key)
+    if row is None:
+        row = memo[key] = m.substituted_row(i, K, memo)
+    return row
+
+
+def _row_verdict(left: dict, right: dict, open_: list, K: int, T: int):
+    """The first of the open columns `open_` of two substituted rows when
+    the bound at t = T = 2^K proves its entries unequal; None when no column
+    is open, and _UNDECIDED when that entry is not decided."""
+    if not open_:
+        return None
+    j = min(open_)
+    return _UNDECIDED if _same(left.get(j), right.get(j), K, T) is None else j
+
+
+def _escalated_row(x, y, z, w, i: int, K: int, memo: dict):
+    """`_row_verdict` on row i of x y and z w at t = 2^K, from the factor
+    rows that row reads (`_row`)."""
+    xrow, zrow = _row(x, i, K, memo), _row(z, i, K, memo)
+    T = 1 << K
+    left = _substituted_row(xrow, {k: _row(y, k, K, memo) for k in xrow}, K, T)
+    right = _substituted_row(zrow, {k: _row(w, k, K, memo) for k in zrow}, K, T)
+    open_ = [j for j in left.keys() | right.keys()
+             if _same(left.get(j), right.get(j), K, T) is not True]
+    return _row_verdict(left, right, open_, K, T)
+
+
+def first_product_mismatch(x, y, z, w):
+    """(i, j) of the first entry, in row-major order with columns sorted,
+    where x y and z w differ, or None when they are equal:
+    `first_product_difference` without the two values.  The rows are
+    decided at t = 2^K; a row whose first open entry the bound leaves
+    undecided is decided alone at t^2, t^4, ... (`_escalated_row`), and the
+    next row again at t."""
+    K = _K
     T = 1 << K
     yrows, wrows = y.substituted(K), w.substituted(K)
+    memos: dict = {}
     for i, (xrow, zrow) in enumerate(zip(x.substituted(K), z.substituted(K))):
         left = _substituted_row(xrow, yrows, K, T)
         right = _substituted_row(zrow, wrows, K, T)
+        # the columns not proven equal; most rows have none
         open_ = [j for j in left.keys() | right.keys()
                  if _same(left.get(j), right.get(j), K, T) is not True]
         if open_:
-            j = min(open_)
-            return _UNDECIDED if _same(left.get(j), right.get(j), K, T) is None else (i, j)
+            j, k = _row_verdict(left, right, open_, K, T), K
+            while j is _UNDECIDED:
+                k *= 2
+                j = _escalated_row(x, y, z, w, i, k, memos.setdefault(k, {}))
+            if j is not None:
+                return i, j
     return None
 
 
@@ -437,17 +549,15 @@ def first_product_difference(x, y, z, w):
     and g1 + g2 <= t, the same argument on Q1 - Q2 shows Q1 = Q2, and then
     D = P1 t^a - P2 t^b with H = h1 + h2.
 
-    So no entry is found equal above its bound: when D(t) = 0 and H > t, the
-    whole call is redone at t^2, and a large coefficient costs time, never
-    exactness.  The first mismatching entry is recomputed from the factors'
-    normalized rows (`apply_left`), so the returned values are the canonical
-    entries of the two products.
+    So no entry is found equal above its bound: when D(t) = 0 and H > t, that
+    entry's row is redone at t^2, and a large coefficient costs time, never
+    exactness.  The rows before it are proven equal, and each row's verdict
+    is exact at any t, so the first mismatch is the one a redo of the whole
+    call at t^2 would find.  The first mismatching entry is recomputed from
+    the factors' normalized rows (`apply_left`), so the returned values are
+    the canonical entries of the two products.
     """
-    K = _K
-    found = _first_substituted_difference(x, y, z, w, K)
-    while found is _UNDECIDED:
-        K *= 2
-        found = _first_substituted_difference(x, y, z, w, K)
+    found = first_product_mismatch(x, y, z, w)
     if found is None:
         return None
     i, j = found

@@ -23,11 +23,20 @@ from .qmatrix import (
     QMatrix,
     UnreducedProduct,
     first_product_difference,
-    first_vector_difference,
 )
 from .rmatrix import Projector, build_rmatrix_data, epsilon_for
 from .rootdata import ClassSpec, RootSystem, build_root_system
-from .scalar import I_UNIT, LP_ONE, LP_ZERO, ZERO, GaussRational, QScalar, q_integer, render_scalar
+from .scalar import (
+    I_UNIT,
+    LP_ONE,
+    LP_ZERO,
+    ZERO,
+    GaussRational,
+    QScalar,
+    q_integer,
+    render_scalar,
+    unreduced_sum,
+)
 
 
 @dataclass
@@ -114,33 +123,72 @@ def _unfactored(name: str, problem: str) -> CheckRecord:
     return CheckRecord(name, False, f"not decided, varpi.rank_one fails ({problem})")
 
 
+def _unreduced_apply(M: QMatrix, vec: dict, left: bool = False) -> dict:
+    """M v, or v^T M when left, for a vector v of unreduced fractions
+    {k: (num, den)} of Laurent polynomials, in that form: a product
+    multiplies numerators and denominators, and a sum adds numerators over
+    an equal denominator and cross-multiplies otherwise (as
+    `unreduced_sum`), so nothing is normalized.  Entries whose numerator
+    cancels to zero are dropped."""
+    acc: dict = {}
+
+    def add(i: int, a: QScalar, n, d) -> None:
+        x = a.num * n, d if a.den is LP_ONE else a.den * d
+        s = acc.get(i)
+        acc[i] = x if s is None else unreduced_sum(s, x)
+
+    if left:
+        for k, (n, d) in vec.items():
+            for j, a in M.rows[k].items():
+                add(j, a, n, d)
+    else:
+        for i, row in enumerate(M.rows):
+            for k, a in row.items():
+                x = vec.get(k)
+                if x is not None:
+                    add(i, a, *x)
+    return {i: x for i, x in acc.items() if x[0]}
+
+
+def _fractions(vec: dict) -> dict:
+    """A vector of QScalars in `_unreduced_apply`'s form."""
+    return {k: (v.num, v.den) for k, v in vec.items()}
+
+
 def _eigen_record(name: str, got: dict, proj: Projector, left: bool = False) -> CheckRecord:
     """X varpi = mu varpi given got = X u, or varpi X = mu varpi given
-    got = w^T X when left.  The dense matrices first differ in column j0
-    (row i0 when left), where the entry is got[k] / den."""
+    got = w^T X when left, got in `_unreduced_apply`'s form.  Entry k,
+    n / d against mu f_k for the factor's f_k (each zero when absent), is
+    decided as n (mu f_k).den = (mu f_k).num d, in sorted order.  The dense
+    matrices first differ in column j0 (row i0 when left), where the entry
+    is got[k] / den, normalized for the detail only."""
     factor = proj.w if left else proj.u
-    diff = first_vector_difference(got, {k: proj.mu * v for k, v in factor.items()})
-    if diff is None:
-        return CheckRecord(name, True)
-    k, a, b = diff
-    inv = proj.den.inv()
-    i, j = (proj.i0, k) if left else (k, proj.j0)
-    return CheckRecord(name, False, _mismatch_detail((i, j, a * inv, b * inv)))
+    for k in sorted(got.keys() | factor.keys()):
+        n, d = got.get(k, (LP_ZERO, LP_ONE))
+        want = proj.mu * factor.get(k, ZERO)
+        if n * want.den != want.num * d:
+            inv = proj.den.inv()
+            i, j = (proj.i0, k) if left else (k, proj.j0)
+            return CheckRecord(name, False, _mismatch_detail((i, j, QScalar(n, d) * inv,
+                                                              want * inv)))
+    return CheckRecord(name, True)
 
 
 def check_oc(A: QMatrix, S: QMatrix, proj: Projector) -> list:
     """A2 S A2 varpi = mu varpi, and the same with varpi on the left, where
     mu = eps q^(eps - N).  On the factors: A2 S A2 u = mu u and
-    w^T A2 S A2 = mu w^T, as matrix-vector products."""
+    w^T A2 S A2 = mu w^T, as matrix-vector products on unreduced fractions
+    (`_unreduced_apply`)."""
     problem = _factoring_problem(proj)
     if problem:
         return [_unfactored("oc.right", problem), _unfactored("oc.left", problem)]
     A2 = embed_second(A, A.dim)
-    return [
-        _eigen_record("oc.right", A2.apply(S.apply(A2.apply(proj.u))), proj),
-        _eigen_record("oc.left", A2.apply_left(S.apply_left(A2.apply_left(proj.w))), proj,
-                      left=True),
-    ]
+    right = _unreduced_apply(A2, _unreduced_apply(S, _unreduced_apply(A2, _fractions(proj.u))))
+    left = _fractions(proj.w)
+    for m in (A2, S, A2):
+        left = _unreduced_apply(m, left, left=True)
+    return [_eigen_record("oc.right", right, proj),
+            _eigen_record("oc.left", left, proj, left=True)]
 
 
 def check_varpi_structure(S: QMatrix, proj: Projector) -> list:
@@ -169,7 +217,7 @@ def check_varpi_structure(S: QMatrix, proj: Projector) -> list:
     return [
         idempotent,
         CheckRecord("varpi.rank_one", True),
-        _eigen_record("varpi.eigen", S.apply(proj.u), proj),
+        _eigen_record("varpi.eigen", _unreduced_apply(S, _fractions(proj.u)), proj),
     ]
 
 
@@ -177,16 +225,12 @@ def _unreduced_trace(A: QMatrix) -> tuple:
     """tr A as one unreduced fraction (num, den) of Laurent polynomials: the
     diagonal entries summed over the product of their distinct
     denominators, with no gcd."""
-    num, den = LP_ZERO, LP_ONE
+    total = LP_ZERO, LP_ONE
     for i, row in enumerate(A.rows):
         v = row.get(i)
-        if v is None:
-            continue
-        if v.den == den:
-            num = num + v.num
-        else:
-            num, den = num * v.den + v.num * den, den * v.den
-    return num, den
+        if v is not None:
+            total = unreduced_sum(total, (v.num, v.den))
+    return total
 
 
 def check_min_poly(A: QMatrix, spec: ClassSpec) -> list:
@@ -252,19 +296,26 @@ def check_classical_involution(spec: ClassSpec, a0: dict) -> CheckRecord:
     det(A) = lam+^m+ lam-^m-. Once classical.limit passes, A0 is A at q = 1,
     and the determinant is a polynomial in the entries, so
     det(A0) = lam+(1)^m+ lam-(1)^m-."""
-    unit = GaussRational(-1 if spec.family == "t4" else 1)
+    unit = square_unit(spec)
     return _gauss_record("classical.square", spec.N, classical._product(a0, a0),
                          {(i, i): unit for i in range(spec.N)})
 
 
-def check_bivector(point: QuantumPoint, a0: dict | None = None) -> CheckRecord:
+def square_unit(spec: ClassSpec) -> GaussRational:
+    """c with A0^2 = c I, as `check_classical_involution` decides it."""
+    return GaussRational(-1 if spec.family == "t4" else 1)
+
+
+def check_bivector(point: QuantumPoint, a0: dict | None = None,
+                   square: GaussRational | None = None) -> CheckRecord:
     """The classical Poisson bivector vanishes at the q = 1 limit A0, read
     from its Gaussian entries a0 (`classical.gauss_entries(point.A0)` if not
-    given)."""
+    given).  `square` is c with A0^2 = c I once classical.square has passed,
+    so A0 is not squared again."""
     if a0 is None:
         a0 = classical.gauss_entries(point.A0)
     data = classical.build_classical_algebra(point.spec.series)
-    value = classical.bivector_at(data, a0)
+    value = classical.bivector_at(data, a0, square)
     if value.is_zero():
         return CheckRecord("classical.bivector", True)
     i, j, v = value.largest_entry()
@@ -321,9 +372,10 @@ def full_report(spec: ClassSpec, params: PointParams | None = None) -> Verificat
     report.checks.extend(coideal.check_stabilizer(ss, point.A))
     stage("stabilizer")
 
-    # the bivector is checked last, and only at a point that passed the rest
+    # the bivector is checked last, and only at a point that passed the rest,
+    # classical.square included
     if report.passed:
-        report.checks.append(check_bivector(point, a0))
+        report.checks.append(check_bivector(point, a0, square_unit(spec)))
         stage("bivector")
     report.timings["total"] = round(time.perf_counter() - marks[0], 6)
     return report

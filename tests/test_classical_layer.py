@@ -337,3 +337,32 @@ def test_a_passing_verify_expands_nothing_and_moves_only_moved_roots(spec, monke
         assert (id(data.f_vectors[root]) in built) == bool(u), root
         fixed += not u
     assert 0 < fixed < len(data.positive)
+
+
+@pytest.mark.parametrize("spec", [ClassSpec("sl", 8, "t2", 2, 1), ClassSpec("so", 8, "t4"),
+                                  ClassSpec("sp", 8, "t2", 2, -1)], ids=lambda s: s.case_id)
+def test_a_passing_verify_squares_a0_once(spec, monkeypatch):
+    # classical.square decides A0^2 = c I, and the bivector takes that c
+    squares = []
+    product = classical._product
+
+    def recording(a, b):
+        squares.append(a is b)
+        return product(a, b)
+
+    monkeypatch.setattr(classical, "_product", recording)
+    for params in (default_params(spec), draw_params(spec, random.Random(7))):
+        del squares[:]
+        assert full_report(spec, params).passed
+        assert squares == [True]
+
+
+def test_a_given_square_gives_the_conjugation_of_a_computed_one():
+    seen = 0
+    for spec, label, a0 in _classical_points(12):
+        data = build_classical_algebra(spec.series)
+        conj, c = _conjugation(data, a0)
+        assert c == verifier.square_unit(spec), (spec.case_id, label)
+        assert _conjugation(data, a0, c) == (conj, c)
+        seen += 1
+    assert seen >= 300

@@ -344,6 +344,9 @@ def test_exponent_bound_exits_two(capsys):
 def _normalized(m):
     if isinstance(m, qmatrix.UnreducedProduct):
         return _normalized(m.x) * _normalized(m.y)
+    if isinstance(m, qmatrix.ScaledSum):
+        (a, x), (b, z) = m.terms
+        return x.scale(a) + z.scale(b)
     return m
 
 
@@ -353,6 +356,11 @@ def _normalized_product_difference(x, y, z, w):
     return (x * y).first_difference(z * w)
 
 
+def _normalized_product_mismatch(x, y, z, w):
+    diff = _normalized_product_difference(x, y, z, w)
+    return None if diff is None else diff[:2]
+
+
 def test_params_with_coefficients_past_the_substitution_point(capsys, monkeypatch):
     # y1 y1' = q^-4 with coefficients above 2^64, written as plain integers
     big, bigger = 2 ** 64 + 3, 2 ** 65 + 1
@@ -360,18 +368,19 @@ def test_params_with_coefficients_past_the_substitution_point(capsys, monkeypatc
             "--param", f"y1=({bigger}*q^2+{big})/({big}*q-1)",
             "--param", f"y1'=({big}*q^-3-q^-4)/({bigger}*q^2+{big})"]
     seen = []
-    at = qmatrix._first_substituted_difference
+    at = qmatrix._row_verdict
 
-    def recording(x, y, z, w, K):
+    def recording(left, right, open_, K, T):
         seen.append(K)
-        return at(x, y, z, w, K)
+        return at(left, right, open_, K, T)
 
-    monkeypatch.setattr(qmatrix, "_first_substituted_difference", recording)
+    monkeypatch.setattr(qmatrix, "_row_verdict", recording)
     assert main(argv) == 0
     got = _strip_timings(json.loads(capsys.readouterr().out))
     assert max(seen) > qmatrix._K
     for module in (coideal, rmatrix, verifier):
         monkeypatch.setattr(module, "first_product_difference", _normalized_product_difference)
+    monkeypatch.setattr(coideal, "first_product_mismatch", _normalized_product_mismatch)
     assert main(argv) == 0
     assert got == _strip_timings(json.loads(capsys.readouterr().out))
 

@@ -20,7 +20,7 @@ from repoints.coideal import (
 )
 from repoints.natrep import build_natural_rep, cartan_power
 from repoints.points import default_params, quantum_point, theta_for_class
-from repoints.qmatrix import QMatrix, commutator, first_product_difference
+from repoints.qmatrix import QMatrix, commutator, first_product_difference, first_product_mismatch
 from repoints.rootdata import ClassSpec, admissible_cases, build_root_system
 from repoints.verifier import full_report
 from repoints.scalar import ONE, Q, QINV, QScalar, parse_scalar, render_scalar
@@ -180,6 +180,17 @@ def _direct_mixture(lead, A, alpha, F_tilde):
     return c, lead + F_tilde.scale(c)
 
 
+def _solved_normalized(lead, A, alpha, F_tilde):
+    """`solve_mixture`'s coefficient c = c_num / c_den and X, normalized;
+    its X'' is X times c_den."""
+    c_num, c_den, X2 = solve_mixture(lead, A, alpha, F_tilde)
+    c = QScalar(c_num, c_den)
+    X = lead + F_tilde.scale(c)
+    one = QMatrix.identity(A.dim)
+    assert first_product_mismatch(X2, one, X.scale(QScalar(c_den)), one) is None
+    return c, X
+
+
 def _outcome(solve, *args):
     try:
         return solve(*args)
@@ -203,7 +214,7 @@ def test_row_read_coefficient_matches_the_full_commutators():
         A = quantum_point(spec, params).A
         for lead, a, f_tilde in _mixture_inputs(spec, A):
             want = _outcome(_direct_mixture, lead, A, a, f_tilde)
-            assert _outcome(solve_mixture, lead, A, a, f_tilde) == want, (spec.case_id, a)
+            assert _outcome(_solved_normalized, lead, A, a, f_tilde) == want, (spec.case_id, a)
             count += 1
     assert count >= 700
 
@@ -289,32 +300,38 @@ def test_support_decision_matches_the_kernel_on_every_class_to_n12():
 ], ids=lambda s: s.case_id)
 def test_passing_stabilizer_multiplies_no_diagonal_and_accepts_each_x_once(monkeypatch, spec):
     """On a passing `full_report`, at default and at drawn parameters, the
-    stabilizer's kernel calls are one per F_tilde, one acceptance per mixed X
-    and one per e_b and f_b: none has a diagonal first factor."""
+    stabilizer's kernel calls are one per F_tilde and one acceptance per
+    mixed X'' = c_den X: none has a diagonal first factor, e_b and f_b take
+    none, and X itself is never formed."""
     built, calls = [], []  # each StabilizerSet, and each kernel call's first factor
 
     def keeping(*args):
         built.append(build(*args))
         return built[-1]
 
-    def recording(x, y, z, w):
-        calls.append(x)
-        return first_product_difference(x, y, z, w)
+    def recording(kernel):
+        def call(x, y, z, w):
+            calls.append(x)
+            return kernel(x, y, z, w)
+        return call
 
     build = coideal.build_stabilizer
     monkeypatch.setattr(coideal, "build_stabilizer", keeping)
-    monkeypatch.setattr(coideal, "first_product_difference", recording)
+    for name in ("first_product_difference", "first_product_mismatch"):
+        monkeypatch.setattr(coideal, name, recording(getattr(coideal, name)))
     for params in (default_params(spec), draw_params(spec, random.Random(7))):
         del calls[:], built[:]
         assert full_report(spec, params).passed
         (ss,) = built
         td = theta_for_class(spec)
         assert ss.mixed_generators and len(ss.mixed_generators) == len(td.pi_moved)
-        assert not any(all(row.keys() <= {i} for i, row in enumerate(x.rows)) for x in calls)
+        assert not any(isinstance(x, QMatrix) and all(row.keys() <= {i} for i, row in
+                                                      enumerate(x.rows)) for x in calls)
         for gen in ss.mixed_generators:
-            assert sum(x is gen.X for x in calls) == 1
+            assert sum(x is gen.X_cleared for x in calls) == 1
             assert sum(x is gen.F_tilde for x in calls) == 1
-        assert len(calls) == 2 * len(td.pi_moved) + 2 * len(td.pi_fixed)
+            assert "X" not in vars(gen) and "c_solved" not in vars(gen)
+        assert len(calls) == 2 * len(td.pi_moved)
 
 
 def test_a_wrong_k_tilde_exponent_fails_with_the_kernel_detail():

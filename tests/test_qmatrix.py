@@ -1,10 +1,20 @@
 """The substitution kernel against normalize-then-compare."""
+from functools import reduce
+from operator import mul
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repoints import qmatrix
-from repoints.qmatrix import QMatrix, UnreducedProduct, first_product_difference
+from repoints.qmatrix import (
+    QMatrix,
+    ScaledSum,
+    UnreducedProduct,
+    first_product_difference,
+    first_product_mismatch,
+    same_products,
+)
 from repoints.scalar import ONE, ZERO, parse_scalar
 
 T = 2 ** qmatrix._K  # the first substitution point
@@ -82,6 +92,39 @@ def test_kernel_matches_normalized_products(operands):
     assert first_product_difference(*kernel) == _direct(*normalized)
 
 
+def _mismatch(diff):
+    return None if diff is None else diff[:2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda dim: st.tuples(*[sparse_matrices(dim)] * 4)),
+       st.sampled_from(POOL + [ZERO]), st.sampled_from(POOL + [ZERO]))
+def test_a_scaled_sum_is_decided_as_its_normalized_matrix(matrices, a, b):
+    # a x + b z read at t as its terms, on either side and in either place
+    x, z, y, w = matrices
+    s, m = ScaledSum(a, x, b, z), x.scale(a) + z.scale(b)
+    assert first_product_mismatch(s, y, w, y) == _mismatch(_direct(m, y, w, y))
+    assert first_product_mismatch(y, s, s, y) == _mismatch(_direct(y, m, m, y))
+    one = QMatrix.identity(x.dim)
+    assert first_product_mismatch(s, one, m, one) is None
+
+
+# Laurent polynomials with Gaussian and rational coefficients, some above t
+POLYS = [p for v in POOL + BIG_POOL for p in (v.num, v.den)] + [parse_scalar("0").num]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(POLYS), max_size=4), st.lists(st.sampled_from(POLYS), max_size=4),
+       st.sampled_from(("free", "permuted", "shared")), st.randoms())
+def test_same_products_is_equality_of_the_products(left, right, mode, rnd):
+    if mode == "permuted":
+        right = rnd.sample(left, len(left))
+    elif mode == "shared":
+        left, right = left + right, [*right, *left]
+    want = reduce(mul, left, ONE.num) == reduce(mul, right, ONE.num)
+    assert same_products(left, right) == want
+
+
 def test_sum_cancelling_to_zero_over_distinct_denominators():
     s, t, r = (parse_scalar(v) for v in ("1/(q+1)", "(q+1)/(q+2)", "q+2"))
     x = _matrix(2, [(0, 0, s), (0, 1, t)])
@@ -117,15 +160,16 @@ def test_differing_denominators_report_canonical_values():
 
 
 def _substitution_points(monkeypatch):
-    """The list of K at which the kernel's calls run, from now on."""
+    """The list of K at which the kernel decides a row with an open entry,
+    or redoes a row, from now on."""
     seen = []
-    at = qmatrix._first_substituted_difference
+    at = qmatrix._row_verdict
 
-    def recording(x, y, z, w, K):
+    def recording(left, right, open_, K, T):
         seen.append(K)
-        return at(x, y, z, w, K)
+        return at(left, right, open_, K, T)
 
-    monkeypatch.setattr(qmatrix, "_first_substituted_difference", recording)
+    monkeypatch.setattr(qmatrix, "_row_verdict", recording)
     return seen
 
 
@@ -148,8 +192,9 @@ def test_equal_entries_above_the_bound_are_decided_at_t_squared(monkeypatch):
     a, b = parse_scalar(f"{T - 1}*q+{T}"), parse_scalar(f"q/({T + 1}+q)")
     x, y = _matrix(2, [(0, 0, a), (0, 1, b), (1, 1, a)]), _matrix(2, [(0, 0, b), (1, 0, a)])
     assert first_product_difference(x, y, QMatrix.identity(2), x * y) is None
-    # the products' bounds pass t^2 as well
-    assert seen == [qmatrix._K, 2 * qmatrix._K, 4 * qmatrix._K]
+    # the products' bounds pass t^2 as well, in both rows, and each row is
+    # redone alone
+    assert seen == [qmatrix._K, 2 * qmatrix._K, 4 * qmatrix._K] * 2
 
 
 def test_unreduced_product_keeps_an_entry_that_only_vanishes_at_t():

@@ -1,0 +1,181 @@
+"""Rows the kernel's bound leaves open are redone alone at t^2.
+
+`first_product_difference` decides each row at t = 2^K and redoes only a row
+whose first open entry is undecided, at t^2, t^4, ..., from the factor rows
+that row reads, then goes on at t.  These tests hold it to a copy of the
+whole-call redo it replaces, with K lowered so that most rows escalate, and
+pin that a redone row replaces no factor's rows kept for the first K.
+"""
+import os
+import random
+import sys
+
+import pytest
+
+from repoints import qmatrix
+from repoints.coideal import build_stabilizer
+from repoints.points import default_params, quantum_point
+from repoints.qmatrix import QMatrix, ScaledSum, UnreducedProduct, first_product_difference
+from repoints.rmatrix import build_rmatrix_data
+from repoints.rootdata import ClassSpec, admissible_cases
+from repoints.scalar import ZERO, parse_scalar
+from repoints.verifier import embed_second
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from workloads import draw_params  # noqa: E402
+
+# the classes and cells of tests/data/golden_control_details.json
+CONTROL_CASES = [("sl", 4, "t2", 1, 1), ("sl", 5, "t2", 2, -1), ("so", 5, "t2", 1, 1),
+                 ("so", 6, "t4", None, 1), ("sp", 4, "t2", 2, 1), ("sp", 6, "t4", None, 1)]
+
+
+def _whole_call_at(x, y, z, w, K):
+    """The whole-call kernel at t = 2^K: (i, j), None, or _UNDECIDED."""
+    T = 1 << K
+    yrows, wrows = y.substituted(K), w.substituted(K)
+    for i, (xrow, zrow) in enumerate(zip(x.substituted(K), z.substituted(K))):
+        left = qmatrix._substituted_row(xrow, yrows, K, T)
+        right = qmatrix._substituted_row(zrow, wrows, K, T)
+        open_ = [j for j in left.keys() | right.keys()
+                 if qmatrix._same(left.get(j), right.get(j), K, T) is not True]
+        if open_:
+            j = min(open_)
+            if qmatrix._same(left.get(j), right.get(j), K, T) is None:
+                return qmatrix._UNDECIDED
+            return i, j
+    return None
+
+
+def _whole_call_redo(x, y, z, w):
+    """`first_product_difference` as it was: the whole call redone at t^2
+    while its first open entry is undecided."""
+    K = qmatrix._K
+    found = _whole_call_at(x, y, z, w, K)
+    while found is qmatrix._UNDECIDED:
+        K *= 2
+        found = _whole_call_at(x, y, z, w, K)
+    if found is None:
+        return None
+    i, j = found
+    left, right = y.apply_left(x.row(i)), w.apply_left(z.row(i))
+    return i, j, left.get(j, ZERO), right.get(j, ZERO)
+
+
+def _identities(spec, params, A):
+    """The kernel's identities at a point: the reflection equation as
+    S M = M S, and [F_tilde, A] and [X'', A] for each mixed generator."""
+    S = build_rmatrix_data(spec.series).S
+    A2 = embed_second(A, spec.N)
+    M = UnreducedProduct(A2, UnreducedProduct(S, A2))
+    yield S, M, M, S
+    for gen in build_stabilizer(spec, params, A).mixed_generators:
+        yield gen.F_tilde, A, A, gen.F_tilde
+        yield gen.X_cleared, A, A, gen.X_cleared
+
+
+def _points():
+    rng = random.Random(7)
+    for spec in admissible_cases(8):
+        params = default_params(spec)
+        yield spec, params, quantum_point(spec, params).A
+        if params.values:
+            drawn = draw_params(spec, rng)
+            yield spec, drawn, quantum_point(spec, drawn).A
+    bump = parse_scalar("(q+2)/(q^2+3)")
+    for args in CONTROL_CASES:
+        spec = ClassSpec(*args)
+        point = quantum_point(spec)
+        for pos in [(0, spec.N - 1), (spec.N // 2, 0)]:
+            yield spec, point.params, point.A + QMatrix.from_entries(spec.N, [(*pos, bump)])
+
+
+def test_escalated_rows_find_what_the_whole_call_redo_finds(monkeypatch):
+    """With t = 2^8, on every point with N <= 8 at default and drawn
+    parameters and at the golden controls: the same first mismatch and
+    values, or the same None, as the whole-call redo."""
+    monkeypatch.setattr(qmatrix, "_K", 8)
+    escalated = []
+    at = qmatrix._escalated_row
+
+    def counting(x, y, z, w, i, K, memo):
+        escalated.append(K)
+        return at(x, y, z, w, i, K, memo)
+
+    monkeypatch.setattr(qmatrix, "_escalated_row", counting)
+    calls = mismatches = 0
+    for spec, params, A in _points():
+        for x, y, z, w in _identities(spec, params, A):
+            got = first_product_difference(x, y, z, w)
+            assert got == _whole_call_redo(x, y, z, w), spec.case_id
+            calls += 1
+            mismatches += got is not None
+    assert calls >= 400 and mismatches >= 15, (calls, mismatches)
+    assert len(escalated) >= 1000 and max(escalated) >= 32, (len(escalated), max(escalated))
+
+
+def _big_coefficient_point():
+    """sl4-t2-m1-p with y1 y1' = q^-4 and coefficients above 2^64, where the
+    reflection check redoes rows at t^2, t^4 and t^8."""
+    spec = ClassSpec("sl", 4, "t2", 1, 1)
+    params = default_params(spec)
+    big, bigger = 2 ** 64 + 3, 2 ** 65 + 1
+    params.values[1] = parse_scalar(f"({bigger}*q^2+{big})/({big}*q-1)")
+    params.values[4] = parse_scalar(f"({big}*q^-3-q^-4)/({bigger}*q^2+{big})")
+    return spec, quantum_point(spec, params).A
+
+
+def test_an_escalated_row_keeps_every_factors_rows_at_the_first_k(monkeypatch):
+    spec, A = _big_coefficient_point()
+    S = build_rmatrix_data(spec.series).S
+    A2 = embed_second(A, spec.N)
+    SA2 = UnreducedProduct(S, A2)
+    M = UnreducedProduct(A2, SA2)
+    escalated = []
+    at = qmatrix._escalated_row
+
+    def recording(x, y, z, w, i, K, memo):
+        escalated.append((i, K))
+        return at(x, y, z, w, i, K, memo)
+
+    monkeypatch.setattr(qmatrix, "_escalated_row", recording)
+    assert first_product_difference(S, M, M, S) is None
+    K = qmatrix._K
+    assert {k for _, k in escalated} == {2 * K, 4 * K, 8 * K}
+    # some rows are decided at t, between the redone ones
+    assert len({i for i, _ in escalated}) < S.dim
+    for m in (S, A, A2, SA2, M):
+        assert m._subs[0] == K, m
+    assert _whole_call_redo(S, M, M, S) is None
+
+
+def test_a_redone_row_builds_only_the_factor_rows_it_reads():
+    # one undecided entry in row 1 of x y: only row 1 of x, and the rows of
+    # y that row reads, are converted at t^2
+    T = 2 ** qmatrix._K
+    a = parse_scalar(f"q-{T}")
+    x = QMatrix.from_entries(3, [(0, 0, a), (1, 2, a), (2, 1, a)])
+    y = QMatrix.from_entries(3, [(0, 0, a), (1, 1, a), (2, 2, a)])
+    zero = QMatrix(3)
+    memo = {}
+    assert qmatrix._escalated_row(x, y, zero, zero, 1, 2 * qmatrix._K, memo) == 2
+    assert sorted(i for key, i in memo if key == id(x)) == [1]
+    assert sorted(i for key, i in memo if key == id(y)) == [2]
+
+
+@pytest.mark.parametrize("K", [8, 16])
+def test_unreduced_and_block_rows_built_alone_equal_their_kept_rows(K):
+    """Row by row, `substituted_row` gives the rows `substituted` keeps, for
+    a `QMatrix`, an `IdentityKron`, nested `UnreducedProduct`s and a
+    `ScaledSum`."""
+    spec = ClassSpec("sp", 6, "t2", 2, -1)
+    A = quantum_point(spec, draw_params(spec, random.Random(7))).A
+    S = build_rmatrix_data(spec.series).S
+    A2 = embed_second(A, spec.N)
+    scaled = ScaledSum(parse_scalar("q^2-3*i"), A, parse_scalar("(2*q+1)/(q-5)"), A * A)
+    for m in (A, A2, UnreducedProduct(S, A2), UnreducedProduct(A2, UnreducedProduct(S, A2)),
+              scaled):
+        memo = {}
+        rows = [qmatrix._row(m, i, K, memo) for i in range(m.dim)]
+        assert rows == m.substituted(K)

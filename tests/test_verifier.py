@@ -7,16 +7,18 @@ from dataclasses import replace
 
 import pytest
 
-from repoints import points
+from repoints import points, scalar
 from repoints.points import default_params, quantum_point
-from repoints.qmatrix import QMatrix, first_product_difference
+from repoints.qmatrix import QMatrix, first_product_difference, first_vector_difference
 from repoints.rmatrix import build_rmatrix_data
-from repoints.rootdata import ClassSpec, LieSeries
+from repoints.rootdata import ClassSpec, LieSeries, admissible_cases
 from repoints.scalar import ONE, LaurentPoly, QScalar, parse_scalar, q_integer, render_scalar
 from repoints.verifier import (
     check_bivector,
     check_min_poly,
+    check_oc,
     check_reflection,
+    check_varpi_structure,
     embed_second,
     expected_q_trace,
     full_report,
@@ -26,7 +28,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA_DIR = os.path.join(ROOT, "tests", "data")
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
-from workloads import draw_params  # noqa: E402
+from workloads import case_argv, draw_params, flags_argv, param_flags  # noqa: E402
 
 
 def test_identity_solves_re():
@@ -190,20 +192,31 @@ def test_unreduced_reflection_names_the_mismatch_of_the_normalized_form(args):
                                  f"{render_scalar(a)} vs {render_scalar(b)}"), cells
 
 
-def _normalizations(monkeypatch):
+def _normalizations(monkeypatch, outside_literals=False):
     """A list that gets each normalizing QScalar construction from now on,
     counted as the benchmark's tracer counts: a nonzero numerator over a
-    denominator other than 1."""
-    init = QScalar.__init__
+    denominator other than 1.  With outside_literals, those made while
+    `parse_scalar` reads a literal are left out."""
+    init, parse = QScalar.__init__, scalar._Parser.parse
     normalized = []
+    parsing = []
 
     def counting(obj, num, den=None):
-        if den is not None and num and not (
+        if den is not None and num and not parsing and not (
                 den.is_one if isinstance(den, LaurentPoly) else den == 1):
             normalized.append((num, den))
         init(obj, num, den)
 
+    def reading(parser):
+        parsing.append(parser)
+        try:
+            return parse(parser)
+        finally:
+            parsing.pop()
+
     monkeypatch.setattr(QScalar, "__init__", counting)
+    if outside_literals:
+        monkeypatch.setattr(scalar._Parser, "parse", reading)
     return normalized
 
 
@@ -239,6 +252,75 @@ def test_assembling_a_drawn_point_normalizes_no_scalar(monkeypatch, spec):
     assert added == [0, 0]
     assert all(point.A.get(i - 1, spec.N - i if params.kind == "y" else spec.N - i - 1)
                == (-v if spec.sign < 0 else v) for i, v in params.values.items())
+
+
+@pytest.mark.parametrize("spec", [ClassSpec("sl", 6, "t2", 2, 1), ClassSpec("sp", 6, "t2", 2, -1),
+                                  ClassSpec("so", 7, "t2", 1, -1), ClassSpec("so", 8, "t4")],
+                         ids=lambda s: s.case_id)
+def test_a_passing_verify_at_drawn_parameters_normalizes_only_its_literals(monkeypatch, capsys,
+                                                                           spec):
+    # the stabilizer's mixtures and tables are decided unreduced, and only
+    # the --param literals are normalized, once each, as they are read
+    from repoints.cli import main
+
+    params = draw_params(spec, random.Random(7))
+    argv = case_argv(spec) + flags_argv(param_flags(spec, params))
+    normalized = _normalizations(monkeypatch, outside_literals=True)
+    assert main(argv) == 0
+    assert normalized == []
+    assert all(c["pass"] for c in json.loads(capsys.readouterr().out)["checks"])
+
+
+def _normalized_eigen(name, got, proj, left=False):
+    """The projector eigen-record on normalized vectors, as it was before
+    the vectors were kept unreduced."""
+    factor = proj.w if left else proj.u
+    diff = first_vector_difference(got, {k: proj.mu * v for k, v in factor.items()})
+    if diff is None:
+        return name, True, None
+    k, a, b = diff
+    inv = proj.den.inv()
+    i, j = (proj.i0, k) if left else (k, proj.j0)
+    return name, False, (f"first mismatch at ({i}, {j}): "
+                         f"{render_scalar(a * inv)} vs {render_scalar(b * inv)}")
+
+
+def test_unreduced_oc_records_are_the_normalized_ones():
+    """oc.right, oc.left and varpi.eigen on unreduced vectors give the
+    records of the normalized vectors: every B, C and D class with N <= 8 at
+    default and seed-7 drawn parameters, with (q+2)/(q^2+3) added to A at
+    (0, N-1) or (N//2, 0), and with S perturbed at its first entry."""
+    rng = random.Random(7)
+    bump = parse_scalar("(q+2)/(q^2+3)")
+    failing = 0
+    for spec in admissible_cases(8):
+        if spec.group == "sl":
+            continue
+        data = build_rmatrix_data(spec.series)
+        S, proj, N = data.S, data.projector, spec.N
+        params = [default_params(spec)]
+        if params[0].values:
+            params.append(draw_params(spec, rng))
+        for p in params:
+            A = quantum_point(spec, p).A
+            for bad in [A] + [A + QMatrix.from_entries(N, [(*pos, bump)])
+                              for pos in [(0, N - 1), (N // 2, 0)]]:
+                A2 = embed_second(bad, N)
+                right = proj.u
+                for m in (A2, S, A2):
+                    right = m.transpose().apply_left(right)
+                want = [_normalized_eigen("oc.right", right, proj),
+                        _normalized_eigen("oc.left", A2.apply_left(
+                            S.apply_left(A2.apply_left(proj.w))), proj, left=True)]
+                got = [(r.name, r.passed, r.detail) for r in check_oc(bad, S, proj)]
+                assert got == want, spec.case_id
+                failing += sum(not r[1] for r in got)
+        bad_S = S + QMatrix.from_entries(S.dim, [(0, 0, bump)])
+        (eigen,) = [r for r in check_varpi_structure(bad_S, proj) if r.name == "varpi.eigen"]
+        assert (eigen.name, eigen.passed, eigen.detail) == _normalized_eigen(
+            "varpi.eigen", bad_S.transpose().apply_left(proj.u), proj), spec.case_id
+        failing += not eigen.passed
+    assert failing >= 100, failing
 
 
 def test_classical_algebra_is_built_before_the_reflection_check(monkeypatch):
