@@ -122,7 +122,6 @@ class ClassicalAlgebraData:
     ls: LieSeries
     basis: list  # cartan elements, then e vectors, then f vectors
     duals: list  # B_k^v with tr(B_m B_k^v) = delta_mk, in the order of basis
-    cartan: list  # the cartan sub-list
     e_vectors: dict  # positive root -> e_beta
     f_vectors: dict  # positive root -> f_beta, normalized so (e, f) = 1
     positive: tuple  # roots in construction order
@@ -217,8 +216,7 @@ def build_classical_algebra(ls: LieSeries) -> ClassicalAlgebraData:
     expander = linalg.BasisExpander(basis, [_transpose(d) for d in duals])
     form = None if ls.series == "A" else {
         (j, ls.dim - 1 - j): GaussRational(k) for j, k in enumerate(rs.kappa)}
-    return ClassicalAlgebraData(ls, basis, duals, cartan, e_vec, f_vec, tuple(positive),
-                                expander, form)
+    return ClassicalAlgebraData(ls, basis, duals, e_vec, f_vec, tuple(positive), expander, form)
 
 
 def adjoint_matrix(data: ClassicalAlgebraData, a: dict) -> list:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from operator import mul
 
-from .natrep import CheckRecord, NaturalRep, build_natural_rep
+from .natrep import CheckRecord, NaturalRep, build_natural_rep, cartan_exponents
 from .points import PointParams, ThetaData, theta_for_class
 from .qmatrix import (
     QMatrix,
@@ -292,20 +292,6 @@ def cartan_shift(td: ThetaData, alpha: int) -> tuple:
     cartan_exponents(ls, beta) is pi(q^{h_{tilde alpha} - h_alpha})."""
     rs = build_root_system(td.spec.series)
     return sub(td.tilde_eps[alpha], rs.simple[alpha - 1])
-
-
-@lru_cache(maxsize=None)
-def _weight_axes(ls: LieSeries) -> tuple:
-    """(k, s) with w_j = s e_k for each natural basis weight w_j; s = 0 for
-    the zero weight of B."""
-    return tuple(max(enumerate(w), key=lambda kx: abs(kx[1]))
-                 for w in build_root_system(ls).weights)
-
-
-def cartan_exponents(ls: LieSeries, beta: tuple) -> tuple:
-    """The exponents d_j = (beta, w_j) of pi(q^{h_beta}) = diag(q^d_j) over the
-    natural basis: each weight is +-e_k or 0, so d_j is +-beta[k] or 0."""
-    return tuple(s * beta[k] for k, s in _weight_axes(ls))
 
 
 def _diagonal_times(d: tuple, m: QMatrix) -> QMatrix:

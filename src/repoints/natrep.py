@@ -34,13 +34,25 @@ class NaturalRep:
     F: list  # pi(q^{h_i}) pi(f_i)
 
 
+@lru_cache(maxsize=None)
+def _weight_axes(ls: LieSeries) -> tuple:
+    """(k, s) with w_j = s e_k for each natural basis weight w_j; s = 0 for
+    the zero weight of B."""
+    return tuple(max(enumerate(w), key=lambda kx: abs(kx[1]))
+                 for w in build_root_system(ls).weights)
+
+
+def cartan_exponents(ls: LieSeries, beta: tuple) -> tuple:
+    """The exponents d_j = (beta, w_j) of pi(q^{h_beta}) = diag(q^d_j) over the
+    natural basis: each weight is +-e_k or 0, so d_j is +-beta[k] or 0."""
+    return tuple(s * beta[k] for k, s in _weight_axes(ls))
+
+
 def cartan_power(ls: LieSeries, beta: tuple) -> QMatrix:
     """pi(q^{h_beta}) for a vector beta in epsilon coordinates: the diagonal
     of q^(beta, weight_j) over the natural basis."""
-    out = QMatrix(ls.dim)
-    for j, w in enumerate(build_root_system(ls).weights):
-        out.put(j, j, QScalar.q_power(dot(beta, w)))
-    return out
+    return QMatrix(ls.dim, [{j: QScalar.q_power(d)} for j, d in
+                            enumerate(cartan_exponents(ls, beta))])
 
 
 @lru_cache(maxsize=None)

@@ -170,12 +170,6 @@ class QMatrix:
             for j, v in sorted(row.items()):
                 yield i, j, v
 
-    def first_nonzero(self):
-        """First nonzero entry in row-major order, or None."""
-        for i, j, v in self.nonzero_items():
-            return i, j, v
-        return None
-
     def first_difference(self, other: "QMatrix"):
         """Position and values of the first differing entry, or None if equal."""
         for i, (r1, r2) in enumerate(zip(self.rows, other.rows)):
@@ -404,10 +398,8 @@ class UnreducedProduct:
         if subs is None or subs[0] != K:
             T = 1 << K
             yrows = self.y.substituted(K)
-            subs = self._subs = (K, [
-                {j: v for j, v in _substituted_row(row, yrows, K, T).items()
-                 if v[1] or v[2] or v[4] > T}
-                for row in self.x.substituted(K)])
+            subs = self._subs = (K, [_product_row(row, yrows, K, T)
+                                     for row in self.x.substituted(K)])
         return subs[1]
 
     def substituted_row(self, i: int, K: int, memo: dict) -> dict:

@@ -2,14 +2,15 @@
 rank-one invariant projector varpi for the orthogonal and symplectic cases.
 
 The projector is kept in factored form and never as a dense matrix.  Its
-numerator raw = (S - q)(S + q^-1) has polynomial entries and equals den * varpi
-with the scalar den = (mu - q)(mu + q^-1), mu = eps q^(eps - N) being the
-eigenvalue of S on the invariant line.  Reading the pivot p = raw[i0][j0] (the
-first nonzero entry) gives the column u = raw[:, j0] and the row w = raw[i0, :],
-and varpi = u w^T / (p den) exactly when p raw = u w^T.  Given that identity,
-the projector checks reduce to vector identities free of denominators:
-varpi^2 = varpi iff w.u = p den, and X varpi = mu varpi iff X u = mu u (and
-varpi X = mu varpi iff w^T X = mu w^T).
+numerator raw = (S - q)(S + q^-1) = den * varpi, with the scalar
+den = (mu - q)(mu + q^-1) and mu = eps q^(eps - N) the eigenvalue of S on the
+invariant line, is kept as its factors L = S - q and R = S + q^-1.  Row i of
+raw is (row i of L) R: the first nonzero one is w = raw[i0, :], with the
+pivot p = raw[i0][j0] at its first column, and u = raw[:, j0] is L times
+column j0 of R.  varpi = u w^T / (p den) exactly when p raw = u w^T.  Given
+that identity, the projector checks reduce to vector identities free of
+denominators: varpi^2 = varpi iff w.u = p den, and X varpi = mu varpi iff
+X u = mu u (and varpi X = mu varpi iff w^T X = mu w^T).
 
 Tensor indices are lexicographic: component (i, j) of C^N tensor C^N sits at
 row i * N + j (0-based i, j).
@@ -27,13 +28,13 @@ from .scalar import Q, QINV, QScalar
 
 @dataclass(frozen=True)
 class Projector:
-    """varpi = u w^T / (p den), with raw = den * varpi and p = raw[i0][j0].
+    """varpi = u w^T / (p den), with raw = L R = den * varpi, p = raw[i0][j0].
 
     u and w are sparse vectors {index: nonzero value}; i0 is None (and u, w
     are empty) when raw is zero.
     """
 
-    raw: QMatrix
+    raw: UnreducedProduct
     den: QScalar
     mu: QScalar
     i0: int | None
@@ -49,13 +50,13 @@ class Projector:
     def factor_mismatch(self):
         """First (i, j, p raw[i][j], u[i] w[j]) in row-major order where
         p raw != u w^T, or None when raw = u w^T / p.  Requires a pivot.
-        It compares raw (p I) with U W, where U holds u as column j0 and W
+        It compares L (p R) with U W, where U holds u as column j0 and W
         holds w as row j0, so (U W)[i][j] = u_i w_j."""
         dim = self.raw.dim
         U = QMatrix(dim, [{self.j0: self.u[i]} if i in self.u else {} for i in range(dim)])
         W = QMatrix(dim)
         W.rows[self.j0] = self.w
-        return first_product_difference(self.raw, QMatrix.identity(dim).scale(self.pivot), U, W)
+        return first_product_difference(self.raw.x, self.raw.y.scale(self.pivot), U, W)
 
 
 @dataclass
@@ -129,14 +130,17 @@ def projector_eigenvalue(ls: LieSeries) -> QScalar:
     return -mu if eps < 0 else mu
 
 
-def factor_projector(raw: QMatrix, den: QScalar, mu: QScalar) -> Projector:
-    """Read the pivot, column and row of raw; nothing is checked here."""
-    first = raw.first_nonzero()
-    if first is None:
-        return Projector(raw, den, mu, None, None, {}, {})
-    i0, j0, _ = first
-    u = {i: row[j0] for i, row in enumerate(raw.rows) if j0 in row}
-    return Projector(raw, den, mu, i0, j0, u, dict(raw.rows[i0]))
+def factor_projector(L: QMatrix, R: QMatrix, den: QScalar, mu: QScalar) -> Projector:
+    """Read the pivot, column and row of raw = L R off its factors; nothing
+    is checked here."""
+    raw = UnreducedProduct(L, R)
+    for i0 in range(raw.dim):
+        w = raw.row(i0)
+        if w:
+            j0 = min(w)
+            u = L.transpose().apply_left(R.transpose().row(j0))
+            return Projector(raw, den, mu, i0, j0, u, w)
+    return Projector(raw, den, mu, None, None, {}, {})
 
 
 def build_projector(S: QMatrix, ls: LieSeries) -> Projector:
@@ -150,8 +154,7 @@ def build_projector(S: QMatrix, ls: LieSeries) -> Projector:
     den = (mu - Q) * (mu + QINV)
     if not den:
         raise ArithmeticError("degenerate eigenvalue; projector undefined")
-    raw = S.add_scalar_diag(-Q) * S.add_scalar_diag(QINV)
-    return factor_projector(raw, den, mu)
+    return factor_projector(S.add_scalar_diag(-Q), S.add_scalar_diag(QINV), den, mu)
 
 
 @lru_cache(maxsize=None)

@@ -262,7 +262,7 @@ def test_sparse_algebra_matches_the_dense_construction(group, N):
     for root in ref.positive:
         assert data.e_vectors[root] == _sparse(ref.e_vectors[root])
         assert data.f_vectors[root] == _sparse(ref.f_vectors[root])
-    assert data.cartan == [_sparse(h) for h in ref.cartan]
+    assert data.basis[:data.ls.rank] == [_sparse(h) for h in ref.cartan]
     assert data.basis == [_sparse(b) for b in ref.basis]
     assert data.duals == [_sparse(d) for d in ref.duals]
     assert omega_tensor(ls) == ref.omega
@@ -282,8 +282,8 @@ def test_trace_pair_matches_the_dense_trace(group, N):
 def coefficient_matrices(data):
     """omega and rho as coefficient matrices over the basis: the inverse
     Cartan Gram matrix, and +-1 at the (e_beta, f_beta) pairs."""
-    n, npos, dim, N = len(data.cartan), len(data.positive), data.dim, data.ls.dim
-    cartan = [_dense(h, N) for h in data.cartan]
+    n, npos, dim, N = data.ls.rank, len(data.positive), data.dim, data.ls.dim
+    cartan = [_dense(h, N) for h in data.basis[:data.ls.rank]]
     gram_inv = linalg.invert([[dense_trace_pair(x, y) for y in cartan] for x in cartan])
     omega = [[ZERO] * dim for _ in range(dim)]
     rho = [[ZERO] * dim for _ in range(dim)]
@@ -564,7 +564,7 @@ def test_cartan_duals_are_the_inverse_gram_combinations(ls):
     # h_k^v = sum_l (Gram^-1)_kl h_l with Gram_lm = tr(h_l h_m), the formula
     # the program's coweight diagonals replace; LieSeries directly, as N > MAX_N
     data = build_classical_algebra(ls)
-    cartan = data.cartan
+    cartan = data.basis[:data.ls.rank]
     gram_inv = linalg.invert([[trace_pair(x, y) for y in cartan] for x in cartan])
     for k, row in enumerate(gram_inv):
         want = {}

@@ -268,7 +268,7 @@ def _sl2_diag_i():
 
 def _a0_entry_doubled():
     point = quantum_point(ClassSpec("so", 5, "t2", 1, 1))
-    i, j, _ = point.A0.first_nonzero()
+    i, j, _ = next(point.A0.nonzero_items())
     return replace(point, A0=_doubled(point.A0, i, j))
 
 

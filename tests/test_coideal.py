@@ -166,7 +166,7 @@ def _direct_mixture(lead, A, alpha, F_tilde):
     b2 = [F_tilde, A]: c = -b1[p] / b2[p] at b2's first nonzero p, accepted
     when b1[r] b2[p] = b1[p] b2[r] at every entry r; with X = lead + c F_tilde."""
     b1, b2 = commutator(lead, A), commutator(F_tilde, A)
-    pivot = b2.first_nonzero()
+    pivot = next(b2.nonzero_items(), None)
     if pivot is None:
         if b1.is_zero():
             raise MixtureUnderdeterminedError(f"alpha_{alpha}: both commutators vanish")

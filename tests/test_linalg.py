@@ -234,8 +234,8 @@ def oracle_bivector(data, a):
             for b in data.basis]
     ad = _transpose(cols)
     one, zero = GaussRational(1), GaussRational(0)
-    n, npos = len(data.cartan), len(data.positive)
-    cartan = [_dense(h, N) for h in data.cartan]
+    n, npos = data.ls.rank, len(data.positive)
+    cartan = [_dense(h, N) for h in data.basis[:data.ls.rank]]
     gram_inv = oracle_invert([[oracle_trace(x, y) for y in cartan] for x in cartan])
     omega = [[zero] * data.dim for _ in range(data.dim)]
     rho = [[zero] * data.dim for _ in range(data.dim)]

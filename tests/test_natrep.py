@@ -1,8 +1,10 @@
 """Natural representation: relations, coproduct compatibility, q-trace."""
 import pytest
 
+from repoints.coideal import cartan_shift
 from repoints.natrep import (
     build_natural_rep,
+    cartan_exponents,
     cartan_power,
     check_defining_relations,
     check_rtt_compat,
@@ -10,7 +12,15 @@ from repoints.natrep import (
 )
 from repoints.qmatrix import QMatrix
 from repoints.rmatrix import build_rmatrix_data
-from repoints.rootdata import LieSeries, build_root_system, series_for_group
+from repoints.points import theta_for_class
+from repoints.rootdata import (
+    MAX_N,
+    LieSeries,
+    admissible_cases,
+    build_root_system,
+    dot,
+    series_for_group,
+)
 from repoints.scalar import ONE, Q, QINV, QScalar
 
 
@@ -59,6 +69,22 @@ def test_q_trace_weighting():
     assert q_trace(A, rs) == Q + QINV
     B = QMatrix.from_entries(2, [(0, 1, ONE)])
     assert not q_trace(B, rs)
+
+
+def test_cartan_exponents_are_the_pairings_with_the_weights():
+    """(beta, w_j) read off each weight's axis equals the `dot` form, for
+    every positive root and every k-tilde shift of every class with N <= MAX_N."""
+    betas = {}
+    for spec in admissible_cases(MAX_N):
+        ls = spec.series
+        shifts = betas.setdefault(ls, set(build_root_system(ls).positive))
+        td = theta_for_class(spec)
+        shifts.update(cartan_shift(td, a) for a in td.pi_moved)
+    assert {ls.dim for ls in betas} == set(range(2, MAX_N + 1))
+    for ls, vectors in betas.items():
+        weights = build_root_system(ls).weights
+        for beta in vectors:
+            assert cartan_exponents(ls, beta) == tuple(dot(beta, w) for w in weights)
 
 
 def test_cartan_power_diagonal():

@@ -1,12 +1,14 @@
 """The orthogonality condition and projector records, decided on the rank-one
-factors of varpi, against the dense products they stand for."""
+factors of varpi, against the dense products they stand for.  The projector
+keeps raw = (S - q)(S + q^-1) as its factors L and R; the dense raw is built
+here, as the oracle."""
 import pytest
 
 from repoints.natrep import CheckRecord
 from repoints.points import quantum_point
 from repoints.qmatrix import QMatrix
 from repoints.rmatrix import build_rmatrix_data, factor_projector
-from repoints.rootdata import ClassSpec, series_for_group, standard_cases
+from repoints.rootdata import MAX_N, ClassSpec, LieSeries, series_for_group, standard_cases
 from repoints.scalar import Q
 from repoints.verifier import (
     _record_equal,
@@ -22,6 +24,11 @@ SMALL_CASES = [spec for spec in standard_cases()
 
 def _as_tuples(records):
     return [(r.name, r.passed, r.detail) for r in records]
+
+
+def dense_raw(proj):
+    """raw = L R multiplied out."""
+    return proj.raw.x * proj.raw.y
 
 
 def dense_oc(A, S, varpi, mu):
@@ -45,7 +52,7 @@ def dense_structure(S, varpi, mu):
 def test_oc_matches_dense_oracle(spec):
     rmd = build_rmatrix_data(spec.series)
     proj = rmd.projector
-    varpi = proj.raw.scale(proj.den.inv())
+    varpi = dense_raw(proj).scale(proj.den.inv())
     A = quantum_point(spec).A
     assert _as_tuples(check_oc(A, rmd.S, proj)) == _as_tuples(dense_oc(A, rmd.S, varpi, proj.mu))
     assert all(r.passed for r in check_oc(A, rmd.S, proj))
@@ -62,11 +69,44 @@ def test_oc_matches_dense_oracle(spec):
 def test_structure_matches_dense_oracle(group, N):
     rmd = build_rmatrix_data(series_for_group(group, N))
     proj = rmd.projector
-    varpi = proj.raw.scale(proj.den.inv())
+    varpi = dense_raw(proj).scale(proj.den.inv())
     got = check_varpi_structure(rmd.S, proj)
     assert [(r.name, r.passed) for r in got] == [
         ("varpi.idempotent", True), ("varpi.rank_one", True), ("varpi.eigen", True)]
     assert _as_tuples(got) == _as_tuples(dense_structure(rmd.S, varpi, proj.mu))
+
+
+BCD_SERIES = [LieSeries(s, n) for s, lowest in (("B", 1), ("C", 1), ("D", 2))
+              for n in range(lowest, MAX_N // 2 + 1) if LieSeries(s, n).dim <= MAX_N]
+
+
+@pytest.mark.parametrize("series", BCD_SERIES, ids=lambda ls: f"{ls.series}{ls.rank}")
+def test_the_factors_give_what_the_dense_raw_gives(series):
+    """i0, j0, u, w and the pivot read off L and R are those of the first
+    nonzero entry of the dense L R, its row and its column."""
+    proj = build_rmatrix_data(series).projector
+    raw = dense_raw(proj)
+    i0, j0, p = next(raw.nonzero_items())
+    assert (proj.i0, proj.j0, proj.pivot) == (i0, j0, p)
+    assert proj.w == raw.rows[i0]
+    assert proj.u == {i: row[j0] for i, row in enumerate(raw.rows) if j0 in row}
+    assert proj.factor_mismatch is None
+
+
+@pytest.mark.parametrize("group,N", [("so", 5), ("sp", 4), ("so", 6)])
+def test_building_the_projector_multiplies_no_matrices(monkeypatch, group, N):
+    # L R is never multiplied out: no QMatrix product at all is formed
+    products = []
+    mul = QMatrix.__mul__
+
+    def counted(self, other):
+        products.append((self.dim, other.dim))
+        return mul(self, other)
+
+    monkeypatch.setattr(QMatrix, "__mul__", counted)
+    data = build_rmatrix_data.__wrapped__(series_for_group(group, N))
+    assert data.projector.i0 is not None
+    assert products == []
 
 
 @pytest.mark.parametrize("group,N", [("so", 5), ("sp", 4)])
@@ -74,9 +114,10 @@ def test_corrupted_raw_fails_rank_one_and_every_dependent(group, N):
     series = series_for_group(group, N)
     rmd = build_rmatrix_data(series)
     proj = rmd.projector
-    raw = proj.raw + QMatrix.identity(proj.raw.dim)
-    assert raw.rank() > 1
-    bad = factor_projector(raw, proj.den, proj.mu)
+    L, R = proj.raw.x, proj.raw.y
+    L = L + QMatrix.identity(L.dim)
+    assert (L * R).rank() > 1
+    bad = factor_projector(L, R, proj.den, proj.mu)
     structure = check_varpi_structure(rmd.S, bad)
     rank_one = next(r for r in structure if r.name == "varpi.rank_one")
     assert "first mismatch" in rank_one.detail
@@ -88,16 +129,18 @@ def test_corrupted_raw_fails_rank_one_and_every_dependent(group, N):
 
 @pytest.mark.parametrize("group,N", [("so", 5), ("sp", 4)])
 def test_factor_mismatch_is_the_first_dense_difference(group, N):
-    """p raw against the dense u w^T: the same first entry and values, for the
-    true raw and for raw corrupted at its first and at its last diagonal."""
-    raw = build_rmatrix_data(series_for_group(group, N)).projector.raw
-    dim = raw.dim
+    """p (L + E) R against the dense u w^T: the same first entry and values,
+    for the true L and for L corrupted at its first and at its last
+    diagonal."""
+    proj = build_rmatrix_data(series_for_group(group, N)).projector
+    L, R = proj.raw.x, proj.raw.y
+    dim = L.dim
     for extra in (QMatrix(dim), QMatrix.identity(dim),
                   QMatrix.from_entries(dim, [(dim - 1, dim - 1, Q)])):
-        f = factor_projector(raw + extra, Q, Q)
+        f = factor_projector(L + extra, R, Q, Q)
         uw = QMatrix.from_entries(dim, ((i, j, a * b) for i, a in f.u.items()
                                         for j, b in f.w.items()))
-        dense = (raw + extra).scale(f.pivot).first_difference(uw)
+        dense = ((L + extra) * R).scale(f.pivot).first_difference(uw)
         assert f.factor_mismatch == dense
         assert (dense is None) == extra.is_zero()
 
@@ -105,7 +148,7 @@ def test_factor_mismatch_is_the_first_dense_difference(group, N):
 def test_zero_raw_fails_every_record():
     rmd = build_rmatrix_data(series_for_group("sp", 4))
     proj = rmd.projector
-    bad = factor_projector(QMatrix(proj.raw.dim), proj.den, proj.mu)
+    bad = factor_projector(QMatrix(proj.raw.dim), proj.raw.y, proj.den, proj.mu)
     spec = ClassSpec("sp", 4, "t4")
     records = check_varpi_structure(rmd.S, bad) + check_oc(quantum_point(spec).A, rmd.S, bad)
     assert not any(r.passed for r in records)
@@ -117,12 +160,12 @@ def test_corrupted_denominator_fails_idempotent(group, N):
     rmd = build_rmatrix_data(series_for_group(group, N))
     proj = rmd.projector
     den = proj.den * Q
-    bad = factor_projector(proj.raw, den, proj.mu)
+    bad = factor_projector(proj.raw.x, proj.raw.y, den, proj.mu)
     got = check_varpi_structure(rmd.S, bad)
     assert [(r.name, r.passed) for r in got] == [
         ("varpi.idempotent", False), ("varpi.rank_one", True), ("varpi.eigen", True)]
     assert _as_tuples(got) == _as_tuples(
-        dense_structure(rmd.S, proj.raw.scale(den.inv()), proj.mu))
+        dense_structure(rmd.S, dense_raw(proj).scale(den.inv()), proj.mu))
 
 
 @pytest.mark.parametrize("spec", [

@@ -8,11 +8,14 @@ An import or a helper left behind by a deletion is not an error to Python,
 so nothing else notices it. `__init__.py` is exempt from the import check, as
 it imports to re-export, and so are `__future__` imports.
 
+Every field of a dataclass is read as an attribute somewhere in the package,
+unless `FIELDS_WITHOUT_READER` names it.
+
 "Read" means by bare name: a method counts as read when any name or attribute
-in the package spells its name, whatever the receiver. So a method that shares
-its name with one that is called (say `apply` beside `QMatrix.apply`) passes
-with no caller of its own; `test_a_shared_method_name_hides_an_unread_method`
-pins that limit.
+in the package spells its name, whatever the receiver, and a field when any
+attribute does. So a method that shares its name with one that is called (say
+`apply` beside `QMatrix.apply`) passes with no caller of its own;
+`test_a_shared_method_name_hides_an_unread_method` pins that limit.
 """
 import ast
 import os
@@ -58,6 +61,15 @@ PUBLIC_WITHOUT_READER = {
 }
 
 
+# Dataclass fields that no module of the package reads, each with the reason
+# it stays.
+FIELDS_WITHOUT_READER = {
+    "rmatrix.RMatrixData.R": "acceptance criterion 5 reads it",
+    "points.ThetaData.apply": "the tests rebuild theta from it",
+    "coideal.CoidealGen.X_cleared": "the tests pin that the accepted X'' is the one decided",
+}
+
+
 def _unread_definitions(sources: dict, kinds: tuple, wanted) -> list:
     """(module, line, name) of each module-level definition of one of `kinds`,
     or such a member of a module-level class, whose name passes `wanted` and
@@ -93,6 +105,31 @@ def unread_public_names(sources: dict, allowed: dict) -> list:
     as "module.name"."""
     return [d for d in _unread_definitions(sources, _FUNCTIONS, lambda n: not n.startswith("_"))
             if f"{d[0].removesuffix('.py')}.{d[2]}" not in allowed]
+
+
+def _is_dataclass(node) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        ast.unparse(d).split("(")[0] == "dataclass" for d in node.decorator_list)
+
+
+def dataclass_fields(sources: dict) -> list:
+    """(module, line, "Class.field") of each field of a module-level
+    dataclass of `sources`."""
+    return [(module, stmt.lineno, f"{node.name}.{stmt.target.id}")
+            for module, source in sources.items() for node in ast.parse(source).body
+            if _is_dataclass(node)
+            for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
+
+
+def unread_fields(sources: dict, allowed: dict) -> list:
+    """Each dataclass field of `dataclass_fields` that no module of `sources`
+    reads as an attribute, by name, and that `allowed` does not name as
+    "module.Class.field"."""
+    read = {node.attr for source in sources.values() for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [(module, line, name) for module, line, name in dataclass_fields(sources)
+            if name.split(".")[1] not in read
+            and f"{module.removesuffix('.py')}.{name}" not in allowed]
 
 
 def _package_sources() -> dict:
@@ -231,3 +268,24 @@ def test_a_shared_method_name_hides_an_unread_method():
         "b.py": "from .a import Tray\nTray().apply()\n",
     }
     assert unread_public_names(sources, {}) == []
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields(_package_sources(), FIELDS_WITHOUT_READER) == []
+
+
+def test_every_allowed_field_exists():
+    # an entry whose field was deleted or renamed must leave the list too
+    defined = {f"{m.removesuffix('.py')}.{name}"
+               for m, _, name in dataclass_fields(_package_sources())}
+    assert set(FIELDS_WITHOUT_READER) <= defined
+
+
+def test_an_unread_field_is_reported():
+    sources = {
+        "a.py": "from dataclasses import dataclass\n@dataclass(frozen=True)\nclass Box:\n"
+                "    size: int\n    label: str\n    kept: int\n    tag = 0\n"
+                "class Plain:\n    note: str\n",
+        "b.py": "from .a import Box\nbox = Box(1, 'x', 2)\nbox.label = box.size\n",
+    }
+    assert unread_fields(sources, {"a.Box.kept": "a reason"}) == [("a.py", 5, "Box.label")]
