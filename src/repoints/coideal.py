@@ -16,7 +16,7 @@ F_tilde is an iterated q-commutator word in the F_i.  The coefficient c_alpha
 is read off one entry of both terms' commutators with A as an unreduced
 fraction c_num / c_den, and accepted when [X'', A] = 0 is decided exactly for
 X'' = c_den X_alpha, which the kernel reads at t as its two terms
-(`ScaledSum`): no scalar is normalized.
+(`qmatrix.Unreduced`): no scalar is normalized.
 That acceptance is the verdict on X_alpha at the point it was solved for.
 The tabulated form is a constant times a Laurent monomial in the parameters,
 compared with c_alpha by cross-multiplication.  c_alpha and X_alpha are
@@ -33,7 +33,7 @@ from .natrep import CheckRecord, NaturalRep, build_natural_rep, cartan_exponents
 from .points import PointParams, ThetaData, theta_for_class
 from .qmatrix import (
     QMatrix,
-    ScaledSum,
+    Unreduced,
     first_product_difference,
     first_product_mismatch,
     first_vector_difference,
@@ -102,7 +102,7 @@ class CoidealGen:
     c_table_note: str | None
     c_num: LaurentPoly  # c_solved = c_num / c_den, unreduced
     c_den: LaurentPoly
-    X_cleared: ScaledSum  # c_den X, which `solve_mixture` accepted
+    X_cleared: Unreduced  # c_den X, which `solve_mixture` accepted
 
     @cached_property
     def c_solved(self) -> QScalar:
@@ -294,12 +294,6 @@ def cartan_shift(td: ThetaData, alpha: int) -> tuple:
     return sub(td.tilde_eps[alpha], rs.simple[alpha - 1])
 
 
-def _diagonal_times(d: tuple, m: QMatrix) -> QMatrix:
-    """diag(q^d_j) m: row i of m times the monomial q^(d_i)."""
-    return QMatrix(m.dim, [{j: QScalar.q_power(d[i]) * v for j, v in row.items()}
-                           for i, row in enumerate(m.rows)])
-
-
 def support_difference(d: tuple, A: QMatrix):
     """first_product_difference(D, A, A, D) for D = diag(q^d_j), read off A's
     support: [D, A] has the entry (q^(d_i) - q^(d_j)) A_ij at (i, j), which is
@@ -385,14 +379,14 @@ def solve_mixture(lead: QMatrix, A: QMatrix, alpha: int, F_tilde: QMatrix) -> tu
     (`_commutator_entry`): c = -b1[p] / b2[p], so c_num = -b1n b2d and
     c_den = b2n b1d != 0.  X'' = c_den lead + c_num F_tilde is X times
     c_den, so it commutes with A iff X does; one kernel call accepts it.
-    X'' is kept as its two terms (`ScaledSum`), whose rows the kernel reads
+    X'' is kept as its two terms (`Unreduced`), whose rows the kernel reads
     at t, so building it normalizes nothing."""
     p = first_product_mismatch(F_tilde, A, A, F_tilde)
     if p is not None:
         b2n, b2d = _commutator_entry(F_tilde, A, *p)
         b1n, b1d = _commutator_entry(lead, A, *p)
         c_num, c_den = -(b1n * b2d), b2n * b1d
-        X2 = ScaledSum(QScalar(c_den), lead, QScalar(c_num), F_tilde)
+        X2 = Unreduced((QScalar(c_den), lead, None), (QScalar(c_num), F_tilde, None))
         if first_product_mismatch(X2, A, A, X2) is not None:
             raise MixtureInconsistentError(f"alpha_{alpha}: commutators are not proportional")
         return c_num, c_den, X2
@@ -424,7 +418,10 @@ def build_stabilizer(spec: ClassSpec, params: PointParams, A: QMatrix) -> Stabil
         cartan.append((f"k.tilde{a}", d))
         cartan.append((f"k.tilde{a}_inv", tuple(-x for x in d)))
         f_tilde = f_tilde_root_vector(rep, spec, a)
-        lead = _diagonal_times(d, rep.e[a - 1])
+        lead = QMatrix(spec.N)  # k.tilde e_a: e_a's +-1 at (l, j) times q^(d_l)
+        for l, (j, positive) in moves[a - 1][0].items():
+            v = QScalar.q_power(d[l])
+            lead.rows[l][j] = v if positive else -v
         try:
             c_num, c_den, X2 = solve_mixture(lead, A, a, f_tilde)
         except (MixtureInconsistentError, MixtureUnderdeterminedError) as exc:

@@ -9,13 +9,13 @@ an entry is decided only where that bound proves that a polynomial vanishes
 iff its value at t does; otherwise that entry's row alone is redone at t^2,
 from the factor rows it reads, and the next row is decided at t again.  Only
 the first mismatching entry is computed symbolically, from normalized rows,
-to name it.  A factor of such an identity may itself be a product or a sum
-that nothing else reads: an `UnreducedProduct` keeps its factors and a
-`ScaledSum` a x + b z its terms, and the kernel reads their rows at t, built
-by its own row builder.  A `QMatrix` keeps its integer rows for the first K
-(`substituted`), which a redone row neither reads nor replaces; I x A
-(`IdentityKron`) places A's integer rows in its diagonal blocks rather than
-converting its own entries.
+to name it.  A factor of such an identity may itself be a sum of products
+that nothing else reads, such as A2 S A2, A - lam I or c_den lead +
+c_num F_tilde: an `Unreduced` keeps its terms, and the kernel reads its rows
+at t, built by its own row builder.  A `QMatrix` keeps its integer rows for
+the first K (`substituted`), which a redone row neither reads nor replaces;
+I x A (`IdentityKron`) places A's integer rows in its diagonal blocks rather
+than converting its own entries.
 
 `QMatrix.rank` is exact Gaussian elimination, which normalizes every pivot
 step; a passing verify computes no rank (`verifier.check_min_poly` decides
@@ -379,69 +379,67 @@ def _same(a, b, K: int, T: int):
     return None if h > T else True
 
 
-class UnreducedProduct:
-    """x y for `first_product_difference` to read, kept as its factors.
+class Unreduced:
+    """The sum of c x y over its terms (c, x, y), kept as its terms for the
+    kernel to read: c is a `QScalar`, or None for 1, and y a factor, or None
+    for a term c x.  x and y are `QMatrix`es or `Unreduced`s.
 
     Not a `QMatrix`: the kernel reads its rows at t = 2^K (`substituted`),
-    built with the kernel's row builder and never normalized.  An entry is
-    dropped only when the bound proves it zero: P(t) = 0 with h <= t.  A
-    failing record reads a row from the factors, normalized (`row`).
+    built with the kernel's row builder and never normalized, and an entry is
+    dropped only when the bound proves it zero: P(t) = 0 with h <= t.  A lone
+    product x y, the reflection check's operand, is built row by row from the
+    factors' kept rows; any other sum reads each factor's rows as `_row`
+    does, so a factor that the kernel has not converted keeps no rows.  Rows are normalized (`row`,
+    `apply_left`) only to name a failing entry, and for the projector's w.
     """
-
-    __slots__ = ("dim", "x", "y", "_subs")
-
-    def __init__(self, x, y):
-        self.dim, self.x, self.y, self._subs = x.dim, x, y, None
-
-    def substituted(self, K: int) -> list:
-        subs = self._subs
-        if subs is None or subs[0] != K:
-            T = 1 << K
-            yrows = self.y.substituted(K)
-            subs = self._subs = (K, [_product_row(row, yrows, K, T)
-                                     for row in self.x.substituted(K)])
-        return subs[1]
-
-    def substituted_row(self, i: int, K: int, memo: dict) -> dict:
-        """Row i at t = 2^K from row i of x and the rows of y it reads."""
-        xrow = _row(self.x, i, K, memo)
-        return _product_row(xrow, {k: _row(self.y, k, K, memo) for k in xrow}, K, 1 << K)
-
-    def row(self, i: int) -> dict:
-        return self.y.apply_left(self.x.row(i))
-
-    def apply_left(self, vec: dict) -> dict:
-        return self.y.apply_left(self.x.apply_left(vec))
-
-
-class ScaledSum:
-    """a x + b z for `first_product_mismatch` to read, for scalars a, b and
-    `QMatrix`es x, z, kept as its terms.  Its row i at t = 2^K is
-    a(t) x_i + b(t) z_i, built with the kernel's row builder, so no entry is
-    formed as a `QScalar`; an entry is dropped only when the bound proves it
-    zero.  Not a `QMatrix`, and it has no normalized rows: only a verdict
-    reads it."""
 
     __slots__ = ("dim", "terms", "_subs")
 
-    def __init__(self, a: QScalar, x: QMatrix, b: QScalar, z: QMatrix):
-        self.dim, self.terms, self._subs = x.dim, ((a, x), (b, z)), None
-
-    def _scalars(self, K: int) -> dict:
-        return {k: _entry(c, K) for k, (c, _) in enumerate(self.terms)}
+    def __init__(self, *terms):
+        self.dim, self.terms, self._subs = terms[0][1].dim, terms, None
 
     def substituted(self, K: int) -> list:
         subs = self._subs
         if subs is None or subs[0] != K:
-            scalars, T = self._scalars(K), 1 << K
-            (_, x), (_, z) = self.terms
-            subs = self._subs = (K, [_product_row(scalars, {0: xrow, 1: zrow}, K, T)
-                                     for xrow, zrow in zip(x.substituted(K), z.substituted(K))])
+            (c, x, y), *more = self.terms
+            if c is None and y is not None and not more:
+                T = 1 << K
+                yrows = y.substituted(K)
+                rows = [_product_row(row, yrows, K, T) for row in x.substituted(K)]
+            else:
+                memo: dict = {}
+                rows = [self.substituted_row(i, K, memo) for i in range(self.dim)]
+            subs = self._subs = (K, rows)
         return subs[1]
 
     def substituted_row(self, i: int, K: int, memo: dict) -> dict:
-        rows = {k: _row(m, i, K, memo) for k, (_, m) in enumerate(self.terms)}
-        return _product_row(self._scalars(K), rows, K, 1 << K)
+        """Row i at t = 2^K: the rows c(t) (x y)_i of the terms, summed, with
+        each x y from row i of x and the rows of y it reads."""
+        T = 1 << K
+        scalars = memo.get(id(self))
+        if scalars is None:
+            scalars = memo[id(self)] = {k: _entry(ONE if c is None else c, K)
+                                        for k, (c, _, _) in enumerate(self.terms)}
+        rows = {}
+        for k, (_, x, y) in enumerate(self.terms):
+            row = _row(x, i, K, memo)
+            rows[k] = row if y is None else _substituted_row(
+                row, {l: _row(y, l, K, memo) for l in row}, K, T)
+        return _product_row(scalars, rows, K, T)
+
+    def row(self, i: int) -> dict:
+        return self.apply_left({i: ONE})
+
+    def apply_left(self, vec: dict) -> dict:
+        """v^T times the sum, normalized."""
+        acc: dict = {}
+        for c, x, y in self.terms:
+            row = x.apply_left(vec)
+            for j, v in (row if y is None else y.apply_left(row)).items():
+                v = v if c is None else c * v
+                s = acc.get(j)
+                acc[j] = v if s is None else s + v
+        return {j: v for j, v in acc.items() if v}
 
 
 def _product_row(row: dict, orows, K: int, T: int) -> dict:
@@ -518,7 +516,7 @@ def first_product_mismatch(x, y, z, w):
 def first_product_difference(x, y, z, w):
     """The first (i, j, (xy)[i][j], (zw)[i][j]) in row-major order, columns
     sorted, where the products x y and z w differ; None when they are equal.
-    Each factor is a `QMatrix` or an `UnreducedProduct`.
+    Each factor is a `QMatrix` or an `Unreduced`.
 
     The products are decided on integers (Kronecker substitution; Harvey
     2009, J. Symbolic Comput. 44): q becomes t = 2^K, so an entry is a

@@ -4,7 +4,8 @@ rank-one invariant projector varpi for the orthogonal and symplectic cases.
 The projector is kept in factored form and never as a dense matrix.  Its
 numerator raw = (S - q)(S + q^-1) = den * varpi, with the scalar
 den = (mu - q)(mu + q^-1) and mu = eps q^(eps - N) the eigenvalue of S on the
-invariant line, is kept as its factors L = S - q and R = S + q^-1.  Row i of
+invariant line, is kept as its factors L = S - q and R = S + q^-1, the one
+term of a `qmatrix.Unreduced` that the kernel reads unmultiplied.  Row i of
 raw is (row i of L) R: the first nonzero one is w = raw[i0, :], with the
 pivot p = raw[i0][j0] at its first column, and u = raw[:, j0] is L times
 column j0 of R.  varpi = u w^T / (p den) exactly when p raw = u w^T.  Given
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import isqrt
 
-from .qmatrix import QMatrix, UnreducedProduct, first_product_difference
+from .qmatrix import QMatrix, Unreduced, first_product_difference
 from .rootdata import LieSeries, build_root_system, dot
 from .scalar import Q, QINV, QScalar
 
@@ -34,7 +35,7 @@ class Projector:
     are empty) when raw is zero.
     """
 
-    raw: UnreducedProduct
+    raw: Unreduced  # L R, its one term
     den: QScalar
     mu: QScalar
     i0: int | None
@@ -51,12 +52,14 @@ class Projector:
         """First (i, j, p raw[i][j], u[i] w[j]) in row-major order where
         p raw != u w^T, or None when raw = u w^T / p.  Requires a pivot.
         It compares L (p R) with U W, where U holds u as column j0 and W
-        holds w as row j0, so (U W)[i][j] = u_i w_j."""
+        holds w as row j0, so (U W)[i][j] = u_i w_j; p R is read at t as its
+        one scaled term, so no p R is formed."""
+        (_, L, R), = self.raw.terms
         dim = self.raw.dim
         U = QMatrix(dim, [{self.j0: self.u[i]} if i in self.u else {} for i in range(dim)])
         W = QMatrix(dim)
         W.rows[self.j0] = self.w
-        return first_product_difference(self.raw.x, self.raw.y.scale(self.pivot), U, W)
+        return first_product_difference(L, Unreduced((self.pivot, R, None)), U, W)
 
 
 @dataclass
@@ -133,7 +136,7 @@ def projector_eigenvalue(ls: LieSeries) -> QScalar:
 def factor_projector(L: QMatrix, R: QMatrix, den: QScalar, mu: QScalar) -> Projector:
     """Read the pivot, column and row of raw = L R off its factors; nothing
     is checked here."""
-    raw = UnreducedProduct(L, R)
+    raw = Unreduced((None, L, R))
     for i0 in range(raw.dim):
         w = raw.row(i0)
         if w:
@@ -172,18 +175,17 @@ def braid_identity_holds(S: QMatrix, N: int) -> bool:
     I = QMatrix.identity(N)
     S12 = S.kron(I)
     S23 = I.kron(S)
-    return first_product_difference(UnreducedProduct(S12, S23), S12,
-                                    UnreducedProduct(S23, S12), S23) is None
+    return first_product_difference(Unreduced((None, S12, S23)), S12,
+                                    Unreduced((None, S23, S12)), S23) is None
 
 
 def annihilating_polynomial_holds(data: RMatrixData) -> bool:
     """Hecke relation (S - q)(S + q^-1) = 0 (A series, no projector), or the
     cubic relation raw (S - mu) = 0 (B/C/D) on the projector's numerator
-    raw = (S - q)(S + q^-1)."""
+    raw = (S - q)(S + q^-1).  S - c is read as its terms S and -c I."""
     S, proj = data.S, data.projector
-    if proj is None:
-        left, right = S.add_scalar_diag(-Q), S.add_scalar_diag(QINV)
-    else:
-        left, right = proj.raw, S.add_scalar_diag(-proj.mu)
+    I = QMatrix.identity(S.dim)
+    minus = lambda c: Unreduced((None, S, None), (-c, I, None))  # S - c
+    left, right = (minus(Q), minus(-QINV)) if proj is None else (proj.raw, minus(proj.mu))
     zero = QMatrix(S.dim)
     return first_product_difference(left, right, zero, zero) is None

@@ -21,7 +21,7 @@ from .points import (
 from .qmatrix import (
     IdentityKron,
     QMatrix,
-    UnreducedProduct,
+    Unreduced,
     first_product_difference,
 )
 from .rmatrix import Projector, build_rmatrix_data, epsilon_for
@@ -99,13 +99,13 @@ def embed_second(A: QMatrix, N: int) -> QMatrix:
 def check_reflection(A: QMatrix, S: QMatrix) -> CheckRecord:
     """S A2 S A2 = A2 S A2 S with A2 = I x A, decided as S M = M S with
     M = A2 S A2: by associativity S M is the left side and M S the right.
-    M is the `UnreducedProduct` of A2 and the `UnreducedProduct` S A2, so no
-    entry is normalized unless it names the first mismatch."""
+    M is the `Unreduced` product of A2 and the `Unreduced` product S A2, so
+    no entry is normalized unless it names the first mismatch."""
     N = A.dim
     if S.dim != N * N:
         raise ValueError("dimension mismatch between A and S")
     A2 = embed_second(A, N)
-    M = UnreducedProduct(A2, UnreducedProduct(S, A2))
+    M = Unreduced((None, A2, Unreduced((None, S, A2))))
     return _record("reflection", first_product_difference(S, M, M, S))
 
 
@@ -242,26 +242,28 @@ def check_min_poly(A: QMatrix, spec: ClassSpec) -> list:
     of multiplicities m+ + m- = N, rank(A - lam+) = m-, and
     tr A = m+ lam+ + m- lam- fixes m+; so rank(A - lam) = r, with lam' the
     other root, iff tr A = (N - r) lam + r lam', decided on the unreduced
-    trace.  A rank is computed only for a failing record's detail."""
+    trace.  Each factor A - lam is read as its terms A and -lam I, so a
+    passing verify forms neither; A - lam is formed only for a failing
+    record's rank."""
     if spec.family == "t2":
         P, M = pm_exponents(spec)
         roots = ((QScalar.q_power(-M), M), (-QScalar.q_power(-P), P))
     else:
         val = I_UNIT * QScalar.q_power(-spec.N // 2 + epsilon_for(spec.series))
         roots = ((val, spec.N // 2), (-val, spec.N // 2))
-    plus, minus = (A.add_scalar_diag(-lam) for lam, _ in roots)
+    I = QMatrix.identity(spec.N)
+    plus, minus = (Unreduced((None, A, None), (-lam, I, None)) for lam, _ in roots)
     zero = QMatrix(spec.N)
     records = [_record("min_poly", first_product_difference(plus, minus, zero, zero))]
     num, den = _unreduced_trace(A)
-    for name, mat, (lam, want), (other, _) in zip(("mult.plus", "mult.minus"), (plus, minus),
-                                                  roots, roots[::-1]):
+    for name, (lam, want), (other, _) in zip(("mult.plus", "mult.minus"), roots, roots[::-1]):
         if records[0].passed:
             # lam and other are units c q^k, so this normalizes nothing
             value = QScalar(spec.N - want) * lam + QScalar(want) * other
             if num * value.den == value.num * den:
                 records.append(CheckRecord(name, True))
                 continue
-        rk = mat.rank()
+        rk = A.add_scalar_diag(-lam).rank()
         records.append(CheckRecord(name, rk == want,
                                    None if rk == want else f"rank {rk}, expected {want}"))
     return records

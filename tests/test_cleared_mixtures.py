@@ -23,7 +23,7 @@ from repoints.coideal import (
     signed_permutation,
     signed_permutation_difference,
 )
-from repoints.natrep import build_natural_rep
+from repoints.natrep import build_natural_rep, cartan_power
 from repoints.points import default_params, quantum_point, theta_for_class
 from repoints.qmatrix import QMatrix, first_product_difference, first_product_mismatch
 from repoints.rootdata import ClassSpec, admissible_cases
@@ -148,8 +148,7 @@ def _reference_outcomes(spec, params, A):
     td = theta_for_class(spec)
     out = {}
     for a in td.pi_moved:
-        d = coideal.cartan_exponents(spec.series, coideal.cartan_shift(td, a))
-        lead = coideal._diagonal_times(d, rep.e[a - 1])
+        lead = cartan_power(spec.series, coideal.cartan_shift(td, a)) * rep.e[a - 1]
         f_tilde = coideal.f_tilde_root_vector(rep, spec, a)
         try:
             c, X = _reference_solve(lead, A, a, f_tilde)

@@ -342,12 +342,15 @@ def test_exponent_bound_exits_two(capsys):
 
 
 def _normalized(m):
-    if isinstance(m, qmatrix.UnreducedProduct):
-        return _normalized(m.x) * _normalized(m.y)
-    if isinstance(m, qmatrix.ScaledSum):
-        (a, x), (b, z) = m.terms
-        return x.scale(a) + z.scale(b)
-    return m
+    """A kernel operand as a `QMatrix`: an `Unreduced` sum of c x y
+    multiplied out and normalized."""
+    if not isinstance(m, qmatrix.Unreduced):
+        return m
+    total = qmatrix.QMatrix(m.dim)
+    for c, x, y in m.terms:
+        term = _normalized(x) if y is None else _normalized(x) * _normalized(y)
+        total = total + (term if c is None else term.scale(c))
+    return total
 
 
 def _normalized_product_difference(x, y, z, w):

@@ -292,6 +292,32 @@ def test_support_decision_matches_the_kernel_on_every_class_to_n12():
     assert decided >= 9000 and failing >= 1200 and reused >= 1900, (decided, failing, reused)
 
 
+def test_each_lead_is_the_diagonal_times_e_alpha_on_every_class_to_n12(monkeypatch):
+    """The lead k.tilde e_alpha that `build_stabilizer` reads off d and
+    e_alpha's signed permutation is the dense product diag(q^d) e_alpha, on
+    every moved root of every admissible class with N <= 12, solved or not."""
+    leads = []
+    solve = coideal.solve_mixture
+
+    def recording(lead, A, alpha, F_tilde):
+        leads.append((alpha, lead))
+        return solve(lead, A, alpha, F_tilde)
+
+    monkeypatch.setattr(coideal, "solve_mixture", recording)
+    checked = 0
+    for spec in admissible_cases(12):
+        del leads[:]
+        build_stabilizer(spec, default_params(spec), quantum_point(spec).A)
+        td = theta_for_class(spec)
+        e = build_natural_rep(spec.series).e
+        assert [a for a, _ in leads] == list(td.pi_moved), spec.case_id
+        for a, lead in leads:
+            assert lead == cartan_power(spec.series, cartan_shift(td, a)) * e[a - 1], (
+                spec.case_id, a)
+            checked += 1
+    assert checked >= 600, checked
+
+
 @pytest.mark.parametrize("spec", [
     ClassSpec("sl", 6, "t2", 2, 1),
     ClassSpec("so", 7, "t2", 2, 1),

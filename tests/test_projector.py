@@ -26,9 +26,16 @@ def _as_tuples(records):
     return [(r.name, r.passed, r.detail) for r in records]
 
 
+def factors(proj):
+    """L and R, the one term L R of raw."""
+    (_, L, R), = proj.raw.terms
+    return L, R
+
+
 def dense_raw(proj):
     """raw = L R multiplied out."""
-    return proj.raw.x * proj.raw.y
+    L, R = factors(proj)
+    return L * R
 
 
 def dense_oc(A, S, varpi, mu):
@@ -114,7 +121,7 @@ def test_corrupted_raw_fails_rank_one_and_every_dependent(group, N):
     series = series_for_group(group, N)
     rmd = build_rmatrix_data(series)
     proj = rmd.projector
-    L, R = proj.raw.x, proj.raw.y
+    L, R = factors(proj)
     L = L + QMatrix.identity(L.dim)
     assert (L * R).rank() > 1
     bad = factor_projector(L, R, proj.den, proj.mu)
@@ -133,7 +140,7 @@ def test_factor_mismatch_is_the_first_dense_difference(group, N):
     for the true L and for L corrupted at its first and at its last
     diagonal."""
     proj = build_rmatrix_data(series_for_group(group, N)).projector
-    L, R = proj.raw.x, proj.raw.y
+    L, R = factors(proj)
     dim = L.dim
     for extra in (QMatrix(dim), QMatrix.identity(dim),
                   QMatrix.from_entries(dim, [(dim - 1, dim - 1, Q)])):
@@ -148,7 +155,7 @@ def test_factor_mismatch_is_the_first_dense_difference(group, N):
 def test_zero_raw_fails_every_record():
     rmd = build_rmatrix_data(series_for_group("sp", 4))
     proj = rmd.projector
-    bad = factor_projector(QMatrix(proj.raw.dim), proj.raw.y, proj.den, proj.mu)
+    bad = factor_projector(QMatrix(proj.raw.dim), factors(proj)[1], proj.den, proj.mu)
     spec = ClassSpec("sp", 4, "t4")
     records = check_varpi_structure(rmd.S, bad) + check_oc(quantum_point(spec).A, rmd.S, bad)
     assert not any(r.passed for r in records)
@@ -160,7 +167,7 @@ def test_corrupted_denominator_fails_idempotent(group, N):
     rmd = build_rmatrix_data(series_for_group(group, N))
     proj = rmd.projector
     den = proj.den * Q
-    bad = factor_projector(proj.raw.x, proj.raw.y, den, proj.mu)
+    bad = factor_projector(*factors(proj), den, proj.mu)
     got = check_varpi_structure(rmd.S, bad)
     assert [(r.name, r.passed) for r in got] == [
         ("varpi.idempotent", False), ("varpi.rank_one", True), ("varpi.eigen", True)]

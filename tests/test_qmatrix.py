@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from repoints import qmatrix
 from repoints.qmatrix import (
     QMatrix,
-    ScaledSum,
-    UnreducedProduct,
+    Unreduced,
     first_product_difference,
-    first_product_mismatch,
     same_products,
 )
 from repoints.scalar import ONE, ZERO, parse_scalar
@@ -43,9 +41,9 @@ def _matrix(dim, entries):
 
 
 @st.composite
-def sparse_matrices(draw, dim, pool=POOL):
+def sparse_matrices(draw, dim, pool=POOL, cells=None):
     cells = draw(st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1),
-                                    st.sampled_from(pool)), max_size=dim * dim))
+                                    st.sampled_from(pool)), max_size=cells or dim * dim))
     return _matrix(dim, cells)
 
 
@@ -54,8 +52,7 @@ def quadruples(draw):
     """(x, y, z, w) for the kernel and the same four, normalized, for `_direct`."""
     dim = draw(st.integers(1, 3))
     x, y = draw(sparse_matrices(dim)), draw(sparse_matrices(dim))
-    mode = draw(st.sampled_from(("free", "same", "regrouped", "rescaled", "near", "unreduced",
-                                 "large")))
+    mode = draw(st.sampled_from(("free", "same", "regrouped", "rescaled", "near", "large")))
     if mode == "large":
         # entries whose bounds reach past t, so the kernel redoes the call
         x, y = draw(sparse_matrices(dim, BIG_POOL)), draw(sparse_matrices(dim, BIG_POOL))
@@ -71,17 +68,8 @@ def quadruples(draw):
     elif mode == "rescaled":
         s = draw(st.sampled_from([v for v in POOL if v]))
         z, w = x.scale(s), y.scale(s.inv())
-    elif mode == "near":
+    else:  # near
         z, w = x, y + draw(sparse_matrices(dim))
-    else:
-        # y = w = a b, given to the kernel unreduced in y, in w or in both
-        a, b = draw(sparse_matrices(dim)), draw(sparse_matrices(dim))
-        y = w = a * b
-        z = draw(st.sampled_from((x, draw(sparse_matrices(dim)))))
-        kernel = [x, y, z, w]
-        for k in draw(st.sampled_from(((1,), (3,), (1, 3)))):
-            kernel[k] = UnreducedProduct(a, b)
-        return tuple(kernel), (x, y, z, w)
     return (x, y, z, w), (x, y, z, w)
 
 
@@ -92,21 +80,44 @@ def test_kernel_matches_normalized_products(operands):
     assert first_product_difference(*kernel) == _direct(*normalized)
 
 
-def _mismatch(diff):
-    return None if diff is None else diff[:2]
+@st.composite
+def unreduced(draw, dim, pool, depth=1):
+    """(an `Unreduced` of one to three terms, the same sum normalized): each
+    term scaled or not, with one factor or two, and a factor may itself be
+    an `Unreduced`, nested up to `depth` deep."""
+    terms, total = [], QMatrix(dim)
+    for _ in range(draw(st.integers(1, 3))):
+        c = draw(st.sampled_from([None, ZERO] + pool))
+        x, nx = draw(_factors(dim, pool, depth))
+        y, ny = draw(st.one_of(st.just((None, None)), _factors(dim, pool, depth)))
+        term = nx if y is None else nx * ny
+        total = total + (term if c is None else term.scale(c))
+        terms.append((c, x, y))
+    return Unreduced(*terms), total
+
+
+def _factors(dim, pool, depth):
+    """(operand, normalized matrix) for a `QMatrix`, or for an `Unreduced`
+    while depth is left."""
+    plain = sparse_matrices(dim, pool, dim).map(lambda m: (m, m))
+    return plain if depth == 0 else st.one_of(plain, unreduced(dim, pool, depth - 1))
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 3).flatmap(lambda dim: st.tuples(*[sparse_matrices(dim)] * 4)),
-       st.sampled_from(POOL + [ZERO]), st.sampled_from(POOL + [ZERO]))
-def test_a_scaled_sum_is_decided_as_its_normalized_matrix(matrices, a, b):
-    # a x + b z read at t as its terms, on either side and in either place
-    x, z, y, w = matrices
-    s, m = ScaledSum(a, x, b, z), x.scale(a) + z.scale(b)
-    assert first_product_mismatch(s, y, w, y) == _mismatch(_direct(m, y, w, y))
-    assert first_product_mismatch(y, s, s, y) == _mismatch(_direct(y, m, m, y))
-    one = QMatrix.identity(x.dim)
-    assert first_product_mismatch(s, one, m, one) is None
+@given(st.one_of(st.tuples(st.integers(1, 6), st.just(POOL), st.just(1)),
+                 st.tuples(st.integers(1, 3), st.just(BIG_POOL), st.just(0))).flatmap(
+    lambda a: st.tuples(unreduced(*a), unreduced(*a), sparse_matrices(*a[:2], 2 * a[0]))))
+def test_an_unreduced_sum_is_decided_as_its_normalized_matrix(operands):
+    """An `Unreduced` in each place of x y = z w, against the same sums
+    normalized: the same verdict, first mismatch and canonical values, and
+    equality with its own normalized matrix.  Entries above t, whose
+    normalized products grow fast, come unnested and at N <= 3."""
+    (s, m), (r, n), y = operands
+    assert first_product_difference(s, y, r, y) == _direct(m, y, n, y)
+    assert first_product_difference(y, s, y, r) == _direct(y, m, y, n)
+    assert first_product_difference(s, r, y, y) == _direct(m, n, y, y)
+    assert first_product_difference(s, y, m, y) is None
+    assert first_product_difference(y, m, y, s) is None
 
 
 # Laurent polynomials with Gaussian and rational coefficients, some above t
@@ -200,7 +211,7 @@ def test_equal_entries_above_the_bound_are_decided_at_t_squared(monkeypatch):
 def test_unreduced_product_keeps_an_entry_that_only_vanishes_at_t():
     a = _matrix(2, [(0, 0, parse_scalar("q")), (0, 1, ONE)])
     b = _matrix(2, [(0, 0, ONE), (1, 0, parse_scalar(f"-{T}"))])
-    p = UnreducedProduct(a, b)
+    p = Unreduced((None, a, b))
     e, re, im, d, h, g = p.substituted(qmatrix._K)[0][0]
     assert (re, im, h) == (0, 0, T + 1)
     zero = QMatrix(2)
@@ -211,7 +222,9 @@ def test_unreduced_product_keeps_an_entry_that_only_vanishes_at_t():
 def test_a_cancelled_entry_within_the_bound_is_dropped():
     a = _matrix(2, [(0, 0, parse_scalar("q")), (0, 1, ONE)])
     b = _matrix(2, [(0, 0, ONE), (1, 0, parse_scalar("-q"))])
-    assert UnreducedProduct(a, b).substituted(qmatrix._K)[0] == {}
+    assert Unreduced((None, a, b)).substituted(qmatrix._K)[0] == {}
+    # and so it is in a scaled sum, where the other term has no entry in row 0
+    assert Unreduced((ONE, a, b), (POOL[7], QMatrix(2), None)).substituted(qmatrix._K)[0] == {}
 
 
 def test_a_sum_adds_numerators_only_over_a_proven_common_denominator():

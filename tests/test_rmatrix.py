@@ -82,7 +82,8 @@ def test_varpi_projector_sp4(dense_varpi):
     proj = data.projector
     varpi = dense_varpi(proj)
     # the factors rebuild the spectral form raw / den exactly
-    assert varpi == (proj.raw.x * proj.raw.y).scale(proj.den.inv())
+    (_, L, R), = proj.raw.terms
+    assert varpi == (L * R).scale(proj.den.inv())
     assert varpi * varpi == varpi
     assert varpi.rank() == 1
     mu = -QScalar.q_power(-5)

@@ -4,7 +4,9 @@
 whose first open entry is undecided, at t^2, t^4, ..., from the factor rows
 that row reads, then goes on at t.  These tests hold it to a copy of the
 whole-call redo it replaces, with K lowered so that most rows escalate, and
-pin that a redone row replaces no factor's rows kept for the first K.
+pin that a redone row replaces no factor's rows kept for the first K.  The
+operands are the ones the checks pass: `Unreduced` products, sums and
+scaled factors as well as `QMatrix`es.
 """
 import os
 import random
@@ -12,11 +14,11 @@ import sys
 
 import pytest
 
-from repoints import qmatrix
+from repoints import qmatrix, rmatrix, verifier
 from repoints.coideal import build_stabilizer
 from repoints.points import default_params, quantum_point
-from repoints.qmatrix import QMatrix, ScaledSum, UnreducedProduct, first_product_difference
-from repoints.rmatrix import build_rmatrix_data
+from repoints.qmatrix import QMatrix, Unreduced, first_product_difference
+from repoints.rmatrix import build_rmatrix_data, factor_projector
 from repoints.rootdata import ClassSpec, admissible_cases
 from repoints.scalar import ZERO, parse_scalar
 from repoints.verifier import embed_second
@@ -63,16 +65,40 @@ def _whole_call_redo(x, y, z, w):
     return i, j, left.get(j, ZERO), right.get(j, ZERO)
 
 
-def _identities(spec, params, A):
+def _operands(module, check):
+    """The operands of the one kernel call that `check()` makes through
+    `module`."""
+    calls = []
+    kernel = module.first_product_difference
+    module.first_product_difference = lambda *ops: calls.append(ops) or kernel(*ops)
+    try:
+        check()
+    finally:
+        module.first_product_difference = kernel
+    (ops,) = calls
+    return ops
+
+
+def _identities(spec, params, A, series_seen):
     """The kernel's identities at a point: the reflection equation as
-    S M = M S, and [F_tilde, A] and [X'', A] for each mixed generator."""
-    S = build_rmatrix_data(spec.series).S
+    S M = M S, the minimal polynomial on A - lam+ and A - lam-, and [F_tilde, A]
+    and [X'', A] for each mixed generator; and, once per series in
+    `series_seen`, the projector's p raw = u w^T as L (p R) = U W."""
+    data = build_rmatrix_data(spec.series)
+    S = data.S
     A2 = embed_second(A, spec.N)
-    M = UnreducedProduct(A2, UnreducedProduct(S, A2))
+    M = Unreduced((None, A2, Unreduced((None, S, A2))))
     yield S, M, M, S
+    yield _operands(verifier, lambda: verifier.check_min_poly(A, spec))
     for gen in build_stabilizer(spec, params, A).mixed_generators:
         yield gen.F_tilde, A, A, gen.F_tilde
         yield gen.X_cleared, A, A, gen.X_cleared
+    proj = data.projector
+    if proj is not None and spec.series not in series_seen:
+        series_seen.add(spec.series)
+        (_, L, R), = proj.raw.terms
+        fresh = factor_projector(L, R, proj.den, proj.mu)
+        yield _operands(rmatrix, lambda: fresh.factor_mismatch)
 
 
 def _points():
@@ -93,26 +119,31 @@ def _points():
 
 def test_escalated_rows_find_what_the_whole_call_redo_finds(monkeypatch):
     """With t = 2^8, on every point with N <= 8 at default and drawn
-    parameters and at the golden controls: the same first mismatch and
-    values, or the same None, as the whole-call redo."""
+    parameters and at the golden controls, and on the projector of each
+    B, C and D series with N <= 8: the same first mismatch and values, or
+    the same None, as the whole-call redo."""
     monkeypatch.setattr(qmatrix, "_K", 8)
-    escalated = []
+    escalated, pairs = [], set()
     at = qmatrix._escalated_row
 
     def counting(x, y, z, w, i, K, memo):
         escalated.append(K)
+        pairs.add((type(x).__name__, type(y).__name__))
         return at(x, y, z, w, i, K, memo)
 
     monkeypatch.setattr(qmatrix, "_escalated_row", counting)
     calls = mismatches = 0
+    series_seen = set()
     for spec, params, A in _points():
-        for x, y, z, w in _identities(spec, params, A):
+        for x, y, z, w in _identities(spec, params, A, series_seen):
             got = first_product_difference(x, y, z, w)
             assert got == _whole_call_redo(x, y, z, w), spec.case_id
             calls += 1
             mismatches += got is not None
     assert calls >= 400 and mismatches >= 15, (calls, mismatches)
     assert len(escalated) >= 1000 and max(escalated) >= 32, (len(escalated), max(escalated))
+    # rows redone in products of two sums (the minimal polynomial) as well
+    assert ("Unreduced", "Unreduced") in pairs, pairs
 
 
 def _big_coefficient_point():
@@ -130,8 +161,8 @@ def test_an_escalated_row_keeps_every_factors_rows_at_the_first_k(monkeypatch):
     spec, A = _big_coefficient_point()
     S = build_rmatrix_data(spec.series).S
     A2 = embed_second(A, spec.N)
-    SA2 = UnreducedProduct(S, A2)
-    M = UnreducedProduct(A2, SA2)
+    SA2 = Unreduced((None, S, A2))
+    M = Unreduced((None, A2, SA2))
     escalated = []
     at = qmatrix._escalated_row
 
@@ -167,15 +198,20 @@ def test_a_redone_row_builds_only_the_factor_rows_it_reads():
 @pytest.mark.parametrize("K", [8, 16])
 def test_unreduced_and_block_rows_built_alone_equal_their_kept_rows(K):
     """Row by row, `substituted_row` gives the rows `substituted` keeps, for
-    a `QMatrix`, an `IdentityKron`, nested `UnreducedProduct`s and a
-    `ScaledSum`."""
+    a `QMatrix`, an `IdentityKron`, nested `Unreduced` products, a scaled
+    sum, the minimal polynomial's A - lam I and the projector's p R."""
     spec = ClassSpec("sp", 6, "t2", 2, -1)
     A = quantum_point(spec, draw_params(spec, random.Random(7))).A
     S = build_rmatrix_data(spec.series).S
     A2 = embed_second(A, spec.N)
-    scaled = ScaledSum(parse_scalar("q^2-3*i"), A, parse_scalar("(2*q+1)/(q-5)"), A * A)
-    for m in (A, A2, UnreducedProduct(S, A2), UnreducedProduct(A2, UnreducedProduct(S, A2)),
-              scaled):
+    scaled = Unreduced((parse_scalar("q^2-3*i"), A, None),
+                       (parse_scalar("(2*q+1)/(q-5)"), A, Unreduced((None, A, A))))
+    plus, minus = _operands(verifier, lambda: verifier.check_min_poly(A, spec))[:2]
+    proj = build_rmatrix_data(spec.series).projector
+    (_, L, R), = proj.raw.terms
+    pR = _operands(rmatrix, lambda: factor_projector(L, R, proj.den, proj.mu).factor_mismatch)[1]
+    for m in (A, A2, Unreduced((None, S, A2)), Unreduced((None, A2, Unreduced((None, S, A2)))),
+              scaled, plus, minus, pR):
         memo = {}
         rows = [qmatrix._row(m, i, K, memo) for i in range(m.dim)]
         assert rows == m.substituted(K)

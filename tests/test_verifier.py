@@ -11,7 +11,7 @@ from repoints import points, scalar
 from repoints.points import default_params, quantum_point
 from repoints.qmatrix import QMatrix, first_product_difference, first_vector_difference
 from repoints.rmatrix import build_rmatrix_data
-from repoints.rootdata import ClassSpec, LieSeries, admissible_cases
+from repoints.rootdata import ClassSpec, LieSeries, admissible_cases, series_for_group
 from repoints.scalar import ONE, LaurentPoly, QScalar, parse_scalar, q_integer, render_scalar
 from repoints.verifier import (
     check_bivector,
@@ -344,3 +344,42 @@ def test_bivector_detail_renders_a_negative_imaginary_part():
     record = check_bivector(replace(point, A0=a0))
     assert not record.passed
     assert record.detail == "largest coefficient (2-2*i) at (1, 2)"
+
+
+def _callers(monkeypatch, *names):
+    """(method, calling function) for each call of the `QMatrix` methods
+    `names` from now on."""
+    seen = []
+    for name in names:
+        def recording(self, *args, _method=getattr(QMatrix, name), _name=name):
+            seen.append((_name, sys._getframe(1).f_code.co_name))
+            return _method(self, *args)
+        monkeypatch.setattr(QMatrix, name, recording)
+    return seen
+
+
+@pytest.mark.parametrize("spec", [
+    ClassSpec("so", 5, "t2", 1, -1),
+    ClassSpec("sl", 6, "t2", 2, 1),
+    ClassSpec("sp", 6, "t2", 2, -1),
+], ids=lambda s: s.case_id)
+def test_a_warm_passing_verify_forms_no_shifted_or_scaled_copy(monkeypatch, spec):
+    """With warm caches, a passing verify forms no A - lam I and no scaled
+    matrix for the kernel to read: the minimal polynomial reads A - lam as
+    its terms A and -lam I.  The one `scale` left is in the F_tilde words'
+    q-commutators xy - a yx, a value the stabilizer keeps."""
+    full_report(spec)
+    seen = _callers(monkeypatch, "add_scalar_diag", "scale")
+    assert full_report(spec).passed
+    assert {caller for _, caller in seen} <= {"q_commutator"}, seen
+    assert ("add_scalar_diag", "check_min_poly") not in seen
+
+
+@pytest.mark.parametrize("group,N", [("so", 5), ("sp", 6), ("so", 8)])
+def test_the_rank_one_identity_scales_no_factor(monkeypatch, group, N):
+    """`Projector.factor_mismatch` on a cold `build_rmatrix_data` reads
+    p R as a scaled term: no `QMatrix.scale` runs."""
+    seen = _callers(monkeypatch, "scale")
+    data = build_rmatrix_data.__wrapped__(series_for_group(group, N))
+    assert data.projector.factor_mismatch is None
+    assert seen == []
