@@ -59,7 +59,18 @@ class Projector:
         U = QMatrix(dim, [{self.j0: self.u[i]} if i in self.u else {} for i in range(dim)])
         W = QMatrix(dim)
         W.rows[self.j0] = self.w
-        return first_product_difference(L, Unreduced((self.pivot, R, None)), U, W)
+        # L as a one-term sum is read row by row, so it keeps no integer
+        # rows: nothing reads them again
+        return first_product_difference(Unreduced((None, L, None)),
+                                        Unreduced((self.pivot, R, None)), U, W)
+
+    @cached_property
+    def kept(self) -> dict:
+        """Values that checks decide on this projector alone, kept with it,
+        so that the verifies of one series decide them once
+        (`verifier.check_varpi_structure`); a projector built anew starts
+        empty."""
+        return {}
 
 
 @dataclass

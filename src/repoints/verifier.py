@@ -9,7 +9,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import classical, coideal
-from .natrep import CheckRecord, build_natural_rep, q_trace
+from .natrep import CheckRecord, build_natural_rep, q_trace, unreduced_trace
 from .points import (
     ParamError,
     PointParams,
@@ -133,7 +133,7 @@ def _unreduced_apply(M: QMatrix, vec: dict, left: bool = False) -> dict:
     acc: dict = {}
 
     def add(i: int, a: QScalar, n, d) -> None:
-        x = a.num * n, d if a.den is LP_ONE else a.den * d
+        x = _times(a, n, d)
         s = acc.get(i)
         acc[i] = x if s is None else unreduced_sum(s, x)
 
@@ -150,20 +150,52 @@ def _unreduced_apply(M: QMatrix, vec: dict, left: bool = False) -> dict:
     return {i: x for i, x in acc.items() if x[0]}
 
 
+def _times(a: QScalar, n, d) -> tuple:
+    """a n / d as an unreduced fraction."""
+    return a.num * n, d if a.den is LP_ONE else a.den * d
+
+
+def _apply_second(A: QMatrix, vec: dict) -> dict:
+    """v^T (I x A) for v in `_unreduced_apply`'s form, read off A's rows:
+    entry (b, j) sums v[(b, k)] A[k][j], so I x A is not formed."""
+    n = A.dim
+    blocks: dict = {}
+    for t, x in vec.items():
+        b, k = divmod(t, n)
+        blocks.setdefault(b, {})[k] = x
+    return {b * n + j: x for b, block in blocks.items()
+            for j, x in _unreduced_apply(A, block, left=True).items()}
+
+
+def _unreduced_form(x: dict, S: QMatrix, y: dict) -> tuple:
+    """x^T S y for x and y in `_unreduced_apply`'s form, as one unreduced
+    fraction; S is read only at the rows of x and the columns of y."""
+    total = LP_ZERO, LP_ONE
+    for m, (n1, d1) in x.items():
+        row = S.rows[m]
+        for l, (n2, d2) in y.items():
+            a = row.get(l)
+            if a is not None:
+                total = unreduced_sum(total, _times(a, n1 * n2, d1 * d2))
+    return total
+
+
 def _fractions(vec: dict) -> dict:
     """A vector of QScalars in `_unreduced_apply`'s form."""
     return {k: (v.num, v.den) for k, v in vec.items()}
 
 
-def _eigen_record(name: str, got: dict, proj: Projector, left: bool = False) -> CheckRecord:
+def _eigen_record(name: str, got: dict, proj: Projector, left: bool = False,
+                  keys: list | None = None) -> CheckRecord:
     """X varpi = mu varpi given got = X u, or varpi X = mu varpi given
     got = w^T X when left, got in `_unreduced_apply`'s form.  Entry k,
     n / d against mu f_k for the factor's f_k (each zero when absent), is
-    decided as n (mu f_k).den = (mu f_k).num d, in sorted order.  The dense
-    matrices first differ in column j0 (row i0 when left), where the entry
-    is got[k] / den, normalized for the detail only."""
+    decided as n (mu f_k).den = (mu f_k).num d, in sorted order, at every k
+    of got and f or only at `keys`.  The dense matrices first differ in
+    column j0 (row i0 when left), where the entry is got[k] / den,
+    normalized for the detail only."""
     factor = proj.w if left else proj.u
-    for k in sorted(got.keys() | factor.keys()):
+    for k in sorted(got.keys() | factor.keys()) if keys is None else keys:
         n, d = got.get(k, (LP_ZERO, LP_ONE))
         want = proj.mu * factor.get(k, ZERO)
         if n * want.den != want.num * d:
@@ -174,26 +206,63 @@ def _eigen_record(name: str, got: dict, proj: Projector, left: bool = False) -> 
     return CheckRecord(name, True)
 
 
-def check_oc(A: QMatrix, S: QMatrix, proj: Projector) -> list:
+# the records that, passing, let `check_oc` decide each side on one entry
+_OC_PREMISES = frozenset({"reflection", "varpi.rank_one", "varpi.eigen"})
+
+
+def check_oc(A: QMatrix, S: QMatrix, proj: Projector, premises=()) -> list:
     """A2 S A2 varpi = mu varpi, and the same with varpi on the left, where
-    mu = eps q^(eps - N).  On the factors: A2 S A2 u = mu u and
-    w^T A2 S A2 = mu w^T, as matrix-vector products on unreduced fractions
-    (`_unreduced_apply`)."""
+    mu = eps q^(eps - N).  On the factors, with X = A2 S A2: X u = mu u and
+    w^T X = mu w^T, on unreduced fractions (`_unreduced_apply`), with A2
+    applied off A's rows and columns (`_apply_second`), so A2 is not formed.
+
+    `premises` are records decided on the same A, S and projector.  When
+    `_OC_PREMISES` pass among them (S X = X S, S u = mu u and
+    p raw = u w^T), each side is decided on one entry.  Proof: S (X u) =
+    X S u = mu X u, and raw v = den v for every v with S v = mu v, as
+    raw = (S - q)(S + q^-1) and den = (mu - q)(mu + q^-1) != 0.  So
+    X u = raw X u / den = u (w^T X u) / (p den) = c u.  raw commutes with S,
+    so u (w^T S) = p raw S = S u w^T = mu u w^T, and w^T S = mu w^T as
+    u != 0; the same steps on the left give w^T X = c w^T.  So X u = mu u
+    iff (X u)_k = mu u_k at k = min supp u, and w^T X = mu w^T iff
+    (w^T X)_j0 = mu w_j0, j0 being min supp w.  Where c != mu, X u - mu u
+    has exactly u's support (w's on the left), so the full check's first
+    mismatch is that entry, with the same values.  Each entry is x^T S y with
+    x = e_k^T A2, y = A2 u on the right and x = w^T A2, y = A2 e_j0 on the
+    left, so S is read only at a few rows and columns.  A failing premise
+    leaves X u unconstrained, so the vectors are then computed in full."""
     problem = _factoring_problem(proj)
     if problem:
         return [_unfactored("oc.right", problem), _unfactored("oc.left", problem)]
-    A2 = embed_second(A, A.dim)
-    right = _unreduced_apply(A2, _unreduced_apply(S, _unreduced_apply(A2, _fractions(proj.u))))
-    left = _fractions(proj.w)
-    for m in (A2, S, A2):
-        left = _unreduced_apply(m, left, left=True)
+    At = A.transpose()
+    if _OC_PREMISES <= {r.name for r in premises if r.passed}:
+        k, j0 = min(proj.u), proj.j0
+        right = _unreduced_form(_apply_second(A, {k: (LP_ONE, LP_ONE)}), S,
+                                _apply_second(At, _fractions(proj.u)))
+        left = _unreduced_form(_apply_second(A, _fractions(proj.w)), S,
+                               _apply_second(At, {j0: (LP_ONE, LP_ONE)}))
+        return [_eigen_record("oc.right", {k: right}, proj, keys=[k]),
+                _eigen_record("oc.left", {j0: left}, proj, left=True, keys=[j0])]
+    right = _apply_second(At, _unreduced_apply(S, _apply_second(At, _fractions(proj.u))))
+    left = _apply_second(A, _unreduced_apply(S, _apply_second(A, _fractions(proj.w)), left=True))
     return [_eigen_record("oc.right", right, proj),
             _eigen_record("oc.left", left, proj, left=True)]
 
 
 def check_varpi_structure(S: QMatrix, proj: Projector) -> list:
     """varpi^2 = varpi, rank one, S varpi = mu varpi.  On the factors:
-    w.u = p den, p raw = u w^T, S u = mu u."""
+    w.u = p den, p raw = u w^T, S u = mu u.  They read only S and the
+    projector, so they are decided once for each S and kept on the
+    projector (`Projector.kept`): a series' verifies share them, and a
+    projector built anew decides its own."""
+    kept = proj.kept.get("varpi")
+    if kept is None or kept[0] is not S:
+        kept = proj.kept["varpi"] = S, _varpi_structure(S, proj)
+    return list(kept[1])
+
+
+def _varpi_structure(S: QMatrix, proj: Projector) -> list:
+    """The records of `check_varpi_structure`, decided."""
     problem = _factoring_problem(proj)
     if problem:
         return [
@@ -221,18 +290,6 @@ def check_varpi_structure(S: QMatrix, proj: Projector) -> list:
     ]
 
 
-def _unreduced_trace(A: QMatrix) -> tuple:
-    """tr A as one unreduced fraction (num, den) of Laurent polynomials: the
-    diagonal entries summed over the product of their distinct
-    denominators, with no gcd."""
-    total = LP_ZERO, LP_ONE
-    for i, row in enumerate(A.rows):
-        v = row.get(i)
-        if v is not None:
-            total = unreduced_sum(total, (v.num, v.den))
-    return total
-
-
 def check_min_poly(A: QMatrix, spec: ClassSpec) -> list:
     """(A - lam+)(A - lam-) = 0, and rank(A - lam+), rank(A - lam-) as the
     class fixes them.  The two factors are polynomials in A, so they commute
@@ -255,7 +312,7 @@ def check_min_poly(A: QMatrix, spec: ClassSpec) -> list:
     plus, minus = (Unreduced((None, A, None), (-lam, I, None)) for lam, _ in roots)
     zero = QMatrix(spec.N)
     records = [_record("min_poly", first_product_difference(plus, minus, zero, zero))]
-    num, den = _unreduced_trace(A)
+    num, den = unreduced_trace(A)
     for name, (lam, want), (other, _) in zip(("mult.plus", "mult.minus"), roots, roots[::-1]):
         if records[0].passed:
             # lam and other are units c q^k, so this normalizes nothing
@@ -282,11 +339,15 @@ def expected_q_trace(spec: ClassSpec) -> QScalar:
 
 
 def check_q_trace(A: QMatrix, spec: ClassSpec, rs: RootSystem) -> CheckRecord:
-    got = q_trace(A, rs)
+    """The q-trace against `expected_q_trace`, decided on the unreduced sum
+    n/d as n want.den = want.num d; the sum is normalized only to name a
+    failure."""
+    num, den = unreduced_trace(A, rs)
     want = expected_q_trace(spec)
-    ok = got == want
-    detail = None if ok else f"got {render_scalar(got)}, expected {render_scalar(want)}"
-    return CheckRecord("q_trace", ok, detail)
+    if num * want.den == want.num * den:
+        return CheckRecord("q_trace", True)
+    return CheckRecord("q_trace", False,
+                       f"got {render_scalar(q_trace(A, rs))}, expected {render_scalar(want)}")
 
 
 def check_classical_involution(spec: ClassSpec, a0: dict) -> CheckRecord:
@@ -353,8 +414,11 @@ def full_report(spec: ClassSpec, params: PointParams | None = None) -> Verificat
     stage("reflection")
 
     if rmd.projector is not None:
-        report.checks.extend(check_oc(point.A, rmd.S, rmd.projector))
-        report.checks.extend(check_varpi_structure(rmd.S, rmd.projector))
+        # the per-series projector records are premises of the OC, which
+        # they follow in the report
+        varpi = check_varpi_structure(rmd.S, rmd.projector)
+        report.checks.extend(check_oc(point.A, rmd.S, rmd.projector, report.checks + varpi))
+        report.checks.extend(varpi)
         stage("oc")
 
     report.checks.extend(check_min_poly(point.A, spec))
