@@ -14,7 +14,7 @@ The Chevalley basis B_k of g comes with its dual basis B_k^v under the trace
 form, tr(B_m B_k^v) = delta_mk (`build_classical_algebra`), and every basis
 coordinate is read by pairing with it. In B, C and D it also comes with the
 invariant form J of V, by which `_conjugation` decides that a normalizes g.
-The split Casimir omega = sum_k B_k (x) B_k^v and
+The split Casimir omega = sum_k B_k (x) B_k^v (but its Cartan block) and
 rho = sum_beta e_beta (x) f_beta - f_beta (x) e_beta are not stored:
 `bivector_at` builds its tensor from the root vectors that a moves. The
 verdicts are decided on that tensor. Basis coordinates of the bivector are
@@ -31,7 +31,7 @@ from .natrep import CheckRecord, build_natural_rep
 from .points import quantum_point
 from .qmatrix import QMatrix
 from .rootdata import LieSeries, NotInSpanError, build_root_system, sub
-from .scalar import GR_ZERO, GaussRational, eval_at_one
+from .scalar import GR_ONE, GR_ZERO, GaussRational, eval_at_one
 
 
 def gauss_entries(A: QMatrix) -> dict:
@@ -127,6 +127,7 @@ class ClassicalAlgebraData:
     positive: tuple  # roots in construction order
     expander: linalg.BasisExpander
     form: dict | None  # J = sum_j kappa_j E_(j, N-1-j) in B, C and D; None in A
+    cartan_block: dict  # omega's sum_k h_k (x) h_k^v, as sum_ij c_ij E_ii (x) E_jj
 
     @property
     def dim(self) -> int:
@@ -216,7 +217,8 @@ def build_classical_algebra(ls: LieSeries) -> ClassicalAlgebraData:
     expander = linalg.BasisExpander(basis, [_transpose(d) for d in duals])
     form = None if ls.series == "A" else {
         (j, ls.dim - 1 - j): GaussRational(k) for j, k in enumerate(rs.kappa)}
-    return ClassicalAlgebraData(ls, basis, duals, e_vec, f_vec, tuple(positive), expander, form)
+    return ClassicalAlgebraData(ls, basis, duals, e_vec, f_vec, tuple(positive), expander, form,
+                                _outer_sum(zip(cartan, cartan_duals)))
 
 
 def adjoint_matrix(data: ClassicalAlgebraData, a: dict) -> list:
@@ -299,10 +301,14 @@ def _conjugation(data: ClassicalAlgebraData, a: dict, square=None) -> tuple:
 def _omega_part(data: ClassicalAlgebraData, conj) -> dict:
     """(1 (x) Ad - Ad (x) 1) omega for the split Casimir
     omega = sum_k B_k (x) B_k^v, that is
-    sum_k B_k (x) Ad(B_k^v) - Ad(B_k) (x) B_k^v."""
-    pairs = list(zip(data.basis, data.duals))
-    right = _outer_sum((b, _conjugate(d, conj)) for b, d in pairs)
-    left = _outer_sum((_conjugate(b, conj), d) for b, d in pairs)
+    sum_k B_k (x) Ad(B_k^v) - Ad(B_k) (x) B_k^v, with the Cartan block taken
+    as sum_ij c_ij E_ii (x) E_jj (`cartan_block`) and each Ad(E_jj) built once."""
+    pairs = list(zip(data.basis, data.duals))[data.ls.rank:]
+    moved = [_conjugate({(j, j): GR_ONE}, conj) for j in range(data.ls.dim)]
+    right = _outer_sum([(b, _conjugate(d, conj)) for b, d in pairs] + [
+        ({(i, i): c}, moved[j]) for (i, _, j, _), c in data.cartan_block.items()])
+    left = _outer_sum([(_conjugate(b, conj), d) for b, d in pairs] + [
+        (moved[i], {(j, j): c}) for (i, _, j, _), c in data.cartan_block.items()])
     return _combine((1, right), (-1, left))
 
 

@@ -3,19 +3,19 @@
 Products and sums of `QMatrix` values are canonical: every entry is a reduced
 `QScalar`.  A matrix identity X Y = Z W is decided by `first_product_difference`
 on integers, with no gcd: q is replaced by t = 2^K (Kronecker substitution),
-so an entry of either side is q^e P(t)/Q(t) for Gaussian-integer polynomials
-P and Q, kept as integers with exact bounds on P's and Q's coefficients, and
-an entry is decided only where that bound proves that a polynomial vanishes
-iff its value at t does; otherwise that entry's row alone is redone at t^2,
-from the factor rows it reads, and the next row is decided at t again.  Only
-the first mismatching entry is computed symbolically, from normalized rows,
-to name it.  A factor of such an identity may itself be a sum of products
-that nothing else reads, such as A2 S A2, A - lam I or c_den lead +
-c_num F_tilde: an `Unreduced` keeps its terms, and the kernel reads its rows
-at t, built by its own row builder.  A `QMatrix` keeps its integer rows for
-the first K (`substituted`), which a redone row neither reads nor replaces;
-I x A (`IdentityKron`) places A's integer rows in its diagonal blocks rather
-than converting its own entries.
+so an entry is q^e P(t)/Q(t) with exact bounds on the coefficients of the
+Gaussian-integer polynomials P and Q.  One routine, `_signed_row`, builds
+every row the kernel reads: a row of X Y - Z W is one signed sum, and an
+entry is decided only where its bound proves that P vanishes iff P(t) does;
+otherwise that row alone is redone at t^2, from the factor rows it reads.
+Only the first mismatching entry is computed symbolically, to name it.  A
+factor may itself be a sum of products that nothing else reads, such as
+A2 S A2, A - lam I or c_den lead + c_num F_tilde: an `Unreduced` keeps its
+terms, and its rows at t are built by the same routine, as is the
+difference that `same_products` decides.  A `QMatrix` keeps its integer rows
+for the first K (`substituted`), which a redone row neither reads nor
+replaces; I x A (`IdentityKron`) keeps only A and places A's integer rows in
+its diagonal blocks.
 
 `QMatrix.rank` is exact Gaussian elimination, which normalizes every pivot
 step; a passing verify computes no rank (`verifier.check_min_poly` decides
@@ -211,30 +211,40 @@ class QMatrix:
         return f"QMatrix(dim={self.dim}, nnz={nnz})"
 
 
-def _diagonal_blocks(rows: list) -> list:
-    """The rows of I x X from the n rows of X: X's rows in each of the n
-    diagonal blocks, block i at row and column offset i n."""
-    n = len(rows)
-    return [{i * n + j: v for j, v in row.items()} for i in range(n) for row in rows]
+def apply_blocks(n: int, vec: dict, apply) -> dict:
+    """v^T (I x X) for an n x n X, with apply(u) = u^T X: block b of v is
+    applied and placed in block b, so I x X is not formed."""
+    parts: dict = {}
+    for k, a in vec.items():
+        b, r = divmod(k, n)
+        parts.setdefault(b, {})[r] = a
+    return {b * n + j: v for b, part in parts.items() for j, v in apply(part).items()}
 
 
-class IdentityKron(QMatrix):
-    """I x A, entry for entry `QMatrix.identity(n).kron(A)`: every block
-    shares A's `QScalar`s.  So its rows at t = 2^K (`substituted`) are A's
-    substituted rows placed in the same blocks, the very tuples `_entry`
-    would give; they are built only when the kernel asks, and A keeps its
-    own conversion for later calls."""
+class IdentityKron:
+    """I x A, keeping only A: entry for entry `QMatrix.identity(n).kron(A)`,
+    whose blocks share A's `QScalar`s.  So its rows at t = 2^K are A's rows
+    at t placed in the blocks, block b at row and column offset b n, the
+    very tuples `_entry` would give, and its normalized rows (`row`,
+    `apply_left`, read only to name a failing entry) are read off A's."""
 
-    __slots__ = ("block",)
+    __slots__ = ("dim", "block", "_subs")
 
     def __init__(self, A: QMatrix):
-        super().__init__(A.dim * A.dim, _diagonal_blocks(A.rows))
-        self.block = A
+        self.dim, self.block, self._subs = A.dim * A.dim, A, None
+
+    def row(self, i: int) -> dict:
+        return self.apply_left({i: ONE})
+
+    def apply_left(self, vec: dict) -> dict:
+        return apply_blocks(self.block.dim, vec, self.block.apply_left)
 
     def substituted(self, K: int) -> list:
         subs = self._subs
         if subs is None or subs[0] != K:
-            subs = self._subs = (K, _diagonal_blocks(self.block.substituted(K)))
+            n, rows = self.block.dim, self.block.substituted(K)
+            subs = self._subs = (K, [{b * n + j: v for j, v in row.items()}
+                                     for b in range(n) for row in rows])
         return subs[1]
 
     def substituted_row(self, i: int, K: int, memo: dict) -> dict:
@@ -315,14 +325,15 @@ def _product_entry(polys: list, K: int) -> tuple:
 
 def same_products(left: list, right: list) -> bool:
     """Whether the products of two lists of Laurent polynomials are equal,
-    decided as the kernel decides an entry (`_same`): at t = 2^K, and again
-    at t^2, ... while the bound leaves it open, with no polynomial product
-    and no gcd."""
+    decided as the kernel decides an entry: their difference is built at
+    t = 2^K by `_signed_row`, and again at t^2, ... while the bound leaves
+    it open, with no polynomial product and no gcd."""
     K = _K
     while True:
-        same = _same(_product_entry(left, K), _product_entry(right, K), K, 1 << K)
-        if same is not None:
-            return same
+        found = _first_open(_signed_row(((1, {0: _product_entry(left, K)}, _UNIT),
+                                         (-1, {0: _product_entry(right, K)}, _UNIT)), K), K)
+        if found is not _UNDECIDED:
+            return found is None
         K *= 2
 
 
@@ -346,37 +357,47 @@ def _sum(a: tuple, b: tuple, K: int, T: int) -> tuple:
     return e1, r1 * d2 + r2 * d1, i1 * d2 + i2 * d1, d1 * d2, h1 * g2 + h2 * g1, g1 * g2
 
 
-def _substituted_row(row: dict, orows: list, K: int, T: int) -> dict:
-    """One row of a product at t = T = 2^K, column -> (e, re, im, d, h, g) as
-    `_entry` gives them.  A product adds the exponents and multiplies the
-    values and the bounds, as h(P1 P2) <= h1 h2; a sum is `_sum`."""
+# the rows of the 1 x 1 identity at t
+_UNIT = ({0: (0, 1, 0, 1, 1, 1)},)
+
+
+def _signed_row(products, K: int) -> dict:
+    """One row at t = 2^K of the sum of sign row orows over the products
+    (sign, row, orows), sign +-1: column -> (e, re, im, d, h, g) as `_entry`
+    gives them, every column a product reaches kept.  A product adds the
+    exponents and multiplies the values and the bounds, as h(P1 P2) <= h1 h2;
+    a sum is `_sum`, in the order the products come."""
+    T = 1 << K
     acc: dict = {}
     get = acc.get
-    for k, (e1, r1, i1, d1, h1, g1) in row.items():
-        for j, (e2, r2, i2, d2, h2, g2) in orows[k].items():
-            if i1 or i2:
-                p = e1 + e2, r1 * r2 - i1 * i2, r1 * i2 + i1 * r2, d1 * d2, h1 * h2, g1 * g2
-            else:
-                p = e1 + e2, r1 * r2, 0, d1 * d2, h1 * h2, g1 * g2
-            s = get(j)
-            acc[j] = p if s is None else _sum(s, p, K, T)
+    for sign, row, orows in products:
+        for k, (e1, r1, i1, d1, h1, g1) in row.items():
+            if sign < 0:
+                r1, i1 = -r1, -i1
+            for j, (e2, r2, i2, d2, h2, g2) in orows[k].items():
+                if i1 or i2:
+                    p = e1 + e2, r1 * r2 - i1 * i2, r1 * i2 + i1 * r2, d1 * d2, h1 * h2, g1 * g2
+                else:
+                    p = e1 + e2, r1 * r2, 0, d1 * d2, h1 * h2, g1 * g2
+                s = get(j)
+                acc[j] = p if s is None else _sum(s, p, K, T)
     return acc
 
 
-def _same(a, b, K: int, T: int):
-    """Whether entries a and b of `_substituted_row` (None for zero) are equal
-    in Q(i)(q), or None when the bound does not decide it.  Their difference
-    q^e D/Q is zero iff D is: a nonzero D(t) proves D != 0 at any bound, and
-    D(t) = 0 proves D = 0 when its bound h >= h(D) is at most t
-    (`first_product_difference`)."""
-    if b is not None:
-        e, r, i, d, h, g = b
-        b = e, -r, -i, d, h, g
-        a = b if a is None else _sum(a, b, K, T)
-    _, r, i, _, h, _ = a
-    if r or i:
-        return False
-    return None if h > T else True
+def _open(row: dict, K: int) -> dict:
+    """The entries of a `_signed_row` that the bound does not prove zero:
+    all but those with P(t) = 0 and h <= t."""
+    T = 1 << K
+    return {j: v for j, v in row.items() if v[1] or v[2] or v[4] > T}
+
+
+def _first_open(row: dict, K: int):
+    """The verdict on a `_signed_row` of a difference: None when the bound
+    proves every entry zero, else its first open column j when the entry
+    there is nonzero at t, and _UNDECIDED when it is zero at t."""
+    open_ = _open(row, K)
+    j = min(open_, default=None)
+    return _UNDECIDED if j is not None and not (open_[j][1] or open_[j][2]) else j
 
 
 class Unreduced:
@@ -385,12 +406,13 @@ class Unreduced:
     for a term c x.  x and y are `QMatrix`es or `Unreduced`s.
 
     Not a `QMatrix`: the kernel reads its rows at t = 2^K (`substituted`),
-    built with the kernel's row builder and never normalized, and an entry is
-    dropped only when the bound proves it zero: P(t) = 0 with h <= t.  A lone
-    product x y, the reflection check's operand, is built row by row from the
-    factors' kept rows; any other sum reads each factor's rows as `_row`
-    does, so a factor that the kernel has not converted keeps no rows.  Rows are normalized (`row`,
-    `apply_left`) only to name a failing entry, and for the projector's w.
+    built by `_signed_row` and never normalized, and an entry is dropped
+    only when the bound proves it zero: P(t) = 0 with h <= t.  A lone
+    product x y, the reflection check's operand, is built row by row from
+    the factors' kept rows; any other sum reads each factor's rows as `_row`
+    does, so a factor that the kernel has not converted keeps no rows.  Rows
+    are normalized (`row`, `apply_left`) only to name a failing entry, and
+    for the projector's w.
     """
 
     __slots__ = ("dim", "terms", "_subs")
@@ -403,9 +425,9 @@ class Unreduced:
         if subs is None or subs[0] != K:
             (c, x, y), *more = self.terms
             if c is None and y is not None and not more:
-                T = 1 << K
                 yrows = y.substituted(K)
-                rows = [_product_row(row, yrows, K, T) for row in x.substituted(K)]
+                rows = [_open(_signed_row(((1, row, yrows),), K), K)
+                        for row in x.substituted(K)]
             else:
                 memo: dict = {}
                 rows = [self.substituted_row(i, K, memo) for i in range(self.dim)]
@@ -415,7 +437,6 @@ class Unreduced:
     def substituted_row(self, i: int, K: int, memo: dict) -> dict:
         """Row i at t = 2^K: the rows c(t) (x y)_i of the terms, summed, with
         each x y from row i of x and the rows of y it reads."""
-        T = 1 << K
         scalars = memo.get(id(self))
         if scalars is None:
             scalars = memo[id(self)] = {k: _entry(ONE if c is None else c, K)
@@ -423,9 +444,9 @@ class Unreduced:
         rows = {}
         for k, (_, x, y) in enumerate(self.terms):
             row = _row(x, i, K, memo)
-            rows[k] = row if y is None else _substituted_row(
-                row, {l: _row(y, l, K, memo) for l in row}, K, T)
-        return _product_row(scalars, rows, K, T)
+            rows[k] = row if y is None else _signed_row(
+                ((1, row, {l: _row(y, l, K, memo) for l in row}),), K)
+        return _open(_signed_row(((1, scalars, rows),), K), K)
 
     def row(self, i: int) -> dict:
         return self.apply_left({i: ONE})
@@ -440,13 +461,6 @@ class Unreduced:
                 s = acc.get(j)
                 acc[j] = v if s is None else s + v
         return {j: v for j, v in acc.items() if v}
-
-
-def _product_row(row: dict, orows, K: int, T: int) -> dict:
-    """`_substituted_row` without the entries that the bound proves zero:
-    P(t) = 0 with h <= t."""
-    return {j: v for j, v in _substituted_row(row, orows, K, T).items()
-            if v[1] or v[2] or v[4] > T}
 
 
 def _row(m, i: int, K: int, memo: dict) -> dict:
@@ -464,52 +478,31 @@ def _row(m, i: int, K: int, memo: dict) -> dict:
     return row
 
 
-def _row_verdict(left: dict, right: dict, open_: list, K: int, T: int):
-    """The first of the open columns `open_` of two substituted rows when
-    the bound at t = T = 2^K proves its entries unequal; None when no column
-    is open, and _UNDECIDED when that entry is not decided."""
-    if not open_:
-        return None
-    j = min(open_)
-    return _UNDECIDED if _same(left.get(j), right.get(j), K, T) is None else j
-
-
 def _escalated_row(x, y, z, w, i: int, K: int, memo: dict):
-    """`_row_verdict` on row i of x y and z w at t = 2^K, from the factor
+    """`_first_open` on row i of x y - z w at t = 2^K, built from the factor
     rows that row reads (`_row`)."""
     xrow, zrow = _row(x, i, K, memo), _row(z, i, K, memo)
-    T = 1 << K
-    left = _substituted_row(xrow, {k: _row(y, k, K, memo) for k in xrow}, K, T)
-    right = _substituted_row(zrow, {k: _row(w, k, K, memo) for k in zrow}, K, T)
-    open_ = [j for j in left.keys() | right.keys()
-             if _same(left.get(j), right.get(j), K, T) is not True]
-    return _row_verdict(left, right, open_, K, T)
+    return _first_open(_signed_row(((1, xrow, {k: _row(y, k, K, memo) for k in xrow}),
+                                    (-1, zrow, {k: _row(w, k, K, memo) for k in zrow})), K), K)
 
 
 def first_product_mismatch(x, y, z, w):
     """(i, j) of the first entry, in row-major order with columns sorted,
     where x y and z w differ, or None when they are equal:
-    `first_product_difference` without the two values.  The rows are
-    decided at t = 2^K; a row whose first open entry the bound leaves
-    undecided is decided alone at t^2, t^4, ... (`_escalated_row`), and the
-    next row again at t."""
+    `first_product_difference` without the two values.  Each row of
+    x y - z w is built at t = 2^K as one signed sum (`_signed_row`); a row
+    whose first open entry is zero at t is redone alone at t^2, t^4, ...
+    (`_escalated_row`), and the next row is built at t again."""
     K = _K
-    T = 1 << K
     yrows, wrows = y.substituted(K), w.substituted(K)
     memos: dict = {}
     for i, (xrow, zrow) in enumerate(zip(x.substituted(K), z.substituted(K))):
-        left = _substituted_row(xrow, yrows, K, T)
-        right = _substituted_row(zrow, wrows, K, T)
-        # the columns not proven equal; most rows have none
-        open_ = [j for j in left.keys() | right.keys()
-                 if _same(left.get(j), right.get(j), K, T) is not True]
-        if open_:
-            j, k = _row_verdict(left, right, open_, K, T), K
-            while j is _UNDECIDED:
-                k *= 2
-                j = _escalated_row(x, y, z, w, i, k, memos.setdefault(k, {}))
-            if j is not None:
-                return i, j
+        j, k = _first_open(_signed_row(((1, xrow, yrows), (-1, zrow, wrows)), K), K), K
+        while j is _UNDECIDED:
+            k *= 2
+            j = _escalated_row(x, y, z, w, i, k, memos.setdefault(k, {}))
+        if j is not None:
+            return i, j
     return None
 
 
@@ -522,30 +515,37 @@ def first_product_difference(x, y, z, w):
     2009, J. Symbolic Comput. 44): q becomes t = 2^K, so an entry is a
     Gaussian integer over an integer with a net power of t, q^e P(t)/Q(t),
     a product of entries is one big-integer product and a power of t is a
-    shift (`_entry`, `_substituted_row`).  Each entry carries exact bounds
+    shift (`_entry`, `_signed_row`).  Each entry carries exact bounds
     h >= h(P) and g >= h(Q), where h(P) is the sum of |re| + |im| over P's
     coefficients; h is submultiplicative, h(zw) <= h(z) h(w).
 
-    Two entries q^e1 P1/Q1 and q^e2 P2/Q2 are equal iff
-    D = P1 Q2 t^a - P2 Q1 t^b is the zero polynomial (a, b >= 0 align the
-    exponents; Q(i)[q] is an integral domain and Q1, Q2 are nonzero), and
-    h(D) <= H = h1 g2 + h2 g1: D is the numerator of their difference, as
-    `_sum` builds it.  D(t) != 0 proves D != 0.  If H <= t, then D(t) = 0
-    proves D = 0.  Proof: let D != 0 with D(t) = 0; its real or its
-    imaginary part R is a nonzero integer polynomial with R(t) = 0.  Its
-    lowest nonzero coefficient c_k is divisible by t, since
-    R(t) / t^k = c_k + t (...), and R has a second nonzero coefficient, as
-    R(t) != 0 otherwise.  So h(D) >= |c_k| + 1 >= t + 1.  When Q1(t) = Q2(t)
-    and g1 + g2 <= t, the same argument on Q1 - Q2 shows Q1 = Q2, and then
-    D = P1 t^a - P2 t^b with H = h1 + h2.
+    Row i of x y - z w is one sum (`_signed_row`): the products of x_i y are
+    added and those of z_i w subtracted, into one dict.  Its entry j is
+    q^e P/Q = (xy)_ij - (zw)_ij, Q nonzero, with h >= h(P): `_sum` builds
+    q^e1 P1/Q1 + q^e2 P2/Q2 as q^e (P1 Q2 t^a + P2 Q1 t^b)/(Q1 Q2), where
+    a, b >= 0 align the exponents, with the bound h1 g2 + h2 g1.  Q(i)[q] is
+    an integral domain, so (xy)_ij = (zw)_ij iff P = 0.  P(t) != 0 proves
+    P != 0.  If h <= t, then P(t) = 0 proves P = 0.  Proof: let P != 0 with
+    P(t) = 0; its real or its imaginary part R is a nonzero integer
+    polynomial with R(t) = 0.  Its lowest nonzero coefficient c_k is
+    divisible by t, since R(t) / t^k = c_k + t (...), and R has a second
+    nonzero coefficient, as R(t) != 0 otherwise.  So h(P) >= |c_k| + 1 >=
+    t + 1.  When Q1(t) = Q2(t) and g1 + g2 <= t, the same argument on
+    Q1 - Q2 shows Q1 = Q2, and `_sum` adds the numerators, with the bound
+    h1 + h2.
 
-    So no entry is found equal above its bound: when D(t) = 0 and H > t, that
-    entry's row is redone at t^2, and a large coefficient costs time, never
-    exactness.  The rows before it are proven equal, and each row's verdict
-    is exact at any t, so the first mismatch is the one a redo of the whole
-    call at t^2 would find.  The first mismatching entry is recomputed from
-    the factors' normalized rows (`apply_left`), so the returned values are
-    the canonical entries of the two products.
+    The order of the products changes P, Q and h, never P/Q, so the entry
+    has the value at t of left - right in any order; only its bound can
+    change, which can move a row into a redo but never change a verdict.
+    So no entry is found equal above its bound: a row's first open entry
+    (`_first_open`) is a mismatch when P(t) != 0, and when P(t) = 0 and
+    h > t that row alone is redone at t^2 (`_escalated_row`): a large
+    coefficient costs time, never exactness.  The rows before it are proven
+    equal, and each row's verdict is exact at any t, so the first mismatch
+    is the one a redo of the whole call at t^2 would find.  The first
+    mismatching entry is recomputed from the factors' normalized rows
+    (`apply_left`), so the returned values are the canonical entries of the
+    two products.
     """
     found = first_product_mismatch(x, y, z, w)
     if found is None:

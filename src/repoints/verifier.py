@@ -22,6 +22,7 @@ from .qmatrix import (
     IdentityKron,
     QMatrix,
     Unreduced,
+    apply_blocks,
     first_product_difference,
 )
 from .rmatrix import Projector, build_rmatrix_data, epsilon_for
@@ -88,23 +89,16 @@ def _gauss_record(name: str, N: int, left: dict, right: dict) -> CheckRecord:
     return _record_equal(name, lift(left), lift(right))
 
 
-def embed_second(A: QMatrix, N: int) -> QMatrix:
-    """A acting on the second tensor factor: I x A, whose integer rows for
-    the kernel are A's (`IdentityKron`)."""
-    if A.dim != N:
-        raise ValueError("dimension mismatch between A and N")
-    return IdentityKron(A)
-
-
 def check_reflection(A: QMatrix, S: QMatrix) -> CheckRecord:
-    """S A2 S A2 = A2 S A2 S with A2 = I x A, decided as S M = M S with
-    M = A2 S A2: by associativity S M is the left side and M S the right.
-    M is the `Unreduced` product of A2 and the `Unreduced` product S A2, so
-    no entry is normalized unless it names the first mismatch."""
+    """S A2 S A2 = A2 S A2 S with A2 = I x A (`IdentityKron`), decided as
+    S M = M S with M = A2 S A2: by associativity S M is the left side and
+    M S the right.  M is the `Unreduced` product of A2 and the `Unreduced`
+    product S A2, so no entry is normalized unless it names the first
+    mismatch."""
     N = A.dim
     if S.dim != N * N:
         raise ValueError("dimension mismatch between A and S")
-    A2 = embed_second(A, N)
+    A2 = IdentityKron(A)
     M = Unreduced((None, A2, Unreduced((None, S, A2))))
     return _record("reflection", first_product_difference(S, M, M, S))
 
@@ -158,13 +152,7 @@ def _times(a: QScalar, n, d) -> tuple:
 def _apply_second(A: QMatrix, vec: dict) -> dict:
     """v^T (I x A) for v in `_unreduced_apply`'s form, read off A's rows:
     entry (b, j) sums v[(b, k)] A[k][j], so I x A is not formed."""
-    n = A.dim
-    blocks: dict = {}
-    for t, x in vec.items():
-        b, k = divmod(t, n)
-        blocks.setdefault(b, {})[k] = x
-    return {b * n + j: x for b, block in blocks.items()
-            for j, x in _unreduced_apply(A, block, left=True).items()}
+    return apply_blocks(A.dim, vec, lambda block: _unreduced_apply(A, block, left=True))
 
 
 def _unreduced_form(x: dict, S: QMatrix, y: dict) -> tuple:

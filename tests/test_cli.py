@@ -343,7 +343,9 @@ def test_exponent_bound_exits_two(capsys):
 
 def _normalized(m):
     """A kernel operand as a `QMatrix`: an `Unreduced` sum of c x y
-    multiplied out and normalized."""
+    multiplied out and normalized, and I x A as the dense kron."""
+    if isinstance(m, qmatrix.IdentityKron):
+        return qmatrix.QMatrix.identity(m.block.dim).kron(m.block)
     if not isinstance(m, qmatrix.Unreduced):
         return m
     total = qmatrix.QMatrix(m.dim)
@@ -371,13 +373,13 @@ def test_params_with_coefficients_past_the_substitution_point(capsys, monkeypatc
             "--param", f"y1=({bigger}*q^2+{big})/({big}*q-1)",
             "--param", f"y1'=({big}*q^-3-q^-4)/({bigger}*q^2+{big})"]
     seen = []
-    at = qmatrix._row_verdict
+    at = qmatrix._signed_row
 
-    def recording(left, right, open_, K, T):
+    def recording(products, K):
         seen.append(K)
-        return at(left, right, open_, K, T)
+        return at(products, K)
 
-    monkeypatch.setattr(qmatrix, "_row_verdict", recording)
+    monkeypatch.setattr(qmatrix, "_signed_row", recording)
     assert main(argv) == 0
     got = _strip_timings(json.loads(capsys.readouterr().out))
     assert max(seen) > qmatrix._K

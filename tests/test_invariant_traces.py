@@ -7,8 +7,8 @@ and tr A = m+ lam+ + m- lam- fixes both multiplicities, so
 tr A = (N - r) lam + r lam'.  These tests hold that rule to the ranks it
 replaces, on the grid, on perturbed points and on diagonal controls whose
 multiplicities are off by one, and pin that a passing verify computes no
-rank.  `embed_second`'s integer rows must be the entry-by-entry conversion
-of I x A at both substitution points the kernel uses.
+rank.  The integer rows of I x A (`IdentityKron`) must be the
+entry-by-entry conversion at both substitution points the kernel uses.
 """
 import os
 import random
@@ -16,13 +16,14 @@ import sys
 
 import pytest
 
+from repoints import verifier
 from repoints.natrep import CheckRecord
 from repoints.points import default_params, pm_exponents, quantum_point
 from repoints.qmatrix import IdentityKron, QMatrix, _entry
 from repoints.rmatrix import build_rmatrix_data, epsilon_for
 from repoints.rootdata import ClassSpec, admissible_cases
 from repoints.scalar import I_UNIT, ZERO, LaurentPoly, QScalar, parse_scalar
-from repoints.verifier import check_min_poly, check_oc, check_reflection, embed_second, full_report
+from repoints.verifier import check_min_poly, check_oc, check_reflection, full_report
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -159,17 +160,17 @@ def test_a_passing_verify_computes_no_rank(monkeypatch, spec):
     assert ranks == []
 
 
-def _converted(A2, K):
-    return [{j: _entry(v, K) for j, v in row.items()} for row in A2.rows]
+def _converted(m, K):
+    return [{j: _entry(v, K) for j, v in row.items()} for row in m.rows]
 
 
 def test_block_rows_are_the_entry_conversion():
     for spec, params in _grid_points():
         A, N = quantum_point(spec, params).A, spec.N
-        A2 = embed_second(A, N)
-        assert A2.rows == QMatrix.identity(N).kron(A).rows, spec.case_id
+        A2, dense = IdentityKron(A), QMatrix.identity(N).kron(A)
+        assert [A2.row(i) for i in range(N * N)] == dense.rows, spec.case_id
         for K in (64, 128):
-            assert A2.substituted(K) == _converted(A2, K), (spec.case_id, K)
+            assert A2.substituted(K) == _converted(dense, K), (spec.case_id, K)
 
 
 def test_a_reflection_check_converts_a_once_and_shares_its_rows(monkeypatch):
@@ -190,10 +191,32 @@ def test_a_reflection_check_converts_a_once_and_shares_its_rows(monkeypatch):
     # A is converted once, S at most once (it is cached per series), and
     # I x A reads A's rows
     assert [m for m in converted if m is not S] == [A]
-    A2 = embed_second(A, spec.N)
+    A2 = IdentityKron(A)
     rows = A.substituted(64)
     assert all(A2.substituted(64)[i * spec.N + k][i * spec.N + j] is v
                for i in range(spec.N) for k, row in enumerate(rows) for j, v in row.items())
+
+
+def test_a_passing_reflection_check_forms_no_qscalar_row_of_i_x_a(monkeypatch):
+    spec = ClassSpec("sp", 6, "t2", 2, -1)
+    A = quantum_point(spec, draw_params(spec, random.Random(7))).A
+    S = build_rmatrix_data(spec.series).S
+    made = []
+
+    def refuse(self, *args):
+        raise AssertionError("a passing check reads no normalized row of I x A")
+
+    monkeypatch.setattr(IdentityKron, "row", refuse)
+    monkeypatch.setattr(IdentityKron, "apply_left", refuse)
+    monkeypatch.setattr(verifier, "IdentityKron", lambda A: made.append(IdentityKron(A)) or made[-1])
+    assert check_reflection(A, S).passed
+    # I x A holds A and its rows at t, and no list of QScalar rows
+    (A2,) = made
+    held = [getattr(A2, name) for cls in type(A2).__mro__
+            for name in getattr(cls, "__slots__", ()) if hasattr(A2, name)]
+    assert A in held and not any(isinstance(v, list) for v in held)
+    (_, rows), = [v for v in held if isinstance(v, tuple)]
+    assert not any(isinstance(v, QScalar) for row in rows for v in row.values())
 
 
 def test_the_oc_check_converts_nothing_of_a(monkeypatch):

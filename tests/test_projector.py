@@ -15,7 +15,6 @@ from repoints.verifier import (
     check_oc,
     check_reflection,
     check_varpi_structure,
-    embed_second,
 )
 
 SMALL_CASES = [spec for spec in standard_cases()
@@ -40,7 +39,7 @@ def dense_raw(proj):
 
 def dense_oc(A, S, varpi, mu):
     """oc.right and oc.left as products of N^2 x N^2 matrices."""
-    A2 = embed_second(A, A.dim)
+    A2 = QMatrix.identity(A.dim).kron(A)
     M = A2 * S * A2
     scaled = varpi.scale(mu)
     return [_record_equal("oc.right", M * varpi, scaled),

@@ -171,16 +171,16 @@ def test_differing_denominators_report_canonical_values():
 
 
 def _substitution_points(monkeypatch):
-    """The list of K at which the kernel decides a row with an open entry,
-    or redoes a row, from now on."""
+    """The list of K at which the kernel builds a row, deciding it or
+    redoing it, from now on."""
     seen = []
-    at = qmatrix._row_verdict
+    at = qmatrix._signed_row
 
-    def recording(left, right, open_, K, T):
+    def recording(products, K):
         seen.append(K)
-        return at(left, right, open_, K, T)
+        return at(products, K)
 
-    monkeypatch.setattr(qmatrix, "_row_verdict", recording)
+    monkeypatch.setattr(qmatrix, "_signed_row", recording)
     return seen
 
 
@@ -227,6 +227,14 @@ def test_a_cancelled_entry_within_the_bound_is_dropped():
     assert Unreduced((ONE, a, b), (POOL[7], QMatrix(2), None)).substituted(qmatrix._K)[0] == {}
 
 
+def _difference(a, b):
+    """The kernel's verdict on entries a - b at t: None (equal), 0 (unequal)
+    or _UNDECIDED."""
+    K = qmatrix._K
+    return qmatrix._first_open(qmatrix._signed_row(
+        ((1, {0: a}, qmatrix._UNIT), (-1, {0: b}, qmatrix._UNIT)), K), K)
+
+
 def test_a_sum_adds_numerators_only_over_a_proven_common_denominator():
     # entries as (e, re, im, d, h, g): 1/2, and 1/Q with Q = q - t + 2, so
     # Q(t) = 2 with h(Q) = t - 1.  The denominators agree at t, but their
@@ -234,9 +242,16 @@ def test_a_sum_adds_numerators_only_over_a_proven_common_denominator():
     # sum, which is not 1, must not be decided equal to 1.
     K, t = qmatrix._K, T
     half, other, one = (0, 1, 0, 2, 1, 2), (0, 1, 0, 2, 1, t - 1), (0, 1, 0, 1, 1, 1)
-    total = qmatrix._substituted_row({0: one, 1: one}, [{0: half}, {0: other}], K, t)[0]
+    total = qmatrix._signed_row(((1, {0: one, 1: one}, [{0: half}, {0: other}]),), K)[0]
     assert total[3] == 4
-    assert qmatrix._same(total, one, K, t) is None
+    assert _difference(total, one) is qmatrix._UNDECIDED
+    # one signed row over the same three products decides nothing either
+    assert qmatrix._first_open(qmatrix._signed_row(
+        ((1, {0: one, 1: one}, [{0: half}, {0: other}]), (-1, {0: one}, [{0: one}])), K),
+        K) is qmatrix._UNDECIDED
+    # over 1/2 twice the common denominator is proven, and the sum is 1
+    total = qmatrix._signed_row(((1, {0: one, 1: one}, [{0: half}, {0: half}]),), K)[0]
+    assert total[3] == 2 and _difference(total, one) is None
 
 
 # pairs of entries (e, re, im, d, h, g) that agree at t, are not equal, and
@@ -250,8 +265,8 @@ def test_a_sum_adds_numerators_only_over_a_proven_common_denominator():
     ((0, 1, 0, 2, 1, 2), (0, 1, 0, 2, 1, T - 1)),
 ], ids=["one-denominator", "cross-multiplied", "denominators-agree-at-t"])
 def test_no_entry_is_decided_above_its_bound(a, b):
-    assert qmatrix._same(a, b, qmatrix._K, T) is None
-    assert qmatrix._same(b, a, qmatrix._K, T) is None
+    assert _difference(a, b) is qmatrix._UNDECIDED
+    assert _difference(b, a) is qmatrix._UNDECIDED
 
 
 def test_kron_of_the_identity_places_the_entries_it_multiplies_by_one():

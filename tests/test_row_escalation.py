@@ -17,11 +17,10 @@ import pytest
 from repoints import qmatrix, rmatrix, verifier
 from repoints.coideal import build_stabilizer
 from repoints.points import default_params, quantum_point
-from repoints.qmatrix import QMatrix, Unreduced, first_product_difference
+from repoints.qmatrix import IdentityKron, QMatrix, Unreduced, first_product_difference
 from repoints.rmatrix import build_rmatrix_data, factor_projector
 from repoints.rootdata import ClassSpec, admissible_cases
 from repoints.scalar import ZERO, parse_scalar
-from repoints.verifier import embed_second
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -34,19 +33,21 @@ CONTROL_CASES = [("sl", 4, "t2", 1, 1), ("sl", 5, "t2", 2, -1), ("so", 5, "t2", 
 
 
 def _whole_call_at(x, y, z, w, K):
-    """The whole-call kernel at t = 2^K: (i, j), None, or _UNDECIDED."""
+    """The whole-call kernel at t = 2^K: (i, j), None, or _UNDECIDED.  Each
+    side's row is built alone, and the two are subtracted column by column
+    in sorted order, as the kernel did before it summed one signed row."""
     T = 1 << K
     yrows, wrows = y.substituted(K), w.substituted(K)
     for i, (xrow, zrow) in enumerate(zip(x.substituted(K), z.substituted(K))):
-        left = qmatrix._substituted_row(xrow, yrows, K, T)
-        right = qmatrix._substituted_row(zrow, wrows, K, T)
-        open_ = [j for j in left.keys() | right.keys()
-                 if qmatrix._same(left.get(j), right.get(j), K, T) is not True]
-        if open_:
-            j = min(open_)
-            if qmatrix._same(left.get(j), right.get(j), K, T) is None:
+        left = qmatrix._signed_row(((1, xrow, yrows),), K)
+        right = qmatrix._signed_row(((-1, zrow, wrows),), K)
+        for j in sorted(left.keys() | right.keys()):
+            a, b = left.get(j), right.get(j)
+            _, re, im, _, h, _ = a if b is None else b if a is None else qmatrix._sum(a, b, K, T)
+            if re or im:
+                return i, j
+            if h > T:
                 return qmatrix._UNDECIDED
-            return i, j
     return None
 
 
@@ -86,7 +87,7 @@ def _identities(spec, params, A, series_seen):
     `series_seen`, the projector's p raw = u w^T as L (p R) = U W."""
     data = build_rmatrix_data(spec.series)
     S = data.S
-    A2 = embed_second(A, spec.N)
+    A2 = IdentityKron(A)
     M = Unreduced((None, A2, Unreduced((None, S, A2))))
     yield S, M, M, S
     yield _operands(verifier, lambda: verifier.check_min_poly(A, spec))
@@ -160,7 +161,7 @@ def _big_coefficient_point():
 def test_an_escalated_row_keeps_every_factors_rows_at_the_first_k(monkeypatch):
     spec, A = _big_coefficient_point()
     S = build_rmatrix_data(spec.series).S
-    A2 = embed_second(A, spec.N)
+    A2 = IdentityKron(A)
     SA2 = Unreduced((None, S, A2))
     M = Unreduced((None, A2, SA2))
     escalated = []
@@ -203,7 +204,7 @@ def test_unreduced_and_block_rows_built_alone_equal_their_kept_rows(K):
     spec = ClassSpec("sp", 6, "t2", 2, -1)
     A = quantum_point(spec, draw_params(spec, random.Random(7))).A
     S = build_rmatrix_data(spec.series).S
-    A2 = embed_second(A, spec.N)
+    A2 = IdentityKron(A)
     scaled = Unreduced((parse_scalar("q^2-3*i"), A, None),
                        (parse_scalar("(2*q+1)/(q-5)"), A, Unreduced((None, A, A))))
     plus, minus = _operands(verifier, lambda: verifier.check_min_poly(A, spec))[:2]

@@ -9,7 +9,7 @@ import pytest
 
 from repoints import points, scalar
 from repoints.points import default_params, quantum_point
-from repoints.qmatrix import QMatrix, first_product_difference, first_vector_difference
+from repoints.qmatrix import IdentityKron, QMatrix, first_product_difference, first_vector_difference
 from repoints.rmatrix import build_rmatrix_data
 from repoints.rootdata import ClassSpec, LieSeries, admissible_cases, series_for_group
 from repoints.scalar import ONE, LaurentPoly, QScalar, parse_scalar, q_integer, render_scalar
@@ -19,7 +19,6 @@ from repoints.verifier import (
     check_oc,
     check_reflection,
     check_varpi_structure,
-    embed_second,
     expected_q_trace,
     full_report,
 )
@@ -44,19 +43,23 @@ def test_non_solution_fails_re_with_located_detail():
     assert "first mismatch" in record.detail
 
 
-def test_embed_second():
+def test_identity_kron_keeps_only_a():
     A = QMatrix.from_entries(2, [(0, 1, ONE)])
-    A2 = embed_second(A, 2)
-    assert A2.get(0, 1) == ONE and A2.get(2, 3) == ONE
-    assert not A2.get(0, 2)
-    # I x A is A's rows in N diagonal blocks, at default and at seeded
-    # generic points
+    A2 = IdentityKron(A)
+    assert A2.row(0) == {1: ONE} and A2.row(2) == {3: ONE} and A2.row(1) == {}
+    # I x A keeps only A, and reads its rows, v^T (I x A) and its rows at t
+    # off A's as the dense kron with the identity has them, at default and
+    # at seeded generic points
     for args in CONTROL_CASES:
         spec = ClassSpec(*args)
         for params in (default_params(spec), draw_params(spec, random.Random(7))):
             A, N = quantum_point(spec, params).A, spec.N
-            blocks = [{i * N + j: v for j, v in row.items()} for i in range(N) for row in A.rows]
-            assert embed_second(A, N) == QMatrix(N * N, blocks), spec.case_id
+            A2, dense = IdentityKron(A), QMatrix.identity(N).kron(A)
+            assert A2.dim == N * N and A2.block is A, spec.case_id
+            assert [A2.row(i) for i in range(N * N)] == dense.rows, spec.case_id
+            vec = {k: parse_scalar(f"(q+{k})/(q-{k + 2})") for k in range(0, N * N, 3)}
+            assert A2.apply_left(vec) == dense.apply_left(vec), spec.case_id
+            assert A2.substituted(64) == dense.substituted(64), spec.case_id
 
 
 def test_expected_q_traces():
@@ -181,7 +184,7 @@ def test_unreduced_reflection_names_the_mismatch_of_the_normalized_form(args):
     perturbations.append(list(zip(positions, values)))
     for cells in perturbations:
         bad = A + QMatrix.from_entries(N, [(*p, v) for p, v in cells])
-        A2 = embed_second(bad, N)
+        A2 = QMatrix.identity(N).kron(bad)
         M = A2 * (S * A2)
         diff = first_product_difference(S, M, M, S)
         assert diff is not None, cells
@@ -305,7 +308,7 @@ def test_unreduced_oc_records_are_the_normalized_ones():
             A = quantum_point(spec, p).A
             for bad in [A] + [A + QMatrix.from_entries(N, [(*pos, bump)])
                               for pos in [(0, N - 1), (N // 2, 0)]]:
-                A2 = embed_second(bad, N)
+                A2 = QMatrix.identity(N).kron(bad)
                 right = proj.u
                 for m in (A2, S, A2):
                     right = m.transpose().apply_left(right)
