@@ -298,16 +298,33 @@ def _conjugation(data: ClassicalAlgebraData, a: dict, square=None) -> tuple:
     return (cols, rows), c
 
 
-def _omega_part(data: ClassicalAlgebraData, conj) -> dict:
+def _root_moves(data: ClassicalAlgebraData, conj, every: bool) -> list:
+    """(e_beta, f_beta, u_beta, v_beta) with u_beta = a e_beta a^-1 - e_beta
+    and v_beta = a f_beta a^-1 - f_beta, each built in one pass over the
+    nonzeros of the root vector: for every positive root, or, unless
+    `every`, only for those that a moves (u_beta != 0)."""
+    moves = []
+    for root in data.positive:
+        e, f = data.e_vectors[root], data.f_vectors[root]
+        u = _conjugate(e, conj, moved=True)
+        if u or every:
+            moves.append((e, f, u, _conjugate(f, conj, moved=True)))
+    return moves
+
+
+def _omega_part(data: ClassicalAlgebraData, conj, moves: list) -> dict:
     """(1 (x) Ad - Ad (x) 1) omega for the split Casimir
-    omega = sum_k B_k (x) B_k^v, that is
-    sum_k B_k (x) Ad(B_k^v) - Ad(B_k) (x) B_k^v, with the Cartan block taken
-    as sum_ij c_ij E_ii (x) E_jj (`cartan_block`) and each Ad(E_jj) built once."""
-    pairs = list(zip(data.basis, data.duals))[data.ls.rank:]
+    omega = sum_k B_k (x) B_k^v, from the moves of every root
+    (`_root_moves`).  The root part of omega is sum_beta e (x) f + f (x) e,
+    and with Ad(e) = e + u and Ad(f) = f + v it goes to
+    sum_beta e (x) v + f (x) u - u (x) f - v (x) e.  The Cartan block,
+    taken as sum_ij c_ij E_ii (x) E_jj (`cartan_block`), goes to
+    sum_ij c_ij (E_ii (x) Ad(E_jj) - Ad(E_ii) (x) E_jj), each Ad(E_jj) built
+    once."""
     moved = [_conjugate({(j, j): GR_ONE}, conj) for j in range(data.ls.dim)]
-    right = _outer_sum([(b, _conjugate(d, conj)) for b, d in pairs] + [
+    right = _outer_sum([p for e, f, u, v in moves for p in ((e, v), (f, u))] + [
         ({(i, i): c}, moved[j]) for (i, _, j, _), c in data.cartan_block.items()])
-    left = _outer_sum([(_conjugate(b, conj), d) for b, d in pairs] + [
+    left = _outer_sum([p for e, f, u, v in moves for p in ((u, f), (v, e))] + [
         (moved[i], {(j, j): c}) for (i, _, j, _), c in data.cartan_block.items()])
     return _combine((1, right), (-1, left))
 
@@ -368,18 +385,18 @@ def bivector_at(data: ClassicalAlgebraData, a: dict, square=None) -> BivectorVal
     roots; neither is stored.
 
     - The rho part is sum_beta u_beta (x) v_beta - v_beta (x) u_beta with
-      u_beta = a e_beta a^-1 - e_beta and v_beta = a f_beta a^-1 - f_beta,
-      each built in one pass over the nonzeros of the root vector. A root
-      that a does not move, u_beta = 0, adds zero, and its v_beta is not
-      built.
+      u_beta = a e_beta a^-1 - e_beta and v_beta = a f_beta a^-1 - f_beta
+      (`_root_moves`). A root that a does not move, u_beta = 0, adds zero,
+      and its v_beta is built only where the omega part reads it.
     - The omega part is zero when a^2 = c I: then a^-1 = a / c, so
       Ad^-1 = Ad. Ad_a(g) = g (`_conjugation`) and Ad preserves tr(XY), so
       the Ad_a(B_k) form a basis of g with dual basis Ad_a(B_k^v), and
       (Ad (x) Ad) omega = omega. Hence
       (Ad (x) 1) omega = (1 (x) Ad^-1) omega = (1 (x) Ad) omega. Otherwise it
-      is built by `_omega_part`. The verified points are involutions and
-      skip it. Then T = U - flip(U) with U = sum_beta u_beta (x) v_beta, so
-      T = 0 iff U = flip(U), which is decided before T is built.
+      is built by `_omega_part` from the same u_beta and v_beta, every
+      root's. The verified points are involutions and skip it. Then
+      T = U - flip(U) with U = sum_beta u_beta (x) v_beta, so T = 0 iff
+      U = flip(U), which is decided before T is built.
 
     Why T = 0 iff its coefficient matrix `total` over the basis is zero:
 
@@ -399,15 +416,11 @@ def bivector_at(data: ClassicalAlgebraData, a: dict, square=None) -> BivectorVal
     (`_conjugation`).
     """
     conj, c = _conjugation(data, a, square)
-    pairs = []
-    for root in data.positive:
-        u = _conjugate(data.e_vectors[root], conj, moved=True)
-        if u:
-            pairs.append((u, _conjugate(data.f_vectors[root], conj, moved=True)))
-    uv = _outer_sum(pairs)
+    moves = _root_moves(data, conj, every=c is None)
+    uv = _outer_sum((u, v) for _, _, u, v in moves)
     flipped = _flip(uv)
     if c is None:
-        tensor = _combine((1, uv), (-1, flipped), (1, _omega_part(data, conj)))
+        tensor = _combine((1, uv), (-1, flipped), (1, _omega_part(data, conj, moves)))
     else:
         tensor = {} if uv == flipped else _combine((1, uv), (-1, flipped))
     if _flip(tensor) != {key: -v for key, v in tensor.items()}:
@@ -434,7 +447,7 @@ def check_involutive_vanishing(data: ClassicalAlgebraData, a: dict) -> CheckReco
     conj, c = _conjugation(data, a)
     if c is None:
         return CheckRecord("omega.involutive", False, "Ad^2 is not the identity")
-    ok = not _omega_part(data, conj)
+    ok = not _omega_part(data, conj, _root_moves(data, conj, every=True))
     return CheckRecord("omega.involutive", ok,
                        None if ok else "omega part nonzero despite Ad^2 = id")
 

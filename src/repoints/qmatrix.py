@@ -8,14 +8,16 @@ Gaussian-integer polynomials P and Q.  One routine, `_signed_row`, builds
 every row the kernel reads: a row of X Y - Z W is one signed sum, and an
 entry is decided only where its bound proves that P vanishes iff P(t) does;
 otherwise that row alone is redone at t^2, from the factor rows it reads.
-Only the first mismatching entry is computed symbolically, to name it.  A
-factor may itself be a sum of products that nothing else reads, such as
-A2 S A2, A - lam I or c_den lead + c_num F_tilde: an `Unreduced` keeps its
-terms, and its rows at t are built by the same routine, as is the
+A call may list the rows it decides, each built from the factor rows it
+reads, so a factor's kept rows serve a check that needs one row of a
+product.  Only the first mismatching entry is computed symbolically, to
+name it.  A factor may itself be a sum of products that nothing else reads,
+such as A2 S A2, A - lam I or c_den lead + c_num F_tilde: an `Unreduced`
+keeps its terms, and its rows at t are built by the same routine, as is the
 difference that `same_products` decides.  A `QMatrix` keeps its integer rows
 for the first K (`substituted`), which a redone row neither reads nor
-replaces; I x A (`IdentityKron`) keeps only A and places A's integer rows in
-its diagonal blocks.
+replaces; I x A (`IdentityKron`) keeps only A, places A's integer rows in
+its diagonal blocks and applies A block by block.
 
 `QMatrix.rank` is exact Gaussian elimination, which normalizes every pivot
 step; a passing verify computes no rank (`verifier.check_min_poly` decides
@@ -211,16 +213,6 @@ class QMatrix:
         return f"QMatrix(dim={self.dim}, nnz={nnz})"
 
 
-def apply_blocks(n: int, vec: dict, apply) -> dict:
-    """v^T (I x X) for an n x n X, with apply(u) = u^T X: block b of v is
-    applied and placed in block b, so I x X is not formed."""
-    parts: dict = {}
-    for k, a in vec.items():
-        b, r = divmod(k, n)
-        parts.setdefault(b, {})[r] = a
-    return {b * n + j: v for b, part in parts.items() for j, v in apply(part).items()}
-
-
 class IdentityKron:
     """I x A, keeping only A: entry for entry `QMatrix.identity(n).kron(A)`,
     whose blocks share A's `QScalar`s.  So its rows at t = 2^K are A's rows
@@ -237,7 +229,13 @@ class IdentityKron:
         return self.apply_left({i: ONE})
 
     def apply_left(self, vec: dict) -> dict:
-        return apply_blocks(self.block.dim, vec, self.block.apply_left)
+        """v^T (I x A): block b of v is applied to A and placed in block b."""
+        n, parts = self.block.dim, {}
+        for k, a in vec.items():
+            b, r = divmod(k, n)
+            parts.setdefault(b, {})[r] = a
+        return {b * n + j: v for b, part in parts.items()
+                for j, v in self.block.apply_left(part).items()}
 
     def substituted(self, K: int) -> list:
         subs = self._subs
@@ -486,18 +484,27 @@ def _escalated_row(x, y, z, w, i: int, K: int, memo: dict):
                                     (-1, zrow, {k: _row(w, k, K, memo) for k in zrow})), K), K)
 
 
-def first_product_mismatch(x, y, z, w):
+def first_product_mismatch(x, y, z, w, rows=None):
     """(i, j) of the first entry, in row-major order with columns sorted,
     where x y and z w differ, or None when they are equal:
     `first_product_difference` without the two values.  Each row of
     x y - z w is built at t = 2^K as one signed sum (`_signed_row`); a row
     whose first open entry is zero at t is redone alone at t^2, t^4, ...
-    (`_escalated_row`), and the next row is built at t again."""
+    (`_escalated_row`), and the next row is built at t again.  With `rows`,
+    only those rows are decided, each built by `_escalated_row` from the
+    factor rows it reads, so no factor is converted whole."""
     K = _K
-    yrows, wrows = y.substituted(K), w.substituted(K)
     memos: dict = {}
-    for i, (xrow, zrow) in enumerate(zip(x.substituted(K), z.substituted(K))):
-        j, k = _first_open(_signed_row(((1, xrow, yrows), (-1, zrow, wrows)), K), K), K
+    if rows is None:
+        yrows, wrows = y.substituted(K), w.substituted(K)
+        rows = range(x.dim)
+        firsts = (_first_open(_signed_row(((1, xrow, yrows), (-1, zrow, wrows)), K), K)
+                  for xrow, zrow in zip(x.substituted(K), z.substituted(K)))
+    else:
+        rows = sorted(rows)
+        firsts = (_escalated_row(x, y, z, w, i, K, memos.setdefault(K, {})) for i in rows)
+    for i, j in zip(rows, firsts):
+        k = K
         while j is _UNDECIDED:
             k *= 2
             j = _escalated_row(x, y, z, w, i, k, memos.setdefault(k, {}))
@@ -506,10 +513,11 @@ def first_product_mismatch(x, y, z, w):
     return None
 
 
-def first_product_difference(x, y, z, w):
+def first_product_difference(x, y, z, w, rows=None):
     """The first (i, j, (xy)[i][j], (zw)[i][j]) in row-major order, columns
     sorted, where the products x y and z w differ; None when they are equal.
-    Each factor is a `QMatrix` or an `Unreduced`.
+    Each factor is a `QMatrix`, an `IdentityKron` or an `Unreduced`.  With
+    `rows`, only those rows are decided (`first_product_mismatch`).
 
     The products are decided on integers (Kronecker substitution; Harvey
     2009, J. Symbolic Comput. 44): q becomes t = 2^K, so an entry is a
@@ -547,7 +555,7 @@ def first_product_difference(x, y, z, w):
     (`apply_left`), so the returned values are the canonical entries of the
     two products.
     """
-    found = first_product_mismatch(x, y, z, w)
+    found = first_product_mismatch(x, y, z, w, rows)
     if found is None:
         return None
     i, j = found

@@ -11,7 +11,11 @@ pivot p = raw[i0][j0] at its first column, and u = raw[:, j0] is L times
 column j0 of R.  varpi = u w^T / (p den) exactly when p raw = u w^T.  Given
 that identity, the projector checks reduce to vector identities free of
 denominators: varpi^2 = varpi iff w.u = p den, and X varpi = mu varpi iff
-X u = mu u (and varpi X = mu varpi iff w^T X = mu w^T).
+X u = mu u (and varpi X = mu varpi iff w^T X = mu w^T).  The kernel reads u
+and w as the matrices U (u as column j0) and W (w as row j0), and mu as MU
+(mu at (j0, j0)), cached on the projector with their rows at t:
+p raw = u w^T is L (p R) = U W, X u = mu u is X U = U MU, and
+w^T X = mu w^T is row j0 of W X = MU W.
 
 Tensor indices are lexicographic: component (i, j) of C^N tensor C^N sits at
 row i * N + j (0-based i, j).
@@ -48,21 +52,38 @@ class Projector:
         return self.w[self.j0]
 
     @cached_property
+    def U(self) -> QMatrix:
+        """u as column j0, so X U holds X u in that column.  Requires a
+        pivot; the kernel keeps its rows, as W's, for every verify."""
+        return QMatrix(self.raw.dim, [{self.j0: self.u[i]} if i in self.u else {}
+                                      for i in range(self.raw.dim)])
+
+    @cached_property
+    def W(self) -> QMatrix:
+        """w as row j0, so W X holds w^T X in that row.  Requires a pivot."""
+        W = QMatrix(self.raw.dim)
+        W.rows[self.j0] = self.w
+        return W
+
+    @cached_property
+    def MU(self) -> QMatrix:
+        """mu at (j0, j0) alone, so U MU = mu U and MU W = mu W.  Requires a
+        pivot."""
+        MU = QMatrix(self.raw.dim)
+        MU.rows[self.j0] = {self.j0: self.mu}
+        return MU
+
+    @cached_property
     def factor_mismatch(self):
         """First (i, j, p raw[i][j], u[i] w[j]) in row-major order where
         p raw != u w^T, or None when raw = u w^T / p.  Requires a pivot.
-        It compares L (p R) with U W, where U holds u as column j0 and W
-        holds w as row j0, so (U W)[i][j] = u_i w_j; p R is read at t as its
-        one scaled term, so no p R is formed."""
+        It compares L (p R) with U W, as (U W)[i][j] = u_i w_j; p R is read
+        at t as its one scaled term, so no p R is formed."""
         (_, L, R), = self.raw.terms
-        dim = self.raw.dim
-        U = QMatrix(dim, [{self.j0: self.u[i]} if i in self.u else {} for i in range(dim)])
-        W = QMatrix(dim)
-        W.rows[self.j0] = self.w
         # L as a one-term sum is read row by row, so it keeps no integer
         # rows: nothing reads them again
         return first_product_difference(Unreduced((None, L, None)),
-                                        Unreduced((self.pivot, R, None)), U, W)
+                                        Unreduced((self.pivot, R, None)), self.U, self.W)
 
     @cached_property
     def kept(self) -> dict:

@@ -18,26 +18,10 @@ from .points import (
     pm_exponents,
     quantum_point,
 )
-from .qmatrix import (
-    IdentityKron,
-    QMatrix,
-    Unreduced,
-    apply_blocks,
-    first_product_difference,
-)
+from .qmatrix import IdentityKron, QMatrix, Unreduced, first_product_difference
 from .rmatrix import Projector, build_rmatrix_data, epsilon_for
 from .rootdata import ClassSpec, RootSystem, build_root_system
-from .scalar import (
-    I_UNIT,
-    LP_ONE,
-    LP_ZERO,
-    ZERO,
-    GaussRational,
-    QScalar,
-    q_integer,
-    render_scalar,
-    unreduced_sum,
-)
+from .scalar import I_UNIT, ZERO, GaussRational, QScalar, q_integer, render_scalar
 
 
 @dataclass
@@ -89,18 +73,24 @@ def _gauss_record(name: str, N: int, left: dict, right: dict) -> CheckRecord:
     return _record_equal(name, lift(left), lift(right))
 
 
-def check_reflection(A: QMatrix, S: QMatrix) -> CheckRecord:
-    """S A2 S A2 = A2 S A2 S with A2 = I x A (`IdentityKron`), decided as
-    S M = M S with M = A2 S A2: by associativity S M is the left side and
-    M S the right.  M is the `Unreduced` product of A2 and the `Unreduced`
-    product S A2, so no entry is normalized unless it names the first
-    mismatch."""
+def reflection_operand(A: QMatrix, S: QMatrix) -> Unreduced:
+    """X = A2 S A2 with A2 = I x A (`IdentityKron`): the `Unreduced` product
+    of A2 and the `Unreduced` product S A2.  A verify builds it once for
+    the reflection check and the OC, so the OC reads the rows at t that
+    the reflection check keeps on it."""
     N = A.dim
     if S.dim != N * N:
         raise ValueError("dimension mismatch between A and S")
     A2 = IdentityKron(A)
-    M = Unreduced((None, A2, Unreduced((None, S, A2))))
-    return _record("reflection", first_product_difference(S, M, M, S))
+    return Unreduced((None, A2, Unreduced((None, S, A2))))
+
+
+def check_reflection(X: Unreduced, S: QMatrix) -> CheckRecord:
+    """S A2 S A2 = A2 S A2 S, decided as S X = X S for X = A2 S A2
+    (`reflection_operand`): by associativity S X is the left side and X S
+    the right.  No entry is normalized unless it names the first
+    mismatch."""
+    return _record("reflection", first_product_difference(S, X, X, S))
 
 
 def _factoring_problem(proj: Projector) -> str | None:
@@ -117,96 +107,37 @@ def _unfactored(name: str, problem: str) -> CheckRecord:
     return CheckRecord(name, False, f"not decided, varpi.rank_one fails ({problem})")
 
 
-def _unreduced_apply(M: QMatrix, vec: dict, left: bool = False) -> dict:
-    """M v, or v^T M when left, for a vector v of unreduced fractions
-    {k: (num, den)} of Laurent polynomials, in that form: a product
-    multiplies numerators and denominators, and a sum adds numerators over
-    an equal denominator and cross-multiplies otherwise (as
-    `unreduced_sum`), so nothing is normalized.  Entries whose numerator
-    cancels to zero are dropped."""
-    acc: dict = {}
-
-    def add(i: int, a: QScalar, n, d) -> None:
-        x = _times(a, n, d)
-        s = acc.get(i)
-        acc[i] = x if s is None else unreduced_sum(s, x)
-
-    if left:
-        for k, (n, d) in vec.items():
-            for j, a in M.rows[k].items():
-                add(j, a, n, d)
-    else:
-        for i, row in enumerate(M.rows):
-            for k, a in row.items():
-                x = vec.get(k)
-                if x is not None:
-                    add(i, a, *x)
-    return {i: x for i, x in acc.items() if x[0]}
+def _varpi_record(name: str, diff, proj: Projector, left: bool = False) -> CheckRecord:
+    """M varpi = mu varpi from the kernel's first mismatch of M U = U MU,
+    or varpi M = mu varpi, when left, from that of W M = MU W
+    (`Projector.MU` holds mu at (j0, j0)).  As
+    varpi = u w^T / (p den), the dense matrices first differ in column
+    j0 = min supp w (in row i0 = min supp u when left), where their entries
+    are the kernel's divided by den, as u_i0 = w_j0 = p."""
+    if diff is None:
+        return CheckRecord(name, True)
+    i, j, a, b = diff
+    inv = proj.den.inv()
+    return CheckRecord(name, False, _mismatch_detail((proj.i0 if left else i, j,
+                                                      a * inv, b * inv)))
 
 
-def _times(a: QScalar, n, d) -> tuple:
-    """a n / d as an unreduced fraction."""
-    return a.num * n, d if a.den is LP_ONE else a.den * d
-
-
-def _apply_second(A: QMatrix, vec: dict) -> dict:
-    """v^T (I x A) for v in `_unreduced_apply`'s form, read off A's rows:
-    entry (b, j) sums v[(b, k)] A[k][j], so I x A is not formed."""
-    return apply_blocks(A.dim, vec, lambda block: _unreduced_apply(A, block, left=True))
-
-
-def _unreduced_form(x: dict, S: QMatrix, y: dict) -> tuple:
-    """x^T S y for x and y in `_unreduced_apply`'s form, as one unreduced
-    fraction; S is read only at the rows of x and the columns of y."""
-    total = LP_ZERO, LP_ONE
-    for m, (n1, d1) in x.items():
-        row = S.rows[m]
-        for l, (n2, d2) in y.items():
-            a = row.get(l)
-            if a is not None:
-                total = unreduced_sum(total, _times(a, n1 * n2, d1 * d2))
-    return total
-
-
-def _fractions(vec: dict) -> dict:
-    """A vector of QScalars in `_unreduced_apply`'s form."""
-    return {k: (v.num, v.den) for k, v in vec.items()}
-
-
-def _eigen_record(name: str, got: dict, proj: Projector, left: bool = False,
-                  keys: list | None = None) -> CheckRecord:
-    """X varpi = mu varpi given got = X u, or varpi X = mu varpi given
-    got = w^T X when left, got in `_unreduced_apply`'s form.  Entry k,
-    n / d against mu f_k for the factor's f_k (each zero when absent), is
-    decided as n (mu f_k).den = (mu f_k).num d, in sorted order, at every k
-    of got and f or only at `keys`.  The dense matrices first differ in
-    column j0 (row i0 when left), where the entry is got[k] / den,
-    normalized for the detail only."""
-    factor = proj.w if left else proj.u
-    for k in sorted(got.keys() | factor.keys()) if keys is None else keys:
-        n, d = got.get(k, (LP_ZERO, LP_ONE))
-        want = proj.mu * factor.get(k, ZERO)
-        if n * want.den != want.num * d:
-            inv = proj.den.inv()
-            i, j = (proj.i0, k) if left else (k, proj.j0)
-            return CheckRecord(name, False, _mismatch_detail((i, j, QScalar(n, d) * inv,
-                                                              want * inv)))
-    return CheckRecord(name, True)
-
-
-# the records that, passing, let `check_oc` decide each side on one entry
+# the records that, passing, let `check_oc` decide the right side on one row
 _OC_PREMISES = frozenset({"reflection", "varpi.rank_one", "varpi.eigen"})
 
 
-def check_oc(A: QMatrix, S: QMatrix, proj: Projector, premises=()) -> list:
+def check_oc(X: Unreduced, proj: Projector, premises=()) -> list:
     """A2 S A2 varpi = mu varpi, and the same with varpi on the left, where
-    mu = eps q^(eps - N).  On the factors, with X = A2 S A2: X u = mu u and
-    w^T X = mu w^T, on unreduced fractions (`_unreduced_apply`), with A2
-    applied off A's rows and columns (`_apply_second`), so A2 is not formed.
+    mu = eps q^(eps - N).  X = A2 S A2 is the reflection check's operand
+    (`reflection_operand`).  On the factors, X u = mu u and
+    w^T X = mu w^T, decided by the kernel as X U = U MU and W X = MU W,
+    U holding u as column j0, W holding w as row j0 and MU mu at (j0, j0)
+    (`Projector.U`, `Projector.W`, `Projector.MU`); each row is built from
+    the rows of X that the reflection check keeps.
 
     `premises` are records decided on the same A, S and projector.  When
     `_OC_PREMISES` pass among them (S X = X S, S u = mu u and
-    p raw = u w^T), each side is decided on one entry.  Proof: S (X u) =
+    p raw = u w^T), the right side is decided on one row.  Proof: S (X u) =
     X S u = mu X u, and raw v = den v for every v with S v = mu v, as
     raw = (S - q)(S + q^-1) and den = (mu - q)(mu + q^-1) != 0.  So
     X u = raw X u / den = u (w^T X u) / (p den) = c u.  raw commutes with S,
@@ -215,26 +146,20 @@ def check_oc(A: QMatrix, S: QMatrix, proj: Projector, premises=()) -> list:
     iff (X u)_k = mu u_k at k = min supp u, and w^T X = mu w^T iff
     (w^T X)_j0 = mu w_j0, j0 being min supp w.  Where c != mu, X u - mu u
     has exactly u's support (w's on the left), so the full check's first
-    mismatch is that entry, with the same values.  Each entry is x^T S y with
-    x = e_k^T A2, y = A2 u on the right and x = w^T A2, y = A2 e_j0 on the
-    left, so S is read only at a few rows and columns.  A failing premise
-    leaves X u unconstrained, so the vectors are then computed in full."""
+    mismatch is that entry, with the same values.  So the right side
+    decides row k of X U alone.  The left side decides row j0, the one
+    nonzero row of W X: that is the full check, and under the premises its
+    first mismatch is the entry at j0.  A failing premise leaves X u
+    unconstrained, so the right side then decides every row."""
     problem = _factoring_problem(proj)
     if problem:
         return [_unfactored("oc.right", problem), _unfactored("oc.left", problem)]
-    At = A.transpose()
-    if _OC_PREMISES <= {r.name for r in premises if r.passed}:
-        k, j0 = min(proj.u), proj.j0
-        right = _unreduced_form(_apply_second(A, {k: (LP_ONE, LP_ONE)}), S,
-                                _apply_second(At, _fractions(proj.u)))
-        left = _unreduced_form(_apply_second(A, _fractions(proj.w)), S,
-                               _apply_second(At, {j0: (LP_ONE, LP_ONE)}))
-        return [_eigen_record("oc.right", {k: right}, proj, keys=[k]),
-                _eigen_record("oc.left", {j0: left}, proj, left=True, keys=[j0])]
-    right = _apply_second(At, _unreduced_apply(S, _apply_second(At, _fractions(proj.u))))
-    left = _apply_second(A, _unreduced_apply(S, _apply_second(A, _fractions(proj.w)), left=True))
-    return [_eigen_record("oc.right", right, proj),
-            _eigen_record("oc.left", left, proj, left=True)]
+    rows = [min(proj.u)] if _OC_PREMISES <= {r.name for r in premises if r.passed} else None
+    U, W, MU = proj.U, proj.W, proj.MU
+    right = first_product_difference(X, U, U, MU, rows)
+    left = first_product_difference(W, X, MU, W, [proj.j0])
+    return [_varpi_record("oc.right", right, proj),
+            _varpi_record("oc.left", left, proj, left=True)]
 
 
 def check_varpi_structure(S: QMatrix, proj: Projector) -> list:
@@ -274,7 +199,7 @@ def _varpi_structure(S: QMatrix, proj: Projector) -> list:
     return [
         idempotent,
         CheckRecord("varpi.rank_one", True),
-        _eigen_record("varpi.eigen", _unreduced_apply(S, _fractions(proj.u)), proj),
+        _varpi_record("varpi.eigen", first_product_difference(S, proj.U, proj.U, proj.MU), proj),
     ]
 
 
@@ -398,14 +323,15 @@ def full_report(spec: ClassSpec, params: PointParams | None = None) -> Verificat
     classical.build_classical_algebra(spec.series)
     stage("build")
 
-    report.checks.append(check_reflection(point.A, rmd.S))
+    X = reflection_operand(point.A, rmd.S)
+    report.checks.append(check_reflection(X, rmd.S))
     stage("reflection")
 
     if rmd.projector is not None:
         # the per-series projector records are premises of the OC, which
         # they follow in the report
         varpi = check_varpi_structure(rmd.S, rmd.projector)
-        report.checks.extend(check_oc(point.A, rmd.S, rmd.projector, report.checks + varpi))
+        report.checks.extend(check_oc(X, rmd.projector, report.checks + varpi))
         report.checks.extend(varpi)
         stage("oc")
 

@@ -366,3 +366,62 @@ def test_a_given_square_gives_the_conjugation_of_a_computed_one():
         assert _conjugation(data, a0, c) == (conj, c)
         seen += 1
     assert seen >= 300
+
+
+# --- the omega part read off the root moves ----------------------------------
+
+def _parent_omega_part(data, conj):
+    """The omega part as it was built before it read the root moves, the
+    reference: sum_k B_k (x) Ad(B_k^v) - Ad(B_k) (x) B_k^v with every B_k
+    and B_k^v of the root block conjugated again, and the Cartan block as
+    sum_ij c_ij (E_ii (x) Ad(E_jj) - Ad(E_ii) (x) E_jj)."""
+    pairs = list(zip(data.basis, data.duals))[data.ls.rank:]
+    moved = [classical._conjugate({(j, j): GaussRational(1)}, conj) for j in range(data.ls.dim)]
+    right = classical._outer_sum([(b, classical._conjugate(d, conj)) for b, d in pairs] + [
+        ({(i, i): c}, moved[j]) for (i, _, j, _), c in data.cartan_block.items()])
+    left = classical._outer_sum([(classical._conjugate(b, conj), d) for b, d in pairs] + [
+        (moved[i], {(j, j): c}) for (i, _, j, _), c in data.cartan_block.items()])
+    return classical._combine((1, right), (-1, left))
+
+
+def _omega_points():
+    """(label, series, a) with a^2 not scalar: diag(2, 1, ..., 1, 1/2), the
+    `poisson --matrix` point, on every series with N <= 16, and I + E_01 on
+    sl."""
+    for group, N in SERIES_TO_16:
+        diagonal = {(j, j): GaussRational(1) for j in range(N)}
+        diagonal[(0, 0)] = GaussRational(2)
+        diagonal[(N - 1, N - 1)] = GaussRational(Fraction(1, 2))
+        yield f"{group}{N}-diag", series_for_group(group, N), diagonal
+        if group == "sl":
+            shear = {(j, j): GaussRational(1) for j in range(N)}
+            shear[(0, 1)] = GaussRational(1)
+            yield f"{group}{N}-shear", series_for_group(group, N), shear
+
+
+def test_the_omega_part_is_the_conjugated_casimir(monkeypatch):
+    """The omega part read off every root's u_beta and v_beta is the
+    tensor the conjugated split Casimir gives, and `bivector_at` conjugates
+    each root vector once and each E_jj once."""
+    calls = []
+    conjugate = classical._conjugate
+
+    def counting(x, conj, moved=False):
+        calls.append(x)
+        return conjugate(x, conj, moved)
+
+    nonzero = 0
+    for label, ls, a in _omega_points():
+        data = build_classical_algebra(ls)
+        conj, c = _conjugation(data, a)
+        assert c is None, label
+        want = _parent_omega_part(data, conj)
+        got = classical._omega_part(data, conj, classical._root_moves(data, conj, every=True))
+        assert got == want, label
+        nonzero += bool(got)
+        with monkeypatch.context() as patch:
+            patch.setattr(classical, "_conjugate", counting)
+            del calls[:]
+            classical.bivector_at(data, a)
+        assert len(calls) == 2 * len(data.positive) + ls.dim, label
+    assert nonzero >= len(SERIES_TO_16)

@@ -8,7 +8,9 @@ tr A = (N - r) lam + r lam'.  These tests hold that rule to the ranks it
 replaces, on the grid, on perturbed points and on diagonal controls whose
 multiplicities are off by one, and pin that a passing verify computes no
 rank.  The integer rows of I x A (`IdentityKron`) must be the
-entry-by-entry conversion at both substitution points the kernel uses.
+entry-by-entry conversion at both substitution points the kernel uses, and
+a passing OC check reads the rows of A2 S A2 that the reflection check
+keeps.
 """
 import os
 import random
@@ -19,11 +21,18 @@ import pytest
 from repoints import verifier
 from repoints.natrep import CheckRecord
 from repoints.points import default_params, pm_exponents, quantum_point
-from repoints.qmatrix import IdentityKron, QMatrix, _entry
+from repoints.qmatrix import IdentityKron, QMatrix, Unreduced, _entry
 from repoints.rmatrix import build_rmatrix_data, epsilon_for
 from repoints.rootdata import ClassSpec, admissible_cases
 from repoints.scalar import I_UNIT, ZERO, LaurentPoly, QScalar, parse_scalar
-from repoints.verifier import check_min_poly, check_oc, check_reflection, full_report
+from repoints.verifier import (
+    check_min_poly,
+    check_oc,
+    check_reflection,
+    check_varpi_structure,
+    full_report,
+    reflection_operand,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -186,7 +195,7 @@ def test_a_reflection_check_converts_a_once_and_shares_its_rows(monkeypatch):
         return substituted(self, K)
 
     monkeypatch.setattr(QMatrix, "substituted", recording)
-    assert check_reflection(A, S).passed
+    assert check_reflection(reflection_operand(A, S), S).passed
     monkeypatch.undo()
     # A is converted once, S at most once (it is cached per series), and
     # I x A reads A's rows
@@ -209,7 +218,7 @@ def test_a_passing_reflection_check_forms_no_qscalar_row_of_i_x_a(monkeypatch):
     monkeypatch.setattr(IdentityKron, "row", refuse)
     monkeypatch.setattr(IdentityKron, "apply_left", refuse)
     monkeypatch.setattr(verifier, "IdentityKron", lambda A: made.append(IdentityKron(A)) or made[-1])
-    assert check_reflection(A, S).passed
+    assert check_reflection(reflection_operand(A, S), S).passed
     # I x A holds A and its rows at t, and no list of QScalar rows
     (A2,) = made
     held = [getattr(A2, name) for cls in type(A2).__mro__
@@ -220,20 +229,39 @@ def test_a_passing_reflection_check_forms_no_qscalar_row_of_i_x_a(monkeypatch):
 
 
 def test_the_oc_check_converts_nothing_of_a(monkeypatch):
-    spec = ClassSpec("so", 5, "t2", 1, 1)
-    A = quantum_point(spec).A
-    data = build_rmatrix_data(spec.series)
-    converted = []
-    substituted = QMatrix.substituted
+    """After the reflection check, a passing OC check reads X = A2 S A2 off
+    the rows that check keeps: it builds no row of X, S A2 or I x A anew,
+    converts nothing of A and transposes nothing."""
+    row, substituted = Unreduced.substituted_row, QMatrix.substituted
 
-    def recording(self, K):
-        converted.append(self)
-        return substituted(self, K)
+    def refuse(*args):
+        raise AssertionError("a passing OC check reads the kept rows of X only")
 
-    def refuse(self, K):
-        raise AssertionError("the OC check reads only apply and apply_left of I x A")
+    for spec in (ClassSpec("so", 5, "t2", 1, 1), ClassSpec("sp", 6, "t2", 2, -1),
+                 ClassSpec("so", 10, "t4")):
+        A = quantum_point(spec).A
+        data = build_rmatrix_data(spec.series)
+        X = reflection_operand(A, data.S)
+        premises = [check_reflection(X, data.S)] + check_varpi_structure(data.S, data.projector)
+        (_, _, SA2), = X.terms
+        kept = X._subs
+        built, converted = [], []
 
-    monkeypatch.setattr(QMatrix, "substituted", recording)
-    monkeypatch.setattr(IdentityKron, "substituted", refuse)
-    assert all(r.passed for r in check_oc(A, data.S, data.projector))
-    assert not any(m is A for m in converted)
+        def building(self, i, K, memo):
+            if self is X or self is SA2:
+                built.append(i)
+            return row(self, i, K, memo)
+
+        def converting(self, K):
+            converted.append(self)
+            return substituted(self, K)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Unreduced, "substituted_row", building)
+            patch.setattr(QMatrix, "substituted", converting)
+            patch.setattr(IdentityKron, "substituted", refuse)
+            patch.setattr(IdentityKron, "substituted_row", refuse)
+            patch.setattr(QMatrix, "transpose", refuse)
+            assert all(r.passed for r in check_oc(X, data.projector, premises)), spec.case_id
+        assert built == [] and X._subs is kept, spec.case_id
+        assert not any(m is A for m in converted), spec.case_id

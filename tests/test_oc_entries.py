@@ -1,6 +1,6 @@
-"""The orthogonality condition decided on one entry per side, once the
+"""The orthogonality condition decided on one row per side, once the
 reflection record and the projector's per-series records pass, against the
-full-vector check (`check_oc` with no premises), which stays; the projector
+all-rows check (`check_oc` with no premises), which stays; the projector
 records decided once per series; the q-trace decided on its unreduced sum;
 and the rank-one identity reading L = S - q row by row."""
 import os
@@ -33,6 +33,7 @@ from repoints.verifier import (  # noqa: E402
     check_varpi_structure,
     expected_q_trace,
     full_report,
+    reflection_operand,
 )
 from workloads import draw_params  # noqa: E402
 
@@ -57,40 +58,43 @@ def _points(specs, seed=7) -> list:
 
 
 def _premises(A, S, proj):
-    return [check_reflection(A, S)] + check_varpi_structure(S, proj)
+    """(X, the premises decided on it), X being the operand that the
+    reflection check and the OC share."""
+    X = reflection_operand(A, S)
+    return X, [check_reflection(X, S)] + check_varpi_structure(S, proj)
 
 
-def _full_applications(monkeypatch):
-    """The callers of each `_unreduced_apply` that multiplies a whole matrix
-    into a vector (M v, which reads every row of M), from now on: the full
-    OC applies S once so."""
+def _oc_rows(monkeypatch):
+    """The rows that each kernel call of `check_oc` decides, from now on,
+    one list per call (oc.right's, then oc.left's): those it lists, or
+    every row."""
     seen = []
-    apply = verifier._unreduced_apply
+    kernel = verifier.first_product_difference
 
-    def recording(M, vec, left=False):
-        if not left:
-            seen.append(sys._getframe(1).f_code.co_name)
-        return apply(M, vec, left)
+    def recording(x, y, z, w, rows=None):
+        if sys._getframe(1).f_code.co_name == "check_oc":
+            seen.append(list(range(x.dim)) if rows is None else sorted(rows))
+        return kernel(x, y, z, w, rows)
 
-    monkeypatch.setattr(verifier, "_unreduced_apply", recording)
+    monkeypatch.setattr(verifier, "first_product_difference", recording)
     return seen
 
 
 def test_one_entry_oc_is_the_full_check_on_every_class_to_n12():
     """Every B, C and D class with N <= 12, at default and seed-7 drawn
     parameters, with A and with q A: the same records and details as the
-    full-vector check.  q A solves the reflection equation, so the one-entry
+    all-rows check.  q A solves the reflection equation, so the one-row
     path decides it too, and fails both sides."""
     points = _points(BCD_TO_12)
     for spec, A in points:
         data = build_rmatrix_data(spec.series)
         S, proj = data.S, data.projector
         for point, passing in ((A, True), (A.scale(Q), False)):
-            premises = _premises(point, S, proj)
+            X, premises = _premises(point, S, proj)
             assert all(r.passed for r in premises), spec.case_id
-            got = check_oc(point, S, proj, premises)
+            got = check_oc(X, proj, premises)
             assert [r.passed for r in got] == [passing, passing], spec.case_id
-            assert _as_tuples(got) == _as_tuples(check_oc(point, S, proj)), spec.case_id
+            assert _as_tuples(got) == _as_tuples(check_oc(X, proj)), spec.case_id
     assert len(points) > 200
 
 
@@ -102,63 +106,61 @@ def test_one_entry_oc_is_the_full_check_on_every_class_to_n12():
 ], ids=lambda s: s.case_id)
 def test_q_times_a_fails_both_sides_at_the_least_index(monkeypatch, spec):
     """A scaled by q passes the reflection check, so each side is decided on
-    its one entry: row min supp u for the right side, column j0 = min supp w
-    for the left, at the pivot row i0; no full-length vector is applied."""
+    one row: row min supp u of X U for the right side, row j0 = min supp w
+    of W X for the left, and each names its first mismatch at (i0, j0)."""
     data = build_rmatrix_data(spec.series)
     S, proj = data.S, data.projector
-    qA = quantum_point(spec).A.scale(Q)
-    premises = _premises(qA, S, proj)
+    X, premises = _premises(quantum_point(spec).A.scale(Q), S, proj)
     assert premises[0].name == "reflection" and premises[0].passed
-    seen = _full_applications(monkeypatch)
-    right, left = check_oc(qA, S, proj, premises)
-    assert seen == []
+    seen = _oc_rows(monkeypatch)
+    right, left = check_oc(X, proj, premises)
+    assert seen == [[min(proj.u)], [proj.j0]]
     assert min(proj.u) == proj.i0 and min(proj.w) == proj.j0
     at = f"first mismatch at ({proj.i0}, {proj.j0}): "
     assert not right.passed and right.detail.startswith(at)
     assert not left.passed and left.detail.startswith(at)
     monkeypatch.undo()
-    assert _as_tuples([right, left]) == _as_tuples(check_oc(qA, S, proj))
+    assert _as_tuples([right, left]) == _as_tuples(check_oc(X, proj))
 
 
 def test_a_failing_reflection_keeps_the_full_check(monkeypatch):
     """One perturbed entry of A fails the reflection record (at N >= 4), so
-    the OC computes the full vectors, and every detail is that of the full
-    check."""
+    the right side decides every row, and every detail is that of the
+    all-rows check."""
     bump = parse_scalar("(q+2)/(q^2+3)")
     runs = 0
     for spec, A in _points([s for s in BCD_TO_12 if 4 <= s.N <= 8]):
         data = build_rmatrix_data(spec.series)
         S, proj, N = data.S, data.projector, spec.N
         for pos in [(0, N - 1), (N // 2, 0)]:
-            bad = A + QMatrix.from_entries(N, [(*pos, bump)])
-            premises = _premises(bad, S, proj)
+            X, premises = _premises(A + QMatrix.from_entries(N, [(*pos, bump)]), S, proj)
             assert not premises[0].passed, (spec.case_id, pos)
-            seen = _full_applications(monkeypatch)
-            got = check_oc(bad, S, proj, premises)
-            assert seen.count("check_oc") == 1, spec.case_id
+            seen = _oc_rows(monkeypatch)
+            got = check_oc(X, proj, premises)
+            assert seen == [list(range(S.dim)), [proj.j0]], spec.case_id
             monkeypatch.undo()
-            assert _as_tuples(got) == _as_tuples(check_oc(bad, S, proj)), spec.case_id
+            assert _as_tuples(got) == _as_tuples(check_oc(X, proj)), spec.case_id
             runs += 1
     assert runs >= 100
 
 
 def test_a_failing_eigen_record_keeps_the_full_check(monkeypatch):
-    """The premises are read by name: with varpi.eigen failing, the full
-    vectors are computed even though the reflection passes."""
+    """The premises are read by name: with varpi.eigen failing, the right
+    side decides every row even though the reflection passes."""
     spec = ClassSpec("so", 7, "t2", 1, 1)
     data = build_rmatrix_data(spec.series)
-    A = quantum_point(spec).A
+    X, premises = _premises(quantum_point(spec).A, data.S, data.projector)
     premises = [r if r.name != "varpi.eigen" else CheckRecord(r.name, False, "control")
-                for r in _premises(A, data.S, data.projector)]
-    seen = _full_applications(monkeypatch)
-    assert all(r.passed for r in check_oc(A, data.S, data.projector, premises))
-    assert seen.count("check_oc") == 1
+                for r in premises]
+    seen = _oc_rows(monkeypatch)
+    assert all(r.passed for r in check_oc(X, data.projector, premises))
+    assert seen == [list(range(data.S.dim)), [data.projector.j0]]
 
 
 def test_the_projector_records_are_decided_once_per_series(monkeypatch):
     """Several verifies of each of three series decide varpi.idempotent,
     varpi.rank_one and varpi.eigen once per series, and a passing so5 verify
-    with the records kept applies no full-length vector in the OC."""
+    with the records kept decides one row per OC side."""
     fresh = lru_cache(maxsize=None)(build_rmatrix_data.__wrapped__)
     monkeypatch.setattr(verifier, "build_rmatrix_data", fresh)
     decided = []
@@ -180,9 +182,11 @@ def test_the_projector_records_are_decided_once_per_series(monkeypatch):
             assert names[1:6] == ["oc.right", "oc.left", "varpi.idempotent",
                                   "varpi.rank_one", "varpi.eigen"]
     assert len(decided) == 3
-    seen = _full_applications(monkeypatch)
+    seen = _oc_rows(monkeypatch)
     assert full_report(specs[0]).passed
-    assert seen == []
+    proj = fresh(specs[0].series).projector
+    assert seen == [[min(proj.u)], [proj.j0]]
+    assert len(decided) == 3
 
 
 def test_another_s_is_decided_anew():

@@ -9,12 +9,13 @@ from repoints.points import quantum_point
 from repoints.qmatrix import QMatrix
 from repoints.rmatrix import build_rmatrix_data, factor_projector
 from repoints.rootdata import MAX_N, ClassSpec, LieSeries, series_for_group, standard_cases
-from repoints.scalar import Q
+from repoints.scalar import Q, parse_scalar
 from repoints.verifier import (
     _record_equal,
     check_oc,
     check_reflection,
     check_varpi_structure,
+    reflection_operand,
 )
 
 SMALL_CASES = [spec for spec in standard_cases()
@@ -56,19 +57,27 @@ def dense_structure(S, varpi, mu):
 
 @pytest.mark.parametrize("spec", SMALL_CASES, ids=lambda s: s.case_id)
 def test_oc_matches_dense_oracle(spec):
+    """The OC records against the dense products, with and without the
+    premises: A passes; q A still solves the reflection equation but breaks
+    the OC on both sides, at the same entries; and A bumped at (0, N-1)
+    fails the reflection check, so the right side is decided on every row
+    either way."""
     rmd = build_rmatrix_data(spec.series)
     proj = rmd.projector
     varpi = dense_raw(proj).scale(proj.den.inv())
     A = quantum_point(spec).A
-    assert _as_tuples(check_oc(A, rmd.S, proj)) == _as_tuples(dense_oc(A, rmd.S, varpi, proj.mu))
-    assert all(r.passed for r in check_oc(A, rmd.S, proj))
-    # negative control: q A still solves the reflection equation but breaks
-    # the orthogonality condition on both sides, at the same entries
-    scaled = A.scale(Q)
-    got = check_oc(scaled, rmd.S, proj)
-    assert [(r.name, r.passed) for r in got] == [("oc.right", False), ("oc.left", False)]
-    assert all("first mismatch" in r.detail for r in got)
-    assert _as_tuples(got) == _as_tuples(dense_oc(scaled, rmd.S, varpi, proj.mu))
+    bump = QMatrix.from_entries(spec.N, [(0, spec.N - 1, parse_scalar("(q+2)/(q^2+3)"))])
+    for point, reflects, passing in ((A, True, True), (A.scale(Q), True, False),
+                                     (A + bump, False, False)):
+        X = reflection_operand(point, rmd.S)
+        premises = [check_reflection(X, rmd.S)] + check_varpi_structure(rmd.S, proj)
+        assert premises[0].passed == reflects
+        want = _as_tuples(dense_oc(point, rmd.S, varpi, proj.mu))
+        got = check_oc(X, proj, premises)
+        assert [(r.name, r.passed) for r in got] == [("oc.right", passing), ("oc.left", passing)]
+        assert all(passing or "first mismatch" in r.detail for r in got)
+        assert _as_tuples(got) == want
+        assert _as_tuples(check_oc(reflection_operand(point, rmd.S), proj)) == want
 
 
 @pytest.mark.parametrize("group,N", [("so", 5), ("sp", 4)])
@@ -128,7 +137,7 @@ def test_corrupted_raw_fails_rank_one_and_every_dependent(group, N):
     rank_one = next(r for r in structure if r.name == "varpi.rank_one")
     assert "first mismatch" in rank_one.detail
     spec = next(s for s in SMALL_CASES if s.series == series)
-    oc = check_oc(quantum_point(spec).A, rmd.S, bad)
+    oc = check_oc(reflection_operand(quantum_point(spec).A, rmd.S), bad)
     assert not any(r.passed for r in structure + oc)
     assert all("varpi.rank_one" in r.detail for r in structure + oc if r is not rank_one)
 
@@ -156,7 +165,8 @@ def test_zero_raw_fails_every_record():
     proj = rmd.projector
     bad = factor_projector(QMatrix(proj.raw.dim), factors(proj)[1], proj.den, proj.mu)
     spec = ClassSpec("sp", 4, "t4")
-    records = check_varpi_structure(rmd.S, bad) + check_oc(quantum_point(spec).A, rmd.S, bad)
+    A = quantum_point(spec).A
+    records = check_varpi_structure(rmd.S, bad) + check_oc(reflection_operand(A, rmd.S), bad)
     assert not any(r.passed for r in records)
     assert all("rank 0" in r.detail for r in records)
 
@@ -184,8 +194,9 @@ def test_corrupted_denominator_fails_idempotent(group, N):
 def test_larger_n_reflection_oc_projector(spec):
     rmd = build_rmatrix_data(spec.series)
     A = quantum_point(spec).A
-    records = [check_reflection(A, rmd.S)]
-    records += check_oc(A, rmd.S, rmd.projector)
+    X = reflection_operand(A, rmd.S)
+    records = [check_reflection(X, rmd.S)]
+    records += check_oc(X, rmd.projector)
     records += check_varpi_structure(rmd.S, rmd.projector)
     assert [r.name for r in records] == [
         "reflection", "oc.right", "oc.left",

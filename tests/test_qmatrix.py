@@ -11,6 +11,7 @@ from repoints.qmatrix import (
     QMatrix,
     Unreduced,
     first_product_difference,
+    first_vector_difference,
     same_products,
 )
 from repoints.scalar import ONE, ZERO, parse_scalar
@@ -103,21 +104,39 @@ def _factors(dim, pool, depth):
     return plain if depth == 0 else st.one_of(plain, unreduced(dim, pool, depth - 1))
 
 
+def _direct_on(x, y, z, w, rows):
+    """`_direct` on the listed rows only."""
+    left, right = x * y, z * w
+    for i in sorted(rows):
+        diff = first_vector_difference(left.rows[i], right.rows[i])
+        if diff is not None:
+            return (i, *diff)
+    return None
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(st.tuples(st.integers(1, 6), st.just(POOL), st.just(1)),
                  st.tuples(st.integers(1, 3), st.just(BIG_POOL), st.just(0))).flatmap(
-    lambda a: st.tuples(unreduced(*a), unreduced(*a), sparse_matrices(*a[:2], 2 * a[0]))))
+    lambda a: st.tuples(unreduced(*a), unreduced(*a), sparse_matrices(*a[:2], 2 * a[0]),
+                        st.sets(st.integers(0, a[0] - 1)))))
 def test_an_unreduced_sum_is_decided_as_its_normalized_matrix(operands):
     """An `Unreduced` in each place of x y = z w, against the same sums
     normalized: the same verdict, first mismatch and canonical values, and
     equality with its own normalized matrix.  Entries above t, whose
-    normalized products grow fast, come unnested and at N <= 3."""
-    (s, m), (r, n), y = operands
-    assert first_product_difference(s, y, r, y) == _direct(m, y, n, y)
-    assert first_product_difference(y, s, y, r) == _direct(y, m, y, n)
-    assert first_product_difference(s, r, y, y) == _direct(m, n, y, y)
+    normalized products grow fast, come unnested and at N <= 3.  A row list
+    gives the first mismatch among its rows, before the operands keep
+    their rows at t (each listed row built alone) and after."""
+    (s, m), (r, n), y, rows = operands
+    calls = [((s, y, r, y), (m, y, n, y)), ((y, s, y, r), (y, m, y, n)),
+             ((s, r, y, y), (m, n, y, y))]
+    for ops, dense in calls:
+        assert first_product_difference(*ops, rows) == _direct_on(*dense, rows)
+    for ops, dense in calls:
+        assert first_product_difference(*ops) == _direct(*dense)
     assert first_product_difference(s, y, m, y) is None
     assert first_product_difference(y, m, y, s) is None
+    for ops, dense in calls:
+        assert first_product_difference(*ops, rows) == _direct_on(*dense, rows)
 
 
 # Laurent polynomials with Gaussian and rational coefficients, some above t

@@ -147,6 +147,39 @@ def test_escalated_rows_find_what_the_whole_call_redo_finds(monkeypatch):
     assert ("Unreduced", "Unreduced") in pairs, pairs
 
 
+def test_a_listed_row_is_redone_as_the_all_rows_call_redoes_it(monkeypatch):
+    """With t = 2^8, on every point with N <= 6 at default and drawn
+    parameters and at the golden controls: the rows that open in an
+    all-rows call, listed with the row of its first mismatch and decided
+    alone, are redone at the same t^2, t^4, ... as that call redoes them,
+    and give its first mismatch."""
+    monkeypatch.setattr(qmatrix, "_K", 8)
+    redone = []
+    at = qmatrix._escalated_row
+
+    def recording(x, y, z, w, i, K, memo):
+        if K > 8:
+            redone.append((i, K))
+        return at(x, y, z, w, i, K, memo)
+
+    monkeypatch.setattr(qmatrix, "_escalated_row", recording)
+    listed = mismatches = 0
+    for spec, params, A in _points():
+        if spec.N > 6:
+            continue
+        for x, y, z, w in _identities(spec, params, A, set()):
+            del redone[:]
+            whole = first_product_difference(x, y, z, w)
+            opened = list(redone)
+            rows = {i for i, _ in opened} | ({whole[0]} if whole else set())
+            del redone[:]
+            assert first_product_difference(x, y, z, w, rows) == whole, spec.case_id
+            assert redone == opened, spec.case_id
+            listed += bool(opened)
+            mismatches += whole is not None
+    assert listed >= 100 and mismatches >= 5, (listed, mismatches)
+
+
 def _big_coefficient_point():
     """sl4-t2-m1-p with y1 y1' = q^-4 and coefficients above 2^64, where the
     reflection check redoes rows at t^2, t^4 and t^8."""

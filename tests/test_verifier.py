@@ -21,6 +21,7 @@ from repoints.verifier import (
     check_varpi_structure,
     expected_q_trace,
     full_report,
+    reflection_operand,
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -32,13 +33,13 @@ from workloads import case_argv, draw_params, flags_argv, param_flags  # noqa: E
 
 def test_identity_solves_re():
     data = build_rmatrix_data(LieSeries("A", 1))
-    assert check_reflection(QMatrix.identity(2), data.S).passed
+    assert check_reflection(reflection_operand(QMatrix.identity(2), data.S), data.S).passed
 
 
 def test_non_solution_fails_re_with_located_detail():
     data = build_rmatrix_data(LieSeries("A", 1))
     bad = QMatrix.from_entries(2, [(0, 1, ONE), (1, 1, QScalar.q_power(1))])
-    record = check_reflection(bad, data.S)
+    record = check_reflection(reflection_operand(bad, data.S), data.S)
     assert not record.passed
     assert "first mismatch" in record.detail
 
@@ -134,7 +135,7 @@ def test_scaled_point_fails_invariants_but_not_re():
     point = quantum_point(spec)
     scaled = point.A.scale(QScalar.q_power(1))
     data = build_rmatrix_data(spec.series)
-    assert check_reflection(scaled, data.S).passed
+    assert check_reflection(reflection_operand(scaled, data.S), data.S).passed
     records = check_min_poly(scaled, spec)
     assert not all(r.passed for r in records)
 
@@ -152,7 +153,8 @@ def _control_details(args, pos):
     spec = ClassSpec(*args)
     point = quantum_point(spec)
     bad = point.A + QMatrix.from_entries(spec.N, [(*pos, parse_scalar("(q+2)/(q^2+3)"))])
-    records = [check_reflection(bad, build_rmatrix_data(spec.series).S)]
+    S = build_rmatrix_data(spec.series).S
+    records = [check_reflection(reflection_operand(bad, S), S)]
     records += check_min_poly(bad, spec)
     records += coideal.check_stabilizer(
         coideal.build_stabilizer(spec, point.params, point.A), bad)
@@ -189,7 +191,7 @@ def test_unreduced_reflection_names_the_mismatch_of_the_normalized_form(args):
         diff = first_product_difference(S, M, M, S)
         assert diff is not None, cells
         i, j, a, b = diff
-        record = check_reflection(bad, S)
+        record = check_reflection(reflection_operand(bad, S), S)
         assert not record.passed
         assert record.detail == (f"first mismatch at ({i}, {j}): "
                                  f"{render_scalar(a)} vs {render_scalar(b)}"), cells
@@ -229,7 +231,7 @@ def test_passing_parametric_reflection_normalizes_no_scalar(monkeypatch):
     assert any(not v.den.is_one for row in point.A.rows for v in row.values())
     S = build_rmatrix_data(spec.series).S
     normalized = _normalizations(monkeypatch)
-    assert check_reflection(point.A, S).passed
+    assert check_reflection(reflection_operand(point.A, S), S).passed
     assert normalized == []
 
 
@@ -289,8 +291,8 @@ def _normalized_eigen(name, got, proj, left=False):
 
 
 def test_unreduced_oc_records_are_the_normalized_ones():
-    """oc.right, oc.left and varpi.eigen on unreduced vectors give the
-    records of the normalized vectors: every B, C and D class with N <= 8 at
+    """oc.right, oc.left and varpi.eigen, decided by the kernel on X U,
+    W X and S U, give the records of the normalized vectors: every B, C and D class with N <= 8 at
     default and seed-7 drawn parameters, with (q+2)/(q^2+3) added to A at
     (0, N-1) or (N//2, 0), and with S perturbed at its first entry."""
     rng = random.Random(7)
@@ -315,7 +317,8 @@ def test_unreduced_oc_records_are_the_normalized_ones():
                 want = [_normalized_eigen("oc.right", right, proj),
                         _normalized_eigen("oc.left", A2.apply_left(
                             S.apply_left(A2.apply_left(proj.w))), proj, left=True)]
-                got = [(r.name, r.passed, r.detail) for r in check_oc(bad, S, proj)]
+                got = [(r.name, r.passed, r.detail)
+                       for r in check_oc(reflection_operand(bad, S), proj)]
                 assert got == want, spec.case_id
                 failing += sum(not r[1] for r in got)
         bad_S = S + QMatrix.from_entries(S.dim, [(0, 0, bump)])
@@ -332,9 +335,9 @@ def test_classical_algebra_is_built_before_the_reflection_check(monkeypatch):
 
     check = verifier.check_reflection
 
-    def probe(A, S):
+    def probe(X, S):
         assert classical.build_classical_algebra.cache_info().currsize == 1
-        return check(A, S)
+        return check(X, S)
 
     classical.build_classical_algebra.cache_clear()
     monkeypatch.setattr(verifier, "check_reflection", probe)
