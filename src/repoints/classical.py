@@ -121,7 +121,6 @@ def _conjugate(x: dict, conj, moved: bool = False) -> dict:
 class ClassicalAlgebraData:
     ls: LieSeries
     basis: list  # cartan elements, then e vectors, then f vectors
-    duals: list  # B_k^v with tr(B_m B_k^v) = delta_mk, in the order of basis
     e_vectors: dict  # positive root -> e_beta
     f_vectors: dict  # positive root -> f_beta, normalized so (e, f) = 1
     positive: tuple  # roots in construction order
@@ -213,11 +212,12 @@ def build_classical_algebra(ls: LieSeries) -> ClassicalAlgebraData:
     es = [e_vec[r] for r in positive]
     fs = [f_vec[r] for r in positive]
     basis = cartan + es + fs
-    duals = cartan_duals + fs + es
-    expander = linalg.BasisExpander(basis, [_transpose(d) for d in duals])
+    # the expander keeps the transposed dual basis B_k^v, tr(B_m B_k^v) = delta_mk:
+    # the h_k^v, then f_beta for each e_beta and e_beta for each f_beta
+    expander = linalg.BasisExpander(basis, [_transpose(d) for d in cartan_duals + fs + es])
     form = None if ls.series == "A" else {
         (j, ls.dim - 1 - j): GaussRational(k) for j, k in enumerate(rs.kappa)}
-    return ClassicalAlgebraData(ls, basis, duals, e_vec, f_vec, tuple(positive), expander, form,
+    return ClassicalAlgebraData(ls, basis, e_vec, f_vec, tuple(positive), expander, form,
                                 _outer_sum(zip(cartan, cartan_duals)))
 
 

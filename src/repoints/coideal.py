@@ -13,15 +13,16 @@ Each e_b and f_b has at most one nonzero, +-1, per row and per column, so
 For each simple root alpha moved by the involution, the mixed generator is
 X_alpha = pi(q^{h_tilde - h_alpha}) pi(e_alpha) + c_alpha pi(F_tilde), where
 F_tilde is an iterated q-commutator word in the F_i.  The coefficient c_alpha
-is read off one entry of both terms' commutators with A as an unreduced
-fraction c_num / c_den, and accepted when [X'', A] = 0 is decided exactly for
-X'' = c_den X_alpha, which the kernel reads at t as its two terms
-(`qmatrix.Unreduced`): no scalar is normalized.
-That acceptance is the verdict on X_alpha at the point it was solved for.
-The tabulated form is a constant times a Laurent monomial in the parameters,
-compared with c_alpha by cross-multiplication.  c_alpha and X_alpha are
-normalized only where they are read: in a failing detail, in the
-`stabilizer` and `satake` output, and to decide X_alpha at another point.
+is read off one entry of both terms' commutators with A, at t = 2^K, as the
+pair c_num / c_den (`MixtureCoefficient`), and accepted when [X'', A] = 0 is
+decided exactly for X'' = c_den X_alpha, which the kernel reads at t as its
+two terms (`qmatrix.Unreduced`): no scalar is normalized and no Laurent
+polynomial is multiplied.  That acceptance is the verdict on X_alpha at the
+point it was solved for.  The tabulated form is a constant times a Laurent
+monomial in the parameters, compared with c_alpha by cross-multiplication
+at t on the same pair.  c_alpha and X_alpha are normalized only where they
+are read: in a failing detail, in the `stabilizer` and `satake` output, and
+to decide X_alpha at another point.
 """
 from __future__ import annotations
 
@@ -34,6 +35,8 @@ from .points import PointParams, ThetaData, theta_for_class
 from .qmatrix import (
     QMatrix,
     Unreduced,
+    cleared_quotient,
+    difference_entry,
     first_product_difference,
     first_product_mismatch,
     first_vector_difference,
@@ -47,6 +50,7 @@ from .scalar import (
     ONE,
     Q,
     QINV,
+    ZERO,
     GaussRational,
     LaurentPoly,
     QScalar,
@@ -64,8 +68,23 @@ class MixtureUnderdeterminedError(ArithmeticError):
 
 
 def q_commutator(x: QMatrix, y: QMatrix, a: QScalar) -> QMatrix:
-    """[x, y]_a = xy - a yx."""
-    return x * y - (y * x).scale(a)
+    """[x, y]_a = xy - a yx, built on the nonempty rows of x and y only:
+    the words of F_tilde are products of the sparse F_i."""
+    out = QMatrix(x.dim)
+    rows = out.rows
+    for i, row in enumerate(x.rows):
+        if row:
+            rows[i] = y.apply_left(row)
+    for i, row in enumerate(y.rows):
+        if row:
+            acc = rows[i]
+            for j, v in x.apply_left(row).items():
+                s = acc.get(j, ZERO) - a * v
+                if s:
+                    acc[j] = s
+                else:
+                    acc.pop(j, None)
+    return out
 
 
 @dataclass
@@ -92,6 +111,45 @@ class TabulatedValue:
 
 
 
+class MixtureCoefficient:
+    """c = -b1[p] / b2[p], with b1 = [lead, A], b2 = [F_tilde, A] and p the
+    first nonzero entry of b2, kept as what it is read from.
+
+    The kernel reads c at t = 2^K as the pair c_den = q^e2 P2 Q1 and
+    c_num = -q^e1 P1 Q2 (`den`, `num`) of b1[p] = q^e1 P1/Q1 and
+    b2[p] = q^e2 P2/Q2 read off row i of the two commutators at that K
+    (`qmatrix.difference_entry`, `qmatrix.cleared_quotient`).  Each K reads
+    its own pair, and c_num / c_den = c at every K.  `value` normalizes c
+    from b1[p] and b2[p] as unreduced Laurent fractions, only where it is
+    read."""
+
+    def __init__(self, lead: QMatrix, F_tilde: QMatrix, A: QMatrix, p: tuple):
+        self.lead, self.F_tilde, self.A, self.p = lead, F_tilde, A, p
+        self._pairs: dict = {}
+
+    def _pair(self, K: int) -> tuple:
+        pair = self._pairs.get(K)
+        if pair is None:
+            i, j = self.p
+            A = self.A
+            pair = self._pairs[K] = cleared_quotient(
+                difference_entry(self.lead, A, A, self.lead, i, j, K),
+                difference_entry(self.F_tilde, A, A, self.F_tilde, i, j, K))
+        return pair
+
+    def den(self, K: int) -> tuple:
+        return self._pair(K)[0]
+
+    def num(self, K: int) -> tuple:
+        return self._pair(K)[1]
+
+    @cached_property
+    def value(self) -> QScalar:
+        b2n, b2d = _commutator_entry(self.F_tilde, self.A, *self.p)
+        b1n, b1d = _commutator_entry(self.lead, self.A, *self.p)
+        return QScalar(-(b1n * b2d), b2n * b1d)
+
+
 @dataclass
 class CoidealGen:
     alpha: int  # 1-based simple-root index
@@ -100,13 +158,12 @@ class CoidealGen:
     lead: QMatrix  # pi(q^{h_tilde - h_alpha}) pi(e_alpha)
     table: TabulatedValue | None
     c_table_note: str | None
-    c_num: LaurentPoly  # c_solved = c_num / c_den, unreduced
-    c_den: LaurentPoly
+    c: MixtureCoefficient  # c_solved, as the kernel reads it
     X_cleared: Unreduced  # c_den X, which `solve_mixture` accepted
 
-    @cached_property
+    @property
     def c_solved(self) -> QScalar:
-        return QScalar(self.c_num, self.c_den)
+        return self.c.value
 
     @cached_property
     def c_table(self) -> QScalar | None:
@@ -122,11 +179,12 @@ class CoidealGen:
     @property
     def table_matches(self) -> bool | None:
         """c_table = c_solved, cross-multiplied: Tn c_den = c_num Td for the
-        table's value Tn / Td, decided on the factors (`same_products`)."""
+        table's value Tn / Td, decided on the factors at t, c_den and c_num
+        being the kernel's pair (`same_products`)."""
         if self.table is None:
             return None
         num, den = self.table.factors()
-        return same_products(num + [self.c_den], [self.c_num] + den)
+        return same_products(num + [self.c.den], [self.c.num] + den)
 
 
 @dataclass
@@ -371,25 +429,22 @@ def _commutator_entry(g: QMatrix, A: QMatrix, i: int, j: int) -> tuple:
 
 
 def solve_mixture(lead: QMatrix, A: QMatrix, alpha: int, F_tilde: QMatrix) -> tuple:
-    """(c_num, c_den, X'') for the unique c = c_num / c_den with [X, A] = 0,
-    X = lead + c F_tilde, where lead = pi(q^{h_tilde - h_alpha}) pi(e_alpha)
-    for the moved simple root alpha.  At the first nonzero p of
-    b2 = [F_tilde, A], with b1 = [lead, A], both read off the factors'
-    entries as unreduced fractions b1n / b1d and b2n / b2d
-    (`_commutator_entry`): c = -b1[p] / b2[p], so c_num = -b1n b2d and
-    c_den = b2n b1d != 0.  X'' = c_den lead + c_num F_tilde is X times
-    c_den, so it commutes with A iff X does; one kernel call accepts it.
-    X'' is kept as its two terms (`Unreduced`), whose rows the kernel reads
-    at t, so building it normalizes nothing."""
+    """(c, X'') for the unique c with [X, A] = 0, X = lead + c F_tilde, where
+    lead = pi(q^{h_tilde - h_alpha}) pi(e_alpha) for the moved simple root
+    alpha.  At the first nonzero p of b2 = [F_tilde, A], with
+    b1 = [lead, A]: c = -b1[p] / b2[p] (`MixtureCoefficient`), read at t as
+    the pair c_num / c_den with c_den != 0.  X'' = c_den lead + c_num F_tilde
+    is X times c_den, so it commutes with A iff X does; one kernel call
+    accepts it.  X'' is kept as its two terms (`Unreduced`), whose rows
+    the kernel reads at t with each K's own pair, any nonzero multiple of
+    X giving the same verdict; so building it normalizes nothing."""
     p = first_product_mismatch(F_tilde, A, A, F_tilde)
     if p is not None:
-        b2n, b2d = _commutator_entry(F_tilde, A, *p)
-        b1n, b1d = _commutator_entry(lead, A, *p)
-        c_num, c_den = -(b1n * b2d), b2n * b1d
-        X2 = Unreduced((QScalar(c_den), lead, None), (QScalar(c_num), F_tilde, None))
+        c = MixtureCoefficient(lead, F_tilde, A, p)
+        X2 = Unreduced((c.den, lead, None), (c.num, F_tilde, None))
         if first_product_mismatch(X2, A, A, X2) is not None:
             raise MixtureInconsistentError(f"alpha_{alpha}: commutators are not proportional")
-        return c_num, c_den, X2
+        return c, X2
     if first_product_difference(lead, A, A, lead) is None:
         raise MixtureUnderdeterminedError(f"alpha_{alpha}: both commutators vanish")
     raise MixtureInconsistentError(f"alpha_{alpha}: no coefficient can cancel the commutator")
@@ -423,13 +478,13 @@ def build_stabilizer(spec: ClassSpec, params: PointParams, A: QMatrix) -> Stabil
             v = QScalar.q_power(d[l])
             lead.rows[l][j] = v if positive else -v
         try:
-            c_num, c_den, X2 = solve_mixture(lead, A, a, f_tilde)
+            c, X2 = solve_mixture(lead, A, a, f_tilde)
         except (MixtureInconsistentError, MixtureUnderdeterminedError) as exc:
             unsolved.append((a, exc))
             continue
         table, note = mixture_table_formula(spec, a, params)
         mixed.append(CoidealGen(a, _word_description(a, td), f_tilde, lead,
-                                table, note, c_num, c_den, X2))
+                                table, note, c, X2))
     return StabilizerSet(l_gens, cartan, mixed, unsolved, A)
 
 

@@ -9,7 +9,7 @@ from functools import lru_cache
 
 from .qmatrix import QMatrix, commutator
 from .rootdata import LieSeries, RootSystem, build_root_system, dot, sub
-from .scalar import LP_ONE, LP_ZERO, ONE, Q, QINV, LaurentPoly, QScalar, unreduced_sum
+from .scalar import ONE, Q, QINV, ZERO, QScalar
 
 
 @dataclass
@@ -130,22 +130,19 @@ def check_rtt_compat(rep: NaturalRep, R: QMatrix) -> list:
     return records
 
 
-def unreduced_trace(A: QMatrix, rs: RootSystem | None = None) -> tuple:
-    """The q-trace sum_j q^(2 rho, weight_j) A_jj over the natural basis, or
-    the plain trace when rs is None (every weight 0), as one unreduced
-    fraction (num, den) of Laurent polynomials: the terms summed over the
-    product of their distinct denominators, with no gcd."""
-    total = LP_ZERO, LP_ONE
-    for j, row in enumerate(A.rows):
-        a = row.get(j)
-        if a is not None:
-            num = a.num
-            if rs is not None:
-                num = LaurentPoly.q_power(dot(rs.two_rho, rs.weights[j])) * num
-            total = unreduced_sum(total, (num, a.den))
-    return total
+@lru_cache(maxsize=None)
+def q_trace_exponents(ls: LieSeries) -> tuple:
+    """(2 rho, w_j) for each natural basis weight w_j: the q-trace of A is
+    sum_j q^(2 rho, w_j) A_jj."""
+    rs = build_root_system(ls)
+    return tuple(dot(rs.two_rho, w) for w in rs.weights)
 
 
 def q_trace(A: QMatrix, rs: RootSystem) -> QScalar:
     """The q-trace, normalized."""
-    return QScalar(*unreduced_trace(A, rs))
+    total = ZERO
+    for j, d in enumerate(q_trace_exponents(rs.ls)):
+        a = A.rows[j].get(j)
+        if a is not None:
+            total = total + QScalar.q_power(d) * a
+    return total

@@ -12,12 +12,15 @@ A call may list the rows it decides, each built from the factor rows it
 reads, so a factor's kept rows serve a check that needs one row of a
 product.  Only the first mismatching entry is computed symbolically, to
 name it.  A factor may itself be a sum of products that nothing else reads,
-such as A2 S A2, A - lam I or c_den lead + c_num F_tilde: an `Unreduced`
-keeps its terms, and its rows at t are built by the same routine, as is the
-difference that `same_products` decides.  A `QMatrix` keeps its integer rows
-for the first K (`substituted`), which a redone row neither reads nor
-replaces; I x A (`IdentityKron`) keeps only A, places A's integer rows in
-its diagonal blocks and applies A block by block.
+such as A2 S A2 or c_den lead + c_num F_tilde: an `Unreduced` keeps its
+terms, and its rows at t are built by the same routine.  So are the rows of
+(A - r1)(A - r2) = A^2 - (r1 + r2) A + r1 r2 I (`first_quadratic_difference`)
+and the scalar identities (`_vanishes`): a product of scalars against
+another (`same_products`), a trace against its expected value
+(`trace_matches`).  A `QMatrix` keeps its integer rows for the first K
+(`substituted`), which a redone row neither reads nor replaces; I x A
+(`IdentityKron`) keeps only A, places A's integer rows in its diagonal
+blocks and applies A block by block.
 
 `QMatrix.rank` is exact Gaussian elimination, which normalizes every pivot
 step; a passing verify computes no rank (`verifier.check_min_poly` decides
@@ -309,30 +312,69 @@ def _entry(x: QScalar, K: int) -> tuple:
     return num.lo - den.lo, nr, ni, dr, h, g
 
 
-def _product_entry(polys: list, K: int) -> tuple:
-    """The product of Laurent polynomials at t = 2^K as an entry
-    (e, re, im, d, h, g) in `_entry`'s form: P is the product of their
-    integer parts and Q the product d of their integer denominators, so
-    h is the product of the h(P) and g = d."""
-    e, re, im, d, h = 0, 1, 0, 1, 1
-    for p in polys:
-        r, i = _value(p.re, K), _value(p.im, K)
-        e, re, im, d, h = e + p.lo, re * r - im * i, re * i + im * r, d * p.den, h * _norm(p)
-    return e, re, im, d, h, d
+def _product_entry(factors: list, K: int) -> tuple:
+    """The product of scalars at t = 2^K as an entry (e, re, im, d, h, g) in
+    `_entry`'s form.  A factor is a Laurent polynomial, read as its integer
+    part over its integer denominator d (so h is h of the integer part and
+    g = d), or a callable that gives its own entry at each K; the values,
+    the denominators and the bounds multiply."""
+    e, re, im, d, h, g = 0, 1, 0, 1, 1, 1
+    for p in factors:
+        if callable(p):
+            e2, r, i, d2, h2, g2 = p(K)
+        else:
+            e2, r, i, d2, h2 = p.lo, _value(p.re, K), _value(p.im, K), p.den, _norm(p)
+            g2 = d2
+        e, re, im, d, h, g = e + e2, re * r - im * i, re * i + im * r, d * d2, h * h2, g * g2
+    return e, re, im, d, h, g
 
 
-def same_products(left: list, right: list) -> bool:
-    """Whether the products of two lists of Laurent polynomials are equal,
-    decided as the kernel decides an entry: their difference is built at
-    t = 2^K by `_signed_row`, and again at t^2, ... while the bound leaves
-    it open, with no polynomial product and no gcd."""
+# the scalar 1 as an entry
+_ONE_ENTRY = (0, 1, 0, 1, 1, 1)
+
+
+def _vanishes(terms) -> bool:
+    """Whether the sum of sign x y over terms(K), a list of (sign, x, y)
+    with sign +-1 and x, y entries at t = 2^K, is zero: decided as the
+    kernel decides an entry, on one `_signed_row` at t, and again at t^2,
+    ... while the bound leaves it open.  terms may give other entries at
+    another K, so long as their sum is zero at every K or at none."""
     K = _K
     while True:
-        found = _first_open(_signed_row(((1, {0: _product_entry(left, K)}, _UNIT),
-                                         (-1, {0: _product_entry(right, K)}, _UNIT)), K), K)
+        found = _first_open(_signed_row(tuple((sign, {0: x}, ({0: y},))
+                                              for sign, x, y in terms(K)), K), K)
         if found is not _UNDECIDED:
             return found is None
         K *= 2
+
+
+def same_products(left: list, right: list) -> bool:
+    """Whether the products of two lists of scalars are equal, each a
+    Laurent polynomial or a callable giving its entry at t = 2^K
+    (`_product_entry`): their difference is decided by `_vanishes`, with no
+    polynomial product and no gcd."""
+    return _vanishes(lambda K: ((1, _product_entry(left, K), _ONE_ENTRY),
+                               (-1, _product_entry(right, K), _ONE_ENTRY)))
+
+
+def trace_matches(A: QMatrix, exponents, expected) -> bool:
+    """Whether sum_j q^(exponents[j]) A_jj, or the plain trace when exponents
+    is None, equals the sum of x y over the pairs (x, y) of `QScalar`s in
+    expected, decided by `_vanishes` on A's diagonal entries at t: A's kept
+    rows at the first K, each entry converted alone at another."""
+    def terms(K: int) -> list:
+        subs = A._subs
+        kept = subs[1] if subs is not None and subs[0] == K else None
+        out = []
+        for j, row in enumerate(A.rows):
+            a = row.get(j)
+            if a is not None:
+                e, *rest = kept[j][j] if kept else _entry(a, K)
+                out.append((1, (e + exponents[j] if exponents else e, *rest), _ONE_ENTRY))
+        out += [(-1, _entry(x, K), _entry(y, K)) for x, y in expected]
+        return out
+
+    return _vanishes(terms)
 
 
 def _sum(a: tuple, b: tuple, K: int, T: int) -> tuple:
@@ -353,10 +395,6 @@ def _sum(a: tuple, b: tuple, K: int, T: int) -> tuple:
     if d1 == d2 and g1 + g2 <= T:
         return e1, r1 + r2, i1 + i2, d1, h1 + h2, g1 if g1 < g2 else g2
     return e1, r1 * d2 + r2 * d1, i1 * d2 + i2 * d1, d1 * d2, h1 * g2 + h2 * g1, g1 * g2
-
-
-# the rows of the 1 x 1 identity at t
-_UNIT = ({0: (0, 1, 0, 1, 1, 1)},)
 
 
 def _signed_row(products, K: int) -> dict:
@@ -400,8 +438,9 @@ def _first_open(row: dict, K: int):
 
 class Unreduced:
     """The sum of c x y over its terms (c, x, y), kept as its terms for the
-    kernel to read: c is a `QScalar`, or None for 1, and y a factor, or None
-    for a term c x.  x and y are `QMatrix`es or `Unreduced`s.
+    kernel to read: c is a `QScalar`, None for 1, or a callable giving its
+    entry at each t = 2^K (such a sum is read at t only), and y a factor, or
+    None for a term c x.  x and y are `QMatrix`es or `Unreduced`s.
 
     Not a `QMatrix`: the kernel reads its rows at t = 2^K (`substituted`),
     built by `_signed_row` and never normalized, and an entry is dropped
@@ -435,16 +474,20 @@ class Unreduced:
     def substituted_row(self, i: int, K: int, memo: dict) -> dict:
         """Row i at t = 2^K: the rows c(t) (x y)_i of the terms, summed, with
         each x y from row i of x and the rows of y it reads."""
-        scalars = memo.get(id(self))
-        if scalars is None:
-            scalars = memo[id(self)] = {k: _entry(ONE if c is None else c, K)
-                                        for k, (c, _, _) in enumerate(self.terms)}
         rows = {}
         for k, (_, x, y) in enumerate(self.terms):
             row = _row(x, i, K, memo)
-            rows[k] = row if y is None else _signed_row(
-                ((1, row, {l: _row(y, l, K, memo) for l in row}),), K)
-        return _open(_signed_row(((1, scalars, rows),), K), K)
+            if row:
+                rows[k] = row if y is None else _signed_row(
+                    ((1, row, {l: _row(y, l, K, memo) for l in row}),), K)
+        if not rows:
+            return rows
+        scalars = memo.get(id(self))
+        if scalars is None:
+            scalars = memo[id(self)] = [
+                c(K) if callable(c) else _entry(ONE if c is None else c, K)
+                for c, _, _ in self.terms]
+        return _open(_signed_row(((1, {k: scalars[k] for k in rows}, rows),), K), K)
 
     def row(self, i: int) -> dict:
         return self.apply_left({i: ONE})
@@ -476,12 +519,33 @@ def _row(m, i: int, K: int, memo: dict) -> dict:
     return row
 
 
-def _escalated_row(x, y, z, w, i: int, K: int, memo: dict):
-    """`_first_open` on row i of x y - z w at t = 2^K, built from the factor
-    rows that row reads (`_row`)."""
+def _difference_row(x, y, z, w, i: int, K: int, memo: dict) -> dict:
+    """Row i of x y - z w at t = 2^K as one `_signed_row`, built from the
+    factor rows it reads (`_row`)."""
     xrow, zrow = _row(x, i, K, memo), _row(z, i, K, memo)
-    return _first_open(_signed_row(((1, xrow, {k: _row(y, k, K, memo) for k in xrow}),
-                                    (-1, zrow, {k: _row(w, k, K, memo) for k in zrow})), K), K)
+    return _signed_row(((1, xrow, {k: _row(y, k, K, memo) for k in xrow}),
+                        (-1, zrow, {k: _row(w, k, K, memo) for k in zrow})), K)
+
+
+def _escalated_row(x, y, z, w, i: int, K: int, memo: dict):
+    """`_first_open` on row i of x y - z w at t = 2^K (`_difference_row`)."""
+    return _first_open(_difference_row(x, y, z, w, i, K, memo), K)
+
+
+def _first_mismatch(rows, firsts, redo):
+    """(i, j) of the first mismatch among rows, whose verdicts at t = 2^K
+    come in firsts (`_first_open`), or None: an undecided row i is redone
+    alone as redo(i, K, memo) at t^2, t^4, ..., one memo per K, and the
+    next row's verdict is read at t again."""
+    memos: dict = {}
+    for i, j in zip(rows, firsts):
+        K = _K
+        while j is _UNDECIDED:
+            K *= 2
+            j = redo(i, K, memos.setdefault(K, {}))
+        if j is not None:
+            return i, j
+    return None
 
 
 def first_product_mismatch(x, y, z, w, rows=None):
@@ -494,23 +558,66 @@ def first_product_mismatch(x, y, z, w, rows=None):
     only those rows are decided, each built by `_escalated_row` from the
     factor rows it reads, so no factor is converted whole."""
     K = _K
-    memos: dict = {}
+
+    def redo(i: int, k: int, memo: dict):
+        return _escalated_row(x, y, z, w, i, k, memo)
+
     if rows is None:
         yrows, wrows = y.substituted(K), w.substituted(K)
         rows = range(x.dim)
         firsts = (_first_open(_signed_row(((1, xrow, yrows), (-1, zrow, wrows)), K), K)
                   for xrow, zrow in zip(x.substituted(K), z.substituted(K)))
     else:
-        rows = sorted(rows)
-        firsts = (_escalated_row(x, y, z, w, i, K, memos.setdefault(K, {})) for i in rows)
-    for i, j in zip(rows, firsts):
-        k = K
-        while j is _UNDECIDED:
-            k *= 2
-            j = _escalated_row(x, y, z, w, i, k, memos.setdefault(k, {}))
-        if j is not None:
-            return i, j
-    return None
+        rows, memo = sorted(rows), {}
+        firsts = (redo(i, K, memo) for i in rows)
+    return _first_mismatch(rows, firsts, redo)
+
+
+def difference_entry(x, y, z, w, i: int, j: int, K: int) -> tuple:
+    """Entry (i, j) of x y - z w at t = 2^K, (e, re, im, d, h, g) as
+    `_signed_row` builds it, from the factors' kept rows at the first K and
+    from rows built alone at another; (0, 0, 0, 1, 0, 1) where no product
+    reaches it."""
+    return _difference_row(x, y, z, w, i, K, {}).get(j, (0, 0, 0, 1, 0, 1))
+
+
+def cleared_quotient(a: tuple, b: tuple) -> tuple:
+    """(den, num), entries over 1 with num / den = -a / b, for entries
+    a = q^ea Pa/Qa and b = q^eb Pb/Qb with Pb != 0: den = q^eb Pb Qa and
+    num = -q^ea Pa Qb, with the bounds hb ga and ha gb (h is
+    submultiplicative).  Qa and Qb are real at t, so each is one product
+    per part."""
+    ea, ra, ia, da, ha, ga = a
+    eb, rb, ib, db, hb, gb = b
+    return (eb, rb * da, ib * da, 1, hb * ga, 1), (ea, -ra * db, -ia * db, 1, ha * gb, 1)
+
+
+def first_quadratic_difference(A: QMatrix, r1: QScalar, r2: QScalar):
+    """The first (i, j, value, 0), in row-major order with columns sorted,
+    where (A - r1)(A - r2) is nonzero, or None when it is zero.  Row i is
+    A_i A - r1 A_i - r2 A_i + r1 r2 e_i, one `_signed_row` over A's rows at
+    t (its kept rows at the first K), decided and redone as
+    `first_product_mismatch` decides a row; so no A - r I is formed.  Only
+    the mismatching entry is normalized, to name it."""
+    K = _K
+    A.substituted(K)
+
+    roots: dict = {}
+
+    def decide(i: int, k: int, memo: dict):
+        l1, l2 = roots.get(k) or roots.setdefault(k, (_entry(r1, k), _entry(r2, k)))
+        row = _row(A, i, k, memo)
+        return _first_open(_signed_row(((1, row, {l: _row(A, l, k, memo) for l in row}),
+                                        (-1, {i: l1}, {i: row}), (-1, {i: l2}, {i: row}),
+                                        (1, {i: l1}, {i: {i: l2}})), k), k)
+
+    memo: dict = {}
+    found = _first_mismatch(range(A.dim), (decide(i, K, memo) for i in range(A.dim)), decide)
+    if found is None:
+        return None
+    i, j = found
+    value = A.apply_left(A.row(i)).get(j, ZERO) - (r1 + r2) * A.get(i, j)
+    return i, j, value + r1 * r2 if i == j else value, ZERO
 
 
 def first_product_difference(x, y, z, w, rows=None):

@@ -7,9 +7,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import classical, coideal
-from .natrep import CheckRecord, build_natural_rep, q_trace, unreduced_trace
+from .natrep import CheckRecord, build_natural_rep, q_trace, q_trace_exponents
 from .points import (
     ParamError,
     PointParams,
@@ -18,10 +19,26 @@ from .points import (
     pm_exponents,
     quantum_point,
 )
-from .qmatrix import IdentityKron, QMatrix, Unreduced, first_product_difference
+from .qmatrix import (
+    IdentityKron,
+    QMatrix,
+    Unreduced,
+    first_product_difference,
+    first_quadratic_difference,
+    trace_matches,
+)
 from .rmatrix import Projector, build_rmatrix_data, epsilon_for
 from .rootdata import ClassSpec, RootSystem, build_root_system
-from .scalar import I_UNIT, ZERO, GaussRational, QScalar, q_integer, render_scalar
+from .scalar import (
+    GR_I,
+    ONE,
+    ZERO,
+    GaussRational,
+    LaurentPoly,
+    QScalar,
+    q_integer,
+    render_scalar,
+)
 
 
 @dataclass
@@ -203,64 +220,70 @@ def _varpi_structure(S: QMatrix, proj: Projector) -> list:
     ]
 
 
+@lru_cache(maxsize=None)
+def _min_poly_roots(spec: ClassSpec) -> tuple:
+    """((lam+, r+), (lam-, r-)): the roots of the minimal polynomial, each
+    with rank(A - lam) as the class fixes it, r+ + r- = N.  Each root is a
+    unit c q^k, built with no product."""
+    if spec.family == "t2":
+        P, M = pm_exponents(spec)
+        return (QScalar.q_power(-M), M), (-QScalar.q_power(-P), P)
+    val = QScalar(LaurentPoly.q_power(-spec.N // 2 + epsilon_for(spec.series), GR_I))
+    return (val, spec.N // 2), (-val, spec.N // 2)
+
+
 def check_min_poly(A: QMatrix, spec: ClassSpec) -> list:
     """(A - lam+)(A - lam-) = 0, and rank(A - lam+), rank(A - lam-) as the
-    class fixes them.  The two factors are polynomials in A, so they commute
-    and their product does not depend on the order.
+    class fixes them.  The minimal polynomial is decided one row at a time
+    as A^2 - (lam+ + lam-) A + lam+ lam- I on A's rows at t
+    (`qmatrix.first_quadratic_difference`), so no A - lam I is formed.
 
     Once min_poly passes, A is diagonalizable with eigenvalues lam+ != lam-
     of multiplicities m+ + m- = N, rank(A - lam+) = m-, and
     tr A = m+ lam+ + m- lam- fixes m+; so rank(A - lam) = r, with lam' the
-    other root, iff tr A = (N - r) lam + r lam', decided on the unreduced
-    trace.  Each factor A - lam is read as its terms A and -lam I, so a
-    passing verify forms neither; A - lam is formed only for a failing
-    record's rank."""
-    if spec.family == "t2":
-        P, M = pm_exponents(spec)
-        roots = ((QScalar.q_power(-M), M), (-QScalar.q_power(-P), P))
-    else:
-        val = I_UNIT * QScalar.q_power(-spec.N // 2 + epsilon_for(spec.series))
-        roots = ((val, spec.N // 2), (-val, spec.N // 2))
-    I = QMatrix.identity(spec.N)
-    plus, minus = (Unreduced((None, A, None), (-lam, I, None)) for lam, _ in roots)
-    zero = QMatrix(spec.N)
-    records = [_record("min_poly", first_product_difference(plus, minus, zero, zero))]
-    num, den = unreduced_trace(A)
-    for name, (lam, want), (other, _) in zip(("mult.plus", "mult.minus"), roots, roots[::-1]):
-        if records[0].passed:
-            # lam and other are units c q^k, so this normalizes nothing
-            value = QScalar(spec.N - want) * lam + QScalar(want) * other
-            if num * value.den == value.num * den:
-                records.append(CheckRecord(name, True))
-                continue
+    other root, iff tr A = (N - r) lam + r lam'.  As r+ + r- = N, the
+    identities of the two roots are one, tr A = (N - r+) lam+ + r+ lam-,
+    decided on A's diagonal at t (`qmatrix.trace_matches`).  A - lam is
+    formed only for a failing record's rank."""
+    (lp, rp), (lm, _) = roots = _min_poly_roots(spec)
+    records = [_record("min_poly", first_quadratic_difference(A, lp, lm))]
+    ranks = records[0].passed and trace_matches(
+        A, None, ((QScalar(spec.N - rp), lp), (QScalar(rp), lm)))
+    for name, (lam, want) in zip(("mult.plus", "mult.minus"), roots):
+        if ranks:
+            records.append(CheckRecord(name, True))
+            continue
         rk = A.add_scalar_diag(-lam).rank()
         records.append(CheckRecord(name, rk == want,
                                    None if rk == want else f"rank {rk}, expected {want}"))
     return records
 
 
-def expected_q_trace(spec: ClassSpec) -> QScalar:
+@lru_cache(maxsize=None)
+def _q_trace_terms(spec: ClassSpec) -> tuple:
+    """The expected q-trace as pairs (c, [z]) summing c [z], with c = +-1
+    and [z] a balanced q-integer: none for t4, [P'] - [M'] for t2, where
+    P' and M' are P and M shifted by the series (0 for A, +1 for C, -1 for
+    B and D)."""
     if spec.family == "t4":
-        return QScalar(0)
+        return ()
     P, M = pm_exponents(spec)
-    series = spec.series.series
-    if series == "A":
-        return q_integer(P) - q_integer(M)
-    if series == "C":
-        return q_integer(P + 1) - q_integer(M + 1)
-    return q_integer(P - 1) - q_integer(M - 1)
+    shift = {"A": 0, "C": 1}.get(spec.series.series, -1)
+    return (ONE, q_integer(P + shift)), (-ONE, q_integer(M + shift))
+
+
+def expected_q_trace(spec: ClassSpec) -> QScalar:
+    return sum((c * z for c, z in _q_trace_terms(spec)), ZERO)
 
 
 def check_q_trace(A: QMatrix, spec: ClassSpec, rs: RootSystem) -> CheckRecord:
-    """The q-trace against `expected_q_trace`, decided on the unreduced sum
-    n/d as n want.den = want.num d; the sum is normalized only to name a
-    failure."""
-    num, den = unreduced_trace(A, rs)
-    want = expected_q_trace(spec)
-    if num * want.den == want.num * den:
+    """The q-trace against `expected_q_trace`, decided on A's diagonal at t
+    against the expected value's terms (`qmatrix.trace_matches`); the
+    q-trace is normalized only to name a failure."""
+    if trace_matches(A, q_trace_exponents(rs.ls), _q_trace_terms(spec)):
         return CheckRecord("q_trace", True)
-    return CheckRecord("q_trace", False,
-                       f"got {render_scalar(q_trace(A, rs))}, expected {render_scalar(want)}")
+    return CheckRecord("q_trace", False, f"got {render_scalar(q_trace(A, rs))}, "
+                       f"expected {render_scalar(expected_q_trace(spec))}")
 
 
 def check_classical_involution(spec: ClassSpec, a0: dict) -> CheckRecord:

@@ -1,4 +1,4 @@
-"""Shared fixtures, and the time bound on every test."""
+"""Shared fixtures and helpers, and the time bound on every test."""
 import math
 import signal
 from fractions import Fraction
@@ -88,3 +88,14 @@ def gram_coordinates():
     """The oracle for `RootSystem.expand_in_simple`, which reads the same
     coordinates from prefix sums."""
     return _gram_coordinates
+
+
+def algebra_duals(data):
+    """The dual basis B_k^v of a classical algebra, tr(B_m B_k^v) = delta_mk,
+    read back from its expander, which keeps each B_k^v transposed: the
+    readers at position (i, j) hold (k, B_k^v[j][i])."""
+    duals = [{} for _ in data.basis]
+    for (i, j), readers in data.expander.readers.items():
+        for k, y in readers:
+            duals[k][(j, i)] = y
+    return duals

@@ -18,6 +18,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from conftest import algebra_duals
 
 from repoints import classical, coideal, linalg, verifier
 from repoints.classical import _conjugation, build_classical_algebra, gauss_entries
@@ -209,7 +210,7 @@ def test_every_basis_element_preserves_the_form(group, N):
     data = build_classical_algebra(series_for_group(group, N))
     J = data.form
     assert len(J) == N and all(j + k == N - 1 for j, k in J)
-    for x in data.basis + data.duals:
+    for x in data.basis + algebra_duals(data):
         xt = {(j, i): v for (i, j), v in x.items()}
         left, right = _mul(xt, J), _mul(J, x)
         total = {key: left.get(key, GaussRational(0)) + right.get(key, GaussRational(0))
@@ -375,7 +376,7 @@ def _parent_omega_part(data, conj):
     reference: sum_k B_k (x) Ad(B_k^v) - Ad(B_k) (x) B_k^v with every B_k
     and B_k^v of the root block conjugated again, and the Cartan block as
     sum_ij c_ij (E_ii (x) Ad(E_jj) - Ad(E_ii) (x) E_jj)."""
-    pairs = list(zip(data.basis, data.duals))[data.ls.rank:]
+    pairs = list(zip(data.basis, algebra_duals(data)))[data.ls.rank:]
     moved = [classical._conjugate({(j, j): GaussRational(1)}, conj) for j in range(data.ls.dim)]
     right = classical._outer_sum([(b, classical._conjugate(d, conj)) for b, d in pairs] + [
         ({(i, i): c}, moved[j]) for (i, _, j, _), c in data.cartan_block.items()])

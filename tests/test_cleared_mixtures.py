@@ -1,7 +1,7 @@
 """The stabilizer's mixed generators decided with cleared denominators, and
 e_b, f_b decided on A's rows and columns.
 
-`solve_mixture` reads c = c_num / c_den unreduced and accepts it by
+`solve_mixture` reads c = c_num / c_den at t and accepts it by
 [X'', A] = 0 for X'' = c_den X; the table is a constant times a Laurent
 monomial in the parameters, compared with c by cross-multiplication.  These
 tests hold both to a copy of the normalized path they replace, and hold
@@ -25,7 +25,7 @@ from repoints.coideal import (
 )
 from repoints.natrep import build_natural_rep, cartan_power
 from repoints.points import default_params, quantum_point, theta_for_class
-from repoints.qmatrix import QMatrix, first_product_difference, first_product_mismatch
+from repoints.qmatrix import QMatrix, Unreduced, first_product_difference, first_product_mismatch
 from repoints.rootdata import ClassSpec, admissible_cases
 from repoints.scalar import I_UNIT, ONE, Q, ZERO, QScalar, parse_scalar, render_scalar
 
@@ -171,7 +171,7 @@ def test_cleared_mixtures_match_the_normalized_path_on_every_class_to_n12():
         got = {a: (type(exc), str(exc)) for a, exc in ss.unsolved}
         for gen in ss.mixed_generators:
             one = QMatrix.identity(spec.N)
-            assert first_product_mismatch(gen.X_cleared, one, gen.X.scale(QScalar(gen.c_den)),
+            assert first_product_mismatch(gen.X_cleared, one, Unreduced((gen.c.den, gen.X, None)),
                                           one) is None, (spec.case_id, gen.alpha)
             matches = None if gen.c_table is None else gen.c_table == gen.c_solved
             assert gen.table_matches == matches

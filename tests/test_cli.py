@@ -15,6 +15,7 @@ from repoints import coideal, qmatrix, rmatrix, verifier
 from repoints.cli import main
 from repoints.points import param_indices
 from repoints.rootdata import standard_cases
+from repoints.scalar import ONE
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -341,6 +342,16 @@ def test_exponent_bound_exits_two(capsys):
     assert main([*base, "--param", "y1=q^-64", "--param", "y1'=q^60"]) == 0
 
 
+def _normalized_scalar(c):
+    """A term's scalar as a `QScalar`.  The mixtures' X'' reads c_den and
+    c_num at t (`coideal.MixtureCoefficient`); they become 1 and c, so the
+    oracle's X'' is X = X'' / c_den, which commutes with A iff X'' does."""
+    if not callable(c):
+        return c
+    coefficient = c.__self__
+    return ONE if c == coefficient.den else coefficient.value
+
+
 def _normalized(m):
     """A kernel operand as a `QMatrix`: an `Unreduced` sum of c x y
     multiplied out and normalized, and I x A as the dense kron."""
@@ -351,7 +362,7 @@ def _normalized(m):
     total = qmatrix.QMatrix(m.dim)
     for c, x, y in m.terms:
         term = _normalized(x) if y is None else _normalized(x) * _normalized(y)
-        total = total + (term if c is None else term.scale(c))
+        total = total + (term if c is None else term.scale(_normalized_scalar(c)))
     return total
 
 

@@ -20,7 +20,13 @@ from repoints.coideal import (
 )
 from repoints.natrep import build_natural_rep, cartan_power
 from repoints.points import default_params, quantum_point, theta_for_class
-from repoints.qmatrix import QMatrix, commutator, first_product_difference, first_product_mismatch
+from repoints.qmatrix import (
+    QMatrix,
+    Unreduced,
+    commutator,
+    first_product_difference,
+    first_product_mismatch,
+)
 from repoints.rootdata import ClassSpec, admissible_cases, build_root_system
 from repoints.verifier import full_report
 from repoints.scalar import ONE, Q, QINV, QScalar, parse_scalar, render_scalar
@@ -181,14 +187,13 @@ def _direct_mixture(lead, A, alpha, F_tilde):
 
 
 def _solved_normalized(lead, A, alpha, F_tilde):
-    """`solve_mixture`'s coefficient c = c_num / c_den and X, normalized;
-    its X'' is X times c_den."""
-    c_num, c_den, X2 = solve_mixture(lead, A, alpha, F_tilde)
-    c = QScalar(c_num, c_den)
-    X = lead + F_tilde.scale(c)
+    """`solve_mixture`'s coefficient c and X, normalized; its X'' is X
+    times c_den, at t."""
+    c, X2 = solve_mixture(lead, A, alpha, F_tilde)
+    X = lead + F_tilde.scale(c.value)
     one = QMatrix.identity(A.dim)
-    assert first_product_mismatch(X2, one, X.scale(QScalar(c_den)), one) is None
-    return c, X
+    assert first_product_mismatch(X2, one, Unreduced((c.den, X, None)), one) is None
+    return c.value, X
 
 
 def _outcome(solve, *args):
@@ -356,7 +361,7 @@ def test_passing_stabilizer_multiplies_no_diagonal_and_accepts_each_x_once(monke
         for gen in ss.mixed_generators:
             assert sum(x is gen.X_cleared for x in calls) == 1
             assert sum(x is gen.F_tilde for x in calls) == 1
-            assert "X" not in vars(gen) and "c_solved" not in vars(gen)
+            assert "X" not in vars(gen) and "value" not in vars(gen.c)
         assert len(calls) == 2 * len(td.pi_moved)
 
 

@@ -251,7 +251,7 @@ def _difference(a, b):
     or _UNDECIDED."""
     K = qmatrix._K
     return qmatrix._first_open(qmatrix._signed_row(
-        ((1, {0: a}, qmatrix._UNIT), (-1, {0: b}, qmatrix._UNIT)), K), K)
+        ((1, {0: a}, ({0: qmatrix._ONE_ENTRY},)), (-1, {0: b}, ({0: qmatrix._ONE_ENTRY},))), K), K)
 
 
 def test_a_sum_adds_numerators_only_over_a_proven_common_denominator():

@@ -67,7 +67,6 @@ FIELDS_WITHOUT_READER = {
     "rmatrix.RMatrixData.R": "acceptance criterion 5 reads it",
     "points.ThetaData.apply": "the tests rebuild theta from it",
     "coideal.CoidealGen.X_cleared": "the tests pin that the accepted X'' is the one decided",
-    "classical.ClassicalAlgebraData.duals": "the tests check tr(B_m B_k^v) = delta_mk on it",
 }
 
 
