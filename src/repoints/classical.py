@@ -2,36 +2,60 @@
 its trace-form dual basis, and the vanishing of the Poisson bivector at the
 classical points.
 
-Everything here is exact arithmetic over the Gaussian rationals, in one sparse
-format. An element of End(V) is a dict (i, j) -> coefficient of the matrix
-unit E_ij, and a tensor in End(V) (x) End(V) a dict (i, j, k, l) ->
-coefficient of E_ij (x) E_kl; both hold nonzero entries only. So a product, a
-bracket or the trace form costs the products of the nonzero counts, and a
-transpose is a key swap. `gauss_entries` reads a q-free point matrix into this
-format; the only dense N x N matrix is the input of `linalg.invert`.
+An element of End(V) is a dict (i, j) -> nonzero entry, and a tensor in
+End(V) (x) End(V) a dict (i, j, k, l) -> nonzero coefficient of
+E_ij (x) E_kl. So a product, a bracket or an outer product costs the
+products of the nonzero counts, and a transpose or a factor swap is a key
+swap. The checks are decided on Gaussian integers: an entry is a pair
+(re, im) of ints, so a product is four integer products and no gcd.
+
+The scaling identity. Ad_(d a) = Ad_a for every scalar d != 0, so a point's
+Gaussian-rational entries A0 (`gauss_entries`) are scaled once to a = d A0,
+d the lcm of their denominators (`_integral`). Each root vector is kept
+scaled to integers, e_beta, with n_beta = tr(e_beta e_beta^T) > 0 and
+f_beta = e_beta^T / n_beta; e_beta (x) f_beta, and so rho and omega, is the
+same at every scale of e_beta. When a^2 = c I, c != 0, a^-1 = a / c and
+a x a^-1 = a x a / c, so for U = sum_beta u_beta (x) v_beta (`bivector_at`)
+
+    c^2 L U = sum_beta (L / n_beta) (a e_beta a - c e_beta) (x) (a e_beta^T a - c e_beta^T),
+
+with L = `ClassicalAlgebraData.scale`, a positive common multiple of the
+n_beta. Every entry on the right is a Gaussian integer, and U = flip(U) iff
+c^2 L U = flip(c^2 L U): flip is linear and c^2 L != 0, as c != 0 and
+L > 0. So the verdict does not depend on the scale. Otherwise
+`linalg.invert`'s inverse is scaled once to a^-1 = b / delta, with b
+Gaussian-integral and delta > 0 an integer, and a x a^-1 = a x b / delta;
+the same identity holds with delta for c, and L is also a multiple of the
+denominators of omega's Cartan block (`cartan_block`). `classical.square`
+and the normalizer test (`_scales_form`) read the same scaled entries.
 
 The Chevalley basis B_k of g comes with its dual basis B_k^v under the trace
-form, tr(B_m B_k^v) = delta_mk (`build_classical_algebra`), and every basis
-coordinate is read by pairing with it. In B, C and D it also comes with the
-invariant form J of V, by which `_conjugation` decides that a normalizes g.
-The split Casimir omega = sum_k B_k (x) B_k^v (but its Cartan block) and
+form, tr(B_m B_k^v) = delta_mk (`build_classical_algebra`); both are kept in
+Gaussian-rational entries, and are read only to name a basis coordinate of
+the bivector in a failure detail (`BivectorValue.coeffs`, which divides the
+integer tensor by its scale once) and by the tests' reference for Ad. In B,
+C and D the algebra also comes with the invariant form J of V, by which
+`_conjugation` decides that a normalizes g. The split Casimir
+omega = sum_k B_k (x) B_k^v (but its Cartan block) and
 rho = sum_beta e_beta (x) f_beta - f_beta (x) e_beta are not stored:
-`bivector_at` builds its tensor from the root vectors that a moves. The
-verdicts are decided on that tensor. Basis coordinates of the bivector are
-read only to name one in a failure detail.
+`bivector_at` builds its tensor from the root vectors that a moves.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 
 from . import linalg
 from .natrep import CheckRecord, build_natural_rep
 from .points import quantum_point
 from .qmatrix import QMatrix
 from .rootdata import LieSeries, NotInSpanError, build_root_system, sub
-from .scalar import GR_ONE, GR_ZERO, GaussRational, eval_at_one
+from .scalar import GR_ZERO, GaussRational, eval_at_one
+
+_ZERO = (0, 0)
+_ONE = (1, 0)
 
 
 def gauss_entries(A: QMatrix) -> dict:
@@ -39,13 +63,36 @@ def gauss_entries(A: QMatrix) -> dict:
     return {(i, j): eval_at_one(v) for i, j, v in A.nonzero_items()}
 
 
-def _accumulate(out: dict, key: tuple, v: GaussRational) -> None:
-    s = out.get(key)
-    out[key] = v if s is None else s + v
+def _integral(a: dict, d: int = 1) -> tuple:
+    """(m, d'): d' > 0 the lcm of d and the denominators of the
+    Gaussian-rational entries a, and m = d' a as Gaussian-integer entries."""
+    d = lcm(d, *(x.d for x in a.values()))
+    return {key: (x.a * (d // x.d), x.b * (d // x.d)) for key, x in a.items()}, d
+
+
+def rational(m: dict, s) -> dict:
+    """m / s as Gaussian-rational entries, for Gaussian-integer entries m and
+    a nonzero Gaussian integer s: the one division of a scaled result."""
+    inv = GaussRational(*s).inv()
+    return {key: GaussRational(*x) * inv for key, x in m.items()}
+
+
+def _times(x: tuple, y: tuple) -> tuple:
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
 def _nonzero(t: dict) -> dict:
-    return {key: v for key, v in t.items() if v}
+    return {key: v for key, v in t.items() if v != _ZERO}
+
+
+def _combine(*terms) -> dict:
+    """sum of +-t over the (sign, t) in terms."""
+    out = {}
+    for sign, t in terms:
+        for key, (p, q) in t.items():
+            s, u = out.get(key, _ZERO)
+            out[key] = (s + p, u + q) if sign > 0 else (s - p, u - q)
+    return _nonzero(out)
 
 
 def _transpose(a: dict) -> dict:
@@ -58,9 +105,11 @@ def _product(a: dict, b: dict) -> dict:
     for (k, j), y in b.items():
         rows.setdefault(k, []).append((j, y))
     out = {}
-    for (i, k), x in a.items():
-        for j, y in rows.get(k, ()):
-            _accumulate(out, (i, j), x * y)
+    get = out.get
+    for (i, k), (p, q) in a.items():
+        for j, (x, y) in rows.get(k, ()):
+            s, u = get((i, j), _ZERO)
+            out[(i, j)] = (s + p * x - q * y, u + p * y + q * x)
     return _nonzero(out)
 
 
@@ -68,23 +117,25 @@ def _bracket(a: dict, b: dict) -> dict:
     return _combine((1, _product(a, b)), (-1, _product(b, a)))
 
 
-def trace_pair(a: dict, b: dict) -> GaussRational:
-    """Tr(ab), the invariant form of the defining representation."""
-    t = GR_ZERO
-    for (i, k), x in a.items():
-        y = b.get((k, i))
-        if y is not None:
-            t = t + x * y
-    return t
+def square(a: dict) -> tuple:
+    """(s, k) with a^2 = s / k for Gaussian-rational entries a: s the square
+    of the Gaussian-integer matrix d a (`_integral`) and k = d^2."""
+    m, d = _integral(a)
+    return _product(m, m), d * d
 
 
-def _outer_sum(pairs) -> dict:
-    """sum of x (x) y over the (x, y) in pairs."""
+def _outer_sum(terms) -> dict:
+    """sum of w x (x) y over the (w, x, y) in terms, w a Gaussian integer."""
     out = {}
-    for xs, ys in pairs:
-        for (i, j), u in xs.items():
-            for (r, s), v in ys.items():
-                _accumulate(out, (i, j, r, s), u * v)
+    get = out.get
+    for (wr, wi), xs, ys in terms:
+        ys = [(r, s, g, h) for (r, s), (g, h) in ys.items()]
+        for (i, j), (x, y) in xs.items():
+            p, q = wr * x - wi * y, wr * y + wi * x
+            for r, s, g, h in ys:
+                key = (i, j, r, s)
+                u, v = get(key, _ZERO)
+                out[key] = (u + p * g - q * h, v + p * h + q * g)
     return _nonzero(out)
 
 
@@ -93,40 +144,34 @@ def _flip(t: dict) -> dict:
     return {(k, l, i, j): v for (i, j, k, l), v in t.items()}
 
 
-def _combine(*terms) -> dict:
-    """sum of +-t over the (sign, t) in terms."""
-    out = {}
-    for sign, t in terms:
-        for key, v in t.items():
-            _accumulate(out, key, v if sign > 0 else -v)
-    return _nonzero(out)
-
-
 def _conjugate(x: dict, conj, moved: bool = False) -> dict:
-    """a x a^-1 for a matrix x = {(i, j): v}, or a x a^-1 - x when moved, in
-    one pass over the nonzeros of x: E_ij goes to a E_ij a^-1 = sum of
-    a[p][i] a^-1[j][r] E_pr.  conj is the first item `_conjugation` returns."""
-    cols, rows = conj
-    out = {key: -v for key, v in x.items()} if moved else {}
-    for (i, j), c in x.items():
-        for p, u in cols[i]:
-            cu = c * u
-            for r, w in rows[j]:
-                s = out.get((p, r))
-                out[(p, r)] = cu * w if s is None else s + cu * w
-    return _nonzero(out)
+    """delta a x a^-1 = a x b, or delta (a x a^-1 - x) when moved, for a
+    matrix x = {(i, j): v}, in one pass over the nonzeros of x: E_ij goes to
+    a E_ij b = sum of a[p][i] b[j][r] E_pr.  conj is the first item
+    `_conjugation` returns, (a by column, b by row, delta)."""
+    cols, rows, (dr, di) = conj
+    out = {key: (di * q - dr * p, -dr * q - di * p) for key, (p, q) in x.items()} if moved else {}
+    get = out.get
+    for (i, j), (p, q) in x.items():
+        row = rows[j]
+        for k, (ur, ui) in cols[i]:
+            g, h = p * ur - q * ui, p * ui + q * ur
+            for r, (y, z) in row:
+                s, t = get((k, r), _ZERO)
+                out[(k, r)] = (s + g * y - h * z, t + g * z + h * y)
+    return {key: v for key, v in out.items() if v != _ZERO}
 
 
 @dataclass
 class ClassicalAlgebraData:
     ls: LieSeries
-    basis: list  # cartan elements, then e vectors, then f vectors
-    e_vectors: dict  # positive root -> e_beta
-    f_vectors: dict  # positive root -> f_beta, normalized so (e, f) = 1
+    basis: list  # cartan elements, then e vectors, then f vectors (Gaussian rationals)
     positive: tuple  # roots in construction order
+    root_vectors: dict  # positive root -> (L / n_beta, e_beta, e_beta^T), e_beta integral
+    scale: int  # L: a multiple of every n_beta and of cartan_block's denominators
     expander: linalg.BasisExpander
-    form: dict | None  # J = sum_j kappa_j E_(j, N-1-j) in B, C and D; None in A
-    cartan_block: dict  # omega's sum_k h_k (x) h_k^v, as sum_ij c_ij E_ii (x) E_jj
+    form: dict | None  # J = sum_j kappa_j E_(j, N-1-j) in B, C and D, kappa_j = +-1; None in A
+    cartan_block: dict  # L times omega's sum_k h_k (x) h_k^v, as {(i, j): L c_ij}
 
     @property
     def dim(self) -> int:
@@ -152,8 +197,10 @@ def build_classical_algebra(ls: LieSeries) -> ClassicalAlgebraData:
     f_beta = e_beta^T / tr(e_beta e_beta^T). The natural module has
     f_i = e_i^T (`build_natural_rep`), and [x^T, y^T] = -[x, y]^T, so the
     brackets that build e_beta from the e_i build (-1)^(ht beta - 1) e_beta^T
-    from the f_i: e_beta^T lies in g, of weight -beta. The entries of e_beta
-    are rational, so tr(e_beta e_beta^T), their sum of squares, is positive.
+    from the f_i: e_beta^T lies in g, of weight -beta. The e_i are scaled to
+    integers, so the brackets are integral, and the entries of e_beta are
+    real, so n_beta = tr(e_beta e_beta^T), their sum of squares, is a
+    positive integer.
 
     Why tr(B_m B_k^v) = delta_mk:
 
@@ -181,7 +228,7 @@ def build_classical_algebra(ls: LieSeries) -> ClassicalAlgebraData:
     rep = build_natural_rep(ls)
     rs = build_root_system(ls)
 
-    simple_e = [gauss_entries(m) for m in rep.e]
+    simple_e = [_integral(gauss_entries(m))[0] for m in rep.e]
     e_vec = dict(zip(rs.simple, simple_e))
 
     positive = _sorted_positive(rs)
@@ -198,27 +245,29 @@ def build_classical_algebra(ls: LieSeries) -> ClassicalAlgebraData:
         else:
             raise AssertionError(f"no bracket decomposition for root {root}")
 
-    f_vec = {}
-    for root in positive:
-        e_t = _transpose(e_vec[root])
-        inv = trace_pair(e_vec[root], e_t).inv()
-        f_vec[root] = {key: x * inv for key, x in e_t.items()}
-
-    cartan = [_bracket(e_vec[a], f_vec[a]) for a in rs.simple]
+    norm = {root: sum(p * p for p, _ in e_vec[root].values()) for root in positive}
+    es = [rational(e_vec[r], _ONE) for r in positive]
+    fs = [rational(_transpose(e_vec[r]), (norm[r], 0)) for r in positive]
+    cartan = [rational(_bracket(e_vec[a], _transpose(e_vec[a])), (norm[a], 0))
+              for a in rs.simple]
     mean = [Fraction(sum(col), ls.dim) for col in zip(*rs.weights)]
     coords = [rs.expand_in_simple(sub(w, mean)) for w in rs.weights]
     cartan_duals = [{(j, j): GaussRational(c[k]) for j, c in enumerate(coords) if c[k]}
                     for k in range(ls.rank)]
-    es = [e_vec[r] for r in positive]
-    fs = [f_vec[r] for r in positive]
+    block = {}
+    for h, dual in zip(cartan, cartan_duals):
+        for (i, _), x in h.items():
+            for (j, _), y in dual.items():
+                block[(i, j)] = block.get((i, j), GR_ZERO) + x * y
+    block, scale = _integral({key: c for key, c in block.items() if c}, lcm(*norm.values()))
     basis = cartan + es + fs
     # the expander keeps the transposed dual basis B_k^v, tr(B_m B_k^v) = delta_mk:
     # the h_k^v, then f_beta for each e_beta and e_beta for each f_beta
     expander = linalg.BasisExpander(basis, [_transpose(d) for d in cartan_duals + fs + es])
     form = None if ls.series == "A" else {
-        (j, ls.dim - 1 - j): GaussRational(k) for j, k in enumerate(rs.kappa)}
-    return ClassicalAlgebraData(ls, basis, e_vec, f_vec, tuple(positive), expander, form,
-                                _outer_sum(zip(cartan, cartan_duals)))
+        (j, ls.dim - 1 - j): (k, 0) for j, k in enumerate(rs.kappa)}
+    roots = {r: ((scale // norm[r], 0), e_vec[r], _transpose(e_vec[r])) for r in positive}
+    return ClassicalAlgebraData(ls, basis, tuple(positive), roots, scale, expander, form, block)
 
 
 def adjoint_matrix(data: ClassicalAlgebraData, a: dict) -> list:
@@ -226,44 +275,55 @@ def adjoint_matrix(data: ClassicalAlgebraData, a: dict) -> list:
     a B_k a^-1; raises if a is singular or does not normalize the algebra.
     No check builds it: it is the tests' reference for Ad."""
     conj, _ = _conjugation(data, a)
-    cols = [data.expander.expand(_conjugate(b, conj)) for b in data.basis]
+    cols = []
+    for b in data.basis:
+        x, d = _integral(b)
+        cols.append(data.expander.expand(rational(_conjugate(x, conj), _times(conj[2], (d, 0)))))
     return [list(row) for row in zip(*cols)]
 
 
 def _scales_form(form: dict, a: dict) -> bool:
     """a^T J a = s J for a scalar s, with J = form: sum over the nonzeros
-    J[j][j'] of a[j][i] J[j][j'] a[j'][l] at (i, l)."""
+    J[j][j'] of a[j][i] J[j][j'] a[j'][l] at (i, l). With s = (a^T J a)[p0]
+    / J[p0] for the first nonzero p0 of J, it is decided multiplied by
+    J[p0] != 0: J[p0] (a^T J a) = (a^T J a)[p0] J."""
     rows = {}
     for (j, i), x in a.items():
         rows.setdefault(j, []).append((i, x))
     out = {}
-    for (j, jp), k in form.items():
-        for i, x in rows.get(j, ()):
-            kx = k * x
-            for l, y in rows.get(jp, ()):
-                _accumulate(out, (i, l), kx * y)
+    for (j, jp), (k, _) in form.items():
+        for i, (x, y) in rows.get(j, ()):
+            g, h = k * x, k * y
+            for l, (v, z) in rows.get(jp, ()):
+                s, t = out.get((i, l), _ZERO)
+                out[(i, l)] = (s + g * v - h * z, t + g * z + h * v)
     key, k = next(iter(form.items()))
-    s = out.get(key)
-    if s is None:
+    s = out.get(key, _ZERO)
+    if s == _ZERO:
         return False
-    s = s * k.inv()
-    return _nonzero(out) == {p: s * x for p, x in form.items()}
+    return ({p: _times(k, x) for p, x in _nonzero(out).items()}
+            == {p: _times(s, x) for p, x in form.items()})
 
 
 def _conjugation(data: ClassicalAlgebraData, a: dict, square=None) -> tuple:
-    """(conj, c): conj holds the nonzeros of a by column and of a^-1 by row,
-    which is what `_conjugate` reads, and c is the scalar with a^2 = c I, or
-    None if a^2 is not scalar.  A caller that has decided a^2 = c I already
-    passes c as `square`, and a is not squared again.
+    """(conj, c) for Gaussian-rational entries a, scaled to m = d a
+    (`_integral`): conj = (cols, rows, delta) holds the nonzeros of m by
+    column and of b by row, where m^-1 = b / delta with b Gaussian-integral
+    and delta a nonzero Gaussian integer, which is what `_conjugate` reads;
+    c is the Gaussian integer with m^2 = c I, or None if m^2 is not scalar.
+    A caller that has decided a^2 = c0 I already passes c0 as `square`, and
+    m is not squared: c = d^2 c0.
 
-    - a^-1: if a^2 = c I with c != 0, then a (a / c) = I, so a^-1 = a / c and
-      no elimination is needed. Otherwise `linalg.invert` decides, so a
-      singular a raises SingularMatrixError (a nilpotent a, with a^2 = 0,
-      takes that path too).
+    - m^-1: if m^2 = c I with c != 0, then m (m / c) = I, so b = m and
+      delta = c, and no elimination is needed. Otherwise `linalg.invert`
+      decides, so a singular a raises SingularMatrixError (a nilpotent a,
+      with a^2 = 0, takes that path too); its inverse, scaled to b / e by
+      `_integral`, gives m^-1 = b / (d e), so delta = d e > 0.
     - conj is returned only once Ad_a(g) = g is shown; raises NotInSpanError
-      if a does not normalize the algebra. In A there is nothing to show:
-      conjugation by an invertible a keeps the trace and the bracket, so it
-      maps sl(N) onto itself. In B, C and D, a normalizes
+      if a does not normalize the algebra. Ad_m = Ad_a, and a^T J a = s J
+      iff m^T J m = d^2 s J, so it is decided on m. In A there is nothing to
+      show: conjugation by an invertible a keeps the trace and the bracket,
+      so it maps sl(N) onto itself. In B, C and D, a normalizes
       g = {X : X^T J + J X = 0} iff a^T J a = s J for a scalar s:
       - if a^T J a = s J (s != 0, as a is invertible), then conjugating
         X^T J + J X = 0 by a gives Y^T J + J Y = 0 for Y = a X a^-1;
@@ -276,57 +336,73 @@ def _conjugation(data: ClassicalAlgebraData, a: dict, square=None) -> tuple:
         (a^-1)^T J a^-1 = s' J, and a^T J a = J / s'.
     """
     n = data.ls.dim
-    c = square
-    if c is None:
-        sq = _product(a, a)
+    m, d = _integral(a)
+    if square is None:
+        sq = _product(m, m)
         c = sq.get((0, 0))
         if c is not None and sq != {(i, i): c for i in range(n)}:
             c = None
+    else:
+        k = d * d // square.d
+        c = (square.a * k, square.b * k)
     if c is not None:
-        c_inv = c.inv()
-        rows = [[] for _ in range(n)]
-        for (j, r), x in a.items():
-            rows[j].append((r, x * c_inv))
+        b, delta = m, c
     else:
         a_inv = linalg.invert([[a.get((i, j), GR_ZERO) for j in range(n)] for i in range(n)])
-        rows = [[(r, x) for r, x in enumerate(row) if x] for row in a_inv]
-    if data.form is not None and not _scales_form(data.form, a):
+        b, e = _integral({(i, j): x for i, row in enumerate(a_inv) for j, x in enumerate(row)
+                          if x})
+        delta = (d * e, 0)
+    if data.form is not None and not _scales_form(data.form, m):
         raise NotInSpanError("the matrix does not normalize the algebra")
     cols = [[] for _ in range(n)]
-    for (p, i), x in a.items():
+    for (p, i), x in m.items():
         cols[i].append((p, x))
-    return (cols, rows), c
+    rows = [[] for _ in range(n)]
+    for (j, r), x in b.items():
+        rows[j].append((r, x))
+    return (cols, rows, delta), c
 
 
 def _root_moves(data: ClassicalAlgebraData, conj, every: bool) -> list:
-    """(e_beta, f_beta, u_beta, v_beta) with u_beta = a e_beta a^-1 - e_beta
-    and v_beta = a f_beta a^-1 - f_beta, each built in one pass over the
-    nonzeros of the root vector: for every positive root, or, unless
-    `every`, only for those that a moves (u_beta != 0)."""
+    """(w, e, f, u, v) with w = L / n_beta, e = e_beta, f = e_beta^T and
+    u = a e a^-1 - e, v = a f a^-1 - f, both times delta (`_conjugate`),
+    each built in one pass over the nonzeros of the root vector: for every
+    positive root, or, unless `every`, only for those that a moves
+    (u != 0)."""
     moves = []
     for root in data.positive:
-        e, f = data.e_vectors[root], data.f_vectors[root]
+        w, e, f = data.root_vectors[root]
         u = _conjugate(e, conj, moved=True)
         if u or every:
-            moves.append((e, f, u, _conjugate(f, conj, moved=True)))
+            moves.append((w, e, f, u, _conjugate(f, conj, moved=True)))
     return moves
 
 
 def _omega_part(data: ClassicalAlgebraData, conj, moves: list) -> dict:
-    """(1 (x) Ad - Ad (x) 1) omega for the split Casimir
+    """delta^2 L (1 (x) Ad - Ad (x) 1) omega for the split Casimir
     omega = sum_k B_k (x) B_k^v, from the moves of every root
-    (`_root_moves`).  The root part of omega is sum_beta e (x) f + f (x) e,
-    and with Ad(e) = e + u and Ad(f) = f + v it goes to
-    sum_beta e (x) v + f (x) u - u (x) f - v (x) e.  The Cartan block,
-    taken as sum_ij c_ij E_ii (x) E_jj (`cartan_block`), goes to
-    sum_ij c_ij (E_ii (x) Ad(E_jj) - Ad(E_ii) (x) E_jj), each Ad(E_jj) built
-    once."""
-    moved = [_conjugate({(j, j): GR_ONE}, conj) for j in range(data.ls.dim)]
-    right = _outer_sum([p for e, f, u, v in moves for p in ((e, v), (f, u))] + [
-        ({(i, i): c}, moved[j]) for (i, _, j, _), c in data.cartan_block.items()])
-    left = _outer_sum([p for e, f, u, v in moves for p in ((u, f), (v, e))] + [
-        (moved[i], {(j, j): c}) for (i, _, j, _), c in data.cartan_block.items()])
-    return _combine((1, right), (-1, left))
+    (`_root_moves`).  The root part of omega is
+    sum_beta e_beta (x) f_beta + f_beta (x) e_beta, and with
+    Ad(e_beta) = e_beta + u_beta, Ad(f_beta) = f_beta + v_beta it goes to
+    sum_beta e (x) v + f (x) u - u (x) f - v (x) e. In the integral root
+    vectors, e_beta (x) f_beta = e (x) f / n_beta, u_beta = u / delta and
+    f_beta (x) u_beta = f (x) u / (n_beta delta), so each term is delta w
+    times the integral one. The Cartan block, taken as
+    sum_ij c_ij E_ii (x) E_jj (`cartan_block` holds L c_ij), goes to
+    sum_ij c_ij (E_ii (x) Ad(E_jj) - Ad(E_ii) (x) E_jj) with
+    Ad(E_jj) = a E_jj b / delta, each a E_jj b built once."""
+    delta = conj[2]
+    moved = [_conjugate({(j, j): _ONE}, conj) for j in range(data.ls.dim)]
+    right, left = [], []
+    for w, e, f, u, v in moves:
+        dw = _times(delta, w)
+        right += [(dw, e, v), (dw, f, u)]
+        left += [(dw, u, f), (dw, v, e)]
+    for (i, j), c in data.cartan_block.items():
+        dc = _times(delta, c)
+        right.append((dc, {(i, i): _ONE}, moved[j]))
+        left.append((dc, moved[i], {(j, j): _ONE}))
+    return _combine((1, _outer_sum(right)), (-1, _outer_sum(left)))
 
 
 def _coordinates(data: ClassicalAlgebraData, tensor: dict) -> list:
@@ -346,20 +422,26 @@ def _coordinates(data: ClassicalAlgebraData, tensor: dict) -> list:
 
 @dataclass
 class BivectorValue:
-    """The bivector at a point.  `tensor`, the bivector in End(V) (x) End(V),
-    decides is_zero().  `coeffs` is its antisymmetric coefficient matrix over
+    """The bivector at a point.  `scaled`, the bivector in End(V) (x) End(V)
+    times the nonzero Gaussian integer `scale`, decides is_zero().  `tensor`
+    divides it once; `coeffs` is its antisymmetric coefficient matrix over
     the algebra basis, read through the dual basis on first use (the failure
     detail and the tests ask for it)."""
 
     data: ClassicalAlgebraData
-    tensor: dict
+    scaled: dict
+    scale: tuple
+
+    @cached_property
+    def tensor(self) -> dict:
+        return rational(self.scaled, self.scale)
 
     @cached_property
     def coeffs(self) -> list:
         return _coordinates(self.data, self.tensor)
 
     def is_zero(self) -> bool:
-        return not self.tensor
+        return not self.scaled
 
     def largest_entry(self):
         """(i, j, value) of the coefficient with maximal Gaussian norm, or None."""
@@ -382,21 +464,23 @@ def bivector_at(data: ClassicalAlgebraData, a: dict, square=None) -> BivectorVal
     expanding term by term with (1 (x) Ad)(Ad (x) 1) = Ad (x) Ad. Here
     omega = sum_k B_k (x) B_k^v is the split Casimir and
     rho = sum_beta e_beta (x) f_beta - f_beta (x) e_beta over the positive
-    roots; neither is stored.
+    roots; neither is stored. It is built times delta^2 L, on the integral
+    root vectors and the scaled point of `_conjugation` (module docstring).
 
     - The rho part is sum_beta u_beta (x) v_beta - v_beta (x) u_beta with
-      u_beta = a e_beta a^-1 - e_beta and v_beta = a f_beta a^-1 - f_beta
-      (`_root_moves`). A root that a does not move, u_beta = 0, adds zero,
-      and its v_beta is built only where the omega part reads it.
+      u_beta = a e_beta a^-1 - e_beta and v_beta = a f_beta a^-1 - f_beta,
+      and delta^2 L u_beta (x) v_beta = w u (x) v for the (w, u, v) of
+      `_root_moves`. A root that a does not move, u = 0, adds zero, and its
+      v is built only where the omega part reads it.
     - The omega part is zero when a^2 = c I: then a^-1 = a / c, so
       Ad^-1 = Ad. Ad_a(g) = g (`_conjugation`) and Ad preserves tr(XY), so
       the Ad_a(B_k) form a basis of g with dual basis Ad_a(B_k^v), and
       (Ad (x) Ad) omega = omega. Hence
       (Ad (x) 1) omega = (1 (x) Ad^-1) omega = (1 (x) Ad) omega. Otherwise it
-      is built by `_omega_part` from the same u_beta and v_beta, every
-      root's. The verified points are involutions and skip it. Then
-      T = U - flip(U) with U = sum_beta u_beta (x) v_beta, so T = 0 iff
-      U = flip(U), which is decided before T is built.
+      is built by `_omega_part` from the same u and v, every root's. The
+      verified points are involutions and skip it. Then T = U - flip(U)
+      with U = sum_beta u_beta (x) v_beta, so T = 0 iff
+      delta^2 L U = flip(delta^2 L U), which is decided before T is built.
 
     Why T = 0 iff its coefficient matrix `total` over the basis is zero:
 
@@ -417,15 +501,16 @@ def bivector_at(data: ClassicalAlgebraData, a: dict, square=None) -> BivectorVal
     """
     conj, c = _conjugation(data, a, square)
     moves = _root_moves(data, conj, every=c is None)
-    uv = _outer_sum((u, v) for _, _, u, v in moves)
+    uv = _outer_sum((w, u, v) for w, _, _, u, v in moves)
     flipped = _flip(uv)
     if c is None:
         tensor = _combine((1, uv), (-1, flipped), (1, _omega_part(data, conj, moves)))
     else:
         tensor = {} if uv == flipped else _combine((1, uv), (-1, flipped))
-    if _flip(tensor) != {key: -v for key, v in tensor.items()}:
+    if _combine((1, tensor), (1, _flip(tensor))):
         raise AssertionError("bivector lost antisymmetry")
-    return BivectorValue(data, tensor)
+    delta = conj[2]
+    return BivectorValue(data, tensor, _times(_times(delta, delta), (data.scale, 0)))
 
 
 def check_involutive_vanishing(data: ClassicalAlgebraData, a: dict) -> CheckRecord:
@@ -442,7 +527,8 @@ def check_involutive_vanishing(data: ClassicalAlgebraData, a: dict) -> CheckReco
       otherwise), so a scalar a^2 = c I has c != 0; `_conjugation` returns c.
     - The omega part (1 (x) Ad - Ad (x) 1) omega has coefficient matrix
       omega ad^T - ad omega over the basis B_k (x) B_l, which are linearly
-      independent, so it vanishes iff (1 (x) Ad) omega = (Ad (x) 1) omega.
+      independent, so it vanishes iff (1 (x) Ad) omega = (Ad (x) 1) omega,
+      and `_omega_part` builds it times delta^2 L != 0.
     """
     conj, c = _conjugation(data, a)
     if c is None:

@@ -15,7 +15,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .qmatrix import QMatrix
+from .qmatrix import QMatrix, same_products
 from .rootdata import ClassSpec, build_root_system
 from .scalar import GR_I, ONE, QScalar, eval_at_one, render_scalar
 
@@ -126,8 +126,9 @@ def validate_params(spec: ClassSpec, params: PointParams, classical: bool = Fals
             problems.append(f"{k}{i} = 0")
             continue
         # vi vj = c, cross-multiplied: the denominators are nonzero, so this
-        # compares two Laurent polynomials and normalizes no fraction
-        if vi.num * vj.num * c.den != c.num * vi.den * vj.den:
+        # compares two products of Laurent polynomials, decided at t with no
+        # polynomial product and no gcd
+        if not same_products([vi.num, vj.num, c.den], [c.num, vi.den, vj.den]):
             pair = f"{k}{i}*{k}{j}" if j != i else f"{k}{i}^2"
             problems.append(f"{pair} = {render_scalar(vi * vj)}, expected {render_scalar(c)}")
     return problems

@@ -99,3 +99,14 @@ def algebra_duals(data):
         for k, y in readers:
             duals[k][(j, i)] = y
     return duals
+
+
+def root_vectors(data):
+    """(e, f): the root vectors e_beta and f_beta of a classical algebra by
+    positive root, read back from its basis, which holds the Cartan
+    elements, then the e_beta, then the f_beta, each block in the order of
+    `data.positive`."""
+    rank, npos = data.ls.rank, len(data.positive)
+    e = dict(zip(data.positive, data.basis[rank:rank + npos]))
+    f = dict(zip(data.positive, data.basis[rank + npos:]))
+    return e, f

@@ -7,15 +7,20 @@ does not store omega and rho; the tests build them (`omega_tensor`,
 `rho_tensor`) and evaluate the bivector's six-term formula on them
 (`formula_bivector`) as the reference for its tensor.
 """
+import itertools
+import json
+import os
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from conftest import algebra_duals
+from conftest import algebra_duals, root_vectors
 
 from repoints import linalg
+from repoints.cli import main
 from repoints.classical import (
     _sorted_positive,
     adjoint_matrix,
@@ -24,7 +29,7 @@ from repoints.classical import (
     check_involutive_vanishing,
     classical_point_entries,
     gauss_entries,
-    trace_pair,
+    rational,
 )
 from repoints.natrep import build_natural_rep
 from repoints.points import (
@@ -45,8 +50,13 @@ from repoints.rootdata import (
     series_for_group,
     standard_cases,
 )
-from repoints.scalar import GaussRational, QScalar, eval_at_one
-from repoints.verifier import check_bivector
+from repoints.scalar import GaussRational, QScalar, eval_at_one, parse_scalar
+from repoints.verifier import check_bivector, square_unit
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+
+from workloads import draw_params  # noqa: E402
 
 ZERO = GaussRational(0)
 
@@ -84,6 +94,17 @@ def g_is_zero(a):
 
 def g_bracket(a, b):
     return g_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
+
+
+def trace_pair(a, b):
+    """Tr(ab) over the nonzeros of sparse a and b: the sparse reference the
+    Cartan and root-vector tests read, checked against `dense_trace_pair`."""
+    t = ZERO
+    for (i, k), x in a.items():
+        y = b.get((k, i))
+        if y is not None:
+            t = t + x * y
+    return t
 
 
 def dense_trace_pair(a, b):
@@ -213,7 +234,8 @@ def omega_tensor(ls):
 def rho_tensor(ls):
     """rho = sum_beta e_beta (x) f_beta - f_beta (x) e_beta."""
     data = build_classical_algebra(ls)
-    e_f = _sparse_outer_sum((data.e_vectors[r], data.f_vectors[r]) for r in data.positive)
+    e_vectors, f_vectors = root_vectors(data)
+    e_f = _sparse_outer_sum((e_vectors[r], f_vectors[r]) for r in data.positive)
     return _sum_terms((1, e_f), (-1, _flip(e_f)))
 
 
@@ -260,14 +282,29 @@ def test_sparse_algebra_matches_the_dense_construction(group, N):
     for m, grid in zip(rep.f, ref.simple_f):
         assert gauss_entries(m) == _sparse(grid)
     assert list(data.positive) == ref.positive
+    e_vectors, f_vectors = root_vectors(data)
     for root in ref.positive:
-        assert data.e_vectors[root] == _sparse(ref.e_vectors[root])
-        assert data.f_vectors[root] == _sparse(ref.f_vectors[root])
+        assert e_vectors[root] == _sparse(ref.e_vectors[root])
+        assert f_vectors[root] == _sparse(ref.f_vectors[root])
     assert data.basis[:data.ls.rank] == [_sparse(h) for h in ref.cartan]
     assert data.basis == [_sparse(b) for b in ref.basis]
     assert algebra_duals(data) == [_sparse(d) for d in ref.duals]
     assert omega_tensor(ls) == ref.omega
     assert rho_tensor(ls) == ref.rho
+    # the Gaussian-integer data the bivector reads: each integral e with
+    # e (x) e^T / n = e_beta (x) f_beta, n = tr(e e^T) dividing L, and the
+    # Cartan block of omega times L
+    scale = GaussRational(data.scale)
+    for root in ref.positive:
+        w, e, et = data.root_vectors[root]
+        e, et = rational(e, (1, 0)), rational(et, (1, 0))
+        n = trace_pair(e, et)
+        assert et == {(j, i): x for (i, j), x in e.items()}
+        assert w == ((scale / n).re, 0) and (scale / n).re.denominator == 1
+        assert (_sparse_outer_sum([(e, {key: x / n for key, x in et.items()})])
+                == _sparse_outer_sum([(e_vectors[root], f_vectors[root])]))
+    block = {(i, i, j, j): GaussRational(*c) / scale for (i, j), c in data.cartan_block.items()}
+    assert block == DenseAlgebra._outer_sum(zip(ref.cartan, ref.duals[:ls.rank]))
 
 
 @pytest.mark.parametrize("group,N", [("sl", 3), ("so", 5), ("so", 6), ("sp", 4)])
@@ -369,8 +406,9 @@ def test_so5_root_vectors():
     data = build_classical_algebra(LieSeries("B", 2))
     assert len(data.positive) == 4
     assert data.dim == 10
+    e_vectors, f_vectors = root_vectors(data)
     for root in data.positive:
-        assert trace_pair(data.e_vectors[root], data.f_vectors[root]) == GaussRational(1)
+        assert trace_pair(e_vectors[root], f_vectors[root]) == GaussRational(1)
 
 
 def test_omega_is_invariant_sp4():
@@ -576,3 +614,96 @@ def test_cartan_duals_are_the_inverse_gram_combinations(ls):
             for key, x in h.items():
                 want[key] = want.get(key, ZERO) + c * x
         assert duals[k] == {key: x for key, x in want.items() if x}
+
+
+# --- the Gaussian-integer bivector against the dense reference ---------------
+
+def _signed_involutions(n):
+    """Every signed permutation a with a^2 = I: pi an involution, and equal
+    signs on each of its 2-cycles."""
+    for pi in itertools.permutations(range(n)):
+        if any(pi[pi[j]] != j for j in range(n)):
+            continue
+        for signs in itertools.product((1, -1), repeat=n):
+            if all(signs[j] == signs[pi[j]] for j in range(n)):
+                yield {(pi[j], j): GaussRational(signs[j]) for j in range(n)}
+
+
+def _assert_integer_tensor_is_the_formula(data, a, square):
+    """The bivector of the scaled Gaussian-integer path, divided once, is the
+    tensor of the dense formula, with a^2 = square I decided by the program
+    or given; returns whether it is nonzero."""
+    want = formula_bivector(data.ls, _dense(a, data.ls.dim))
+    for value in (bivector_at(data, a), bivector_at(data, a, square)):
+        assert value.tensor == want
+        assert value.is_zero() == (not want)
+    return bool(want)
+
+
+def test_integer_verdicts_are_the_dense_formula_at_signed_involutions():
+    # every signed-permutation involution of sl3, sl4 and sl5; 378 of the 408
+    # have a nonzero bivector, and the count pins that they stay nonzero
+    nonzero = total = 0
+    for N in (3, 4, 5):
+        data = build_classical_algebra(series_for_group("sl", N))
+        for a in _signed_involutions(N):
+            nonzero += _assert_integer_tensor_is_the_formula(data, a, GaussRational(1))
+            total += 1
+    assert (total, nonzero) == (408, 378)
+
+
+def test_integer_verdicts_are_the_dense_formula_at_every_class_to_n12():
+    # default parameters and the seed-7 draw of `scripts/dump_records.py`,
+    # whose Gaussian-rational entries need the scaling d > 1
+    rng = random.Random(7)
+    seen = scaled = 0
+    for spec in admissible_cases(12):
+        data = build_classical_algebra(spec.series)
+        points = [quantum_point(spec).A0]
+        if default_params(spec).values:
+            points.append(quantum_point(spec, draw_params(spec, rng)).A0)
+        for A0 in points:
+            a = gauss_entries(A0)
+            assert not _assert_integer_tensor_is_the_formula(data, a, square_unit(spec))
+            seen += 1
+            scaled += any(x.d != 1 for x in a.values())
+    assert seen > 300 and scaled > 100
+
+
+# nonzero controls, each with the failing detail and `poisson --matrix` text
+# that the Gaussian-rational path gave: (group, matrix, largest coefficient)
+PINNED_DETAILS = [
+    # the sl3 control of criterion 6, a^2 not scalar
+    ("sl", [["4", "0", "0"], ["0", "1", "0"], ["0", "0", "1/4"]], "-30 at (4, 7)"),
+    # involutions with fractional entries, scaled by d = 2 and d = 6
+    ("sl", [["0", "2", "0"], ["1/2", "0", "0"], ["0", "0", "1"]], "-4 at (4, 5)"),
+    ("sl", [["0", "2/3", "0"], ["3/2", "0", "0"], ["0", "0", "-1"]], "3 at (2, 7)"),
+    # a signed permutation of order 4 that normalizes so5
+    ("so", [["0", "1", "0", "0", "0"], ["0", "0", "0", "0", "1"], ["0", "0", "1", "0", "0"],
+            ["1", "0", "0", "0", "0"], ["0", "0", "0", "1", "0"]], "-4 at (0, 1)"),
+    ("so", [["i", "0", "0", "0", "0"], ["0", "1", "0", "0", "0"], ["0", "0", "1", "0", "0"],
+            ["0", "0", "0", "1", "0"], ["0", "0", "0", "0", "-i"]], "(2-2*i) at (3, 7)"),
+    # a signed-permutation involution of sp4, and one of order 4
+    ("sp", [["0", "1", "0", "0"], ["1", "0", "0", "0"], ["0", "0", "0", "1"], ["0", "0", "1", "0"]],
+     "-4 at (2, 9)"),
+    ("sp", [["0", "0", "1", "0"], ["1", "0", "0", "0"], ["0", "0", "0", "-1"],
+            ["0", "1", "0", "0"]], "4 at (2, 9)"),
+    ("sp", [["2+i", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"],
+            ["0", "0", "0", "2/5-i/5"]], "(-4-8*i) at (5, 9)"),
+]
+
+
+@pytest.mark.parametrize("group,rows,largest", PINNED_DETAILS,
+                         ids=[f"{g}{len(r)}-{k}" for k, (g, r, _) in enumerate(PINNED_DETAILS)])
+def test_pinned_bivector_details(group, rows, largest, capsys):
+    N = len(rows)
+    spec = next(s for s in admissible_cases(N) if s.group == group and s.N == N)
+    a0 = QMatrix.from_entries(N, [(i, j, parse_scalar(x)) for i, row in enumerate(rows)
+                                  for j, x in enumerate(row) if x != "0"])
+    record = check_bivector(replace(quantum_point(spec), A0=a0))
+    assert (record.passed, record.detail) == (False, f"largest coefficient {largest}")
+    argv = ["poisson", "--series", group, "--N", str(N), "--matrix", json.dumps(rows)]
+    capsys.readouterr()
+    assert main(argv + ["--format", "text"]) == 1
+    assert capsys.readouterr().out == (f"explicit-matrix: bivector NONZERO, "
+                                       f"largest coefficient {largest}\n")

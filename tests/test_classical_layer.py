@@ -208,7 +208,7 @@ def test_form_test_matches_the_residual_test_at_every_classical_point():
 @pytest.mark.parametrize("group,N", [g for g in SERIES_TO_16 if g[0] != "sl"])
 def test_every_basis_element_preserves_the_form(group, N):
     data = build_classical_algebra(series_for_group(group, N))
-    J = data.form
+    J = {key: GaussRational(*k) for key, k in data.form.items()}
     assert len(J) == N and all(j + k == N - 1 for j, k in J)
     for x in data.basis + algebra_duals(data):
         xt = {(j, i): v for (i, j), v in x.items()}
@@ -334,8 +334,9 @@ def test_a_passing_verify_expands_nothing_and_moves_only_moved_roots(spec, monke
     assert len(built) == len(calls)
     fixed = 0
     for root in data.positive:
-        u = built[id(data.e_vectors[root])]
-        assert (id(data.f_vectors[root]) in built) == bool(u), root
+        _, e, f = data.root_vectors[root]
+        u = built[id(e)]
+        assert (id(f) in built) == bool(u), root
         fixed += not u
     assert 0 < fixed < len(data.positive)
 
@@ -359,30 +360,43 @@ def test_a_passing_verify_squares_a0_once(spec, monkeypatch):
 
 
 def test_a_given_square_gives_the_conjugation_of_a_computed_one():
+    # A0^2 = c0 I with c0 = +-1, so the scaled point m = d A0 has m^2 = d^2 c0 I
     seen = 0
     for spec, label, a0 in _classical_points(12):
         data = build_classical_algebra(spec.series)
+        unit = verifier.square_unit(spec)
+        d = classical._integral(a0)[1]
         conj, c = _conjugation(data, a0)
-        assert c == verifier.square_unit(spec), (spec.case_id, label)
-        assert _conjugation(data, a0, c) == (conj, c)
+        assert c == (unit.a * d * d, 0), (spec.case_id, label)
+        assert _conjugation(data, a0, unit) == (conj, c)
         seen += 1
     assert seen >= 300
 
 
 # --- the omega part read off the root moves ----------------------------------
 
-def _parent_omega_part(data, conj):
-    """The omega part as it was built before it read the root moves, the
-    reference: sum_k B_k (x) Ad(B_k^v) - Ad(B_k) (x) B_k^v with every B_k
-    and B_k^v of the root block conjugated again, and the Cartan block as
-    sum_ij c_ij (E_ii (x) Ad(E_jj) - Ad(E_ii) (x) E_jj)."""
-    pairs = list(zip(data.basis, algebra_duals(data)))[data.ls.rank:]
-    moved = [classical._conjugate({(j, j): GaussRational(1)}, conj) for j in range(data.ls.dim)]
-    right = classical._outer_sum([(b, classical._conjugate(d, conj)) for b, d in pairs] + [
-        ({(i, i): c}, moved[j]) for (i, _, j, _), c in data.cartan_block.items()])
-    left = classical._outer_sum([(classical._conjugate(b, conj), d) for b, d in pairs] + [
-        (moved[i], {(j, j): c}) for (i, _, j, _), c in data.cartan_block.items()])
-    return classical._combine((1, right), (-1, left))
+def _conjugated_casimir(data, a):
+    """The omega part as the conjugated split Casimir, the reference:
+    sum_k B_k (x) Ad(B_k^v) - Ad(B_k) (x) B_k^v over the whole basis, the
+    Cartan block included, with Ad(x) = a x a^-1 in Gaussian rationals and
+    a^-1 from `linalg.invert`."""
+    n = data.ls.dim
+    inverse = linalg.invert([[a.get((i, j), GaussRational(0)) for j in range(n)]
+                             for i in range(n)])
+    a_inv = {(i, j): x for i, row in enumerate(inverse) for j, x in enumerate(row) if x}
+
+    def ad(x):
+        return _mul(_mul(a, x), a_inv)
+
+    out = {}
+    for b, d in zip(data.basis, algebra_duals(data)):
+        for sign, xs, ys in ((1, b, ad(d)), (-1, ad(b), d)):
+            for (i, j), x in xs.items():
+                for (r, s), y in ys.items():
+                    key = (i, j, r, s)
+                    v = x * y
+                    out[key] = out.get(key, GaussRational(0)) + (v if sign > 0 else -v)
+    return {key: v for key, v in out.items() if v}
 
 
 def _omega_points():
@@ -416,9 +430,12 @@ def test_the_omega_part_is_the_conjugated_casimir(monkeypatch):
         data = build_classical_algebra(ls)
         conj, c = _conjugation(data, a)
         assert c is None, label
-        want = _parent_omega_part(data, conj)
         got = classical._omega_part(data, conj, classical._root_moves(data, conj, every=True))
-        assert got == want, label
+        # the omega part is built times delta^2 L, delta a positive integer here
+        delta = conj[2]
+        assert delta[0] > 0 and delta[1] == 0, label
+        assert classical.rational(got, (delta[0] ** 2 * data.scale, 0)) == \
+            _conjugated_casimir(data, a), label
         nonzero += bool(got)
         with monkeypatch.context() as patch:
             patch.setattr(classical, "_conjugate", counting)
