@@ -235,8 +235,9 @@ def build_classical_algebra(ls: LieSeries) -> ClassicalAlgebraData:
     for root in positive:
         if root in e_vec:
             continue
-        for i, alpha in enumerate(rs.simple):
-            rest = sub(root, alpha)
+        # root - alpha_i is no positive root where root's coordinate i is 0
+        for i, c in enumerate(rs._coordinates(root)):
+            rest = sub(root, rs.simple[i]) if c else None
             if rest in e_vec:
                 cand = _bracket(simple_e[i], e_vec[rest])
                 if cand:
@@ -283,36 +284,24 @@ def adjoint_matrix(data: ClassicalAlgebraData, a: dict) -> list:
 
 
 def _scales_form(form: dict, a: dict) -> bool:
-    """a^T J a = s J for a scalar s, with J = form: sum over the nonzeros
-    J[j][j'] of a[j][i] J[j][j'] a[j'][l] at (i, l). With s = (a^T J a)[p0]
+    """a^T J a = s J for a scalar s, with J = form.  With s = (a^T J a)[p0]
     / J[p0] for the first nonzero p0 of J, it is decided multiplied by
     J[p0] != 0: J[p0] (a^T J a) = (a^T J a)[p0] J."""
-    rows = {}
-    for (j, i), x in a.items():
-        rows.setdefault(j, []).append((i, x))
-    out = {}
-    for (j, jp), (k, _) in form.items():
-        for i, (x, y) in rows.get(j, ()):
-            g, h = k * x, k * y
-            for l, (v, z) in rows.get(jp, ()):
-                s, t = out.get((i, l), _ZERO)
-                out[(i, l)] = (s + g * v - h * z, t + g * z + h * v)
+    out = _product(_product(_transpose(a), form), a)
     key, k = next(iter(form.items()))
     s = out.get(key, _ZERO)
     if s == _ZERO:
         return False
-    return ({p: _times(k, x) for p, x in _nonzero(out).items()}
+    return ({p: _times(k, x) for p, x in out.items()}
             == {p: _times(s, x) for p, x in form.items()})
 
 
-def _conjugation(data: ClassicalAlgebraData, a: dict, square=None) -> tuple:
+def _conjugation(data: ClassicalAlgebraData, a: dict) -> tuple:
     """(conj, c) for Gaussian-rational entries a, scaled to m = d a
     (`_integral`): conj = (cols, rows, delta) holds the nonzeros of m by
     column and of b by row, where m^-1 = b / delta with b Gaussian-integral
     and delta a nonzero Gaussian integer, which is what `_conjugate` reads;
     c is the Gaussian integer with m^2 = c I, or None if m^2 is not scalar.
-    A caller that has decided a^2 = c0 I already passes c0 as `square`, and
-    m is not squared: c = d^2 c0.
 
     - m^-1: if m^2 = c I with c != 0, then m (m / c) = I, so b = m and
       delta = c, and no elimination is needed. Otherwise `linalg.invert`
@@ -337,14 +326,10 @@ def _conjugation(data: ClassicalAlgebraData, a: dict, square=None) -> tuple:
     """
     n = data.ls.dim
     m, d = _integral(a)
-    if square is None:
-        sq = _product(m, m)
-        c = sq.get((0, 0))
-        if c is not None and sq != {(i, i): c for i in range(n)}:
-            c = None
-    else:
-        k = d * d // square.d
-        c = (square.a * k, square.b * k)
+    sq = _product(m, m)
+    c = sq.get((0, 0))
+    if c is not None and sq != {(i, i): c for i in range(n)}:
+        c = None
     if c is not None:
         b, delta = m, c
     else:
@@ -453,7 +438,7 @@ class BivectorValue:
         return best
 
 
-def bivector_at(data: ClassicalAlgebraData, a: dict, square=None) -> BivectorValue:
+def bivector_at(data: ClassicalAlgebraData, a: dict) -> BivectorValue:
     """The reflection-equation Poisson bivector at the group element a, under
     the right-translation trivialization, decided in End(V) (x) End(V) as
 
@@ -496,10 +481,8 @@ def bivector_at(data: ClassicalAlgebraData, a: dict, square=None) -> BivectorVal
       out total[k][l]; `BivectorValue.coeffs` reads `total` that way.
 
     `total` is antisymmetric iff flip(T) = -T, which is asserted here.
-    `square` is c with a^2 = c I when the caller has decided it
-    (`_conjugation`).
     """
-    conj, c = _conjugation(data, a, square)
+    conj, c = _conjugation(data, a)
     moves = _root_moves(data, conj, every=c is None)
     uv = _outer_sum((w, u, v) for w, _, _, u, v in moves)
     flipped = _flip(uv)

@@ -46,7 +46,6 @@ from .rootdata import ClassSpec, LieSeries, build_root_system, sub
 from .scalar import (
     GR_I,
     LP_ONE,
-    LP_ZERO,
     ONE,
     Q,
     QINV,
@@ -55,7 +54,6 @@ from .scalar import (
     LaurentPoly,
     QScalar,
     render_scalar,
-    unreduced_sum,
 )
 
 
@@ -120,8 +118,9 @@ class MixtureCoefficient:
     b2[p] = q^e2 P2/Q2 read off row i of the two commutators at that K
     (`qmatrix.difference_entry`, `qmatrix.cleared_quotient`).  Each K reads
     its own pair, and c_num / c_den = c at every K.  `value` normalizes c
-    from b1[p] and b2[p] as unreduced Laurent fractions, only where it is
-    read."""
+    from b1[p] and b2[p], read off the normalized rows i of the products as
+    `qmatrix.first_product_difference` names a failing entry, only where it
+    is read."""
 
     def __init__(self, lead: QMatrix, F_tilde: QMatrix, A: QMatrix, p: tuple):
         self.lead, self.F_tilde, self.A, self.p = lead, F_tilde, A, p
@@ -145,9 +144,14 @@ class MixtureCoefficient:
 
     @cached_property
     def value(self) -> QScalar:
-        b2n, b2d = _commutator_entry(self.F_tilde, self.A, *self.p)
-        b1n, b1d = _commutator_entry(self.lead, self.A, *self.p)
-        return QScalar(-(b1n * b2d), b2n * b1d)
+        i, j = self.p
+        A = self.A
+
+        def entry(g: QMatrix) -> QScalar:
+            """[g, A]_ij."""
+            return A.apply_left(g.row(i)).get(j, ZERO) - g.apply_left(A.row(i)).get(j, ZERO)
+
+        return -entry(self.lead) / entry(self.F_tilde)
 
 
 @dataclass
@@ -416,16 +420,6 @@ def signed_permutation_difference(moves: dict, A: QMatrix):
         if diff is not None:
             return (i, *diff)
     return None
-
-
-def _commutator_entry(g: QMatrix, A: QMatrix, i: int, j: int) -> tuple:
-    """[g, A]_ij = sum_k g_ik A_kj - A_ik g_kj as an unreduced fraction
-    (num, den) of Laurent polynomials, summed by `unreduced_sum`."""
-    terms = [(a.num * b.num, a.den * b.den) for k, a in g.rows[i].items()
-             if (b := A.rows[k].get(j)) is not None]
-    terms += [(-a.num * b.num, a.den * b.den) for k, a in A.rows[i].items()
-              if (b := g.rows[k].get(j)) is not None]
-    return reduce(unreduced_sum, terms) if terms else (LP_ZERO, LP_ONE)
 
 
 def solve_mixture(lead: QMatrix, A: QMatrix, alpha: int, F_tilde: QMatrix) -> tuple:

@@ -74,14 +74,14 @@ def param_indices(spec: ClassSpec) -> list:
     return sorted(out)
 
 
-def constraint_value(spec: ClassSpec, classical: bool = False) -> QScalar:
+def constraint_value(spec: ClassSpec) -> QScalar:
     """The required product of each constrained parameter pair."""
     N = spec.N
     if spec.family == "t2":
-        return ONE if classical else QScalar.q_power(-N)
+        return QScalar.q_power(-N)
     if spec.group == "sp":
-        return -ONE if classical else -QScalar.q_power(-N - 2)
-    return -ONE if classical else -QScalar.q_power(-N + 2)
+        return -QScalar.q_power(-N - 2)
+    return -QScalar.q_power(-N + 2)
 
 
 def default_params(spec: ClassSpec) -> PointParams:
@@ -101,7 +101,7 @@ def default_params(spec: ClassSpec) -> PointParams:
     return PointParams(spec.param_kind, values)
 
 
-def validate_params(spec: ClassSpec, params: PointParams, classical: bool = False) -> list:
+def validate_params(spec: ClassSpec, params: PointParams) -> list:
     """Exact constraint check; returns a list of violation strings (empty = ok)."""
     problems = []
     if params.kind != spec.param_kind:
@@ -118,7 +118,7 @@ def validate_params(spec: ClassSpec, params: PointParams, classical: bool = Fals
             problems.append(f"{k}{i} = {render_scalar(v)} has a pole at q = 1")
     if problems:
         return problems
-    c = constraint_value(spec, classical)
+    c = constraint_value(spec)
     for i in _top_indices(spec):
         j = paired_index(spec, i)
         vi, vj = params.values[i], params.values[j]
@@ -163,10 +163,10 @@ def _assemble(spec: ClassSpec, params: PointParams, classical: bool) -> QMatrix:
 
 
 def classical_point(spec: ClassSpec, params_at_one: PointParams) -> QMatrix:
-    """The classical matrix A0 for constant (q-free) parameters."""
-    problems = validate_params(spec, params_at_one, classical=True)
-    if problems:
-        raise ParamError(problems)
+    """The classical matrix A0 for the values at q = 1 of parameters that
+    pass `validate_params`.  They need no check of their own: no parameter
+    has a pole at q = 1 and vi vj = c, and evaluation at 1 is a ring map, so
+    vi(1) vj(1) = c(1) = +-1, and neither value is zero."""
     return _assemble(spec, params_at_one, classical=True)
 
 

@@ -650,16 +650,6 @@ QINV = QScalar.q_power(-1)
 I_UNIT = QScalar.from_gauss(GR_I)
 
 
-def unreduced_sum(a: tuple, b: tuple) -> tuple:
-    """a + b for unreduced fractions (num, den) of Laurent polynomials, with
-    no gcd: the numerators added over an equal denominator, and
-    cross-multiplied otherwise."""
-    (n1, d1), (n2, d2) = a, b
-    if d1 is d2 or d1 == d2:
-        return n1 + n2, d1
-    return n1 * d2 + n2 * d1, d1 * d2
-
-
 def q_integer(z: int) -> QScalar:
     """The balanced q-integer (q^z - q^-z)/(q - q^-1)."""
     if z == 0:

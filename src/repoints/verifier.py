@@ -295,7 +295,7 @@ def check_classical_involution(spec: ClassSpec, a0: dict) -> CheckRecord:
     det(A) = lam+^m+ lam-^m-. Once classical.limit passes, A0 is A at q = 1,
     and the determinant is a polynomial in the entries, so
     det(A0) = lam+(1)^m+ lam-(1)^m-."""
-    unit = square_unit(spec)
+    unit = GaussRational(-1 if spec.family == "t4" else 1)
     want = {(i, i): unit for i in range(spec.N)}
     # decided on the square of the scaled Gaussian-integer entries, d^2 A0^2
     # = s, and divided by d^2 only to name a mismatch
@@ -305,21 +305,14 @@ def check_classical_involution(spec: ClassSpec, a0: dict) -> CheckRecord:
     return _gauss_record("classical.square", spec.N, classical.rational(s, (k, 0)), want)
 
 
-def square_unit(spec: ClassSpec) -> GaussRational:
-    """c with A0^2 = c I, as `check_classical_involution` decides it."""
-    return GaussRational(-1 if spec.family == "t4" else 1)
-
-
-def check_bivector(point: QuantumPoint, a0: dict | None = None,
-                   square: GaussRational | None = None) -> CheckRecord:
+def check_bivector(point: QuantumPoint, a0: dict | None = None) -> CheckRecord:
     """The classical Poisson bivector vanishes at the q = 1 limit A0, read
     from its Gaussian entries a0 (`classical.gauss_entries(point.A0)` if not
-    given).  `square` is c with A0^2 = c I once classical.square has passed,
-    so A0 is not squared again."""
+    given)."""
     if a0 is None:
         a0 = classical.gauss_entries(point.A0)
     data = classical.build_classical_algebra(point.spec.series)
-    value = classical.bivector_at(data, a0, square)
+    value = classical.bivector_at(data, a0)
     if value.is_zero():
         return CheckRecord("classical.bivector", True)
     i, j, v = value.largest_entry()
@@ -380,10 +373,9 @@ def full_report(spec: ClassSpec, params: PointParams | None = None) -> Verificat
     report.checks.extend(coideal.check_stabilizer(ss, point.A))
     stage("stabilizer")
 
-    # the bivector is checked last, and only at a point that passed the rest,
-    # classical.square included
+    # the bivector is checked last, and only at a point that passed the rest
     if report.passed:
-        report.checks.append(check_bivector(point, a0, square_unit(spec)))
+        report.checks.append(check_bivector(point, a0))
         stage("bivector")
     report.timings["total"] = round(time.perf_counter() - marks[0], 6)
     return report

@@ -51,7 +51,7 @@ from repoints.rootdata import (
     standard_cases,
 )
 from repoints.scalar import GaussRational, QScalar, eval_at_one, parse_scalar
-from repoints.verifier import check_bivector, square_unit
+from repoints.verifier import check_bivector
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
@@ -629,14 +629,13 @@ def _signed_involutions(n):
                 yield {(pi[j], j): GaussRational(signs[j]) for j in range(n)}
 
 
-def _assert_integer_tensor_is_the_formula(data, a, square):
+def _assert_integer_tensor_is_the_formula(data, a):
     """The bivector of the scaled Gaussian-integer path, divided once, is the
-    tensor of the dense formula, with a^2 = square I decided by the program
-    or given; returns whether it is nonzero."""
+    tensor of the dense formula; returns whether it is nonzero."""
     want = formula_bivector(data.ls, _dense(a, data.ls.dim))
-    for value in (bivector_at(data, a), bivector_at(data, a, square)):
-        assert value.tensor == want
-        assert value.is_zero() == (not want)
+    value = bivector_at(data, a)
+    assert value.tensor == want
+    assert value.is_zero() == (not want)
     return bool(want)
 
 
@@ -647,7 +646,7 @@ def test_integer_verdicts_are_the_dense_formula_at_signed_involutions():
     for N in (3, 4, 5):
         data = build_classical_algebra(series_for_group("sl", N))
         for a in _signed_involutions(N):
-            nonzero += _assert_integer_tensor_is_the_formula(data, a, GaussRational(1))
+            nonzero += _assert_integer_tensor_is_the_formula(data, a)
             total += 1
     assert (total, nonzero) == (408, 378)
 
@@ -664,7 +663,7 @@ def test_integer_verdicts_are_the_dense_formula_at_every_class_to_n12():
             points.append(quantum_point(spec, draw_params(spec, rng)).A0)
         for A0 in points:
             a = gauss_entries(A0)
-            assert not _assert_integer_tensor_is_the_formula(data, a, square_unit(spec))
+            assert not _assert_integer_tensor_is_the_formula(data, a)
             seen += 1
             scaled += any(x.d != 1 for x in a.values())
     assert seen > 300 and scaled > 100

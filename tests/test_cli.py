@@ -176,22 +176,51 @@ def test_sweep_small(capsys):
         assert {"build", "reflection", "invariants", "stabilizer", "total"} <= set(row["timings"])
 
 
-def test_closed_stdout_keeps_the_exit_code_and_prints_nothing_to_stderr():
-    # a reader that has left, as in `repoints sweep | head -1`
+def _run_with_closed_stdout(argv):
+    """The CLI as a subprocess whose stdout is a pipe that its reader closed
+    before any output arrived, so the first write raises BrokenPipeError."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "repoints.cli", "sweep", "--series", "sl", "--Nmax", "3",
-             "--format", "json"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        return subprocess.run([sys.executable, "-m", "repoints.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
     finally:
         os.close(write_end)
+
+
+def test_closed_stdout_keeps_the_exit_code_and_prints_nothing_to_stderr():
+    # a reader that has left, as in `repoints sweep | head -1`
+    proc = _run_with_closed_stdout(["sweep", "--series", "sl", "--Nmax", "3",
+                                    "--format", "json"])
     assert proc.returncode == 0
     assert proc.stderr == b""
+
+
+SO5 = ["verify", "--series", "so", "--N", "5", "--family", "t2", "--m", "1"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["sweep", "--Nmax", "4", "--format", "text"], 0),
+    (SO5, 0),
+    (SO5 + ["--format", "text"], 0),
+    # y1 y5 = q^-5 broken: the command's own exit code is 1
+    (SO5 + ["--param", "y5=1"], 1),
+], ids=["sweep-text", "verify-json", "verify-text", "verify-failing"])
+def test_a_reader_that_left_before_any_output_gets_the_commands_exit_code(argv, code):
+    proc = _run_with_closed_stdout(argv)
+    assert proc.returncode == code
+    assert proc.stderr == b""
+
+
+def test_a_param_without_a_value_exits_two(capsys):
+    assert main(["verify", "--series", "sl", "--N", "3", "--family", "t2", "--m", "1",
+                 "--param", "y1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: malformed --param 'y1', expected name=value\n"
 
 
 def test_satake_arcs_sl6(capsys):

@@ -21,7 +21,16 @@ from repoints.points import (
 )
 from repoints.qmatrix import QMatrix
 from repoints.rootdata import ClassSpec, admissible_cases
-from repoints.scalar import I_UNIT, ONE, Q, QScalar, parse_scalar, render_scalar
+from repoints.scalar import (
+    I_UNIT,
+    ONE,
+    Q,
+    GaussRational,
+    QScalar,
+    eval_at_one,
+    parse_scalar,
+    render_scalar,
+)
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
@@ -65,7 +74,6 @@ def test_constraint_values():
     assert constraint_value(ClassSpec("sl", 4, "t2", 1, 1)) == QScalar.q_power(-4)
     assert constraint_value(ClassSpec("sp", 6, "t4")) == -QScalar.q_power(-8)
     assert constraint_value(ClassSpec("so", 6, "t4")) == -QScalar.q_power(-4)
-    assert constraint_value(ClassSpec("so", 6, "t4"), classical=True) == -ONE
 
 
 def test_self_paired_middle_so_t4():
@@ -136,11 +144,11 @@ def test_sp_t2_staggered_corners():
     assert point.A.get(1, 3) == -z1
 
 
-def _normalized_problems(spec, params, classical=False):
+def _normalized_problems(spec, params):
     """`validate_params` with each pairing product normalized and compared
     with the constant, for parameters that pass its index and pole checks."""
     problems = []
-    c = constraint_value(spec, classical)
+    c = constraint_value(spec)
     k = params.kind
     for i in _top_indices(spec):
         j = paired_index(spec, i)
@@ -160,13 +168,7 @@ def test_cross_multiplied_pairing_check_matches_the_normalized_products():
     class with N <= 8 at one seeded draw, as drawn and with one parameter
     times 2, times q, divided by (q + 1) and set to 0: `validate_params`
     gives the problems that the normalized products give."""
-    cases = []
-    for workload in WORKLOADS:
-        for seed in (1, 2, 3):
-            for argv in build(workload, seed)["controls"]:
-                args = cli.build_parser().parse_args(argv)
-                spec = cli._spec_from_args(args)
-                cases.append((spec, cli._params_from_args(spec, args.param)))
+    cases = _control_cases()
     rng = random.Random(7)
     for spec in admissible_cases(8):
         drawn = draw_params(spec, rng)
@@ -181,6 +183,45 @@ def test_cross_multiplied_pairing_check_matches_the_normalized_products():
         assert validate_params(spec, params) == want, spec.case_id
         failing += bool(want)
     assert failing >= 400
-    for spec in admissible_cases(8):
-        params = classical_limit_params(default_params(spec))
-        assert validate_params(spec, params, classical=True) == []
+
+
+def _control_cases():
+    """(spec, params) of the benchmark workloads' controls, seeds 1-3."""
+    cases = []
+    for workload in WORKLOADS:
+        for seed in (1, 2, 3):
+            for argv in build(workload, seed)["controls"]:
+                args = cli.build_parser().parse_args(argv)
+                spec = cli._spec_from_args(args)
+                cases.append((spec, cli._params_from_args(spec, args.param)))
+    return cases
+
+
+def test_valid_parameters_satisfy_the_pairing_at_q1():
+    """`classical_point` makes no check of its own: once `validate_params`
+    passes, every value at q = 1 is defined and nonzero, and each pair's
+    values at q = 1 multiply to `constraint_value` at 1, which is +-1.  On
+    every admissible class with N <= 12 at default and seed-7 parameters
+    (drawn in the walk of `scripts/dump_records.py`), and on the benchmark's
+    controls, which break a pairing and are refused."""
+    rng = random.Random(7)
+    cases = []
+    for spec in admissible_cases(12):
+        cases.append((spec, default_params(spec)))
+        if param_indices(spec):
+            cases.append((spec, draw_params(spec, rng)))
+    controls = _control_cases()
+    valid = 0
+    for spec, params in cases + controls:
+        if validate_params(spec, params):
+            continue
+        valid += 1
+        c = eval_at_one(constraint_value(spec))
+        assert c in (GaussRational(1), GaussRational(-1)), spec.case_id
+        at_one = classical_limit_params(params).values
+        for i in _top_indices(spec):
+            vi, vj = at_one[i], at_one[paired_index(spec, i)]
+            assert vi and vj, spec.case_id
+            assert vi * vj == QScalar.from_gauss(c), spec.case_id
+    assert valid == len(cases)
+    assert controls and all(validate_params(spec, params) for spec, params in controls)

@@ -43,7 +43,6 @@ from repoints.scalar import (
     QScalar,
     q_integer,
     render_scalar,
-    unreduced_sum,
 )
 from repoints.verifier import check_min_poly, check_q_trace, full_report
 
@@ -54,6 +53,16 @@ from workloads import draw_params  # noqa: E402
 
 
 # --- the Laurent-polynomial decisions, as they were -------------------------
+
+def unreduced_sum(a, b):
+    """a + b for unreduced fractions (num, den) of Laurent polynomials, with
+    no gcd: the numerators added over an equal denominator, and
+    cross-multiplied otherwise."""
+    (n1, d1), (n2, d2) = a, b
+    if d1 is d2 or d1 == d2:
+        return n1 + n2, d1
+    return n1 * d2 + n2 * d1, d1 * d2
+
 
 def _unreduced_trace(A, rs=None):
     """sum_j q^(2 rho, w_j) A_jj, or the plain trace, as one unreduced
