@@ -7,20 +7,23 @@ so an entry is q^e P(t)/Q(t) with exact bounds on the coefficients of the
 Gaussian-integer polynomials P and Q.  One routine, `_signed_row`, builds
 every row the kernel reads: a row of X Y - Z W is one signed sum, and an
 entry is decided only where its bound proves that P vanishes iff P(t) does;
-otherwise that row alone is redone at t^2, from the factor rows it reads.
-A call may list the rows it decides, each built from the factor rows it
-reads, so a factor's kept rows serve a check that needs one row of a
-product.  Only the first mismatching entry is computed symbolically, to
-name it.  A factor may itself be a sum of products that nothing else reads,
-such as A2 S A2 or c_den lead + c_num F_tilde: an `Unreduced` keeps its
-terms, and its rows at t are built by the same routine.  So are the rows of
+otherwise that row alone is redone at t^2, from the factor rows it reads
+(`_first_mismatch`, the one escalation loop).  Only the first mismatching
+entry is computed symbolically, to name it.
+
+Each kernel operand keeps its rows at t in one store, a dict keyed by K
+read through `_rows`: at the first K (`_K`) all its rows are built at once,
+on the first read, and at a redo K each row is built on its own first read,
+so a redone row builds only the factor rows it reads and leaves the first
+K's rows alone.  An operand is a `QMatrix`, I x A (`IdentityKron`, which
+keeps only A and places A's rows at t in its diagonal blocks) or a sum of
+products that nothing else reads (`Unreduced`, such as A2 S A2 or
+c_den lead + c_num F_tilde), whose rows at t are built by `_signed_row`
+from its terms' rows.  So are the rows of
 (A - r1)(A - r2) = A^2 - (r1 + r2) A + r1 r2 I (`first_quadratic_difference`)
 and the scalar identities (`_vanishes`): a product of scalars against
 another (`same_products`), a trace against its expected value
-(`trace_matches`).  A `QMatrix` keeps its integer rows for the first K
-(`substituted`), which a redone row neither reads nor replaces; I x A
-(`IdentityKron`) keeps only A, places A's integer rows in its diagonal
-blocks and applies A block by block.
+(`trace_matches`).
 
 `QMatrix.rank` is exact Gaussian elimination, which normalizes every pivot
 step; a passing verify computes no rank (`verifier.check_min_poly` decides
@@ -38,11 +41,11 @@ class QMatrix:
     matrices.  Entries equal to zero are never stored.
     """
 
-    __slots__ = ("dim", "rows", "_subs")
+    __slots__ = ("dim", "rows", "_at")
 
     def __init__(self, dim: int, rows=None):
         self.dim = dim
-        self._subs = None  # (K, rows at t = 2^K) of the latest K read
+        self._at = {}  # K -> its rows at t = 2^K (`_rows`)
         if rows is None:
             self.rows = [{} for _ in range(dim)]
         else:
@@ -62,7 +65,7 @@ class QMatrix:
 
     def put(self, i: int, j: int, v: QScalar) -> None:
         # builder hook; only used before a matrix is shared
-        self._subs = None
+        self._at.clear()
         if v:
             self.rows[i][j] = v
         else:
@@ -74,19 +77,11 @@ class QMatrix:
     def row(self, i: int) -> dict:
         return self.rows[i]
 
-    def substituted(self, K: int) -> list:
-        """The rows at t = 2^K, each entry as `_entry` gives it; built once
-        per K, and only the latest K is kept.  The kernel asks only for its
-        first K: a row it escalates to t^2 is read by `substituted_row`."""
-        subs = self._subs
-        if subs is None or subs[0] != K:
-            subs = self._subs = (K, [{j: _entry(v, K) for j, v in row.items()}
-                                     for row in self.rows])
-        return subs[1]
-
-    def substituted_row(self, i: int, K: int, memo: dict) -> dict:
-        """Row i at t = 2^K alone, for `_row`."""
-        return {j: _entry(v, K) for j, v in self.rows[i].items()}
+    def _row_builder(self, K: int):
+        """Row i at t = 2^K as a function of i, each entry as `_entry` gives
+        it (`_rows`)."""
+        rows = self.rows
+        return lambda i: {j: _entry(v, K) for j, v in rows[i].items()}
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
         out = []
@@ -218,15 +213,15 @@ class QMatrix:
 
 class IdentityKron:
     """I x A, keeping only A: entry for entry `QMatrix.identity(n).kron(A)`,
-    whose blocks share A's `QScalar`s.  So its rows at t = 2^K are A's rows
-    at t placed in the blocks, block b at row and column offset b n, the
-    very tuples `_entry` would give, and its normalized rows (`row`,
+    whose blocks share A's `QScalar`s.  So its row b n + r at t = 2^K is
+    A's row r at t, kept in A's store, placed in block b at column offset
+    b n: the very tuples `_entry` would give.  Its normalized rows (`row`,
     `apply_left`, read only to name a failing entry) are read off A's."""
 
-    __slots__ = ("dim", "block", "_subs")
+    __slots__ = ("dim", "block", "_at")
 
     def __init__(self, A: QMatrix):
-        self.dim, self.block, self._subs = A.dim * A.dim, A, None
+        self.dim, self.block, self._at = A.dim * A.dim, A, {}
 
     def row(self, i: int) -> dict:
         return self.apply_left({i: ONE})
@@ -240,18 +235,13 @@ class IdentityKron:
         return {b * n + j: v for b, part in parts.items()
                 for j, v in self.block.apply_left(part).items()}
 
-    def substituted(self, K: int) -> list:
-        subs = self._subs
-        if subs is None or subs[0] != K:
-            n, rows = self.block.dim, self.block.substituted(K)
-            subs = self._subs = (K, [{b * n + j: v for j, v in row.items()}
-                                     for b in range(n) for row in rows])
-        return subs[1]
+    def _row_builder(self, K: int):
+        n, rows = self.block.dim, _rows(self.block, K)
 
-    def substituted_row(self, i: int, K: int, memo: dict) -> dict:
-        n = self.block.dim
-        b, r = divmod(i, n)
-        return {b * n + j: v for j, v in _row(self.block, r, K, memo).items()}
+        def build(i: int) -> dict:
+            r = i % n
+            return {i - r + j: v for j, v in rows[r].items()}
+        return build
 
 
 def commutator(a: QMatrix, b: QMatrix) -> QMatrix:
@@ -336,16 +326,12 @@ _ONE_ENTRY = (0, 1, 0, 1, 1, 1)
 def _vanishes(terms) -> bool:
     """Whether the sum of sign x y over terms(K), a list of (sign, x, y)
     with sign +-1 and x, y entries at t = 2^K, is zero: decided as the
-    kernel decides an entry, on one `_signed_row` at t, and again at t^2,
-    ... while the bound leaves it open.  terms may give other entries at
-    another K, so long as their sum is zero at every K or at none."""
-    K = _K
-    while True:
-        found = _first_open(_signed_row(tuple((sign, {0: x}, ({0: y},))
-                                              for sign, x, y in terms(K)), K), K)
-        if found is not _UNDECIDED:
-            return found is None
-        K *= 2
+    kernel decides a row (`_first_mismatch`), on one `_signed_row` at t,
+    redone at t^2, ... while the bound leaves it open.  terms may give
+    other entries at another K, so long as their sum is zero at every K or
+    at none."""
+    return _first_mismatch((0,), lambda _, K: _signed_row(
+        tuple((sign, {0: x}, ({0: y},)) for sign, x, y in terms(K)), K)) is None
 
 
 def same_products(left: list, right: list) -> bool:
@@ -360,16 +346,13 @@ def same_products(left: list, right: list) -> bool:
 def trace_matches(A: QMatrix, exponents, expected) -> bool:
     """Whether sum_j q^(exponents[j]) A_jj, or the plain trace when exponents
     is None, equals the sum of x y over the pairs (x, y) of `QScalar`s in
-    expected, decided by `_vanishes` on A's diagonal entries at t: A's kept
-    rows at the first K, each entry converted alone at another."""
+    expected, decided by `_vanishes` on A's diagonal entries at t, read off
+    A's rows (`_rows`)."""
     def terms(K: int) -> list:
-        subs = A._subs
-        kept = subs[1] if subs is not None and subs[0] == K else None
-        out = []
+        rows, out = _rows(A, K), []
         for j, row in enumerate(A.rows):
-            a = row.get(j)
-            if a is not None:
-                e, *rest = kept[j][j] if kept else _entry(a, K)
+            if j in row:
+                e, *rest = rows[j][j]
                 out.append((1, (e + exponents[j] if exponents else e, *rest), _ONE_ENTRY))
         out += [(-1, _entry(x, K), _entry(y, K)) for x, y in expected]
         return out
@@ -440,54 +423,41 @@ class Unreduced:
     """The sum of c x y over its terms (c, x, y), kept as its terms for the
     kernel to read: c is a `QScalar`, None for 1, or a callable giving its
     entry at each t = 2^K (such a sum is read at t only), and y a factor, or
-    None for a term c x.  x and y are `QMatrix`es or `Unreduced`s.
+    None for a term c x.  x and y are kernel operands themselves.
 
-    Not a `QMatrix`: the kernel reads its rows at t = 2^K (`substituted`),
-    built by `_signed_row` and never normalized, and an entry is dropped
-    only when the bound proves it zero: P(t) = 0 with h <= t.  A lone
-    product x y, the reflection check's operand, is built row by row from
-    the factors' kept rows; any other sum reads each factor's rows as `_row`
-    does, so a factor that the kernel has not converted keeps no rows.  Rows
-    are normalized (`row`, `apply_left`) only to name a failing entry, and
-    for the projector's w.
+    Not a `QMatrix`: the kernel reads its rows at t = 2^K (`_rows`), built
+    by `_signed_row` from the terms' rows at t and never normalized, and an
+    entry is dropped only when the bound proves it zero: P(t) = 0 with
+    h <= t.  A lone product x y, the reflection check's operand, is x's row
+    times y's rows with no term to add.  Rows are normalized (`row`,
+    `apply_left`) only to name a failing entry, and for the projector's w.
     """
 
-    __slots__ = ("dim", "terms", "_subs")
+    __slots__ = ("dim", "terms", "_at")
 
     def __init__(self, *terms):
-        self.dim, self.terms, self._subs = terms[0][1].dim, terms, None
+        self.dim, self.terms, self._at = terms[0][1].dim, terms, {}
 
-    def substituted(self, K: int) -> list:
-        subs = self._subs
-        if subs is None or subs[0] != K:
-            (c, x, y), *more = self.terms
-            if c is None and y is not None and not more:
-                yrows = y.substituted(K)
-                rows = [_open(_signed_row(((1, row, yrows),), K), K)
-                        for row in x.substituted(K)]
-            else:
-                memo: dict = {}
-                rows = [self.substituted_row(i, K, memo) for i in range(self.dim)]
-            subs = self._subs = (K, rows)
-        return subs[1]
+    def _row_builder(self, K: int):
+        """Row i at t = 2^K as a function of i: the rows c(t) (x y)_i of the
+        terms, summed, with each x y from row i of x and the rows of y it
+        reads."""
+        (c, x, y), *more = self.terms
+        if c is None and y is not None and not more:
+            xrows, yrows = _rows(x, K), _rows(y, K)
+            return lambda i: _open(_signed_row(((1, xrows[i], yrows),), K), K)
+        terms = [(c(K) if callable(c) else _entry(ONE if c is None else c, K),
+                  _rows(x, K), None if y is None else _rows(y, K)) for c, x, y in self.terms]
 
-    def substituted_row(self, i: int, K: int, memo: dict) -> dict:
-        """Row i at t = 2^K: the rows c(t) (x y)_i of the terms, summed, with
-        each x y from row i of x and the rows of y it reads."""
-        rows = {}
-        for k, (_, x, y) in enumerate(self.terms):
-            row = _row(x, i, K, memo)
-            if row:
-                rows[k] = row if y is None else _signed_row(
-                    ((1, row, {l: _row(y, l, K, memo) for l in row}),), K)
-        if not rows:
-            return rows
-        scalars = memo.get(id(self))
-        if scalars is None:
-            scalars = memo[id(self)] = [
-                c(K) if callable(c) else _entry(ONE if c is None else c, K)
-                for c, _, _ in self.terms]
-        return _open(_signed_row(((1, {k: scalars[k] for k in rows}, rows),), K), K)
+        def build(i: int) -> dict:
+            scalars, rows = {}, {}
+            for k, (scalar, xrows, yrows) in enumerate(terms):
+                row = xrows[i]
+                if row:
+                    scalars[k] = scalar
+                    rows[k] = row if yrows is None else _signed_row(((1, row, yrows),), K)
+            return _open(_signed_row(((1, scalars, rows),), K), K)
+        return build
 
     def row(self, i: int) -> dict:
         return self.apply_left({i: ONE})
@@ -504,45 +474,50 @@ class Unreduced:
         return {j: v for j, v in acc.items() if v}
 
 
-def _row(m, i: int, K: int, memo: dict) -> dict:
-    """Row i of a factor m at t = 2^K: m's kept rows when they are for K,
-    else built alone and kept in memo, one dict per K and call.  So a row
-    escalated to t^2 builds only the factor rows it reads, and no factor's
-    rows kept for the first K are replaced."""
-    subs = m._subs
-    if subs is not None and subs[0] == K:
-        return subs[1][i]
-    key = id(m), i
-    row = memo.get(key)
-    if row is None:
-        row = memo[key] = m.substituted_row(i, K, memo)
-    return row
+class _OnRead(dict):
+    """An operand's rows at a redo K, row i built as build(i) on its first
+    read."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, i: int) -> dict:
+        row = self[i] = self.build(i)
+        return row
 
 
-def _difference_row(x, y, z, w, i: int, K: int, memo: dict) -> dict:
-    """Row i of x y - z w at t = 2^K as one `_signed_row`, built from the
-    factor rows it reads (`_row`)."""
-    xrow, zrow = _row(x, i, K, memo), _row(z, i, K, memo)
-    return _signed_row(((1, xrow, {k: _row(y, k, K, memo) for k in xrow}),
-                        (-1, zrow, {k: _row(w, k, K, memo) for k in zrow})), K)
+def _rows(m, K: int):
+    """The rows of a kernel operand m at t = 2^K, indexed by row (never
+    iterated), kept in m's store `m._at`, a dict keyed by K, and built by
+    `m._row_builder(K)`.  At the first K all of them are built at once, on
+    the first read; at a redo K each is built on its own first read, so a
+    redone row builds only the factor rows it reads and leaves the first
+    K's rows alone."""
+    rows = m._at.get(K)
+    if rows is None:
+        build = m._row_builder(K)
+        rows = m._at[K] = list(map(build, range(m.dim))) if K == _K else _OnRead(build)
+    return rows
 
 
-def _escalated_row(x, y, z, w, i: int, K: int, memo: dict):
-    """`_first_open` on row i of x y - z w at t = 2^K (`_difference_row`)."""
-    return _first_open(_difference_row(x, y, z, w, i, K, memo), K)
+def _difference_row(x, y, z, w, i: int, K: int) -> dict:
+    """Row i of x y - z w at t = 2^K as one `_signed_row`, from the factors'
+    rows (`_rows`)."""
+    return _signed_row(((1, _rows(x, K)[i], _rows(y, K)),
+                        (-1, _rows(z, K)[i], _rows(w, K))), K)
 
 
-def _first_mismatch(rows, firsts, redo):
-    """(i, j) of the first mismatch among rows, whose verdicts at t = 2^K
-    come in firsts (`_first_open`), or None: an undecided row i is redone
-    alone as redo(i, K, memo) at t^2, t^4, ..., one memo per K, and the
-    next row's verdict is read at t again."""
-    memos: dict = {}
-    for i, j in zip(rows, firsts):
+def _first_mismatch(rows, row):
+    """(i, j) of the first mismatch among rows, or None: row(i, K) is row i
+    of a difference at t = 2^K as a `_signed_row`, and its verdict
+    (`_first_open`) is read at the first K; an undecided row is redone
+    alone at t^2, t^4, ..., and the next row is read at t again."""
+    for i in rows:
         K = _K
-        while j is _UNDECIDED:
+        while (j := _first_open(row(i, K), K)) is _UNDECIDED:
             K *= 2
-            j = redo(i, K, memos.setdefault(K, {}))
         if j is not None:
             return i, j
     return None
@@ -552,33 +527,19 @@ def first_product_mismatch(x, y, z, w, rows=None):
     """(i, j) of the first entry, in row-major order with columns sorted,
     where x y and z w differ, or None when they are equal:
     `first_product_difference` without the two values.  Each row of
-    x y - z w is built at t = 2^K as one signed sum (`_signed_row`); a row
-    whose first open entry is zero at t is redone alone at t^2, t^4, ...
-    (`_escalated_row`), and the next row is built at t again.  With `rows`,
-    only those rows are decided, each built by `_escalated_row` from the
-    factor rows it reads, so no factor is converted whole."""
-    K = _K
-
-    def redo(i: int, k: int, memo: dict):
-        return _escalated_row(x, y, z, w, i, k, memo)
-
-    if rows is None:
-        yrows, wrows = y.substituted(K), w.substituted(K)
-        rows = range(x.dim)
-        firsts = (_first_open(_signed_row(((1, xrow, yrows), (-1, zrow, wrows)), K), K)
-                  for xrow, zrow in zip(x.substituted(K), z.substituted(K)))
-    else:
-        rows, memo = sorted(rows), {}
-        firsts = (redo(i, K, memo) for i in rows)
-    return _first_mismatch(rows, firsts, redo)
+    x y - z w is built at t = 2^K as one signed sum (`_difference_row`); a
+    row whose first open entry is zero at t is redone alone at t^2, t^4,
+    ... (`_first_mismatch`), and the next row is built at t again.  With
+    `rows`, only those rows are decided."""
+    return _first_mismatch(range(x.dim) if rows is None else sorted(rows),
+                           lambda i, K: _difference_row(x, y, z, w, i, K))
 
 
 def difference_entry(x, y, z, w, i: int, j: int, K: int) -> tuple:
     """Entry (i, j) of x y - z w at t = 2^K, (e, re, im, d, h, g) as
-    `_signed_row` builds it, from the factors' kept rows at the first K and
-    from rows built alone at another; (0, 0, 0, 1, 0, 1) where no product
-    reaches it."""
-    return _difference_row(x, y, z, w, i, K, {}).get(j, (0, 0, 0, 1, 0, 1))
+    `_signed_row` builds it from the factors' rows (`_rows`);
+    (0, 0, 0, 1, 0, 1) where no product reaches it."""
+    return _difference_row(x, y, z, w, i, K).get(j, (0, 0, 0, 1, 0, 1))
 
 
 def cleared_quotient(a: tuple, b: tuple) -> tuple:
@@ -596,23 +557,16 @@ def first_quadratic_difference(A: QMatrix, r1: QScalar, r2: QScalar):
     """The first (i, j, value, 0), in row-major order with columns sorted,
     where (A - r1)(A - r2) is nonzero, or None when it is zero.  Row i is
     A_i A - r1 A_i - r2 A_i + r1 r2 e_i, one `_signed_row` over A's rows at
-    t (its kept rows at the first K), decided and redone as
-    `first_product_mismatch` decides a row; so no A - r I is formed.  Only
-    the mismatching entry is normalized, to name it."""
-    K = _K
-    A.substituted(K)
+    t (`_rows`), decided and redone as `first_product_mismatch` decides a
+    row; so no A - r I is formed.  Only the mismatching entry is
+    normalized, to name it."""
+    def row(i: int, K: int) -> dict:
+        rows, l1, l2 = _rows(A, K), _entry(r1, K), _entry(r2, K)
+        a = rows[i]
+        return _signed_row(((1, a, rows), (-1, {i: l1}, {i: a}), (-1, {i: l2}, {i: a}),
+                            (1, {i: l1}, {i: {i: l2}})), K)
 
-    roots: dict = {}
-
-    def decide(i: int, k: int, memo: dict):
-        l1, l2 = roots.get(k) or roots.setdefault(k, (_entry(r1, k), _entry(r2, k)))
-        row = _row(A, i, k, memo)
-        return _first_open(_signed_row(((1, row, {l: _row(A, l, k, memo) for l in row}),
-                                        (-1, {i: l1}, {i: row}), (-1, {i: l2}, {i: row}),
-                                        (1, {i: l1}, {i: {i: l2}})), k), k)
-
-    memo: dict = {}
-    found = _first_mismatch(range(A.dim), (decide(i, K, memo) for i in range(A.dim)), decide)
+    found = _first_mismatch(range(A.dim), row)
     if found is None:
         return None
     i, j = found
@@ -654,7 +608,7 @@ def first_product_difference(x, y, z, w, rows=None):
     change, which can move a row into a redo but never change a verdict.
     So no entry is found equal above its bound: a row's first open entry
     (`_first_open`) is a mismatch when P(t) != 0, and when P(t) = 0 and
-    h > t that row alone is redone at t^2 (`_escalated_row`): a large
+    h > t that row alone is redone at t^2 (`_first_mismatch`): a large
     coefficient costs time, never exactness.  The rows before it are proven
     equal, and each row's verdict is exact at any t, so the first mismatch
     is the one a redo of the whole call at t^2 would find.  The first

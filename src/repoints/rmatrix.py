@@ -80,10 +80,11 @@ class Projector:
         It compares L (p R) with U W, as (U W)[i][j] = u_i w_j; p R is read
         at t as its one scaled term, so no p R is formed."""
         (_, L, R), = self.raw.terms
-        # L as a one-term sum is read row by row, so it keeps no integer
-        # rows: nothing reads them again
-        return first_product_difference(Unreduced((None, L, None)),
-                                        Unreduced((self.pivot, R, None)), self.U, self.W)
+        # L and R are read through copies, whose rows at t go with them:
+        # nothing reads them again
+        return first_product_difference(QMatrix(L.dim, L.rows),
+                                        Unreduced((self.pivot, QMatrix(R.dim, R.rows), None)),
+                                        self.U, self.W)
 
     @cached_property
     def kept(self) -> dict:

@@ -512,7 +512,8 @@ class QScalar:
 
     Invariants: the denominator has minimal exponent 0 and constant coefficient 1,
     shares no polynomial factor with the numerator, and zero is stored as 0/1.
-    Any net power of q lives in the numerator.
+    Any net power of q lives in the numerator.  num is an int, a
+    `GaussRational` or a `LaurentPoly`; den a `LaurentPoly`, or None for 1.
     """
 
     __slots__ = ("num", "den")
@@ -524,10 +525,6 @@ class QScalar:
             num = LaurentPoly.gauss(num)
         if den is None:
             den = LP_ONE
-        elif isinstance(den, int):
-            den = LaurentPoly.from_int(den)
-        elif isinstance(den, GaussRational):
-            den = LaurentPoly.gauss(den)
         if not den:
             raise ZeroDivisionError("division by zero in Q(i)(q)")
         if not num:

@@ -306,6 +306,28 @@ def test_poisson_matrix_outside_the_normalizer_exits_two(capsys):
     assert out.err == "error: the matrix does not normalize so(3)\n"
 
 
+def test_poisson_matrix_past_the_n_bound_exits_two(capsys):
+    assert main(["poisson", "--series", "sl", "--N", "17", "--matrix", '[["1"]]']) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: N = 17 exceeds 16\n"
+
+
+def test_poisson_matrix_with_an_unparsable_entry_exits_two(capsys):
+    literal = '[["1","x"],["0","1"]]'
+    assert main(["poisson", "--series", "sl", "--N", "2", "--matrix", literal]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: bad matrix literal: unexpected character 'x' (at position 0)\n"
+
+
+def test_poisson_text_of_a_vanishing_bivector(capsys):
+    assert main(["poisson", "--series", "so", "--N", "6", "--family", "t4",
+                 "--format", "text"]) == 0
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("so6-t4: bivector vanishes\n", "")
+
+
 def test_poisson_deeply_nested_matrix_exits_two(capsys):
     assert main(["poisson", "--series", "sl", "--N", "2", "--matrix", "[" * 100000]) == 2
     out = capsys.readouterr()

@@ -18,10 +18,10 @@ import sys
 
 import pytest
 
-from repoints import verifier
+from repoints import qmatrix, verifier
 from repoints.natrep import CheckRecord
 from repoints.points import default_params, pm_exponents, quantum_point
-from repoints.qmatrix import IdentityKron, QMatrix, Unreduced, _entry
+from repoints.qmatrix import IdentityKron, QMatrix, Unreduced, _entry, _rows
 from repoints.rmatrix import build_rmatrix_data, epsilon_for
 from repoints.rootdata import ClassSpec, admissible_cases
 from repoints.scalar import I_UNIT, ZERO, LaurentPoly, QScalar, parse_scalar
@@ -179,7 +179,8 @@ def test_block_rows_are_the_entry_conversion():
         A2, dense = IdentityKron(A), QMatrix.identity(N).kron(A)
         assert [A2.row(i) for i in range(N * N)] == dense.rows, spec.case_id
         for K in (64, 128):
-            assert A2.substituted(K) == _converted(dense, K), (spec.case_id, K)
+            rows = _rows(A2, K)
+            assert [rows[i] for i in range(N * N)] == _converted(dense, K), (spec.case_id, K)
 
 
 def test_a_reflection_check_converts_a_once_and_shares_its_rows(monkeypatch):
@@ -187,22 +188,22 @@ def test_a_reflection_check_converts_a_once_and_shares_its_rows(monkeypatch):
     A = quantum_point(spec, draw_params(spec, random.Random(7))).A
     S = build_rmatrix_data(spec.series).S
     converted = []
-    substituted = QMatrix.substituted
+    builder = QMatrix._row_builder
 
     def recording(self, K):
-        if self._subs is None or self._subs[0] != K:
+        if K == qmatrix._K:
             converted.append(self)
-        return substituted(self, K)
+        return builder(self, K)
 
-    monkeypatch.setattr(QMatrix, "substituted", recording)
+    monkeypatch.setattr(QMatrix, "_row_builder", recording)
     assert check_reflection(reflection_operand(A, S), S).passed
     monkeypatch.undo()
     # A is converted once, S at most once (it is cached per series), and
     # I x A reads A's rows
     assert [m for m in converted if m is not S] == [A]
-    A2 = IdentityKron(A)
-    rows = A.substituted(64)
-    assert all(A2.substituted(64)[i * spec.N + k][i * spec.N + j] is v
+    A2, K = IdentityKron(A), qmatrix._K
+    rows = _rows(A, K)
+    assert all(_rows(A2, K)[i * spec.N + k][i * spec.N + j] is v
                for i in range(spec.N) for k, row in enumerate(rows) for j, v in row.items())
 
 
@@ -224,7 +225,8 @@ def test_a_passing_reflection_check_forms_no_qscalar_row_of_i_x_a(monkeypatch):
     held = [getattr(A2, name) for cls in type(A2).__mro__
             for name in getattr(cls, "__slots__", ()) if hasattr(A2, name)]
     assert A in held and not any(isinstance(v, list) for v in held)
-    (_, rows), = [v for v in held if isinstance(v, tuple)]
+    (store,) = [v for v in held if isinstance(v, dict)]
+    (rows,) = store.values()
     assert not any(isinstance(v, QScalar) for row in rows for v in row.values())
 
 
@@ -232,7 +234,7 @@ def test_the_oc_check_converts_nothing_of_a(monkeypatch):
     """After the reflection check, a passing OC check reads X = A2 S A2 off
     the rows that check keeps: it builds no row of X, S A2 or I x A anew,
     converts nothing of A and transposes nothing."""
-    row, substituted = Unreduced.substituted_row, QMatrix.substituted
+    builders = {cls: cls._row_builder for cls in (QMatrix, IdentityKron, Unreduced)}
 
     def refuse(*args):
         raise AssertionError("a passing OC check reads the kept rows of X only")
@@ -244,24 +246,18 @@ def test_the_oc_check_converts_nothing_of_a(monkeypatch):
         X = reflection_operand(A, data.S)
         premises = [check_reflection(X, data.S)] + check_varpi_structure(data.S, data.projector)
         (_, _, SA2), = X.terms
-        kept = X._subs
-        built, converted = [], []
+        kept = dict(X._at)
+        built = []
 
-        def building(self, i, K, memo):
-            if self is X or self is SA2:
-                built.append(i)
-            return row(self, i, K, memo)
-
-        def converting(self, K):
-            converted.append(self)
-            return substituted(self, K)
+        def building(self, K):
+            built.append(self)
+            return builders[type(self)](self, K)
 
         with monkeypatch.context() as patch:
-            patch.setattr(Unreduced, "substituted_row", building)
-            patch.setattr(QMatrix, "substituted", converting)
-            patch.setattr(IdentityKron, "substituted", refuse)
-            patch.setattr(IdentityKron, "substituted_row", refuse)
+            for cls in (QMatrix, Unreduced):
+                patch.setattr(cls, "_row_builder", building)
+            patch.setattr(IdentityKron, "_row_builder", refuse)
             patch.setattr(QMatrix, "transpose", refuse)
             assert all(r.passed for r in check_oc(X, data.projector, premises)), spec.case_id
-        assert built == [] and X._subs is kept, spec.case_id
-        assert not any(m is A for m in converted), spec.case_id
+        assert not any(m is X or m is SA2 or m is A for m in built), spec.case_id
+        assert X._at == kept and all(X._at[K] is rows for K, rows in kept.items()), spec.case_id

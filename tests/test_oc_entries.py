@@ -257,16 +257,16 @@ def _kept_rows_mismatch(proj):
 
 @pytest.mark.parametrize("series", BCD_TO_16, ids=lambda ls: f"{ls.series}{ls.rank}")
 def test_the_rank_one_identity_keeps_no_rows_of_l(series):
-    """factor_mismatch leaves L with no integer rows, and gives what the call
-    on L's kept rows gives, for the true L and for L + I (a failing record
-    with its first mismatch)."""
+    """factor_mismatch leaves L and R with no integer rows, and gives what
+    the call on L's kept rows gives, for the true L and for L + I (a failing
+    record with its first mismatch)."""
     proj = rmatrix.build_rmatrix_data.__wrapped__(series).projector
     (_, L, R), = proj.raw.terms
     assert proj.factor_mismatch is None
-    assert L._subs is None
+    assert L._at == {} and R._at == {}
     bad = factor_projector(L + QMatrix.identity(L.dim), R, proj.den, proj.mu)
     diff = bad.factor_mismatch
     assert diff is not None
-    assert bad.raw.terms[0][1]._subs is None
+    assert bad.raw.terms[0][1]._at == {} and R._at == {}
     assert diff == _kept_rows_mismatch(bad)
     assert _kept_rows_mismatch(proj) is None

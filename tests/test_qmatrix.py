@@ -231,7 +231,7 @@ def test_unreduced_product_keeps_an_entry_that_only_vanishes_at_t():
     a = _matrix(2, [(0, 0, parse_scalar("q")), (0, 1, ONE)])
     b = _matrix(2, [(0, 0, ONE), (1, 0, parse_scalar(f"-{T}"))])
     p = Unreduced((None, a, b))
-    e, re, im, d, h, g = p.substituted(qmatrix._K)[0][0]
+    e, re, im, d, h, g = qmatrix._rows(p, qmatrix._K)[0][0]
     assert (re, im, h) == (0, 0, T + 1)
     zero = QMatrix(2)
     assert first_product_difference(p, QMatrix.identity(2), zero, zero) == (
@@ -241,9 +241,10 @@ def test_unreduced_product_keeps_an_entry_that_only_vanishes_at_t():
 def test_a_cancelled_entry_within_the_bound_is_dropped():
     a = _matrix(2, [(0, 0, parse_scalar("q")), (0, 1, ONE)])
     b = _matrix(2, [(0, 0, ONE), (1, 0, parse_scalar("-q"))])
-    assert Unreduced((None, a, b)).substituted(qmatrix._K)[0] == {}
+    assert qmatrix._rows(Unreduced((None, a, b)), qmatrix._K)[0] == {}
     # and so it is in a scaled sum, where the other term has no entry in row 0
-    assert Unreduced((ONE, a, b), (POOL[7], QMatrix(2), None)).substituted(qmatrix._K)[0] == {}
+    scaled = Unreduced((ONE, a, b), (POOL[7], QMatrix(2), None))
+    assert qmatrix._rows(scaled, qmatrix._K)[0] == {}
 
 
 def _difference(a, b):
@@ -301,14 +302,43 @@ def test_kron_of_the_identity_places_the_entries_it_multiplies_by_one():
     assert a.scale(POOL[5]).kron(QMatrix.identity(1)) == a.scale(POOL[5])
 
 
-def test_a_matrix_keeps_its_rows_for_the_latest_substitution_point_only():
+def test_a_matrix_keeps_its_rows_at_every_substitution_point_until_put():
+    # rows at K and at 2K are kept side by side: reading 2K (a redo) leaves
+    # the rows at K as they were, and a later read at K returns them
     K = qmatrix._K
     m = _matrix(2, [(0, 1, POOL[7]), (1, 0, POOL[16])])
-    first = m.substituted(K)
-    assert m.substituted(K) is first
-    redo = m.substituted(2 * K)
-    assert m.substituted(2 * K) is redo and redo != first
-    again = m.substituted(K)
-    assert again is not first and again == first
+    first = qmatrix._rows(m, K)
+    assert qmatrix._rows(m, K) is first and len(first) == 2
+    redo = qmatrix._rows(m, 2 * K)
+    assert len(redo) == 0  # built on read, one row at a time
+    row = redo[1]
+    assert qmatrix._rows(m, 2 * K)[1] is row and row != first[1] and list(redo) == [1]
+    assert qmatrix._rows(m, K) is first and m._at == {K: first, 2 * K: redo}
+    # put clears them
     m.put(1, 1, ONE)
-    assert 1 in m.substituted(K)[1] and 1 not in again[1]
+    assert m._at == {}
+    assert 1 in qmatrix._rows(m, K)[1] and 1 not in first[1]
+
+
+def test_rows_redone_at_a_larger_k_are_kept_for_the_next_call(monkeypatch):
+    """A second call on the same operands builds no operand row above the
+    first K: the rows the first call's redo built are read again, and only
+    the redone difference row is built anew."""
+    monkeypatch.setattr(qmatrix, "_K", 8)
+    a = _matrix(2, [(0, 0, parse_scalar("q")), (0, 1, ONE)])
+    b = _matrix(2, [(0, 0, ONE), (1, 0, parse_scalar("-256"))])
+    p, one, zero = Unreduced((None, a, b)), QMatrix.identity(2), QMatrix(2)
+    want = (0, 0, parse_scalar("q-256"), ZERO)
+    seen = _substitution_points(monkeypatch)
+    assert first_product_difference(p, one, zero, zero) == want
+    # row 0 of p vanishes at t = 2^8 with the bound t + 1: p's row 0 and
+    # the difference row are built at t^2
+    assert seen.count(16) == 2 and max(seen) == 16
+    redone = qmatrix._rows(p, 16)
+    assert list(redone) == [0]
+    row = redone[0]
+    del seen[:]
+    assert first_product_difference(p, one, zero, zero) == want
+    # the second call builds the difference row at t^2, and no row of p
+    assert seen.count(16) == 1 and max(seen) == 16
+    assert qmatrix._rows(p, 16) is redone and redone[0] is row and list(redone) == [0]

@@ -4,9 +4,9 @@
 whose first open entry is undecided, at t^2, t^4, ..., from the factor rows
 that row reads, then goes on at t.  These tests hold it to a copy of the
 whole-call redo it replaces, with K lowered so that most rows escalate, and
-pin that a redone row replaces no factor's rows kept for the first K.  The
-operands are the ones the checks pass: `Unreduced` products, sums and
-scaled factors as well as `QMatrix`es.
+pin that a redone row leaves every factor's rows at the first K as they
+are.  The operands are the ones the checks pass: `Unreduced` products, sums
+and scaled factors as well as `QMatrix`es.
 """
 import os
 import random
@@ -37,10 +37,10 @@ def _whole_call_at(x, y, z, w, K):
     side's row is built alone, and the two are subtracted column by column
     in sorted order, as the kernel did before it summed one signed row."""
     T = 1 << K
-    yrows, wrows = y.substituted(K), w.substituted(K)
-    for i, (xrow, zrow) in enumerate(zip(x.substituted(K), z.substituted(K))):
-        left = qmatrix._signed_row(((1, xrow, yrows),), K)
-        right = qmatrix._signed_row(((-1, zrow, wrows),), K)
+    rows = qmatrix._rows
+    for i in range(x.dim):
+        left = qmatrix._signed_row(((1, rows(x, K)[i], rows(y, K)),), K)
+        right = qmatrix._signed_row(((-1, rows(z, K)[i], rows(w, K)),), K)
         for j in sorted(left.keys() | right.keys()):
             a, b = left.get(j), right.get(j)
             _, re, im, _, h, _ = a if b is None else b if a is None else qmatrix._sum(a, b, K, T)
@@ -134,14 +134,15 @@ def test_escalated_rows_find_what_the_whole_call_redo_finds(monkeypatch):
     the same None, as the whole-call redo."""
     monkeypatch.setattr(qmatrix, "_K", 8)
     escalated, pairs = [], set()
-    at = qmatrix._escalated_row
+    at = qmatrix._difference_row
 
-    def counting(x, y, z, w, i, K, memo):
-        escalated.append(K)
-        pairs.add((type(x).__name__, type(y).__name__))
-        return at(x, y, z, w, i, K, memo)
+    def counting(x, y, z, w, i, K):
+        if K > 8:
+            escalated.append(K)
+            pairs.add((type(x).__name__, type(y).__name__))
+        return at(x, y, z, w, i, K)
 
-    monkeypatch.setattr(qmatrix, "_escalated_row", counting)
+    monkeypatch.setattr(qmatrix, "_difference_row", counting)
     calls = mismatches = 0
     series_seen = set()
     for spec, params, A in _points():
@@ -164,14 +165,14 @@ def test_a_listed_row_is_redone_as_the_all_rows_call_redoes_it(monkeypatch):
     and give its first mismatch."""
     monkeypatch.setattr(qmatrix, "_K", 8)
     redone = []
-    at = qmatrix._escalated_row
+    at = qmatrix._difference_row
 
-    def recording(x, y, z, w, i, K, memo):
+    def recording(x, y, z, w, i, K):
         if K > 8:
             redone.append((i, K))
-        return at(x, y, z, w, i, K, memo)
+        return at(x, y, z, w, i, K)
 
-    monkeypatch.setattr(qmatrix, "_escalated_row", recording)
+    monkeypatch.setattr(qmatrix, "_difference_row", recording)
     listed = mismatches = 0
     for spec, params, A in _points():
         if spec.N > 6:
@@ -203,24 +204,33 @@ def _big_coefficient_point():
 def test_an_escalated_row_keeps_every_factors_rows_at_the_first_k(monkeypatch):
     spec, A = _big_coefficient_point()
     S = build_rmatrix_data(spec.series).S
+    S = QMatrix(S.dim, S.rows)  # a copy of the cached S, with no rows at t yet
     A2 = IdentityKron(A)
     SA2 = Unreduced((None, S, A2))
     M = Unreduced((None, A2, SA2))
     escalated = []
-    at = qmatrix._escalated_row
-
-    def recording(x, y, z, w, i, K, memo):
-        escalated.append((i, K))
-        return at(x, y, z, w, i, K, memo)
-
-    monkeypatch.setattr(qmatrix, "_escalated_row", recording)
-    assert first_product_difference(S, M, M, S) is None
+    at = qmatrix._difference_row
     K = qmatrix._K
+
+    def recording(x, y, z, w, i, k):
+        if k > K:
+            escalated.append((i, k))
+        return at(x, y, z, w, i, k)
+
+    monkeypatch.setattr(qmatrix, "_difference_row", recording)
+    assert first_product_difference(S, M, M, S) is None
     assert {k for _, k in escalated} == {2 * K, 4 * K, 8 * K}
     # some rows are decided at t, between the redone ones
-    assert len({i for i, _ in escalated}) < S.dim
+    redone = {i for i, _ in escalated}
+    assert len(redone) < S.dim
+    # every factor keeps all its rows at t; at each larger K, M and S keep
+    # only the rows the redone rows read
     for m in (S, A, A2, SA2, M):
-        assert m._subs[0] == K, m
+        assert type(m._at[K]) is list and len(m._at[K]) == m.dim, m
+    for k in (2 * K, 4 * K, 8 * K):
+        rows = {i for i, at_k in escalated if at_k == k}
+        assert rows <= set(M._at[k]) <= rows | {l for i in rows for l in S.rows[i]}
+        assert len(S._at[k]) < S.dim
     assert _whole_call_redo(S, M, M, S) is None
 
 
@@ -232,29 +242,39 @@ def test_a_redone_row_builds_only_the_factor_rows_it_reads():
     x = QMatrix.from_entries(3, [(0, 0, a), (1, 2, a), (2, 1, a)])
     y = QMatrix.from_entries(3, [(0, 0, a), (1, 1, a), (2, 2, a)])
     zero = QMatrix(3)
-    memo = {}
-    assert qmatrix._escalated_row(x, y, zero, zero, 1, 2 * qmatrix._K, memo) == 2
-    assert sorted(i for key, i in memo if key == id(x)) == [1]
-    assert sorted(i for key, i in memo if key == id(y)) == [2]
+    K = 2 * qmatrix._K
+    assert qmatrix._first_open(qmatrix._difference_row(x, y, zero, zero, 1, K), K) == 2
+    assert list(x._at[K]) == [1] and list(y._at[K]) == [2]
 
 
 @pytest.mark.parametrize("K", [8, 16])
-def test_unreduced_and_block_rows_built_alone_equal_their_kept_rows(K):
-    """Row by row, `substituted_row` gives the rows `substituted` keeps, for
-    a `QMatrix`, an `IdentityKron`, nested `Unreduced` products, a scaled
+def test_unreduced_and_block_rows_built_alone_equal_their_kept_rows(monkeypatch, K):
+    """Row by row, out of order, the rows an operand builds on read at a
+    redo K equal those it builds all at once at the first K, for a
+    `QMatrix`, an `IdentityKron`, nested `Unreduced` products, a scaled
     sum, the minimal polynomial's A - lam I and the projector's p R."""
     spec = ClassSpec("sp", 6, "t2", 2, -1)
-    A = quantum_point(spec, draw_params(spec, random.Random(7))).A
-    S = build_rmatrix_data(spec.series).S
-    A2 = IdentityKron(A)
-    scaled = Unreduced((parse_scalar("q^2-3*i"), A, None),
-                       (parse_scalar("(2*q+1)/(q-5)"), A, Unreduced((None, A, A))))
-    plus, minus = _min_poly_operands(A, spec)[:2]
+    A0 = quantum_point(spec, draw_params(spec, random.Random(7))).A
+    S0 = build_rmatrix_data(spec.series).S
     proj = build_rmatrix_data(spec.series).projector
     (_, L, R), = proj.raw.terms
-    pR = _operands(rmatrix, lambda: factor_projector(L, R, proj.den, proj.mu).factor_mismatch)[1]
-    for m in (A, A2, Unreduced((None, S, A2)), Unreduced((None, A2, Unreduced((None, S, A2)))),
-              scaled, plus, minus, pR):
-        memo = {}
-        rows = [qmatrix._row(m, i, K, memo) for i in range(m.dim)]
-        assert rows == m.substituted(K)
+
+    def operands():
+        """Fresh operands, over fresh copies of A and S."""
+        A, S = QMatrix(A0.dim, A0.rows), QMatrix(S0.dim, S0.rows)
+        A2 = IdentityKron(A)
+        scaled = Unreduced((parse_scalar("q^2-3*i"), A, None),
+                           (parse_scalar("(2*q+1)/(q-5)"), A, Unreduced((None, A, A))))
+        plus, minus = _min_poly_operands(A, spec)[:2]
+        pR = _operands(rmatrix, lambda: factor_projector(L, R, proj.den, proj.mu)
+                       .factor_mismatch)[1]
+        return (A, A2, Unreduced((None, S, A2)), Unreduced((None, A2, Unreduced((None, S, A2)))),
+                scaled, plus, minus, pR)
+
+    monkeypatch.setattr(qmatrix, "_K", K)
+    at_once = [qmatrix._rows(m, K) for m in operands()]
+    monkeypatch.setattr(qmatrix, "_K", 2 * K)
+    for m, whole in zip(operands(), at_once):
+        on_read = qmatrix._rows(m, K)
+        assert len(on_read) == 0
+        assert [on_read[i] for i in reversed(range(m.dim))] == whole[::-1]

@@ -9,7 +9,9 @@ so nothing else notices it. `__init__.py` is exempt from the import check, as
 it imports to re-export, and so are `__future__` imports.
 
 Every field of a dataclass is read as an attribute somewhere in the package,
-unless `FIELDS_WITHOUT_READER` names it.
+unless `FIELDS_WITHOUT_READER` names it, and so is every `__slots__` entry
+of a class.  Every single-underscore name a module assigns at its top level
+(`_X = ...`) is read somewhere in the package.
 
 "Read" means by bare name: a method counts as read when any name or attribute
 in the package spells its name, whatever the receiver, and a field when any
@@ -70,19 +72,10 @@ FIELDS_WITHOUT_READER = {
 }
 
 
-def _unread_definitions(sources: dict, kinds: tuple, wanted) -> list:
-    """(module, line, name) of each module-level definition of one of `kinds`,
-    or such a member of a module-level class, whose name passes `wanted` and
-    that no module of `sources` (module name -> source) reads as a name, an
-    attribute or an import."""
-    trees = {module: ast.parse(source) for module, source in sources.items()}
-    defined, read = [], set()
-    for module, tree in trees.items():
-        for node in tree.body:
-            members = node.body if isinstance(node, ast.ClassDef) else []
-            for d in [node, *members]:
-                if isinstance(d, kinds) and wanted(d.name):
-                    defined.append((module, d.lineno, d.name))
+def _names_read(trees) -> set:
+    """Every name the trees read as a name, an attribute or an import."""
+    read = set()
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -90,6 +83,29 @@ def _unread_definitions(sources: dict, kinds: tuple, wanted) -> list:
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
+    return read
+
+
+def _attributes_read(sources: dict) -> set:
+    """Every attribute that a module of `sources` reads (loads)."""
+    return {node.attr for source in sources.values() for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _unread_definitions(sources: dict, kinds: tuple, wanted) -> list:
+    """(module, line, name) of each module-level definition of one of `kinds`,
+    or such a member of a module-level class, whose name passes `wanted` and
+    that no module of `sources` (module name -> source) reads as a name, an
+    attribute or an import."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for d in [node, *members]:
+                if isinstance(d, kinds) and wanted(d.name):
+                    defined.append((module, d.lineno, d.name))
+    read = _names_read(trees.values())
     return sorted(d for d in defined if d[2] not in read)
 
 
@@ -97,6 +113,39 @@ def unread_private_names(sources: dict) -> list:
     """Each single-underscore module-level function or class, or method of a
     module-level class, that no module of `sources` reads."""
     return _unread_definitions(sources, (*_FUNCTIONS, ast.ClassDef), _is_private)
+
+
+def unread_private_assignments(sources: dict) -> list:
+    """(module, line, name) of each single-underscore name that a module of
+    `sources` assigns at its top level and that no module reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    assigned = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target] if isinstance(node, ast.AnnAssign) else []
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and _is_private(name.id):
+                        assigned.append((module, node.lineno, name.id))
+    read = _names_read(trees.values())
+    return sorted(a for a in assigned if a[2] not in read)
+
+
+def unread_slots(sources: dict) -> list:
+    """(module, line, "Class.slot") of each `__slots__` entry of a
+    module-level class of `sources` that no module reads as an attribute."""
+    slots = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            for stmt in node.body if isinstance(node, ast.ClassDef) else []:
+                if isinstance(stmt, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets):
+                    names = ast.literal_eval(stmt.value)
+                    for name in (names,) if isinstance(names, str) else names:
+                        slots.append((module, stmt.lineno, f"{node.name}.{name}"))
+    read = _attributes_read(sources)
+    return [s for s in slots if s[2].split(".")[1] not in read]
 
 
 def unread_public_names(sources: dict, allowed: dict) -> list:
@@ -125,8 +174,7 @@ def unread_fields(sources: dict, allowed: dict) -> list:
     """Each dataclass field of `dataclass_fields` that no module of `sources`
     reads as an attribute, by name, and that `allowed` does not name as
     "module.Class.field"."""
-    read = {node.attr for source in sources.values() for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    read = _attributes_read(sources)
     return [(module, line, name) for module, line, name in dataclass_fields(sources)
             if name.split(".")[1] not in read
             and f"{module.removesuffix('.py')}.{name}" not in allowed]
@@ -196,6 +244,27 @@ def test_no_unused_import(module):
 def test_an_unused_import_is_reported():
     source = "from __future__ import annotations\nimport os\nfrom . import a, b as c\nc.f(a)\n"
     assert unused_imports(source) == [(2, "os")]
+
+
+def test_every_private_assignment_and_slot_is_read():
+    sources = _package_sources()
+    assert unread_private_assignments(sources) == []
+    assert unread_slots(sources) == []
+
+
+def test_an_unread_private_assignment_or_slot_is_reported():
+    sources = {
+        "a.py": "_LIMIT = 3\n_UNUSED = object()\n_A, _B = 1, 2\n_C: int = 0\nPUBLIC = 1\n"
+                "class Box:\n    __slots__ = ('size', '_kept', 'label')\n"
+                "    def __init__(self):\n        self.size, self._kept, self.label = 1, 2, 3\n"
+                "class Tag:\n    __slots__ = 'name'\n",
+        "b.py": "from .a import Box, _LIMIT\nbox = Box()\nbox.label = box.size + _A\n",
+    }
+    assert unread_private_assignments(sources) == [
+        ("a.py", 2, "_UNUSED"), ("a.py", 3, "_B"), ("a.py", 4, "_C")]
+    # a slot only ever assigned (box.label) is not read
+    assert unread_slots(sources) == [("a.py", 7, "Box._kept"), ("a.py", 7, "Box.label"),
+                                     ("a.py", 11, "Tag.name")]
 
 
 def test_the_import_graph_is_acyclic():
